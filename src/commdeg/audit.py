@@ -293,18 +293,26 @@ def check_class_formula(H: SubgroupRef, K: SubgroupRef, n: int, m: int) -> Findi
     and P3_mgt1 otherwise.  The witness also counts how many g the
     literal-predicate variant got wrong, so the convention ambiguity
     stays visible.
+
+    At m = 1 the histogram step and the class formula are the same sum
+    over the same ``conjugacy_info``, so the exact side comes from
+    ``engine.brute_counts`` instead, and the histogram must match it too;
+    only a tuple space above ``engine.BRUTE_CAP_DEFAULT`` falls back to
+    ``final_counts`` as the exact side.
     """
     G = H.parent
     tag = "P3_m1" if m == 1 else "P3_mgt1"
     size = H.order**n * K.order**m
-    counts = engine.final_counts(H, K, n, m)
+    counts = exact_counts = engine.final_counts(H, K, n, m)
+    if m == 1 and size <= engine.BRUTE_CAP_DEFAULT:
+        exact_counts = engine.brute_counts(G, [H.members] * n + [K.members])
     first_bad: Optional[tuple[int, Fraction, Fraction]] = None
     paper_mismatches = 0
     for g in range(G.order):
         params = CommParams(H, K, n, m, g)
-        exact = Fraction(counts[g], size)
+        exact = Fraction(exact_counts[g], size)
         formula = engine.prob_class_formula(params, predicate="derived").value
-        if formula != exact and first_bad is None:
+        if first_bad is None and (formula != exact or counts[g] != exact_counts[g]):
             first_bad = (g, formula, exact)
         if engine.prob_class_formula(params, predicate="paper").value != exact:
             paper_mismatches += 1
@@ -318,6 +326,8 @@ def check_class_formula(H: SubgroupRef, K: SubgroupRef, n: int, m: int) -> Findi
         return Finding(tag, inst, HOLDS, witness)
     g, formula, exact = first_bad
     witness.update({"g": g, "formula_value": _frac(formula), "exact_value": _frac(exact)})
+    if counts[g] != exact_counts[g]:
+        witness["histogram_value"] = _frac(Fraction(counts[g], size))
     return Finding(tag, inst, VIOLATED, witness)
 
 

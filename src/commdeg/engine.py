@@ -3,17 +3,20 @@
 Probabilities are exact ``fractions.Fraction`` values.  Counting is done
 along independent routes — literal tuple enumeration, a conjugacy-class
 formula, and a histogram dynamic program — so each route can audit the
-others.  The histogram route is the production path: its cost is
-O((n + m) * |G| * |pool|) regardless of how many tuples it accounts for.
+others.  The histogram route is the production path.  Each of its steps
+walks the conjugation orbits of the slot's subgroup P, so a step costs
+sum_w |w^P| <= |G| * |P| updates regardless of how many tuples it
+accounts for.
 """
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -42,7 +45,6 @@ __all__ = [
     "prob_class_formula",
     "prob_profile",
     "zeta_count",
-    "zeta_count_nm",
     "commutator_value_set",
     "nested_commutator_subgroup",
     "nilpotency_degree",
@@ -144,38 +146,48 @@ def _comm_block(G: GroupTable, rows: np.ndarray, cols: np.ndarray) -> np.ndarray
     return mul[mul[mul[inv[r], inv[c]], r], c]
 
 
-def _extend_counts(
-    G: GroupTable, counts: Sequence[int], pool: Sequence[int], steps: int
-) -> list[int]:
-    """Apply `steps` rounds of new[v] = sum(old[w] for [w, x] = v, x in pool).
+@lru_cache(maxsize=32)
+def _orbit_pairs(P: SubgroupRef) -> tuple[np.ndarray, np.ndarray]:
+    """Pair list (w, w^-1 * u) over every P-conjugacy orbit and w, u in it.
 
-    Runs on int64 when the total mass provably fits, otherwise falls back
-    to Python integers; both paths produce identical exact counts.
+    As y runs over P, [w, y] = w^-1 * w^y meets each w^-1 * u with
+    u in w^P exactly |C_P(w)| times, so these sum_w |w^P| pairs carry the
+    whole counting step.  Orbits of one size are handled as one array.
+    """
+    G = P.parent
+    by_size: dict[int, list[tuple[int, ...]]] = {}
+    for orbit in conjugacy_info(P).classes:
+        by_size.setdefault(len(orbit), []).append(orbit)
+    srcs, dsts = [], []
+    for size, orbits in by_size.items():
+        block = np.asarray(orbits, dtype=np.int32)
+        w = np.repeat(block, size, axis=1)
+        u = np.tile(block, (1, size))
+        srcs.append(w.ravel())
+        dsts.append(G.mul[G.inv[w], u].ravel())
+    return np.concatenate(srcs), np.concatenate(dsts)
+
+
+def _orbit_steps(counts: Sequence[int], P: SubgroupRef, steps: int) -> list[int]:
+    """Apply `steps` rounds of new[v] = sum(old[w] for [w, y] = v, y in P).
+
+    Each round is new[w^-1 * u] += old[w] * |C_P(w)| over the pairs of
+    `_orbit_pairs`.  It runs on int64 when the total mass provably fits,
+    otherwise on Python integers over the same pairs; both give the same
+    exact counts.
     """
     if steps == 0:
         return [int(c) for c in counts]
-    n = G.order
-    pool_arr = np.asarray(pool, dtype=np.int32)
-    block = _comm_block(G, np.arange(n, dtype=np.int32), pool_arr)
-    total = sum(counts) * len(pool) ** steps
-    if total < _INT64_SAFE:
-        cur = np.asarray([int(c) for c in counts], dtype=np.int64)
-        for _ in range(steps):
-            new = np.zeros(n, dtype=np.int64)
-            for j in range(len(pool)):
-                np.add.at(new, block[:, j], cur)
-            cur = new
-        return [int(v) for v in cur]
-    rows = block.tolist()
-    cur_list = [int(c) for c in counts]
+    src, dst = _orbit_pairs(P)
+    total = sum(counts) * P.order**steps
+    dtype = np.int64 if total < _INT64_SAFE else object
+    weight = conjugacy_info(P).centralizer_order.astype(dtype)
+    cur = np.array([int(c) for c in counts], dtype=dtype)
     for _ in range(steps):
-        new_list = [0] * n
-        for w, c in enumerate(cur_list):
-            if c:
-                for v in rows[w]:
-                    new_list[v] += c
-        cur_list = new_list
-    return cur_list
+        new = np.zeros(len(cur), dtype=dtype)
+        np.add.at(new, dst, (cur * weight)[src])
+        cur = new
+    return [int(v) for v in cur]
 
 
 @lru_cache(maxsize=4096)
@@ -187,7 +199,7 @@ def comm_distribution(H: SubgroupRef, n: int) -> CommDistribution:
     counts = [0] * G.order
     for h in H.members:
         counts[h] = 1
-    counts = _extend_counts(G, counts, H.members, n - 1)
+    counts = _orbit_steps(counts, H, n - 1)
     return CommDistribution(
         G, tuple(counts), n, source=f"x-block n={n}, |H|={H.order}, G={G.name}"
     )
@@ -201,7 +213,7 @@ def extend_by_conjugators(
         raise ForeignSubgroup("conjugator subgroup must live in the same group")
     if m < 0:
         raise ValueError("m must be >= 0")
-    counts = _extend_counts(dist.group, dist.counts, K.members, m)
+    counts = _orbit_steps(dist.counts, K, m)
     return CommDistribution(
         dist.group,
         tuple(counts),
@@ -224,6 +236,7 @@ def conjugacy_info(K: SubgroupRef) -> groups.ConjugacyInfo:
 
 def clear_caches() -> None:
     comm_distribution.cache_clear()
+    _orbit_pairs.cache_clear()
     final_counts.cache_clear()
     conjugacy_info.cache_clear()
 
@@ -239,6 +252,7 @@ def brute_counts(
     This is the oracle path: it materializes the folded commutator value
     of each individual tuple (in chunks) and bin-counts them, so it shares
     nothing with the histogram recurrence beyond the group table itself.
+    ``threads`` is clamped to the machine's CPU count.
     """
     if not pools:
         raise EmptyTuple("need at least one tuple slot")
@@ -263,8 +277,9 @@ def brute_counts(
                     _comm_block(G, vals[s : s + step], nxt).ravel(), rest[1:], acc
                 )
 
-    if threads > 1 and arrs[0].size > 1:
-        slices = np.array_split(arrs[0], min(threads, arrs[0].size))
+    workers = min(threads, os.cpu_count() or 1, arrs[0].size)
+    if workers > 1:
+        slices = np.array_split(arrs[0], workers)
         accs = [np.zeros(G.order, dtype=np.int64) for _ in slices]
 
         def work(i: int) -> None:
@@ -348,12 +363,6 @@ def zeta_count(H: SubgroupRef, g: int) -> int:
         if info.class_of[int(mul[x, g])] == info.class_of[x]:
             acc += int(info.centralizer_order[x])
     return acc
-
-
-def zeta_count_nm(H: SubgroupRef, n: int, m: int, g: int) -> int:
-    """Solutions of [x1..xn,y1..ym] = g with x's from H, y's from all of G."""
-    counts = final_counts(H, groups.full_subgroup(H.parent), n, m)
-    return counts[g]
 
 
 def commutator_value_set(

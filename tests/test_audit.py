@@ -358,3 +358,26 @@ def test_seeded_fault_breaks_oracle_agreement(monkeypatch, s3):
     monkeypatch.undo()
     engine.clear_caches()
     assert fast != brute
+
+
+def test_seeded_centralizer_fault_breaks_class_formula(monkeypatch, s3):
+    """A wrong |C_K(x)| feeds both the histogram step and the class sum.
+
+    P3_m1 must still flag it, because its exact side is brute force.
+    """
+    real = groups.conjugacy
+
+    def corrupted(G, K):
+        info = real(G, K)
+        cent = info.centralizer_order.copy()
+        cent[1] += 1
+        return groups.ConjugacyInfo(info.classes, info.class_of, cent)
+
+    engine.clear_caches()
+    monkeypatch.setattr(groups, "conjugacy", corrupted)
+    full = groups.full_subgroup(s3)
+    finding = audit.check_class_formula(full, full, 1, 1)
+    monkeypatch.undo()
+    engine.clear_caches()
+    assert finding.claim == "P3_m1"
+    assert finding.verdict == audit.VIOLATED

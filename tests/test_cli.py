@@ -129,6 +129,16 @@ def test_zeta_command(capsys):
     assert code == 0
     assert json.loads(out)["counts"]["1"] == 3
 
+    # y-slots range over all of G, and the key is `counts` even for one -g:
+    # [(1 2), y] = (1 2 3) for two y in S3, for none in <(1 2)>
+    code, out, _ = run(
+        capsys, "zeta", "-G", "S3", "-H", "gen[2]", "-g", "1", "-o", "json"
+    )
+    assert code == 0
+    payload = json.loads(out)
+    assert set(payload) == {"group", "H", "n", "m", "counts"}
+    assert payload["counts"] == {"1": 2}
+
 
 def test_dist_csv(capsys):
     code, out, _ = run(capsys, "dist", "-G", "S3", "-n", "2", "-o", "csv")

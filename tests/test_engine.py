@@ -1,4 +1,5 @@
 import itertools
+import os
 from fractions import Fraction
 
 import pytest
@@ -152,11 +153,12 @@ def test_class_formula_paper_predicate_matches_at_weight_two(s3):
 
 
 def test_zeta_counts(s3, a3_in_s3):
+    full = groups.full_subgroup(s3)
     assert engine.zeta_count(a3_in_s3, 1) == 3
     for g in range(s3.order):
         want = oracle_counts(s3, [a3_in_s3.members, range(6)])[g]
         assert engine.zeta_count(a3_in_s3, g) == want
-        assert engine.zeta_count_nm(a3_in_s3, 1, 1, g) == want
+        assert engine.final_counts(a3_in_s3, full, 1, 1)[g] == want
 
 
 def test_y_set_size(s3):
@@ -192,12 +194,51 @@ def test_extend_rejects_foreign_subgroup(s3, q8):
         engine.extend_by_conjugators(dist, groups.full_subgroup(q8), 1)
 
 
-def test_bigint_path_matches_int64_path(monkeypatch, s3):
+def test_bigint_path_matches_int64_path(monkeypatch, s3, a3_in_s3):
     full = groups.full_subgroup(s3)
-    fast = engine._extend_counts(s3, [1] * 6, full.members, 2)
+    flip = groups.subgroup_closure(s3, [2])
+    cases = [
+        ([1] * 6, full, 2),
+        (engine.comm_distribution(a3_in_s3, 1).counts, full, 2),
+        (engine.comm_distribution(flip, 1).counts, full, 2),
+    ]
+    fast = [engine._orbit_steps(c, P, k) for c, P, k in cases]
     monkeypatch.setattr(engine, "_INT64_SAFE", 1)
-    slow = engine._extend_counts(s3, [1] * 6, full.members, 2)
+    slow = [engine._orbit_steps(c, P, k) for c, P, k in cases]
     assert fast == slow
+    assert slow[1] == list(engine.final_counts.__wrapped__(a3_in_s3, full, 1, 2))
+
+
+def test_bigint_path_beyond_int64(s3):
+    full = groups.full_subgroup(s3)
+    counts = engine._orbit_steps([1] * 6, full, 30)
+    assert sum(counts) == 6**31 > 2**63
+    assert counts[2] == counts[4] == counts[5] == 0
+
+
+def test_brute_threads_clamped_to_cpu_count(monkeypatch, s3):
+    requested = []
+
+    class InlineExecutor:
+        def __init__(self, max_workers):
+            requested.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(engine, "ThreadPoolExecutor", InlineExecutor)
+    pools = [range(6)] * 3
+    counts = engine.brute_counts(s3, pools, threads=10**6)
+    cpus = os.cpu_count() or 1
+    assert all(w <= cpus for w in requested)
+    assert bool(requested) == (cpus > 1)
+    assert counts == engine.brute_counts(s3, pools)
 
 
 def test_prob_json_round_trip(s3):
