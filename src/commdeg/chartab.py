@@ -3,9 +3,15 @@
 Tables are built numerically: the conjugacy-class multiplication matrices
 commute, so a random real combination of them is diagonalized once and its
 eigenvectors are refined into central characters, from which degrees and
-character values follow.  Every downstream quantity is tolerance-gated,
-and a JSON import path allows cross-checking against externally computed
-tables.
+character values follow (Dixon 1967; Schneider 1990).  Every downstream
+quantity is tolerance-gated, and a JSON import path allows cross-checking
+against externally computed tables.
+
+Cost for a group with k classes: the float64 structure tensor takes
+O(k |G|) time and k^3 * 8 bytes, built once; each draw (eigensolve plus
+central characters) takes O(k^3).  Tables whose tensor would exceed
+TENSOR_BYTES_MAX (1 GiB, so k <= 512) raise ResourceLimit before
+anything is allocated.
 """
 
 from __future__ import annotations
@@ -22,6 +28,7 @@ from .errors import (
     ImaginaryResidue,
     NotClassConstant,
     NotNormal,
+    ResourceLimit,
     ToleranceExceeded,
 )
 from .groups import GroupTable, SubgroupRef
@@ -30,12 +37,14 @@ CONSTRUCTION_TOL = 1e-8
 ROUNDING_TOL = 1e-6
 FORMULA_TOL = 1e-8
 MAX_RETRIES = 20
+TENSOR_BYTES_MAX = 1 << 30
 
 __all__ = [
     "CONSTRUCTION_TOL",
     "ROUNDING_TOL",
     "FORMULA_TOL",
     "MAX_RETRIES",
+    "TENSOR_BYTES_MAX",
     "CharacterTable",
     "ClassFunction",
     "OrthogonalityReport",
@@ -155,9 +164,12 @@ def _class_layout(G: GroupTable) -> tuple[list[int], list[int], np.ndarray]:
 def _structure_tensor(
     G: GroupTable, reps: Sequence[int], class_of: np.ndarray
 ) -> np.ndarray:
-    """a[i, j, t] = #{(x, y) in C_i x C_j : x*y = rep_t}."""
+    """a[i, j, t] = #{(x, y) in C_i x C_j : x*y = rep_t}, as float64.
+
+    Every count is at most |G| < 2^53, so float64 holds it exactly.
+    """
     k = len(reps)
-    a = np.empty((k, k, k), dtype=np.int64)
+    a = np.empty((k, k, k), dtype=np.float64)
     cls64 = class_of.astype(np.int64)
     for t, z in enumerate(reps):
         y = G.mul[G.inv, z]
@@ -176,16 +188,26 @@ def character_table(G: GroupTable, seed: int = 0) -> CharacterTable:
     vector from the same generator) up to MAX_RETRIES times before
     DegenerateEigenbasis is raised; degree rounding and row orthogonality
     failures raise ToleranceExceeded.
+
+    Building the k x k x k tensor costs O(k |G|) time and k^3 * 8 bytes;
+    each draw costs O(k^3), since a central character needs only the
+    pivot row of each class matrix.  A tensor over TENSOR_BYTES_MAX
+    raises ResourceLimit before it is allocated.
     """
     reps, sizes, class_of = _class_layout(G)
     k = len(reps)
+    if k**3 * 8 > TENSOR_BYTES_MAX:
+        raise ResourceLimit(
+            f"{G.name} has {k} classes; its structure tensor needs "
+            f"{k**3 * 8} bytes, over the {TENSOR_BYTES_MAX}-byte limit"
+        )
     a = _structure_tensor(G, reps, class_of)
     rng = np.random.default_rng(seed)
     sizes_arr = np.asarray(sizes, dtype=np.float64)
     last_error: Optional[Exception] = None
     for _ in range(MAX_RETRIES):
         coeffs = rng.standard_normal(k)
-        combo = np.tensordot(coeffs, a.astype(np.float64), axes=(0, 0))
+        combo = np.tensordot(coeffs, a, axes=(0, 0))
         eigvals, eigvecs = np.linalg.eig(combo)
         scale = max(1.0, float(np.abs(eigvals).max()))
         gaps = np.abs(eigvals[:, None] - eigvals[None, :])
@@ -199,8 +221,7 @@ def character_table(G: GroupTable, seed: int = 0) -> CharacterTable:
         for p in range(k):
             v = eigvecs[:, p]
             pivot = int(np.argmax(np.abs(v)))
-            for i in range(k):
-                omegas[p, i] = (a[i].astype(np.float64) @ v)[pivot] / v[pivot]
+            omegas[p] = (a[:, pivot, :] @ v) / v[pivot]
         degs_float = np.sqrt(
             G.order / np.sum(np.abs(omegas) ** 2 / sizes_arr, axis=1)
         )

@@ -61,6 +61,10 @@ class NotClassConstant(CommdegError):
     code = "not_class_constant"
 
 
+class ResourceLimit(CommdegError):
+    code = "resource_limit"
+
+
 class ConfigInvalid(CommdegError):
     code = "config_invalid"
 

@@ -475,8 +475,7 @@ class ConjugacyInfo:
 
     ``classes`` are sorted member tuples in order of least member;
     ``class_of[x]`` indexes into ``classes``; ``centralizer_order[x]``
-    is |C_K(x)|, counted directly rather than via orbit sizes so the
-    orbit-stabilizer identity stays an independent test.
+    is |C_K(x)| = |K| / |x^K| (orbit-stabilizer).
     """
 
     classes: tuple[tuple[int, ...], ...]
@@ -499,9 +498,8 @@ def conjugacy(G: GroupTable, K: SubgroupRef) -> ConjugacyInfo:
         idx = len(classes)
         class_of[orbit] = idx
         classes.append(tuple(int(v) for v in orbit))
-    cent = np.empty(n, dtype=np.int64)
-    for x in range(n):
-        cent[x] = int((G.mul[karr, x] == G.mul[x, karr]).sum())
+    orbit_sizes = np.array([len(c) for c in classes], dtype=np.int64)
+    cent = K.order // orbit_sizes[class_of]
     class_of.setflags(write=False)
     cent.setflags(write=False)
     return ConjugacyInfo(tuple(classes), class_of, cent)

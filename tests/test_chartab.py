@@ -43,13 +43,35 @@ def test_table_is_seed_invariant(s3, q8):
 
 
 def test_orthogonality_on_battery_groups():
-    for spec in [("S", 4), ("A", 4), ("D", 10), ("C", 12)]:
+    for spec in [("S", 4), ("A", 4), ("D", 10), ("C", 12), ("C", 60), ("S", 5)]:
         G = groups.named_group(*spec)
         t = chartab.character_table(G, seed=0)
         report = chartab.verify_orthogonality(t)
         assert report.passed
         assert report.max_row_deviation < chartab.ROUNDING_TOL
         assert sum(d * d for d in t.degrees) == G.order
+
+
+def test_cyclic_table_matches_closed_form():
+    n = 60
+    G = groups.named_group("C", n)
+    t = chartab.character_table(G, seed=0)
+    # C_n is generated by element 1; r is the exponent of each class rep
+    power = {0: 0}
+    x = 0
+    for r in range(1, n):
+        x = int(G.mul[x, 1])
+        power[x] = r
+    assert len(power) == n
+    rs = np.array([power[rep] for rep in t.class_reps])
+    found = set()
+    for row in t.values:
+        # a linear character is fixed by its value on the generator
+        j = int(round(np.angle(row[rs == 1][0]) * n / (2 * np.pi))) % n
+        want = np.exp(2j * np.pi * j * rs / n)
+        assert np.abs(row - want).max() < 1e-9
+        found.add(j)
+    assert found == set(range(n))
 
 
 def test_irreducibles_are_orthonormal(s3):

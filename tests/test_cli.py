@@ -1,8 +1,14 @@
 import json
+import os
+import resource
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import commdeg
 from commdeg import cli, engine
 from commdeg.engine import CommDistribution
 
@@ -157,6 +163,31 @@ def test_chartab_table(capsys):
     code, out, _ = run(capsys, "chartab", "-G", "S3")
     assert code == 0
     assert "3 classes" in out
+
+
+def _cap_address_space():
+    limit = 1 << 30
+    resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+
+def test_chartab_over_tensor_limit_exits_4():
+    # C600 has 600 classes, so its structure tensor would need 1.7 GB; the
+    # child runs under a 1 GiB address-space cap, so an allocation attempt
+    # ends in MemoryError (exit 1) instead of the typed error.
+    src = str(Path(commdeg.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "commdeg.cli", "chartab", "-G", "C600"],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
+        preexec_fn=_cap_address_space,
+    )
+    assert proc.returncode == 4, proc.stderr
+    assert "error [resource_limit]" in proc.stderr
+    assert proc.stdout == ""
 
 
 def test_audit_small_battery_json(capsys):

@@ -147,14 +147,23 @@ def test_conjugacy_under_subgroup_action(s3, a3_in_s3):
     assert three_cycle_orbit == (1,)
 
 
-def test_orbit_stabilizer_over_battery():
-    for G in (groups.named_group("D", 6), groups.named_group("A", 4)):
-        for K in (groups.full_subgroup(G), groups.subgroup_closure(G, [1])):
-            info = groups.conjugacy(G, K)
-            for x in range(G.order):
-                orbit = len(info.classes[info.class_of[x]])
-                stab = groups.centralizer_of_element(G, K, x).order
-                assert orbit * stab == K.order
+def test_orbit_stabilizer_over_battery(s4):
+    cases = [
+        (G, K)
+        for G in (groups.named_group("D", 6), groups.named_group("A", 4))
+        for K in (groups.full_subgroup(G), groups.subgroup_closure(G, [1]))
+    ]
+    # <(1 2)> is not normal in S4, so its orbits are not full classes
+    transposition = groups.subgroup_closure(s4, [2])
+    assert transposition.order == 2 and not groups.is_normal(s4, transposition)
+    cases.append((s4, transposition))
+    for G, K in cases:
+        info = groups.conjugacy(G, K)
+        for x in range(G.order):
+            orbit = len(info.classes[info.class_of[x]])
+            stab = groups.centralizer_of_element(G, K, x).order
+            assert orbit * stab == K.order
+            assert info.centralizer_order[x] == stab
 
 
 def test_centers(s3, q8):
