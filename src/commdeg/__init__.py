@@ -10,8 +10,6 @@ from .engine import (
     prob_brute,
     prob_class_formula,
     prob_fast,
-    prob_profile,
-    zeta_count,
 )
 from .errors import CommdegError
 from .groups import GroupTable, SubgroupRef, direct_product, named_group
@@ -32,8 +30,6 @@ __all__ = [
     "prob_brute",
     "prob_class_formula",
     "prob_fast",
-    "prob_profile",
-    "zeta_count",
     "CommdegError",
     "GroupTable",
     "SubgroupRef",

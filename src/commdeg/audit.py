@@ -183,6 +183,15 @@ def _mutual_centralizer(H: SubgroupRef, K: SubgroupRef) -> SubgroupRef:
     return groups.centralizer_of_subgroup(H, K)
 
 
+def _product_subgroup(
+    product: GroupTable, left: SubgroupRef, right: SubgroupRef
+) -> SubgroupRef:
+    """left x right inside product = left.parent x right.parent."""
+    width = right.parent.order
+    ids = [a * width + c for a in left.members for c in right.members]
+    return SubgroupRef(product, ids, _checked=True)
+
+
 def check_multiplicativity(
     E: GroupTable,
     F: GroupTable,
@@ -203,14 +212,9 @@ def check_multiplicativity(
     """
     if product is None:
         product = groups.direct_product(E, F)
-    n2 = F.order
-    block_x = SubgroupRef(
-        product, [a * n2 + c for a in A.members for c in C.members], _checked=True
-    )
-    block_y = SubgroupRef(
-        product, [b * n2 + d for b in B.members for d in D.members], _checked=True
-    )
-    lhs = _p(block_x, block_y, n, m, e * n2 + f)
+    block_x = _product_subgroup(product, A, C)
+    block_y = _product_subgroup(product, B, D)
+    lhs = _p(block_x, block_y, n, m, e * F.order + f)
     left = _p(A, B, n, m, e)
     right = _p(C, D, n, m, f)
     inst = {
@@ -294,11 +298,11 @@ def check_class_formula(H: SubgroupRef, K: SubgroupRef, n: int, m: int) -> Findi
     literal-predicate variant got wrong, so the convention ambiguity
     stays visible.
 
-    At m = 1 the histogram step and the class formula are the same sum
-    over the same ``conjugacy_info``, so the exact side comes from
-    ``engine.brute_counts`` instead, and the histogram must match it too;
-    only a tuple space above ``engine.BRUTE_CAP_DEFAULT`` falls back to
-    ``final_counts`` as the exact side.
+    The class formula is one orbit step of the histogram recurrence (at
+    m = 1 the very step ``final_counts`` ends with), so the exact side
+    comes from ``engine.brute_counts`` instead, and the histogram must
+    match it too; only a tuple space above ``engine.BRUTE_CAP_DEFAULT``
+    falls back to ``final_counts`` as the exact side.
     """
     G = H.parent
     tag = "P3_m1" if m == 1 else "P3_mgt1"
@@ -306,26 +310,33 @@ def check_class_formula(H: SubgroupRef, K: SubgroupRef, n: int, m: int) -> Findi
     counts = exact_counts = engine.final_counts(H, K, n, m)
     if m == 1 and size <= engine.BRUTE_CAP_DEFAULT:
         exact_counts = engine.brute_counts(G, [H.members] * n + [K.members])
-    first_bad: Optional[tuple[int, Fraction, Fraction]] = None
-    paper_mismatches = 0
-    for g in range(G.order):
-        params = CommParams(H, K, n, m, g)
-        exact = Fraction(exact_counts[g], size)
-        formula = engine.prob_class_formula(params, predicate="derived").value
-        if first_bad is None and (formula != exact or counts[g] != exact_counts[g]):
-            first_bad = (g, formula, exact)
-        if engine.prob_class_formula(params, predicate="paper").value != exact:
-            paper_mismatches += 1
+    formula = engine.class_formula_counts(H, K, n, m, "derived")
+    paper = engine.class_formula_counts(H, K, n, m, "paper")
+    g = next(
+        (
+            g
+            for g in range(G.order)
+            if formula[g] != exact_counts[g] or counts[g] != exact_counts[g]
+        ),
+        None,
+    )
     inst = _inst(G, H=_mem(H), K=_mem(K), n=n, m=m)
     witness = {
         "predicate": "derived",
         "elements_checked": G.order,
-        "paper_predicate_mismatches": paper_mismatches,
+        "paper_predicate_mismatches": sum(
+            p != e for p, e in zip(paper, exact_counts)
+        ),
     }
-    if first_bad is None:
+    if g is None:
         return Finding(tag, inst, HOLDS, witness)
-    g, formula, exact = first_bad
-    witness.update({"g": g, "formula_value": _frac(formula), "exact_value": _frac(exact)})
+    witness.update(
+        {
+            "g": g,
+            "formula_value": _frac(Fraction(formula[g], size)),
+            "exact_value": _frac(Fraction(exact_counts[g], size)),
+        }
+    )
     if counts[g] != exact_counts[g]:
         witness["histogram_value"] = _frac(Fraction(counts[g], size))
     return Finding(tag, inst, VIOLATED, witness)
@@ -730,9 +741,10 @@ def check_eq7(H: SubgroupRef, table: chartab.CharacterTable) -> Finding:
     if not groups.is_normal(G, H):
         return Finding("EQ7", inst, PRECONDITION_FAILED, {"reason": "H is not normal"})
     denom = H.order * G.order
+    counts = engine.final_counts(H, groups.full_subgroup(G), 1, 1)
     worst, worst_g = 0.0, 0
     for g in range(G.order):
-        exact = engine.zeta_count(H, g) / denom
+        exact = counts[g] / denom
         dev = abs(chartab.prob_char_relative(G, table, H, g) - exact)
         if dev > worst:
             worst, worst_g = dev, g
@@ -1083,16 +1095,8 @@ def run_battery(config: AuditConfig) -> AuditReport:
                     (prop_e or full_e, full_e, full_f, prop_f or full_f)
                 )
             for A, B, C, D in combos:
-                block_x = SubgroupRef(
-                    product,
-                    [a * F.order + c for a in A.members for c in C.members],
-                    _checked=True,
-                )
-                block_y = SubgroupRef(
-                    product,
-                    [b * F.order + d for b in B.members for d in D.members],
-                    _checked=True,
-                )
+                block_x = _product_subgroup(product, A, C)
+                block_y = _product_subgroup(product, B, D)
                 for n, m in _cells(config):
                     for gid in _g_values(block_x, block_y, n, m, config):
                         e, f = divmod(gid, F.order)

@@ -103,11 +103,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_prob.add_argument("--threads", type=_positive_int, default=1)
     p_prob.add_argument("--seed", type=int, default=0)
 
-    p_profile = sub.add_parser("profile", help="probabilities for every g at once")
-    add_common(p_profile)
-    p_profile.add_argument("-n", type=_positive_int, default=1)
-    p_profile.add_argument("-m", type=_positive_int, default=1)
-
     p_zeta = sub.add_parser(
         "zeta", help="solution counts with the y-block drawn from the whole group"
     )
@@ -252,6 +247,10 @@ def _prob_json(p: engine.ExactProb, cross_checks: list[engine.ExactProb]) -> dic
 
 
 def _cmd_prob(args: argparse.Namespace) -> int:
+    if args.g == "all" and args.method not in ("auto", "dist"):
+        raise UsageError(
+            f"-g all supports only --method auto or dist, not {args.method}"
+        )
     G = _resolve_group(args)
     H = groupspec.parse_subgroup_spec(G, args.H)
     K = groupspec.parse_subgroup_spec(G, args.K)
@@ -345,7 +344,9 @@ def _cmd_prob_char(
 def _render_profile(
     args: argparse.Namespace, G: GroupTable, H: SubgroupRef, K: SubgroupRef
 ) -> int:
-    profile = engine.prob_profile(H, K, args.n, args.m)
+    counts = engine.final_counts(H, K, args.n, args.m)
+    size = H.order**args.n * K.order**args.m
+    profile = {g: Fraction(c, size) for g, c in enumerate(counts)}
     if args.output == "json":
         payload = {
             "group": G.name,
@@ -370,15 +371,8 @@ def _render_profile(
         print(f"group {G.name}, |H|={H.order}, |K|={K.order}, n={args.n}, m={args.m}")
         width = max(len(G.label(g)) for g in profile)
         for g, p in profile.items():
-            print(f"{g:>4} {G.label(g):<{width}} {_frac(p.value)}")
+            print(f"{g:>4} {G.label(g):<{width}} {_frac(p)}")
     return EXIT_OK
-
-
-def _cmd_profile(args: argparse.Namespace) -> int:
-    G = _resolve_group(args)
-    H = groupspec.parse_subgroup_spec(G, args.H)
-    K = groupspec.parse_subgroup_spec(G, args.K)
-    return _render_profile(args, G, H, K)
 
 
 def _cmd_zeta(args: argparse.Namespace) -> int:
@@ -556,7 +550,6 @@ def _cmd_audit(args: argparse.Namespace) -> int:
 _HANDLERS = {
     "info": _cmd_info,
     "prob": _cmd_prob,
-    "profile": _cmd_profile,
     "zeta": _cmd_zeta,
     "dist": _cmd_dist,
     "chartab": _cmd_chartab,

@@ -1,12 +1,14 @@
 """Exact engine for left-normed commutator statistics.
 
-Probabilities are exact ``fractions.Fraction`` values.  Counting is done
-along independent routes — literal tuple enumeration, a conjugacy-class
-formula, and a histogram dynamic program — so each route can audit the
-others.  The histogram route is the production path.  Each of its steps
-walks the conjugation orbits of the slot's subgroup P, so a step costs
-sum_w |w^P| <= |G| * |P| updates regardless of how many tuples it
-accounts for.
+Probabilities are exact ``fractions.Fraction`` values.  Every count but
+the brute-force one comes from a single primitive, the orbit step: it
+walks the conjugation orbits of a subgroup P and weights each orbit pair
+by a power of |C_P(w)|, so a step costs sum_w |w^P| <= |G| * |P|
+updates regardless of how many tuples it accounts for.  The histogram
+recurrence (the production path) chains such steps at weight 1; the
+conjugacy-class formula is one step at weight m.  Literal tuple
+enumeration shares nothing with the step and is the independent oracle
+that audits it.
 """
 
 from __future__ import annotations
@@ -42,9 +44,8 @@ __all__ = [
     "brute_counts",
     "prob_brute",
     "prob_fast",
+    "class_formula_counts",
     "prob_class_formula",
-    "prob_profile",
-    "zeta_count",
     "commutator_value_set",
     "nested_commutator_subgroup",
     "nilpotency_degree",
@@ -168,20 +169,24 @@ def _orbit_pairs(P: SubgroupRef) -> tuple[np.ndarray, np.ndarray]:
     return np.concatenate(srcs), np.concatenate(dsts)
 
 
-def _orbit_steps(counts: Sequence[int], P: SubgroupRef, steps: int) -> list[int]:
-    """Apply `steps` rounds of new[v] = sum(old[w] for [w, y] = v, y in P).
+def _orbit_steps(
+    counts: Sequence[int], P: SubgroupRef, steps: int, power: int = 1
+) -> list[int]:
+    """Apply `steps` rounds of new[w^-1 * u] += old[w] * |C_P(w)|^power.
 
-    Each round is new[w^-1 * u] += old[w] * |C_P(w)| over the pairs of
-    `_orbit_pairs`.  It runs on int64 when the total mass provably fits,
+    The pairs (w, w^-1 * u) are those of `_orbit_pairs`.  At power 1 a
+    round is new[v] = sum(old[w] for [w, y] = v, y in P); at power m it is
+    the conjugacy-class formula.  A round multiplies the total mass by at
+    most |P|^power, so it runs on int64 when the final mass provably fits,
     otherwise on Python integers over the same pairs; both give the same
     exact counts.
     """
     if steps == 0:
         return [int(c) for c in counts]
     src, dst = _orbit_pairs(P)
-    total = sum(counts) * P.order**steps
+    total = sum(counts) * P.order ** (steps * power)
     dtype = np.int64 if total < _INT64_SAFE else object
-    weight = conjugacy_info(P).centralizer_order.astype(dtype)
+    weight = conjugacy_info(P).centralizer_order.astype(dtype) ** power
     cur = np.array([int(c) for c in counts], dtype=dtype)
     for _ in range(steps):
         new = np.zeros(len(cur), dtype=dtype)
@@ -313,56 +318,41 @@ def prob_fast(params: CommParams) -> ExactProb:
     )
 
 
-def prob_class_formula(params: CommParams, predicate: str = "derived") -> ExactProb:
-    """Conjugacy-class evaluation: sum |C_K(w)|^m over solvable x-block values.
+def class_formula_counts(
+    H: SubgroupRef, K: SubgroupRef, n: int, m: int, predicate: str = "derived"
+) -> list[int]:
+    """Conjugacy-class sums of |C_K(w)|^m over solvable x-block values w, all g.
 
     ``predicate`` picks the solvability test for the x-block value w:
     "derived" keeps w*g in the K-class of w, which is exact for m = 1
     under the commutator convention used here; "paper" keeps g^-1*w in
     the K-class of w instead.  Both are exposed so the audit layer can
     compare them; neither is a sound count for m > 1.
+
+    Either sum is one orbit step over K at power m.  "derived" solves
+    g = w^-1 * u with u in w^K.  "paper" solves g = w * u^-1, and since
+    (w^K)^-1 = (w^-1)^K and |C_K(w)| = |C_K(w^-1)|, that is the derived
+    sum over the histogram with each w replaced by w^-1.  An x-block
+    histogram is itself inversion-symmetric, so on one the two agree.
     """
     if predicate not in ("derived", "paper"):
         raise ValueError(f"unknown predicate {predicate!r}")
-    G = params.parent
-    info = conjugacy_info(params.K)
-    dist = comm_distribution(params.H, params.n)
-    mul, inv = G.mul, G.inv
-    g = params.g
-    acc = 0
-    for w in dist.support():
-        t = int(mul[w, g]) if predicate == "derived" else int(mul[inv[g], w])
-        if info.class_of[t] == info.class_of[w]:
-            acc += dist.counts[w] * int(info.centralizer_order[w]) ** params.m
-    return ExactProb(Fraction(acc, params.space_size), "class_formula", params)
+    if H.parent is not K.parent:
+        raise ForeignSubgroup("H and K must live in the same parent group")
+    counts = comm_distribution(H, n).counts
+    if predicate == "paper":
+        counts = [counts[v] for v in H.parent.inv]
+    return _orbit_steps(counts, K, 1, power=m)
 
 
-def prob_profile(
-    H: SubgroupRef, K: SubgroupRef, n: int, m: int
-) -> dict[int, ExactProb]:
-    """The whole map g -> probability in one histogram pass."""
-    counts = final_counts(H, K, n, m)
-    size = H.order**n * K.order**m
-    return {
-        g: ExactProb(Fraction(c, size), "distribution", CommParams(H, K, n, m, g))
-        for g, c in enumerate(counts)
-    }
-
-
-def zeta_count(H: SubgroupRef, g: int) -> int:
-    """Number of pairs (x, y) in H x G with [x, y] = g.
-
-    Evaluated by the weight-2 class formula; the enumeration and
-    histogram paths cross-check it in the test battery.
-    """
-    G = H.parent
-    info = conjugacy_info(groups.full_subgroup(G))
-    mul = G.mul
-    acc = 0
-    for x in H.members:
-        if info.class_of[int(mul[x, g])] == info.class_of[x]:
-            acc += int(info.centralizer_order[x])
-    return acc
+def prob_class_formula(params: CommParams, predicate: str = "derived") -> ExactProb:
+    """One entry of `class_formula_counts` as a probability."""
+    counts = class_formula_counts(
+        params.H, params.K, params.n, params.m, predicate
+    )
+    return ExactProb(
+        Fraction(counts[params.g], params.space_size), "class_formula", params
+    )
 
 
 def commutator_value_set(

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import commdeg
-from commdeg import cli, engine
+from commdeg import cli, engine, groups
 from commdeg.engine import CommDistribution
 
 
@@ -71,16 +71,36 @@ def test_prob_json_round_trips(capsys, s3):
     assert payload["cross_checks"][0]["method"] == "brute"
 
 
-def test_prob_all_matches_profile(capsys):
-    code_a, out_a, _ = run(
-        capsys, "prob", "-G", "S3", "-g", "all", "-o", "json"
+def test_prob_all_matches_profile(capsys, s3):
+    code, out, _ = run(
+        capsys, "prob", "-G", "S3", "-n", "2", "-g", "all", "-o", "json"
     )
-    code_b, out_b, _ = run(capsys, "profile", "-G", "S3", "-o", "json")
-    assert code_a == code_b == 0
-    assert out_a == out_b
-    values = json.loads(out_a)["values"]
-    total = sum(Fraction(int(v["num"]), int(v["den"])) for v in values.values())
-    assert total == 1
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["method"] == "distribution"
+    full = groups.full_subgroup(s3)
+    counts = engine.final_counts(full, full, 2, 1)
+    values = {
+        int(g): Fraction(int(v["num"]), int(v["den"]))
+        for g, v in payload["values"].items()
+    }
+    assert values == {g: Fraction(c, 6**3) for g, c in enumerate(counts)}
+    assert sum(values.values()) == 1
+
+    code, _, _ = run(capsys, "profile", "-G", "S3")
+    assert code == 2
+
+
+def test_prob_all_rejects_single_element_methods(capsys):
+    for method in ("brute", "class", "char"):
+        code, out, err = run(
+            capsys, "prob", "-G", "S3", "-g", "all", "--method", method
+        )
+        assert code == 2
+        assert out == ""
+        assert "-g all" in err and method in err
+    code, out, _ = run(capsys, "prob", "-G", "S3", "-g", "all", "--method", "dist")
+    assert code == 0 and out
 
 
 def test_prob_class_method(capsys):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from commdeg import engine, groups
+from commdeg import engine, groups, lattice
 from commdeg.engine import CommParams
 from commdeg.errors import BruteCapExceeded, ForeignSubgroup
 
@@ -117,8 +117,9 @@ def test_profile_sums_to_one(s3, q8):
     for G in (s3, q8):
         H = groups.subgroup_closure(G, [1])
         K = groups.full_subgroup(G)
-        profile = engine.prob_profile(H, K, 2, 1)
-        assert sum(p.value for p in profile.values()) == 1
+        size = H.order**2 * K.order
+        counts = engine.final_counts(H, K, 2, 1)
+        assert sum(Fraction(c, size) for c in counts) == 1
 
 
 def test_class_formula_exact_at_m_one(s3, q8):
@@ -152,13 +153,66 @@ def test_class_formula_paper_predicate_matches_at_weight_two(s3):
         )
 
 
+def class_sum(H, K, n, m, g, predicate):
+    """The paper's class formula for one g, as a literal loop over w."""
+    G = H.parent
+    info = engine.conjugacy_info(K)
+    total = 0
+    for w, c in enumerate(engine.comm_distribution(H, n).counts):
+        if predicate == "derived":
+            t = G.product(w, g)
+        else:
+            t = G.product(G.inverse(g), w)
+        if info.class_of[t] == info.class_of[w]:
+            total += c * int(info.centralizer_order[w]) ** m
+    return total
+
+
+def test_class_formula_counts_match_per_element_sum(s3, q8):
+    d4 = groups.named_group("D", 4)
+    for G in (s3, q8, d4):
+        subs = lattice.all_subgroups(G)
+        for H, K in itertools.product(subs, subs):
+            for n, m in itertools.product((1, 2, 3), (1, 2)):
+                for predicate in ("derived", "paper"):
+                    got = engine.class_formula_counts(H, K, n, m, predicate)
+                    want = [
+                        class_sum(H, K, n, m, g, predicate) for g in range(G.order)
+                    ]
+                    assert got == want, (G.name, H.members, K.members, n, m)
+
+
+def test_class_formula_paper_predicate_inverts_the_histogram(monkeypatch, s3):
+    # Commutator histograms are inversion-symmetric, where both predicates
+    # agree; a histogram on (1 2 3) alone, which is not, tells them apart.
+    full = groups.full_subgroup(s3)
+    lopsided = engine.CommDistribution(s3, (0, 1, 0, 0, 0, 0), 1, "test")
+    monkeypatch.setattr(engine, "comm_distribution", lambda H, n: lopsided)
+    for predicate in ("derived", "paper"):
+        got = engine.class_formula_counts(full, full, 1, 1, predicate)
+        assert got == [class_sum(full, full, 1, 1, g, predicate) for g in range(6)]
+    assert engine.class_formula_counts(
+        full, full, 1, 1, "derived"
+    ) != engine.class_formula_counts(full, full, 1, 1, "paper")
+
+
+def test_class_formula_counts_beyond_int64(s3):
+    # 6^25 > 2^62, so the step must take the Python-integer route
+    full = groups.full_subgroup(s3)
+    for predicate in ("derived", "paper"):
+        got = engine.class_formula_counts(full, full, 1, 25, predicate)
+        want = [class_sum(full, full, 1, 25, g, predicate) for g in range(6)]
+        assert got == want
+        assert max(got) > 2**63
+
+
 def test_zeta_counts(s3, a3_in_s3):
     full = groups.full_subgroup(s3)
-    assert engine.zeta_count(a3_in_s3, 1) == 3
-    for g in range(s3.order):
-        want = oracle_counts(s3, [a3_in_s3.members, range(6)])[g]
-        assert engine.zeta_count(a3_in_s3, g) == want
-        assert engine.final_counts(a3_in_s3, full, 1, 1)[g] == want
+    brute = engine.brute_counts(s3, [a3_in_s3.members, full.members])
+    assert brute[1] == 3
+    want = oracle_counts(s3, [a3_in_s3.members, range(6)])
+    assert brute == want
+    assert list(engine.final_counts(a3_in_s3, full, 1, 1)) == want
 
 
 def test_y_set_size(s3):
