@@ -21,7 +21,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from . import chartab, engine, groups, groupspec, lattice
+from . import chartab, engine, groups, groupspec, jsontext, lattice
 from .engine import CommParams
 from .errors import ConfigInvalid, NotClassConstant
 from .groups import DEFAULT_MAX_ORDER, GroupTable, SubgroupRef
@@ -921,7 +921,9 @@ class AuditReport:
         }
 
     def dumps(self, include_runtime: bool = False) -> str:
-        return json.dumps(self.to_json(include_runtime), sort_keys=True, indent=1)
+        """The report as ``jsontext`` writes it: each finding becomes one
+        string at depth 2, and the findings are joined once."""
+        return jsontext.dumps(self.to_json(include_runtime))
 
 
 def _subgroup_pool(G: GroupTable, config: AuditConfig) -> list[SubgroupRef]:
@@ -969,6 +971,11 @@ def _first_proper(G: GroupTable) -> Optional[SubgroupRef]:
 
 def _cells(config: AuditConfig) -> list[tuple[int, int]]:
     return [(n, m) for n in config.n_values for m in config.m_values]
+
+
+# Findings sort by claim, then by this compact encoding of the instance
+# (the bytes of ``json.dumps(instance, sort_keys=True)``).
+_INSTANCE_KEY = json.JSONEncoder(sort_keys=True)
 
 
 def run_battery(config: AuditConfig) -> AuditReport:
@@ -1105,7 +1112,16 @@ def run_battery(config: AuditConfig) -> AuditReport:
                             E, F, A, B, C, D, n, m, e, f, product,
                         )
 
-    findings.sort(key=lambda f: (f.claim, json.dumps(f.instance, sort_keys=True)))
+    # P2a/P2b and T3i/T3ii share one instance dict: encode each dict once.
+    instance_keys: dict[int, str] = {}
+
+    def sort_key(f: Finding) -> tuple[str, str]:
+        key = instance_keys.get(id(f.instance))
+        if key is None:
+            key = instance_keys[id(f.instance)] = _INSTANCE_KEY.encode(f.instance)
+        return (f.claim, key)
+
+    findings.sort(key=sort_key)
     summary: dict[str, dict[str, int]] = {}
     for f in findings:
         per_claim = summary.setdefault(f.claim, {})

@@ -17,7 +17,7 @@ import sys
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from . import audit, chartab, engine, groups, groupspec
+from . import audit, chartab, engine, groups, groupspec, jsontext
 from .engine import BRUTE_CAP_DEFAULT, CommParams
 from .errors import CommdegError, ToleranceExceeded, UsageError
 from .groups import DEFAULT_MAX_ORDER, GroupTable, SubgroupRef
@@ -93,15 +93,17 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("auto", "brute", "class", "dist", "char"),
         default="auto",
     )
+    # Defaults live in _PROB_ROUTE_FLAGS, so a flag the route ignores is
+    # seen as given and refused.
     p_prob.add_argument(
         "--predicate",
         choices=("derived", "paper"),
-        default="derived",
+        default=None,
         help="solvability test used by --method class",
     )
-    p_prob.add_argument("--brute-cap", type=_positive_int, default=BRUTE_CAP_DEFAULT)
-    p_prob.add_argument("--threads", type=_positive_int, default=1)
-    p_prob.add_argument("--seed", type=int, default=0)
+    p_prob.add_argument("--brute-cap", type=_positive_int, default=None)
+    p_prob.add_argument("--threads", type=_positive_int, default=None)
+    p_prob.add_argument("--seed", type=int, default=None)
 
     p_zeta = sub.add_parser(
         "zeta", help="solution counts with the y-block drawn from the whole group"
@@ -210,7 +212,7 @@ def _cmd_info(args: argparse.Namespace) -> int:
     ]
     if args.output == "json":
         print(
-            json.dumps(
+            jsontext.dumps(
                 {
                     "group": G.name,
                     "order": G.order,
@@ -218,9 +220,7 @@ def _cmd_info(args: argparse.Namespace) -> int:
                     "class_count": len(info.classes),
                     "center_order": z.order,
                     "elements": elements,
-                },
-                indent=1,
-                sort_keys=True,
+                }
             )
         )
     elif args.output == "csv":
@@ -246,11 +246,27 @@ def _prob_json(p: engine.ExactProb, cross_checks: list[engine.ExactProb]) -> dic
     return payload
 
 
+# prob flag -> (the --method values whose route reads it, its default).
+# No -g all route reads any of them.
+_PROB_ROUTE_FLAGS = {
+    "predicate": (("class",), "derived"),
+    "brute_cap": (("auto", "brute"), BRUTE_CAP_DEFAULT),
+    "threads": (("auto", "brute"), 1),
+    "seed": (("char",), 0),
+}
+
+
 def _cmd_prob(args: argparse.Namespace) -> int:
     if args.g == "all" and args.method not in ("auto", "dist"):
         raise UsageError(
             f"-g all supports only --method auto or dist, not {args.method}"
         )
+    route = "-g all" if args.g == "all" else f"--method {args.method}"
+    for flag, (methods, default) in _PROB_ROUTE_FLAGS.items():
+        if getattr(args, flag) is None:
+            setattr(args, flag, default)
+        elif args.g == "all" or args.method not in methods:
+            raise UsageError(f"--{flag.replace('_', '-')} is not used by {route}")
     G = _resolve_group(args)
     H = groupspec.parse_subgroup_spec(G, args.H)
     K = groupspec.parse_subgroup_spec(G, args.K)
@@ -285,7 +301,7 @@ def _cmd_prob(args: argparse.Namespace) -> int:
                 )
 
     if args.output == "json":
-        print(json.dumps(_prob_json(results[0], cross), indent=1, sort_keys=True))
+        print(jsontext.dumps(_prob_json(results[0], cross)))
     elif args.output == "csv":
         rows = [
             [p.method, p.numerator, p.denominator, float(p)]
@@ -329,7 +345,7 @@ def _cmd_prob_char(
             "method": method,
             "value": {"float": value},
         }
-        print(json.dumps(payload, indent=1, sort_keys=True))
+        print(jsontext.dumps(payload))
     elif args.output == "csv":
         print(_emit_csv(("method", "float"), [[method, value]]))
     else:
@@ -360,7 +376,7 @@ def _render_profile(
                 for g, p in profile.items()
             },
         }
-        print(json.dumps(payload, indent=1, sort_keys=True))
+        print(jsontext.dumps(payload))
     elif args.output == "csv":
         rows = [
             [g, G.label(g), p.numerator, p.denominator]
@@ -394,7 +410,7 @@ def _cmd_zeta(args: argparse.Namespace) -> int:
             "m": args.m,
             "counts": {str(g): c for g, c in selected.items()},
         }
-        print(json.dumps(payload, indent=1, sort_keys=True))
+        print(jsontext.dumps(payload))
     elif args.output == "csv":
         rows = [[g, G.label(g), c] for g, c in selected.items()]
         print(_emit_csv(("g", "label", "count"), rows))
@@ -417,7 +433,7 @@ def _cmd_dist(args: argparse.Namespace) -> int:
             "total": dist.total,
             "counts": list(dist.counts),
         }
-        print(json.dumps(payload, indent=1, sort_keys=True))
+        print(jsontext.dumps(payload))
     elif args.output == "csv":
         print(engine.distribution_csv(dist))
     else:
@@ -432,7 +448,7 @@ def _cmd_chartab(args: argparse.Namespace) -> int:
     G = _resolve_group(args)
     table = chartab.character_table(G, seed=args.seed)
     if args.output == "json":
-        print(json.dumps(chartab.table_to_json(table), indent=1, sort_keys=True))
+        print(jsontext.dumps(chartab.table_to_json(table)))
     elif args.output == "csv":
         header = ["degree"] + [f"c{j}" for j in range(table.n_classes)]
         rows = [
@@ -541,7 +557,8 @@ def _cmd_audit(args: argparse.Namespace) -> int:
         text = report.dumps(include_runtime=args.timings)
     if args.out is not None:
         with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+            fh.write(text)
+            fh.write("\n")
     else:
         print(text)
     return EXIT_HARD_VIOLATION if report.hard_violations() else EXIT_OK

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -304,6 +305,38 @@ def test_report_runtime_toggle():
     report = audit.run_battery(config)
     with_times = report.to_json(include_runtime=True)
     assert all("runtime_ms" in f for f in with_times["findings"])
+
+
+@pytest.fixture(scope="module")
+def s3_d4_report():
+    return audit.run_battery(audit.AuditConfig(groups=("S3", "D4")))
+
+
+def test_report_bytes_match_stdlib_writer(s3_d4_report):
+    for include_runtime in (False, True):
+        assert s3_d4_report.dumps(include_runtime=include_runtime) == json.dumps(
+            s3_d4_report.to_json(include_runtime), sort_keys=True, indent=1
+        )
+
+
+def test_findings_sorted_by_claim_then_instance_json(s3_d4_report):
+    findings = s3_d4_report.findings
+    assert findings == sorted(
+        findings, key=lambda f: (f.claim, json.dumps(f.instance, sort_keys=True))
+    )
+
+
+def test_report_dumps_peak_memory(s3_d4_report):
+    # Buffering every token of the report before one join (the standard
+    # library's indented writer) peaks near 10x the text; one string per
+    # finding stays under 4x.
+    tracemalloc.start()
+    try:
+        text = s3_d4_report.dumps()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 5 * len(text)
 
 
 def test_findings_are_reproducible_single_instances():

@@ -103,6 +103,70 @@ def test_prob_all_rejects_single_element_methods(capsys):
     assert code == 0 and out
 
 
+@pytest.mark.parametrize(
+    "extra, flag",
+    [
+        (("-g", "1", "--predicate", "paper", "--method", "dist"), "--predicate"),
+        (("-g", "1", "--predicate", "derived"), "--predicate"),
+        (("-g", "1", "--seed", "3"), "--seed"),
+        (("-g", "1", "--method", "class", "--seed", "0"), "--seed"),
+        (("-g", "1", "--method", "class", "--brute-cap", "10"), "--brute-cap"),
+        (("-g", "1", "--method", "dist", "--threads", "2"), "--threads"),
+        (("-g", "0", "--method", "char", "--threads", "1"), "--threads"),
+        (("-g", "0", "--method", "brute", "--seed", "1"), "--seed"),
+        (("-g", "all", "--threads", "2"), "--threads"),
+        (("-g", "all", "--brute-cap", "10"), "--brute-cap"),
+        (("-g", "all", "--method", "dist", "--predicate", "derived"), "--predicate"),
+        (("-g", "all", "--seed", "0"), "--seed"),
+    ],
+)
+def test_prob_refuses_flags_its_route_ignores(capsys, extra, flag):
+    # C99 is over the order cap: the refusal comes before the group is built.
+    code, out, err = run(capsys, "prob", "-G", "C99", "--max-order", "10", *extra)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("usage error:") and flag in err
+
+
+_BRUTE_DEFAULTS = ("--brute-cap", str(engine.BRUTE_CAP_DEFAULT), "--threads", "1")
+
+
+@pytest.mark.parametrize(
+    "extra, defaults",
+    [
+        (("-g", "1"), _BRUTE_DEFAULTS),
+        (("-g", "1", "--method", "brute"), _BRUTE_DEFAULTS),
+        (("-g", "1", "--method", "class"), ("--predicate", "derived")),
+        (("-g", "0", "--method", "char"), ("--seed", "0")),
+    ],
+)
+def test_prob_flags_default_when_omitted(capsys, extra, defaults):
+    code, implicit, _ = run(capsys, "prob", "-G", "S4", *extra)
+    assert code == 0
+    code, explicit, _ = run(capsys, "prob", "-G", "S4", *extra, *defaults)
+    assert code == 0
+    assert explicit == implicit
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("info", "-G", "S4"),
+        ("prob", "-G", "S4", "-g", "3"),
+        ("prob", "-G", "S3", "-g", "all"),
+        ("prob", "-G", "S4", "-g", "0", "--method", "char"),
+        ("zeta", "-G", "S4"),
+        ("dist", "-G", "D4", "-n", "2"),
+        ("chartab", "-G", "D5"),
+        ("audit", "--groups", "S3", "--claims", "EQ3,P4"),
+    ],
+)
+def test_json_output_is_the_stdlib_indented_dump(capsys, argv):
+    code, out, _ = run(capsys, *argv, "-o", "json")
+    assert code == 0
+    assert json.dumps(json.loads(out), sort_keys=True, indent=1) + "\n" == out
+
+
 def test_prob_class_method(capsys):
     code, out, _ = run(
         capsys,

@@ -22,9 +22,12 @@ def _modules():
 
 
 def test_all_exports_resolve():
+    checked = set()
     for module in _modules():
         missing = [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)]
         assert not missing, (module.__name__, missing)
+        checked.add(module.__name__)
+    assert "commdeg.jsontext" in checked
 
 
 def test_tracer_layers_resolve():
