@@ -33,30 +33,6 @@ PRECONDITION_FAILED = "precondition_failed"
 
 VERDICTS = (HOLDS, VIOLATED, VACUOUS, PRECONDITION_FAILED)
 
-CLAIMS = (
-    "R1a",
-    "R1b",
-    "P1",
-    "P2a",
-    "P2b",
-    "P3_m1",
-    "P3_mgt1",
-    "C4",
-    "FROB_BOUND",
-    "ZETA_CHAR",
-    "P4",
-    "P5",
-    "T2_CHAIN",
-    "C5",
-    "T3i",
-    "T3ii",
-    "C6",
-    "EQ3",
-    "EQ4",
-    "EQ7",
-    "PSI",
-)
-
 HARD_CLAIMS = frozenset({"EQ3", "EQ4", "EQ7", "PSI", "P3_m1"})
 
 CLAIM_INFO = {
@@ -97,6 +73,8 @@ CLAIM_INFO = {
     "PSI": "the pair-count class function decomposes with multiplicities"
     " |G|/chi(1)",
 }
+
+CLAIMS = tuple(CLAIM_INFO)
 
 __all__ = [
     "CLAIMS",
@@ -296,7 +274,10 @@ def check_class_formula(H: SubgroupRef, K: SubgroupRef, n: int, m: int) -> Findi
     Tagged P3_m1 when m = 1 (a hard guarantee with the derived predicate)
     and P3_mgt1 otherwise.  The witness also counts how many g the
     literal-predicate variant got wrong, so the convention ambiguity
-    stays visible.
+    stays visible.  That variant keeps g^-1*w in the K-class of w, which
+    is the derived sum over the histogram with each w replaced by w^-1;
+    an x-block histogram is inversion-symmetric, so its mismatches are
+    the derived formula's own.
 
     The class formula is one orbit step of the histogram recurrence (at
     m = 1 the very step ``final_counts`` ends with), so the exact side
@@ -310,8 +291,7 @@ def check_class_formula(H: SubgroupRef, K: SubgroupRef, n: int, m: int) -> Findi
     counts = exact_counts = engine.final_counts(H, K, n, m)
     if m == 1 and size <= engine.BRUTE_CAP_DEFAULT:
         exact_counts = engine.brute_counts(G, [H.members] * n + [K.members])
-    formula = engine.class_formula_counts(H, K, n, m, "derived")
-    paper = engine.class_formula_counts(H, K, n, m, "paper")
+    formula = engine.class_formula_counts(H, K, n, m)
     g = next(
         (
             g
@@ -325,7 +305,7 @@ def check_class_formula(H: SubgroupRef, K: SubgroupRef, n: int, m: int) -> Findi
         "predicate": "derived",
         "elements_checked": G.order,
         "paper_predicate_mismatches": sum(
-            p != e for p, e in zip(paper, exact_counts)
+            f != e for f, e in zip(formula, exact_counts)
         ),
     }
     if g is None:

@@ -17,7 +17,7 @@ anything is allocated.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -46,7 +46,6 @@ __all__ = [
     "MAX_RETRIES",
     "TENSOR_BYTES_MAX",
     "CharacterTable",
-    "ClassFunction",
     "OrthogonalityReport",
     "character_table",
     "verify_orthogonality",
@@ -69,6 +68,7 @@ class CharacterTable:
     Classes are ordered by (size, least member id); irreducibles by
     (degree, values).  ``values[i, k]`` is character i on class k, and
     class 0 is the identity class, so ``values[i, 0] == degrees[i]``.
+    A class function is an array with one value per class in this order.
     """
 
     def __init__(
@@ -97,45 +97,11 @@ class CharacterTable:
     def n_classes(self) -> int:
         return len(self.class_reps)
 
-    def value(self, index: int, element: int) -> complex:
-        """Character ``index`` evaluated at a group element."""
-        return complex(self.values[index, self.class_of[element]])
-
-    @property
-    def irreducibles(self) -> list["ClassFunction"]:
-        return [ClassFunction(self.values[i].copy(), self) for i in range(self.n_classes)]
-
-    def inner(
-        self,
-        f: Union["ClassFunction", np.ndarray],
-        g: Union["ClassFunction", np.ndarray],
-    ) -> complex:
-        """(1/|G|) sum over classes of size * f * conj(g)."""
-        fv = f.values if isinstance(f, ClassFunction) else np.asarray(f)
-        gv = g.values if isinstance(g, ClassFunction) else np.asarray(g)
-        sizes = np.asarray(self.class_sizes, dtype=np.float64)
-        return complex(np.sum(sizes * fv * np.conj(gv)) / self.group.order)
-
     def __repr__(self) -> str:
         return (
             f"<CharacterTable {self.group.name}: {self.n_classes} classes, "
             f"degrees {self.degrees}>"
         )
-
-
-@dataclass(frozen=True)
-class ClassFunction:
-    """A complex-valued function constant on full conjugacy classes."""
-
-    values: np.ndarray
-    table: CharacterTable
-
-    @property
-    def group(self) -> GroupTable:
-        return self.table.group
-
-    def at(self, element: int) -> complex:
-        return complex(self.values[self.table.class_of[element]])
 
 
 @dataclass(frozen=True)
@@ -295,8 +261,8 @@ def prob_char_pg(G: GroupTable, table: CharacterTable, g: int) -> float:
 
 def class_function_from_counts(
     table: CharacterTable, counts: Sequence[int]
-) -> ClassFunction:
-    """Wrap exact per-element counts as a class function.
+) -> np.ndarray:
+    """Exact per-element counts as a class function, one value per class.
 
     Counts must be exactly constant on every conjugacy class; a mismatch
     raises NotClassConstant naming the offending class.
@@ -313,31 +279,25 @@ def class_function_from_counts(
             raise NotClassConstant(
                 f"counts differ within class {cls}: {seen[cls]} vs {c} at id {x}"
             )
-    return ClassFunction(values, table)
+    return values
 
 
-def decompose(
-    f: Union[ClassFunction, np.ndarray], table: CharacterTable
-) -> np.ndarray:
+def decompose(f: np.ndarray, table: CharacterTable) -> np.ndarray:
     """Inner products of f with each irreducible, in table order."""
-    values = f.values if isinstance(f, ClassFunction) else np.asarray(f)
     sizes = np.asarray(table.class_sizes, dtype=np.float64)
-    return (table.values.conj() * sizes) @ values / table.group.order
+    return (table.values.conj() * sizes) @ f / table.group.order
 
 
 def is_character(
-    f: Union[ClassFunction, np.ndarray],
-    table: CharacterTable,
-    tol: float = ROUNDING_TOL,
+    f: np.ndarray, table: CharacterTable, tol: float = ROUNDING_TOL
 ) -> tuple[bool, dict]:
     """Whether f decomposes with non-negative integer multiplicities."""
-    values = f.values if isinstance(f, ClassFunction) else np.asarray(f)
-    mults = decompose(values, table)
+    mults = decompose(f, table)
     rounded = np.rint(mults.real).astype(np.int64)
     int_dev = float(np.abs(mults - rounded).max())
     nonneg = bool(np.all(rounded >= 0))
     recon = rounded @ table.values
-    recon_dev = float(np.abs(recon - values).max())
+    recon_dev = float(np.abs(recon - f).max())
     ok = int_dev <= tol and nonneg and recon_dev <= tol
     report = {
         "multiplicities": [complex(v) for v in mults],
@@ -351,7 +311,7 @@ def is_character(
 
 def pair_count_class_function(
     table: CharacterTable,
-) -> tuple[ClassFunction, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Counts of [x, y] = g over G x G as a class function, decomposed.
 
     The counts come from the exact engine; the decomposition against the

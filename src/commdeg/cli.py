@@ -19,7 +19,7 @@ from typing import Optional, Sequence
 
 from . import audit, chartab, engine, groups, groupspec, jsontext
 from .engine import BRUTE_CAP_DEFAULT, CommParams
-from .errors import CommdegError, ToleranceExceeded, UsageError
+from .errors import CommdegError, ConfigInvalid, ToleranceExceeded, UsageError
 from .groups import DEFAULT_MAX_ORDER, GroupTable, SubgroupRef
 
 EXIT_OK = 0
@@ -95,12 +95,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     # Defaults live in _PROB_ROUTE_FLAGS, so a flag the route ignores is
     # seen as given and refused.
-    p_prob.add_argument(
-        "--predicate",
-        choices=("derived", "paper"),
-        default=None,
-        help="solvability test used by --method class",
-    )
     p_prob.add_argument("--brute-cap", type=_positive_int, default=None)
     p_prob.add_argument("--threads", type=_positive_int, default=None)
     p_prob.add_argument("--seed", type=int, default=None)
@@ -249,7 +243,6 @@ def _prob_json(p: engine.ExactProb, cross_checks: list[engine.ExactProb]) -> dic
 # prob flag -> (the --method values whose route reads it, its default).
 # No -g all route reads any of them.
 _PROB_ROUTE_FLAGS = {
-    "predicate": (("class",), "derived"),
     "brute_cap": (("auto", "brute"), BRUTE_CAP_DEFAULT),
     "threads": (("auto", "brute"), 1),
     "seed": (("char",), 0),
@@ -287,7 +280,7 @@ def _cmd_prob(args: argparse.Namespace) -> int:
             engine.prob_brute(params, cap=args.brute_cap, threads=args.threads)
         )
     elif args.method == "class":
-        results.append(engine.prob_class_formula(params, predicate=args.predicate))
+        results.append(engine.prob_class_formula(params))
     else:
         fast = engine.prob_fast(params)
         results.append(fast)
@@ -435,7 +428,7 @@ def _cmd_dist(args: argparse.Namespace) -> int:
         }
         print(jsontext.dumps(payload))
     elif args.output == "csv":
-        print(engine.distribution_csv(dist))
+        print(_emit_csv(("element_id", "count"), list(enumerate(dist.counts))))
     else:
         print(f"group {G.name}, |H|={H.order}, n={args.n}, total {dist.total}")
         for g, c in enumerate(dist.counts):
@@ -486,8 +479,9 @@ _AUDIT_CONFIG_FLAGS = (
 
 
 def _audit_config(args: argparse.Namespace) -> audit.AuditConfig:
+    given = {f: getattr(args, f) for f in _AUDIT_CONFIG_FLAGS}
+    given = {f: v for f, v in given.items() if v is not None}
     if args.config is not None:
-        given = [f for f in _AUDIT_CONFIG_FLAGS if getattr(args, f) is not None]
         if given:
             flags = ", ".join("--" + f.replace("_", "-") for f in given)
             raise UsageError(f"--config is exclusive with {flags}")
@@ -499,27 +493,14 @@ def _audit_config(args: argparse.Namespace) -> audit.AuditConfig:
         except json.JSONDecodeError as exc:
             raise UsageError(f"--config: invalid JSON in {args.config!r}: {exc}")
         return audit.config_from_json(payload)
-    base = audit.default_config()
     if args.claims is not None:
         unknown = [c for c in args.claims if c not in audit.CLAIMS]
         if unknown:
             raise UsageError(f"--claims: unknown claim tags {unknown}")
-    config = audit.AuditConfig(
-        groups=args.groups if args.groups is not None else base.groups,
-        claims=args.claims if args.claims is not None else base.claims,
-        n_values=args.n_values if args.n_values is not None else base.n_values,
-        m_values=args.m_values if args.m_values is not None else base.m_values,
-        g_policy=args.g_policy or base.g_policy,
-        pair_policy=args.pair_policy or base.pair_policy,
-        subgroup_policy=args.subgroup_policy or base.subgroup_policy,
-        seed=args.seed if args.seed is not None else base.seed,
-        max_order=args.max_order if args.max_order is not None else base.max_order,
-        subgroup_enum_cap=(
-            args.enum_cap if args.enum_cap is not None else base.subgroup_enum_cap
-        ),
-    )
-    config.validate()
-    return config
+    given.pop("battery", None)
+    if "enum_cap" in given:
+        given["subgroup_enum_cap"] = given.pop("enum_cap")
+    return audit.config_from_json(given)
 
 
 def _cmd_audit(args: argparse.Namespace) -> int:
@@ -582,7 +563,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return int(exc.code or 0)
     try:
         return _HANDLERS[args.command](args)
-    except UsageError as exc:
+    except (UsageError, ConfigInvalid) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except CommdegError as exc:

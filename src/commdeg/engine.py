@@ -6,7 +6,8 @@ walks the conjugation orbits of a subgroup P and weights each orbit pair
 by a power of |C_P(w)|, so a step costs sum_w |w^P| <= |G| * |P|
 updates regardless of how many tuples it accounts for.  The histogram
 recurrence (the production path) chains such steps at weight 1; the
-conjugacy-class formula is one step at weight m.  Literal tuple
+conjugacy-class formula, whose one solvability test keeps w*g in the
+K-class of w, is one step at weight m.  Literal tuple
 enumeration shares nothing with the step and is the independent oracle
 that audits it.
 """
@@ -37,7 +38,6 @@ __all__ = [
     "ExactProb",
     "CommDistribution",
     "commutator",
-    "left_normed_commutator",
     "comm_distribution",
     "extend_by_conjugators",
     "final_counts",
@@ -53,8 +53,6 @@ __all__ = [
     "y_set_size",
     "conjugacy_info",
     "prob_to_json",
-    "prob_from_json",
-    "distribution_csv",
     "clear_caches",
 ]
 
@@ -63,16 +61,6 @@ def commutator(G: GroupTable, x: int, y: int) -> int:
     """x^-1 * y^-1 * x * y."""
     mul, inv = G.mul, G.inv
     return int(mul[mul[mul[inv[x], inv[y]], x], y])
-
-
-def left_normed_commutator(G: GroupTable, xs: Sequence[int]) -> int:
-    """Fold [[x1,x2],x3]... ; a single element is its own weight-1 value."""
-    if len(xs) == 0:
-        raise EmptyTuple("left-normed commutator needs at least one entry")
-    acc = int(xs[0])
-    for x in xs[1:]:
-        acc = commutator(G, acc, x)
-    return acc
 
 
 @dataclass(frozen=True)
@@ -318,38 +306,22 @@ def prob_fast(params: CommParams) -> ExactProb:
     )
 
 
-def class_formula_counts(
-    H: SubgroupRef, K: SubgroupRef, n: int, m: int, predicate: str = "derived"
-) -> list[int]:
+def class_formula_counts(H: SubgroupRef, K: SubgroupRef, n: int, m: int) -> list[int]:
     """Conjugacy-class sums of |C_K(w)|^m over solvable x-block values w, all g.
 
-    ``predicate`` picks the solvability test for the x-block value w:
-    "derived" keeps w*g in the K-class of w, which is exact for m = 1
-    under the commutator convention used here; "paper" keeps g^-1*w in
-    the K-class of w instead.  Both are exposed so the audit layer can
-    compare them; neither is a sound count for m > 1.
-
-    Either sum is one orbit step over K at power m.  "derived" solves
-    g = w^-1 * u with u in w^K.  "paper" solves g = w * u^-1, and since
-    (w^K)^-1 = (w^-1)^K and |C_K(w)| = |C_K(w^-1)|, that is the derived
-    sum over the histogram with each w replaced by w^-1.  An x-block
-    histogram is itself inversion-symmetric, so on one the two agree.
+    An x-block value w solves g when w*g lies in the K-class of w, that
+    is, g = w^-1 * u with u in w^K.  This is exact for m = 1 under the
+    commutator convention used here and not a sound count for m > 1.
+    The sum is one orbit step over K at power m.
     """
-    if predicate not in ("derived", "paper"):
-        raise ValueError(f"unknown predicate {predicate!r}")
     if H.parent is not K.parent:
         raise ForeignSubgroup("H and K must live in the same parent group")
-    counts = comm_distribution(H, n).counts
-    if predicate == "paper":
-        counts = [counts[v] for v in H.parent.inv]
-    return _orbit_steps(counts, K, 1, power=m)
+    return _orbit_steps(comm_distribution(H, n).counts, K, 1, power=m)
 
 
-def prob_class_formula(params: CommParams, predicate: str = "derived") -> ExactProb:
+def prob_class_formula(params: CommParams) -> ExactProb:
     """One entry of `class_formula_counts` as a probability."""
-    counts = class_formula_counts(
-        params.H, params.K, params.n, params.m, predicate
-    )
+    counts = class_formula_counts(params.H, params.K, params.n, params.m)
     return ExactProb(
         Fraction(counts[params.g], params.space_size), "class_formula", params
     )
@@ -410,22 +382,3 @@ def prob_to_json(p: ExactProb) -> dict:
         "method": p.method,
         "value": {"num": str(p.numerator), "den": str(p.denominator)},
     }
-
-
-def prob_from_json(G: GroupTable, payload: dict) -> ExactProb:
-    """Rebuild a probability against an already-constructed group."""
-    params = CommParams(
-        SubgroupRef(G, payload["H"]),
-        SubgroupRef(G, payload["K"]),
-        int(payload["n"]),
-        int(payload["m"]),
-        int(payload["g"]),
-    )
-    value = Fraction(int(payload["value"]["num"]), int(payload["value"]["den"]))
-    return ExactProb(value, str(payload["method"]), params)
-
-
-def distribution_csv(dist: CommDistribution) -> str:
-    lines = ["element_id,count"]
-    lines.extend(f"{v},{c}" for v, c in enumerate(dist.counts))
-    return "\n".join(lines) + "\n"

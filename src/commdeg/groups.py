@@ -35,7 +35,6 @@ __all__ = [
     "close_group",
     "named_group",
     "direct_product",
-    "product_projections",
     "subgroup_closure",
     "trivial_subgroup",
     "full_subgroup",
@@ -325,16 +324,6 @@ def direct_product(
         name=f"{g1.name}x{g2.name}",
         labels=labels,
     )
-
-
-def product_projections(
-    g1: GroupTable, g2: GroupTable
-) -> tuple[np.ndarray, np.ndarray]:
-    """Coordinate projections for ids of ``direct_product(g1, g2)``."""
-    n1, n2 = g1.order, g2.order
-    left = np.repeat(np.arange(n1, dtype=np.int32), n2)
-    right = np.tile(np.arange(n2, dtype=np.int32), n1)
-    return left, right
 
 
 class SubgroupRef:

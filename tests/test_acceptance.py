@@ -135,7 +135,7 @@ def test_criterion_6_class_formula_m1(battery_sweep, report):
         support = [g for g, c in enumerate(brute) if c]
         for g in support + ([0] if 0 not in support else []):
             params = CommParams(H, K, n, 1, g)
-            formula = engine.prob_class_formula(params, predicate="derived")
+            formula = engine.prob_class_formula(params)
             if formula.value != Fraction(brute[g], size):
                 mismatches += 1
     report(6, "class_formula_m1", mismatches == 0)

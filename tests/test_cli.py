@@ -62,12 +62,12 @@ def test_prob_table_cross_checks_brute(capsys):
     assert "brute: 1/2" in out
 
 
-def test_prob_json_round_trips(capsys, s3):
+def test_prob_json_round_trips(capsys):
     code, out, _ = run(capsys, "prob", "-G", "S3", "-g", "1", "-o", "json")
     assert code == 0
     payload = json.loads(out)
-    back = engine.prob_from_json(s3, payload)
-    assert back.value == Fraction(1, 4)
+    value = payload["value"]
+    assert Fraction(int(value["num"]), int(value["den"])) == Fraction(1, 4)
     assert payload["cross_checks"][0]["method"] == "brute"
 
 
@@ -106,8 +106,8 @@ def test_prob_all_rejects_single_element_methods(capsys):
 @pytest.mark.parametrize(
     "extra, flag",
     [
-        (("-g", "1", "--predicate", "paper", "--method", "dist"), "--predicate"),
-        (("-g", "1", "--predicate", "derived"), "--predicate"),
+        (("-g", "1", "--method", "class", "--threads", "2"), "--threads"),
+        (("-g", "1", "--method", "dist", "--brute-cap", "10"), "--brute-cap"),
         (("-g", "1", "--seed", "3"), "--seed"),
         (("-g", "1", "--method", "class", "--seed", "0"), "--seed"),
         (("-g", "1", "--method", "class", "--brute-cap", "10"), "--brute-cap"),
@@ -116,7 +116,7 @@ def test_prob_all_rejects_single_element_methods(capsys):
         (("-g", "0", "--method", "brute", "--seed", "1"), "--seed"),
         (("-g", "all", "--threads", "2"), "--threads"),
         (("-g", "all", "--brute-cap", "10"), "--brute-cap"),
-        (("-g", "all", "--method", "dist", "--predicate", "derived"), "--predicate"),
+        (("-g", "0", "--method", "char", "--brute-cap", "10"), "--brute-cap"),
         (("-g", "all", "--seed", "0"), "--seed"),
     ],
 )
@@ -136,7 +136,7 @@ _BRUTE_DEFAULTS = ("--brute-cap", str(engine.BRUTE_CAP_DEFAULT), "--threads", "1
     [
         (("-g", "1"), _BRUTE_DEFAULTS),
         (("-g", "1", "--method", "brute"), _BRUTE_DEFAULTS),
-        (("-g", "1", "--method", "class"), ("--predicate", "derived")),
+        (("-g", "1", "--method", "class"), ("-n", "1", "-m", "1")),
         (("-g", "0", "--method", "char"), ("--seed", "0")),
     ],
 )
@@ -146,6 +146,31 @@ def test_prob_flags_default_when_omitted(capsys, extra, defaults):
     code, explicit, _ = run(capsys, "prob", "-G", "S4", *extra, *defaults)
     assert code == 0
     assert explicit == implicit
+
+
+def test_prob_has_no_predicate_flag(capsys):
+    code, out, err = run(
+        capsys, "prob", "-G", "S4", "-g", "3", "--method", "class",
+        "--predicate", "derived",
+    )
+    assert code == 2
+    assert out == ""
+    assert "--predicate" in err
+
+
+def test_prob_flag_table_matches_parser():
+    # The rows of the tuning-flag table under `prob` in docs/formats.md.
+    text = (Path(__file__).resolve().parents[1] / "docs" / "formats.md").read_text()
+    section = text.split("## `prob`", 1)[1].split("\n## ", 1)[0]
+    rows = [
+        [cell.strip().strip("`") for cell in line.strip("|").split("|")]
+        for line in section.splitlines()
+        if line.startswith("| `--")
+    ]
+    documented = {flag[2:].replace("-", "_"): default for flag, default, _ in rows}
+    assert documented == {
+        flag: str(default) for flag, (_, default) in cli._PROB_ROUTE_FLAGS.items()
+    }
 
 
 @pytest.mark.parametrize(
@@ -233,7 +258,7 @@ def test_zeta_command(capsys):
 def test_dist_csv(capsys):
     code, out, _ = run(capsys, "dist", "-G", "S3", "-n", "2", "-o", "csv")
     assert code == 0
-    assert out.splitlines()[:3] == ["element_id,count", "0,18", "1,9"]
+    assert out == "element_id,count\n0,18\n1,9\n2,0\n3,9\n4,0\n5,0\n"
 
 
 def test_chartab_json(capsys):
@@ -347,6 +372,16 @@ def test_audit_config_file(capsys, tmp_path):
     bad.write_text("{not json")
     code, _, err = run(capsys, "audit", "--config", str(bad))
     assert code == 2
+
+
+def test_audit_invalid_config_values_are_usage_errors(capsys, tmp_path):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"n_values": [0]}))
+    for argv in (("--n-values", "0"), ("--config", str(path))):
+        code, out, err = run(capsys, "audit", *argv)
+        assert code == 2, argv
+        assert out == ""
+        assert err.startswith("usage error:") and "n values" in err
 
 
 def test_audit_hard_violation_exit_code(capsys, monkeypatch):

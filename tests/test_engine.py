@@ -1,4 +1,5 @@
 import itertools
+import json
 import os
 from fractions import Fraction
 
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from commdeg import engine, groups, lattice
+from commdeg import audit, engine, groups, groupspec, jsontext, lattice
 from commdeg.engine import CommParams
 from commdeg.errors import BruteCapExceeded, ForeignSubgroup
 
@@ -43,8 +44,10 @@ def test_commutator_convention(s3):
         s3.product(s3.inverse(x), s3.inverse(y)), s3.product(x, y)
     )
     assert engine.commutator(s3, x, y) == expected
-    assert engine.left_normed_commutator(s3, [x, y]) == expected
-    assert engine.left_normed_commutator(s3, [x, y, 0]) == 0
+    assert engine.brute_counts(s3, [[x], [y]]) == [
+        int(v == expected) for v in range(6)
+    ]
+    assert engine.brute_counts(s3, [[x], [y], [0]])[0] == 1
 
 
 def test_commuting_degree_frozen_values(s3, q8):
@@ -131,7 +134,7 @@ def test_class_formula_exact_at_m_one(s3, q8):
                 for g in range(G.order):
                     params = CommParams(H, K, n, 1, g)
                     assert (
-                        engine.prob_class_formula(params, "derived").value
+                        engine.prob_class_formula(params).value
                         == engine.prob_fast(params).value
                     )
 
@@ -139,30 +142,17 @@ def test_class_formula_exact_at_m_one(s3, q8):
 def test_class_formula_overcounts_at_m_two(s3):
     full = groups.full_subgroup(s3)
     params = CommParams(full, full, 1, 2, 0)
-    assert engine.prob_class_formula(params, "derived").value == Fraction(66, 216)
+    assert engine.prob_class_formula(params).value == Fraction(66, 216)
     assert engine.prob_fast(params).value == Fraction(162, 216)
 
 
-def test_class_formula_paper_predicate_matches_at_weight_two(s3):
-    full = groups.full_subgroup(s3)
-    for g in range(s3.order):
-        params = CommParams(full, full, 1, 1, g)
-        assert (
-            engine.prob_class_formula(params, "paper").value
-            == engine.prob_fast(params).value
-        )
-
-
-def class_sum(H, K, n, m, g, predicate):
+def class_sum(H, K, n, m, g):
     """The paper's class formula for one g, as a literal loop over w."""
     G = H.parent
     info = engine.conjugacy_info(K)
     total = 0
     for w, c in enumerate(engine.comm_distribution(H, n).counts):
-        if predicate == "derived":
-            t = G.product(w, g)
-        else:
-            t = G.product(G.inverse(g), w)
+        t = G.product(w, g)
         if info.class_of[t] == info.class_of[w]:
             total += c * int(info.centralizer_order[w]) ** m
     return total
@@ -174,36 +164,31 @@ def test_class_formula_counts_match_per_element_sum(s3, q8):
         subs = lattice.all_subgroups(G)
         for H, K in itertools.product(subs, subs):
             for n, m in itertools.product((1, 2, 3), (1, 2)):
-                for predicate in ("derived", "paper"):
-                    got = engine.class_formula_counts(H, K, n, m, predicate)
-                    want = [
-                        class_sum(H, K, n, m, g, predicate) for g in range(G.order)
-                    ]
-                    assert got == want, (G.name, H.members, K.members, n, m)
-
-
-def test_class_formula_paper_predicate_inverts_the_histogram(monkeypatch, s3):
-    # Commutator histograms are inversion-symmetric, where both predicates
-    # agree; a histogram on (1 2 3) alone, which is not, tells them apart.
-    full = groups.full_subgroup(s3)
-    lopsided = engine.CommDistribution(s3, (0, 1, 0, 0, 0, 0), 1, "test")
-    monkeypatch.setattr(engine, "comm_distribution", lambda H, n: lopsided)
-    for predicate in ("derived", "paper"):
-        got = engine.class_formula_counts(full, full, 1, 1, predicate)
-        assert got == [class_sum(full, full, 1, 1, g, predicate) for g in range(6)]
-    assert engine.class_formula_counts(
-        full, full, 1, 1, "derived"
-    ) != engine.class_formula_counts(full, full, 1, 1, "paper")
+                got = engine.class_formula_counts(H, K, n, m)
+                want = [class_sum(H, K, n, m, g) for g in range(G.order)]
+                assert got == want, (G.name, H.members, K.members, n, m)
 
 
 def test_class_formula_counts_beyond_int64(s3):
     # 6^25 > 2^62, so the step must take the Python-integer route
     full = groups.full_subgroup(s3)
-    for predicate in ("derived", "paper"):
-        got = engine.class_formula_counts(full, full, 1, 25, predicate)
-        want = [class_sum(full, full, 1, 25, g, predicate) for g in range(6)]
-        assert got == want
-        assert max(got) > 2**63
+    got = engine.class_formula_counts(full, full, 1, 25)
+    assert got == [class_sum(full, full, 1, 25, g) for g in range(6)]
+    assert max(got) > 2**63
+
+
+def test_x_block_histograms_are_inversion_symmetric():
+    # The paper's solvability test, g^-1*w in w^K, is the derived one on
+    # w^-1, so check_class_formula reads its mismatches off the derived
+    # sum; that is sound only while every x-block histogram is symmetric.
+    for spec in audit.named_group_specs(24):
+        G = groupspec.parse_group_spec(spec)
+        for H in lattice.all_subgroups(G):
+            for n in (1, 2, 3):
+                counts = engine.comm_distribution(H, n).counts
+                assert all(
+                    counts[v] == counts[G.inv[v]] for v in range(G.order)
+                ), (spec, H.members, n)
 
 
 def test_zeta_counts(s3, a3_in_s3):
@@ -298,20 +283,12 @@ def test_brute_threads_clamped_to_cpu_count(monkeypatch, s3):
 def test_prob_json_round_trip(s3):
     full = groups.full_subgroup(s3)
     p = engine.prob_fast(CommParams(full, full, 1, 1, 1))
-    payload = engine.prob_to_json(p)
-    q = engine.prob_from_json(s3, payload)
-    assert q.value == p.value
-    assert q.method == p.method
-    assert q.params.g == p.params.g
-    assert q.params.H.members == p.params.H.members
-
-
-def test_distribution_csv(s3):
-    dist = engine.comm_distribution(groups.full_subgroup(s3), 2)
-    lines = engine.distribution_csv(dist).splitlines()
-    assert lines[0] == "element_id,count"
-    assert lines[1] == "0,18"
-    assert len(lines) == 7
+    payload = json.loads(jsontext.dumps(engine.prob_to_json(p)))
+    value = payload["value"]
+    assert Fraction(int(value["num"]), int(value["den"])) == p.value
+    assert payload["method"] == p.method
+    assert payload["g"] == p.params.g
+    assert payload["H"] == list(p.params.H.members)
 
 
 @given(st.data())

@@ -106,7 +106,8 @@ def test_direct_product_projections_are_homomorphisms(s3):
     c4 = groups.named_group("C", 4)
     P = groups.direct_product(s3, c4)
     assert P.order == 24
-    left, right = groups.product_projections(s3, c4)
+    # the pair (a, b) has id a*|C4| + b
+    left, right = np.divmod(np.arange(P.order), c4.order)
     assert (left[P.mul] == s3.mul[left[:, None], left[None, :]]).all()
     assert (right[P.mul] == c4.mul[right[:, None], right[None, :]]).all()
 
