@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from commdeg import audit, engine, groups, groupspec, jsontext, lattice
+from commdeg import audit, cli, engine, groups, groupspec, jsontext, lattice
 from commdeg.engine import CommParams
 from commdeg.errors import BruteCapExceeded, ForeignSubgroup
 
@@ -289,6 +289,17 @@ def test_prob_json_round_trip(s3):
     assert payload["method"] == p.method
     assert payload["g"] == p.params.g
     assert payload["H"] == list(p.params.H.members)
+
+
+def test_distribution_csv(s3):
+    # The CSV that `dist -o csv` prints for a distribution.
+    dist = engine.comm_distribution(groups.full_subgroup(s3), 2)
+    text = cli._emit_csv(("element_id", "count"), list(enumerate(dist.counts)))
+    lines = text.splitlines()
+    assert lines[0] == "element_id,count"
+    assert lines[1] == "0,18"
+    assert len(lines) == 7
+    assert not text.endswith("\n")
 
 
 @given(st.data())
