@@ -19,7 +19,14 @@ from typing import Optional, Sequence
 
 from . import audit, chartab, engine, groups, groupspec, jsontext
 from .engine import BRUTE_CAP_DEFAULT, CommParams
-from .errors import CommdegError, ConfigInvalid, ToleranceExceeded, UsageError
+from .errors import (
+    CommdegError,
+    ConfigInvalid,
+    InvalidPermutation,
+    ToleranceExceeded,
+    UnknownFamily,
+    UsageError,
+)
 from .groups import DEFAULT_MAX_ORDER, GroupTable, SubgroupRef
 
 EXIT_OK = 0
@@ -563,7 +570,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return int(exc.code or 0)
     try:
         return _HANDLERS[args.command](args)
-    except (UsageError, ConfigInvalid) as exc:
+    except (UsageError, ConfigInvalid, UnknownFamily, InvalidPermutation) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except CommdegError as exc:

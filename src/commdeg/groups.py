@@ -19,14 +19,23 @@ from .errors import (
     ForeignSubgroup,
     InvalidPermutation,
     NotNormal,
+    ResourceLimit,
     TrivialGroup,
     UnknownFamily,
 )
 
 DEFAULT_MAX_ORDER = 10080
+# Largest multiplication table (N * N * 4 bytes of int32) that closure or a
+# direct product will allocate: 1 GiB, so N <= 16384.  Larger orders raise
+# ResourceLimit before anything is allocated.
+TABLE_BYTES_MAX = 1 << 30
+# Rows (or columns) per block when validating a table: validation holds
+# O(_CHECK_BLOCK * N) scratch, never a second copy of the table.
+_CHECK_BLOCK = 128
 
 __all__ = [
     "DEFAULT_MAX_ORDER",
+    "TABLE_BYTES_MAX",
     "PermList",
     "GroupTable",
     "SubgroupRef",
@@ -91,14 +100,59 @@ def cycle_label(perm: Sequence[int]) -> str:
     return "".join(parts) or "()"
 
 
+def _refuse_oversized(n: int) -> None:
+    """Raise ResourceLimit if an order-n table would exceed TABLE_BYTES_MAX."""
+    if n * n * 4 > TABLE_BYTES_MAX:
+        raise ResourceLimit(
+            f"a group of order {n} needs a {n * n * 4}-byte table, "
+            f"over the {TABLE_BYTES_MAX}-byte limit"
+        )
+
+
+def _check_latin(mul: np.ndarray) -> np.ndarray:
+    """Check that every row and column of ``mul`` permutes 0..N-1.
+
+    Each block of _CHECK_BLOCK rows, and each block of as many columns
+    (copied out transposed, one square tile at a time), is sorted in one
+    scratch buffer and compared with 0..N-1, so the scratch is
+    O(_CHECK_BLOCK * N).  Returns, for each row, the column where 0 sits:
+    the right inverse of each element.
+    """
+    n = mul.shape[0]
+    step = _CHECK_BLOCK
+    ids = np.arange(n, dtype=np.int32)
+    right_inv = np.empty(n, dtype=np.int32)
+    buf = np.empty((min(step, n), n), dtype=np.int32)
+    for lo in range(0, n, step):
+        rows = mul[lo : lo + step]
+        block = buf[: rows.shape[0]]
+        block[...] = rows
+        block.sort(axis=1)
+        if not (block == ids).all():
+            raise ValueError("each row must permute 0..N-1")
+        right_inv[lo : lo + step] = np.argmax(rows == 0, axis=1)
+    for lo in range(0, n, step):
+        block = buf[: min(step, n - lo)]
+        for r in range(0, n, step):
+            block[:, r : r + step] = mul[r : r + step, lo : lo + step].T
+        block.sort(axis=1)
+        if not (block == ids).all():
+            raise ValueError("each column must permute 0..N-1")
+    return right_inv
+
+
 class GroupTable:
     """A finite group materialized as an N x N multiplication table.
 
     ``mul[a, b]`` is the id of the product a*b and ``inv[a]`` the id of
-    the inverse; both arrays are read-only after construction.  Identity
-    placement and the permutation property of rows and columns are
-    validated here; associativity is the closure algorithm's guarantee
-    (and is spot-checked exhaustively in the test suite).
+    the inverse; both arrays are read-only after construction.  Every
+    construction validates that each row and each column permutes
+    0..N-1, that the identity sits at id 0, and that ``inv`` is a two-sided
+    inverse.  The check runs over blocks of rows and blocks of columns,
+    so its scratch memory is O(block * N) on top of the table itself;
+    ``inv``, when not given, is read off where 0 sits in each row.
+    Associativity is the closure algorithm's guarantee (and is
+    spot-checked exhaustively in the test suite).
     """
 
     identity = 0
@@ -114,22 +168,17 @@ class GroupTable:
         if mul.ndim != 2 or mul.shape[0] != mul.shape[1]:
             raise ValueError("multiplication table must be square")
         n = mul.shape[0]
+        right_inv = _check_latin(mul)
         ids = np.arange(n, dtype=np.int32)
-        if not np.array_equal(np.sort(mul, axis=1), np.tile(ids, (n, 1))):
-            raise ValueError("each row must permute 0..N-1")
-        if not np.array_equal(np.sort(mul, axis=0), np.tile(ids[:, None], (1, n))):
-            raise ValueError("each column must permute 0..N-1")
         if not (np.array_equal(mul[0], ids) and np.array_equal(mul[:, 0], ids)):
             raise ValueError("identity must sit at id 0")
         if inv is None:
-            inv = np.argmax(mul == 0, axis=1).astype(np.int32)
+            inv = right_inv
         else:
             inv = np.ascontiguousarray(inv, dtype=np.int32)
-        zeros = np.zeros(n, dtype=np.int32)
-        if not (
-            np.array_equal(mul[ids, inv], zeros)
-            and np.array_equal(mul[inv, ids], zeros)
-        ):
+        # A row holds 0 exactly once, so inv is a right inverse iff it
+        # equals right_inv; the gather then checks the left side.
+        if not (np.array_equal(inv, right_inv) and not mul[inv, ids].any()):
             raise ValueError("inverse table inconsistent with multiplication")
         mul.setflags(write=False)
         inv.setflags(write=False)
@@ -178,9 +227,11 @@ def close_group(
 
     Elements are discovered breadth-first from the identity by right
     multiplication with the generators in the order given, which pins the
-    id assignment and makes runs reproducible.  The multiplication table
-    is then filled column by column along the discovery tree, so the cost
-    is O(N^2) array work rather than O(N^2) permutation compositions.
+    id assignment and makes runs reproducible.  Each element e_j is
+    discovered as e_i * g_k for an earlier e_i, so the table is filled
+    row by row along that tree: row j is row i gathered through left
+    multiplication by g_k, one contiguous O(N) pass per row.  A table
+    over TABLE_BYTES_MAX raises ResourceLimit before it is allocated.
     """
     d = gens.degree
     ident = tuple(range(d))
@@ -206,12 +257,21 @@ def close_group(
             gen_to[k].append(j)
         cur += 1
     n = len(elems)
+    _refuse_oversized(n)
+    # left[k][b] = id(g_k * e_b), walked down the same tree:
+    # g_k * e_j = (g_k * e_i) * g_l when e_j = e_i * g_l.
+    left = []
+    for to in gen_to:
+        lk = [to[0]] * n
+        for j in range(1, n):
+            i, l = edges[j]
+            lk[j] = gen_to[l][lk[i]]
+        left.append(np.asarray(lk, dtype=np.intp))
     mul = np.empty((n, n), dtype=np.int32)
-    mul[:, 0] = np.arange(n, dtype=np.int32)
-    gen_cols = [np.asarray(col, dtype=np.int32) for col in gen_to]
+    mul[0] = np.arange(n, dtype=np.int32)
     for j in range(1, n):
         i, k = edges[j]
-        mul[:, j] = gen_cols[k][mul[:, i]]
+        np.take(mul[i], left[k], out=mul[j])
     labels = [cycle_label(e) for e in elems]
     return GroupTable(mul, name=name or f"perm{d}", labels=labels)
 
@@ -306,24 +366,35 @@ def named_group(
 def direct_product(
     g1: GroupTable, g2: GroupTable, max_order: int = DEFAULT_MAX_ORDER
 ) -> GroupTable:
-    """Componentwise product; the pair (a, b) gets id a*|G2| + b."""
+    """Componentwise product; the pair (a, b) gets id a*|G2| + b.
+
+    The table is written into one int32 array, |G2| rows at a time, so no
+    temporary larger than one row exists.  A table over TABLE_BYTES_MAX
+    raises ResourceLimit before it is allocated.
+    """
     n1, n2 = g1.order, g2.order
-    if n1 * n2 > max_order:
-        raise ClosureTooLarge(f"order {n1 * n2} exceeds the cap {max_order}")
-    m1 = g1.mul.astype(np.int64)
-    mul = (m1[:, None, :, None] * n2 + g2.mul[None, :, None, :]).reshape(
-        n1 * n2, n1 * n2
+    n = n1 * n2
+    if n > max_order:
+        raise ClosureTooLarge(f"order {n} exceeds the cap {max_order}")
+    _refuse_oversized(n)
+    mul = np.empty((n, n), dtype=np.int32)
+    top = mul[:n2]
+    # row (a, b), column (c, d) holds g1[a, c]*n2 + g2[b, d]; write a = 0
+    np.add(
+        (g1.mul[0] * n2)[None, :, None],
+        g2.mul[:, None, :],
+        out=top.reshape(n2, n1, n2),
     )
-    inv = np.add.outer(g1.inv.astype(np.int64) * n2, g2.inv).reshape(-1)
+    # rows (a, *) are rows (0, *) shifted by (g1[a, c] - g1[0, c])*n2 in
+    # column (c, d): one long add per block, however small n2 is
+    for a in range(1, n1):
+        shift = np.repeat((g1.mul[a] - g1.mul[0]) * n2, n2)
+        np.add(top, shift, out=mul[a * n2 : (a + 1) * n2])
+    inv = np.add.outer(g1.inv * n2, g2.inv).reshape(-1)
     labels = [
         f"({g1.label(a)},{g2.label(b)})" for a in range(n1) for b in range(n2)
     ]
-    return GroupTable(
-        mul.astype(np.int32),
-        inv.astype(np.int32),
-        name=f"{g1.name}x{g2.name}",
-        labels=labels,
-    )
+    return GroupTable(mul, inv, name=f"{g1.name}x{g2.name}", labels=labels)
 
 
 class SubgroupRef:

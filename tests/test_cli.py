@@ -274,29 +274,62 @@ def test_chartab_table(capsys):
     assert "3 classes" in out
 
 
-def _cap_address_space():
-    limit = 1 << 30
-    resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+def _run_capped(limit, *argv):
+    """Run the CLI in a child with its address space capped at ``limit``.
 
-
-def test_chartab_over_tensor_limit_exits_4():
-    # C600 has 600 classes, so its structure tensor would need 1.7 GB; the
-    # child runs under a 1 GiB address-space cap, so an allocation attempt
-    # ends in MemoryError (exit 1) instead of the typed error.
+    An allocation past the cap ends in MemoryError (exit 1), not in the
+    typed error, so the tests below see whether a refusal came first.
+    """
     src = str(Path(commdeg.__file__).resolve().parent.parent)
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-m", "commdeg.cli", "chartab", "-G", "C600"],
+    return subprocess.run(
+        [sys.executable, "-m", "commdeg.cli", *argv],
         capture_output=True,
         text=True,
         env=env,
         timeout=60,
-        preexec_fn=_cap_address_space,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
     )
+
+
+def test_chartab_over_tensor_limit_exits_4():
+    # C600 has 600 classes, so its structure tensor would need 1.7 GB.
+    proc = _run_capped(1 << 30, "chartab", "-G", "C600")
     assert proc.returncode == 4, proc.stderr
     assert "error [resource_limit]" in proc.stderr
     assert proc.stdout == ""
+
+
+def test_group_over_table_limit_exits_4():
+    # S8 has order 40320, so its table would need 6.5 GB.
+    proc = _run_capped(1 << 30, "info", "-G", "S8", "--max-order", "40320")
+    assert proc.returncode == 4, proc.stderr
+    assert "error [resource_limit]" in proc.stderr
+    assert proc.stdout == ""
+
+
+def test_group_at_order_cap_builds_under_memory_cap():
+    # S7xC2 has order 10080, the default cap: a 406 MB table, which must be
+    # built and validated without a second full-size copy.
+    proc = _run_capped(3 << 29, "info", "-G", "S7xC2")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("group S7xC2: order 10080\n")
+
+
+@pytest.mark.parametrize(
+    "spec,message",
+    [
+        ("X5", "unrecognized group spec"),
+        ("perm(3): (1 4)", "point 4 outside degree 3"),
+        ("S3x", "malformed product spec"),
+    ],
+)
+def test_malformed_group_spec_is_usage_error(capsys, spec, message):
+    code, out, err = run(capsys, "info", "-G", spec)
+    assert code == 2
+    assert err.startswith("usage error: ") and message in err
+    assert out == ""
 
 
 def test_audit_small_battery_json(capsys):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -30,6 +32,19 @@ def oracle_closure(gens: list[tuple[int, ...]]) -> set[tuple[int, ...]]:
     return seen
 
 
+def _compose(p, q):
+    """The product p*q as close_group multiplies: apply q, then p."""
+    return tuple(p[q[i]] for i in range(len(p)))
+
+
+def _oracle_ids(G, gens):
+    """Each oracle permutation mapped to its id in G through its label."""
+    perms = oracle_closure(gens)
+    assert G.order == len(perms)
+    by_label = {label: i for i, label in enumerate(G.labels)}
+    return {p: by_label[groups.cycle_label(p)] for p in sorted(perms)}
+
+
 @pytest.mark.parametrize(
     "gens",
     [
@@ -41,7 +56,30 @@ def oracle_closure(gens: list[tuple[int, ...]]) -> set[tuple[int, ...]]:
 )
 def test_close_group_matches_word_oracle(gens):
     G = groups.close_group(groups.PermList(len(gens[0]), [list(g) for g in gens]))
-    assert G.order == len(oracle_closure(gens))
+    ids = _oracle_ids(G, gens)
+    bad = [
+        (p, q)
+        for p, a in ids.items()
+        for q, b in ids.items()
+        if G.mul[a, b] != ids[_compose(p, q)]
+    ]
+    assert not bad
+
+
+def test_close_group_matches_word_oracle_on_s7():
+    # 5040 elements span many validation blocks; 20,000 seeded pairs
+    gens = [(1, 2, 3, 4, 5, 6, 0), (1, 0, 2, 3, 4, 5, 6)]
+    G = groups.named_group("S", 7)
+    assert G.order > 2 * groups._CHECK_BLOCK
+    ids = _oracle_ids(G, gens)
+    perms = list(ids)
+    rng = np.random.default_rng(20000)
+    bad = []
+    for x, y in rng.integers(0, len(perms), size=(20000, 2)):
+        p, q = perms[x], perms[y]
+        if G.mul[ids[p], ids[q]] != ids[_compose(p, q)]:
+            bad.append((p, q))
+    assert not bad
 
 
 @pytest.mark.parametrize(
@@ -110,6 +148,124 @@ def test_direct_product_projections_are_homomorphisms(s3):
     left, right = np.divmod(np.arange(P.order), c4.order)
     assert (left[P.mul] == s3.mul[left[:, None], left[None, :]]).all()
     assert (right[P.mul] == c4.mul[right[:, None], right[None, :]]).all()
+
+
+def test_direct_product_matches_broadcast_formula():
+    a5, d6 = groups.named_group("A", 5), groups.named_group("D", 6)
+    P = groups.direct_product(a5, d6)
+    n1, n2 = a5.order, d6.order
+    m1 = a5.mul.astype(np.int64)
+    mul = (m1[:, None, :, None] * n2 + d6.mul[None, :, None, :]).reshape(
+        n1 * n2, n1 * n2
+    )
+    inv = np.add.outer(a5.inv.astype(np.int64) * n2, d6.inv).reshape(-1)
+    assert P.mul.dtype == np.int32 and P.inv.dtype == np.int32
+    assert np.array_equal(P.mul, mul)
+    assert np.array_equal(P.inv, inv)
+
+
+def _build_peak(build):
+    tracemalloc.start()
+    try:
+        G = build()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return G, peak
+
+
+def test_table_build_peak_memory():
+    # Filling and validation work a row or a block at a time, so a build
+    # needs little beyond the table; a full-table sort or broadcast would
+    # not fit in 2x.
+    G, peak = _build_peak(lambda: groups.named_group("A", 7))
+    assert peak <= 2 * G.order**2 * 4
+    s5, d10 = groups.named_group("S", 5), groups.named_group("D", 10)
+    P, peak = _build_peak(lambda: groups.direct_product(s5, d10))
+    assert P.order >= 2000
+    assert peak <= 2 * P.order**2 * 4
+
+
+def _last_block(n):
+    """First id of the last validation block of an order-n table."""
+    return (n - 1) // groups._CHECK_BLOCK * groups._CHECK_BLOCK
+
+
+def _swap_ids(mul, x, y):
+    """The same group with the ids x and y exchanged."""
+    relabel = np.arange(len(mul))
+    relabel[[x, y]] = [y, x]
+    out = np.empty_like(mul)
+    out[np.ix_(relabel, relabel)] = relabel[mul]
+    return out
+
+
+@pytest.fixture(scope="module")
+def s6():
+    return groups.named_group("S", 6)
+
+
+@pytest.mark.parametrize(
+    "fault,message",
+    [
+        ("swap_in_row", "each column must permute"),
+        ("swap_in_column", "each row must permute"),
+        ("value_n", "each row must permute"),
+        ("value_minus_one", "each row must permute"),
+        ("identity_moved", "identity must sit at id 0"),
+        ("wrong_inverse", "inverse table inconsistent"),
+    ],
+)
+def test_validation_rejects_corrupted_table(s6, fault, message):
+    n = s6.order
+    last = _last_block(n)
+    assert last >= 2 * groups._CHECK_BLOCK  # at least three blocks
+    r, c = last + 1, last + 2  # rows and columns inside the last block
+    assert not (s6.mul[r : r + 2, c : c + 2] == 0).any()
+    mul = s6.mul.copy()
+    inv = None
+    if fault == "swap_in_row":
+        mul[r, [c, c + 1]] = mul[r, [c + 1, c]]
+    elif fault == "swap_in_column":
+        mul[[r, r + 1], c] = mul[[r + 1, r], c]
+    elif fault == "value_n":
+        mul[r, c] = n
+    elif fault == "value_minus_one":
+        mul[r, c] = -1
+    elif fault == "identity_moved":
+        mul = _swap_ids(mul, 0, r)
+    else:
+        inv = s6.inv.copy()
+        inv[[r, r + 1]] = inv[[r + 1, r]]
+    with pytest.raises(ValueError, match=message):
+        groups.GroupTable(mul, inv)
+
+
+@pytest.mark.parametrize("family", ["C", "S"])
+def test_order_one_tables(family):
+    G = groups.named_group(family, 1)
+    assert G.mul.tolist() == [[0]] and G.inv.tolist() == [0]
+    for bad in ([[1]], [[-1]]):
+        with pytest.raises(ValueError, match="each row must permute"):
+            groups.GroupTable(np.array(bad))
+    with pytest.raises(ValueError, match="inverse table inconsistent"):
+        groups.GroupTable(G.mul, np.array([1]))
+
+
+def test_validation_rejects_one_sided_inverses():
+    # A Latin square with identity 0 (a loop, not a group): 2 * 3 = 0 but
+    # 3 * 2 = 1, so the right inverse of 2 is not a left inverse.
+    loop = np.array(
+        [
+            [0, 1, 2, 3, 4],
+            [1, 0, 3, 4, 2],
+            [2, 3, 4, 0, 1],
+            [3, 4, 1, 2, 0],
+            [4, 2, 0, 1, 3],
+        ]
+    )
+    with pytest.raises(ValueError, match="inverse table inconsistent"):
+        groups.GroupTable(loop)
 
 
 def test_direct_product_respects_order_cap():
