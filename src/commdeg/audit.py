@@ -7,6 +7,22 @@ fails somewhere is recorded with its counterexample, and a claim whose
 hypothesis is not met is recorded as vacuous rather than skipped.  A small
 set of claims (HARD_CLAIMS) is machine-verifiable and must never be
 violated; the audit command's exit code keys off those.
+
+A claim is registered in ``_CHECK_CLAIMS``, which maps each ``check_*``
+function to the claim tags its findings carry.  ``run_battery`` walks each
+instance shape of a group once and calls every selected check of that
+shape:
+
+- per (H, K, n, m) cell of the subgroup pool: R1, P3, C4, C6;
+- per g of that cell: P2, T2_CHAIN, T3;
+- per nested pair H <= K, and per g of (H, G, n, m): P4;
+- per normal N and H <= N, and per g of (H, G, n, m): P5;
+- per n at m = 1, and per g of (H, K, n, 1): C5;
+- per subgroup, with the group's character table: FROB_BOUND, ZETA_CHAR
+  (per (n, m)), EQ7 (normal subgroups only);
+- per group: EQ3, EQ4, PSI;
+
+then P1 on the configured product pairs.
 """
 
 from __future__ import annotations
@@ -149,11 +165,6 @@ def _inst(G: GroupTable, **kw) -> dict:
 
 def _p(H: SubgroupRef, K: SubgroupRef, n: int, m: int, g: int) -> Fraction:
     return engine.prob_fast(CommParams(H, K, n, m, g)).value
-
-
-@lru_cache(maxsize=512)
-def _center_cached(G: GroupTable) -> SubgroupRef:
-    return groups.center(G)
 
 
 @lru_cache(maxsize=4096)
@@ -464,12 +475,13 @@ def check_chain(H: SubgroupRef, K: SubgroupRef, n: int, m: int, g: int) -> Findi
 def check_c5(H: SubgroupRef, K: SubgroupRef, n: int, g: int) -> Finding:
     """(2^n - 1)/2^n bound at m = 1 under a trivial ambient center.
 
-    Tested as stated (hypothesis on Z(G)); the witness also evaluates the
-    variant hypothesis Z(H) = 1, which the surrounding results suggest,
-    without letting it influence the verdict.
+    Tested as stated (hypothesis on Z(G), taken as C_G(G)); the witness
+    also evaluates the variant hypothesis Z(H) = 1, which the surrounding
+    results suggest, without letting it influence the verdict.
     """
     G = H.parent
-    z_g = _center_cached(G)
+    full = groups.full_subgroup(G)
+    z_g = _mutual_centralizer(full, full)
     z_h = _mutual_centralizer(H, H)
     lhs = _p(H, K, n, 1, g)
     bound = Fraction(2**n - 1, 2**n)
@@ -949,9 +961,36 @@ def _first_proper(G: GroupTable) -> Optional[SubgroupRef]:
     return h if h.order < G.order else None
 
 
-def _cells(config: AuditConfig) -> list[tuple[int, int]]:
-    return [(n, m) for n in config.n_values for m in config.m_values]
+# The claim tags each check's findings carry, in ``__all__`` order.  A check
+# runs when any of its tags is selected; ``run_battery`` gives its instances.
+_CHECK_CLAIMS = {
+    "check_multiplicativity": ("P1",),
+    "check_symmetry": ("P2a", "P2b"),
+    "check_class_formula": ("P3_m1", "P3_mgt1"),
+    "check_c4": ("C4",),
+    "check_monotonicity": ("P4",),
+    "check_quotient": ("P5",),
+    "check_chain": ("T2_CHAIN",),
+    "check_c5": ("C5",),
+    "check_t3": ("T3i", "T3ii"),
+    "check_c6": ("C6",),
+    "check_frob_bound": ("FROB_BOUND",),
+    "check_zeta_character": ("ZETA_CHAR",),
+    "check_remark_r1": ("R1a", "R1b"),
+    "check_eq3": ("EQ3",),
+    "check_eq4": ("EQ4",),
+    "check_eq7": ("EQ7",),
+    "check_psi": ("PSI",),
+}
 
+# Checks of one shape that share a signature.
+_CELL_CHECKS = ("check_remark_r1", "check_class_formula", "check_c4", "check_c6")
+_G_CHECKS = ("check_symmetry", "check_chain", "check_t3")
+_GROUP_CHECKS = ("check_eq3", "check_eq4", "check_psi")
+# Checks that read the group's character table.
+_TABLE_CHECKS = {
+    "check_frob_bound", "check_zeta_character", "check_eq7", *_GROUP_CHECKS
+}
 
 # Findings sort by claim, then by this compact encoding of the instance
 # (the bytes of ``json.dumps(instance, sort_keys=True)``).
@@ -961,16 +1000,28 @@ _INSTANCE_KEY = json.JSONEncoder(sort_keys=True)
 def run_battery(config: AuditConfig) -> AuditReport:
     """Execute every selected check on every instance the config describes.
 
-    Instance generation is fully deterministic (ordering comes from the
-    config and from element ids), so a fixed config yields a byte-identical
-    serialized report; per-finding timings are measured but excluded from
+    Each instance shape of a group is walked once, calling every selected
+    check of that shape (see the module docstring).  Instance generation
+    is fully deterministic (ordering comes from the config and from
+    element ids), so a fixed config yields a byte-identical serialized
+    report; per-finding timings are measured but excluded from
     serialization unless explicitly requested.
     """
     config.validate()
     selected = set(config.claims)
+    active = {
+        name for name, tags in _CHECK_CLAIMS.items() if selected.intersection(tags)
+    }
+    per_g = [name for name in _G_CHECKS if name in active]
+    cells = [(n, m) for n in config.n_values for m in config.m_values]
     findings: list[Finding] = []
 
-    def run(check, *args) -> None:
+    def run(name: str, *args) -> None:
+        if name not in active:
+            return
+        # Looked up on the module at each call, so a check replaced there
+        # (as perfbench's tracer does) sees every call.
+        check = globals()[name]
         start = time.perf_counter()
         produced = check(*args)
         elapsed = (time.perf_counter() - start) * 1000.0
@@ -980,96 +1031,49 @@ def run_battery(config: AuditConfig) -> AuditReport:
             if f.claim in selected:
                 findings.append(f)
 
-    def wants(*tags: str) -> bool:
-        return bool(selected.intersection(tags))
-
     for spec in config.groups:
         G = groupspec.parse_group_spec(spec, max_order=config.max_order)
         pool = _subgroup_pool(G, config)
-        pairs = [(H, K) for H in pool for K in pool]
-        table: Optional[chartab.CharacterTable] = None
-
-        def char_table() -> chartab.CharacterTable:
-            nonlocal table
-            if table is None:
-                table = chartab.character_table(G, seed=config.seed)
-            return table
-
-        if wants("R1a", "R1b"):
-            for H, K in pairs:
-                for n, m in _cells(config):
-                    run(check_remark_r1, H, K, n, m)
-        if wants("P2a", "P2b"):
-            for H, K in pairs:
-                for n, m in _cells(config):
-                    for g in _g_values(H, K, n, m, config):
-                        run(check_symmetry, H, K, n, m, g)
-        if wants("P3_m1", "P3_mgt1"):
-            for H, K in pairs:
-                for n, m in _cells(config):
-                    run(check_class_formula, H, K, n, m)
-        if wants("C4"):
-            for H, K in pairs:
-                for n, m in _cells(config):
-                    run(check_c4, H, K, n, m)
-        if wants("P4"):
-            for H, K in pairs:
-                if not set(H.members) <= set(K.members):
-                    continue
-                for n, m in _cells(config):
-                    full = groups.full_subgroup(G)
-                    for g in _g_values(H, full, n, m, config):
-                        run(check_monotonicity, H, K, n, m, g)
-        if wants("P5"):
+        full = groups.full_subgroup(G)
+        for H in pool:
+            for K in pool:
+                for n, m in cells:
+                    for name in _CELL_CHECKS:
+                        run(name, H, K, n, m)
+                    if per_g:
+                        for g in _g_values(H, K, n, m, config):
+                            for name in per_g:
+                                run(name, H, K, n, m, g)
+                if "check_monotonicity" in active and set(H.members) <= set(K.members):
+                    for n, m in cells:
+                        for g in _g_values(H, full, n, m, config):
+                            run("check_monotonicity", H, K, n, m, g)
+                if "check_c5" in active:
+                    for n in config.n_values:
+                        for g in _g_values(H, K, n, 1, config):
+                            run("check_c5", H, K, n, g)
+        if "check_quotient" in active:
             for N in pool:
                 if not groups.is_normal(G, N):
                     continue
                 quotient = groups.quotient_group(G, N)
                 for H in pool:
-                    if not set(H.members) <= set(N.members):
-                        continue
-                    for n, m in _cells(config):
-                        full = groups.full_subgroup(G)
-                        for g in _g_values(H, full, n, m, config):
-                            run(check_quotient, H, N, n, m, g, quotient)
-        if wants("T2_CHAIN"):
-            for H, K in pairs:
-                for n, m in _cells(config):
-                    for g in _g_values(H, K, n, m, config):
-                        run(check_chain, H, K, n, m, g)
-        if wants("C5"):
-            for H, K in pairs:
-                for n in config.n_values:
-                    for g in _g_values(H, K, n, 1, config):
-                        run(check_c5, H, K, n, g)
-        if wants("T3i", "T3ii"):
-            for H, K in pairs:
-                for n, m in _cells(config):
-                    for g in _g_values(H, K, n, m, config):
-                        run(check_t3, H, K, n, m, g)
-        if wants("C6"):
-            for H, K in pairs:
-                for n, m in _cells(config):
-                    run(check_c6, H, K, n, m)
-        if wants("FROB_BOUND"):
+                    if set(H.members) <= set(N.members):
+                        for n, m in cells:
+                            for g in _g_values(H, full, n, m, config):
+                                run("check_quotient", H, N, n, m, g, quotient)
+        if active & _TABLE_CHECKS:
+            table = chartab.character_table(G, seed=config.seed)
             for H in pool:
-                run(check_frob_bound, H, char_table())
-        if wants("ZETA_CHAR"):
-            for H in pool:
-                for n, m in _cells(config):
-                    run(check_zeta_character, H, n, m, char_table())
-        if wants("EQ3"):
-            run(check_eq3, char_table())
-        if wants("EQ4"):
-            run(check_eq4, char_table())
-        if wants("EQ7"):
-            for H in pool:
+                run("check_frob_bound", H, table)
+                for n, m in cells:
+                    run("check_zeta_character", H, n, m, table)
                 if groups.is_normal(G, H):
-                    run(check_eq7, H, char_table())
-        if wants("PSI"):
-            run(check_psi, char_table())
+                    run("check_eq7", H, table)
+            for name in _GROUP_CHECKS:
+                run(name, table)
 
-    if wants("P1"):
+    if "check_multiplicativity" in active:
         for left_spec, right_spec in config.product_pairs:
             E = groupspec.parse_group_spec(left_spec, max_order=config.max_order)
             F = groupspec.parse_group_spec(right_spec, max_order=config.max_order)
@@ -1084,11 +1088,11 @@ def run_battery(config: AuditConfig) -> AuditReport:
             for A, B, C, D in combos:
                 block_x = _product_subgroup(product, A, C)
                 block_y = _product_subgroup(product, B, D)
-                for n, m in _cells(config):
+                for n, m in cells:
                     for gid in _g_values(block_x, block_y, n, m, config):
                         e, f = divmod(gid, F.order)
                         run(
-                            check_multiplicativity,
+                            "check_multiplicativity",
                             E, F, A, B, C, D, n, m, e, f, product,
                         )
 

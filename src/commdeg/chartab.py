@@ -4,8 +4,7 @@ Tables are built numerically: the conjugacy-class multiplication matrices
 commute, so a random real combination of them is diagonalized once and its
 eigenvectors are refined into central characters, from which degrees and
 character values follow (Dixon 1967; Schneider 1990).  Every downstream
-quantity is tolerance-gated, and a JSON import path allows cross-checking
-against externally computed tables.
+quantity is tolerance-gated.
 
 Cost for a group with k classes: the float64 structure tensor takes
 O(k |G|) time and k^3 * 8 bytes, built once; each draw (eigensolve plus
@@ -58,7 +57,6 @@ __all__ = [
     "prob_char_relative",
     "vanishes_outside",
     "table_to_json",
-    "table_from_json",
 ]
 
 
@@ -383,60 +381,3 @@ def table_to_json(table: CharacterTable) -> dict:
             for i in range(table.n_classes)
         ],
     }
-
-
-def table_from_json(G: GroupTable, payload: dict) -> CharacterTable:
-    """Rebuild a table against G, validating shape and orthogonality.
-
-    Payload classes may arrive in any order; they are matched to the
-    canonical layout through their representatives.
-    """
-    if int(payload["order"]) != G.order:
-        raise ValueError(
-            f"payload order {payload['order']} does not match {G.name}"
-        )
-    reps, sizes, class_of = _class_layout(G)
-    k = len(reps)
-    classes = payload["classes"]
-    irreducibles = payload["irreducibles"]
-    if len(classes) != k or len(irreducibles) != k:
-        raise ValueError(
-            f"expected {k} classes and irreducibles, payload has "
-            f"{len(classes)} and {len(irreducibles)}"
-        )
-    perm = np.empty(k, dtype=np.int64)
-    taken = set()
-    for j, entry in enumerate(classes):
-        rep = int(entry["rep"])
-        if not 0 <= rep < G.order:
-            raise ValueError(f"class representative {rep} out of range")
-        target = int(class_of[rep])
-        if int(entry["size"]) != sizes[target]:
-            raise ValueError(
-                f"class of element {rep} has size {sizes[target]}, "
-                f"payload says {entry['size']}"
-            )
-        if target in taken:
-            raise ValueError("two payload classes map to one conjugacy class")
-        taken.add(target)
-        perm[j] = target
-    values = np.zeros((k, k), dtype=np.complex128)
-    degrees = []
-    for i, entry in enumerate(irreducibles):
-        degrees.append(int(entry["degree"]))
-        vals = entry["values"]
-        if len(vals) != k:
-            raise ValueError("irreducible value row has wrong length")
-        for j, (re, im) in enumerate(vals):
-            values[i, perm[j]] = complex(float(re), float(im))
-    table = CharacterTable(
-        G, reps, sizes, class_of, values, degrees, ROUNDING_TOL
-    )
-    report = verify_orthogonality(table)
-    if not report.passed:
-        raise ToleranceExceeded(
-            "imported table fails orthogonality: row dev "
-            f"{report.max_row_deviation:.3e}, column dev "
-            f"{report.max_column_deviation:.3e}"
-        )
-    return table

@@ -201,7 +201,10 @@ def _emit_csv(header: Sequence[str], rows: Sequence[Sequence]) -> str:
 def _cmd_info(args: argparse.Namespace) -> int:
     G = _resolve_group(args)
     info = engine.conjugacy_info(groups.full_subgroup(G))
-    z = groups.center(G)
+    # x is central exactly when |C_G(x)| = |G|; G is abelian exactly when
+    # every class is a single element.
+    center_order = int((info.centralizer_order == G.order).sum())
+    is_abelian = len(info.classes) == G.order
     elements = [
         {
             "id": i,
@@ -217,9 +220,9 @@ def _cmd_info(args: argparse.Namespace) -> int:
                 {
                     "group": G.name,
                     "order": G.order,
-                    "is_abelian": G.is_abelian,
+                    "is_abelian": is_abelian,
                     "class_count": len(info.classes),
-                    "center_order": z.order,
+                    "center_order": center_order,
                     "elements": elements,
                 }
             )
@@ -230,8 +233,8 @@ def _cmd_info(args: argparse.Namespace) -> int:
     else:
         print(f"group {G.name}: order {G.order}")
         print(
-            f"abelian {G.is_abelian}, classes {len(info.classes)},"
-            f" center order {z.order}"
+            f"abelian {is_abelian}, classes {len(info.classes)},"
+            f" center order {center_order}"
         )
         width = max(len(e["label"]) for e in elements)
         print(f"{'id':>4} {'label':<{width}} {'order':>5} class")

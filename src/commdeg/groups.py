@@ -210,10 +210,6 @@ class GroupTable:
             k += 1
         return k
 
-    @property
-    def is_abelian(self) -> bool:
-        return bool(np.array_equal(self.mul, self.mul.T))
-
     def __repr__(self) -> str:
         return f"<GroupTable {self.name} order {self.order}>"
 

@@ -1,3 +1,5 @@
+import dataclasses
+import hashlib
 import json
 import tracemalloc
 from fractions import Fraction
@@ -305,6 +307,68 @@ def test_report_runtime_toggle():
     report = audit.run_battery(config)
     with_times = report.to_json(include_runtime=True)
     assert all("runtime_ms" in f for f in with_times["findings"])
+
+
+def test_every_claim_is_registered_to_one_check():
+    exported = [name for name in audit.__all__ if name.startswith("check_")]
+    assert list(audit._CHECK_CLAIMS) == exported
+    tags = [tag for claims in audit._CHECK_CLAIMS.values() for tag in claims]
+    assert sorted(tags) == sorted(audit.CLAIMS)
+
+
+def _finding_json(findings):
+    return json.dumps([f.to_json() for f in findings], sort_keys=True)
+
+
+def test_single_claim_runs_match_the_full_run():
+    config = audit.AuditConfig(
+        groups=("S3", "D4", "Q8"), product_pairs=(("S3", "C2"),)
+    )
+    full = audit.run_battery(config)
+    assert {f.claim for f in full.findings} == set(audit.CLAIMS)
+    for claim in audit.CLAIMS:
+        single = audit.run_battery(dataclasses.replace(config, claims=(claim,)))
+        expected = [f for f in full.findings if f.claim == claim]
+        assert _finding_json(single.findings) == _finding_json(expected), claim
+        assert single.summary == {claim: full.summary[claim]}
+
+
+def test_battery_calls_checks_through_the_module(monkeypatch):
+    calls = {"check_c4": 0, "check_eq3": 0}
+
+    def counting(name):
+        real = getattr(audit, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return real(*args)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(audit, name, counting(name))
+    config = audit.AuditConfig(groups=("S3", "C4"), claims=("C4", "EQ3"))
+    report = audit.run_battery(config)
+    assert calls == {
+        "check_c4": sum(report.summary["C4"].values()),
+        "check_eq3": 2,
+    }
+
+
+# sha256 of the report on four small groups, leaving out the four claims
+# whose witnesses hold float deviations (EQ3, EQ7, PSI, ZETA_CHAR).
+SMALL_REPORT_SHA256 = "709e64796968024a09d25e21f4930dff2c49407c0d3322be7d874b1cdb6cd7bc"
+
+
+def test_small_battery_report_bytes_are_pinned():
+    floats = {"EQ3", "EQ7", "PSI", "ZETA_CHAR"}
+    config = audit.AuditConfig(
+        groups=("S3", "D4", "Q8", "C6"),
+        claims=tuple(c for c in audit.CLAIMS if c not in floats),
+    )
+    report = audit.run_battery(config)
+    assert len(report.findings) == 9978
+    assert hashlib.sha256(report.dumps().encode()).hexdigest() == SMALL_REPORT_SHA256
 
 
 @pytest.fixture(scope="module")

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import commdeg
-from commdeg import cli, engine, groups
+from commdeg import cli, engine, groups, groupspec
 from commdeg.engine import CommDistribution
 
 
@@ -53,6 +53,17 @@ def test_info_json(capsys):
     assert payload["class_count"] == 3
     assert payload["center_order"] == 1
     assert payload["elements"][1]["label"] == "(1 2 3)"
+
+
+@pytest.mark.parametrize("spec", ["S3", "Q8", "C6", "Q8xC3"])
+def test_info_json_center_and_abelian_match_definitions(capsys, spec):
+    code, out, _ = run(capsys, "info", "-G", spec, "-o", "json")
+    assert code == 0
+    payload = json.loads(out)
+    mul = groupspec.parse_group_spec(spec).mul
+    commutes = mul == mul.T
+    assert payload["center_order"] == int(commutes.all(axis=1).sum())
+    assert payload["is_abelian"] == bool(commutes.all())
 
 
 def test_prob_table_cross_checks_brute(capsys):
