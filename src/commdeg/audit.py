@@ -33,7 +33,7 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence, TextIO
 
 import numpy as np
 
@@ -154,7 +154,16 @@ def _frac(x: Fraction) -> str:
 
 
 def _mem(S: SubgroupRef) -> list[int]:
-    return [int(x) for x in S.members]
+    return _member_list(S.members)
+
+
+@lru_cache(maxsize=4096)
+def _member_list(members: tuple[int, ...]) -> list[int]:
+    # One list per distinct member tuple, shared by every instance over that
+    # subgroup, so the report and the sort key encode it once.  Keyed by
+    # the tuple, not the SubgroupRef, so the cache holds no group table.
+    # Nothing mutates these lists.
+    return list(members)
 
 
 def _inst(G: GroupTable, **kw) -> dict:
@@ -889,7 +898,12 @@ def config_from_json(payload: dict) -> AuditConfig:
 
 @dataclass
 class AuditReport:
-    """Aggregated findings with per-claim verdict counts."""
+    """Aggregated findings with per-claim verdict counts.
+
+    ``write`` is the route that writes the report, one finding at a time;
+    ``dumps`` joins the same pieces into one string.  Both give the text of
+    ``jsontext.dumps(self.to_json(include_runtime))``.
+    """
 
     config: AuditConfig
     summary: dict
@@ -902,20 +916,136 @@ class AuditReport:
             if f.claim in HARD_CLAIMS and f.verdict == VIOLATED
         ]
 
-    def to_json(self, include_runtime: bool = False) -> dict:
+    def _head(self) -> dict:
         present = sorted({f.claim for f in self.findings})
         return {
             "config_echo": self.config.to_json(),
             "seed": self.config.seed,
             "legend": {c: CLAIM_INFO[c] for c in present},
             "summary": self.summary,
+        }
+
+    def to_json(self, include_runtime: bool = False) -> dict:
+        return {
+            **self._head(),
             "findings": [f.to_json(include_runtime) for f in self.findings],
         }
 
+    def write(self, fp: TextIO, include_runtime: bool = False) -> None:
+        """Write the report to ``fp``, holding one finding's text at a time."""
+        for piece in self._pieces(include_runtime):
+            fp.write(piece)
+
     def dumps(self, include_runtime: bool = False) -> str:
-        """The report as ``jsontext`` writes it: each finding becomes one
-        string at depth 2, and the findings are joined once."""
-        return jsontext.dumps(self.to_json(include_runtime))
+        """The text ``write`` writes, as one string."""
+        return "".join(self._pieces(include_runtime))
+
+    def _pieces(self, include_runtime: bool) -> Iterator[str]:
+        # The top-level keys in sorted order, with the findings list
+        # between "config_echo" and "legend", one piece per finding.
+        head = self._head()
+        yield (
+            '{\n "config_echo": '
+            + jsontext.encode(head["config_echo"], "\n ")
+            + ',\n "findings": '
+        )
+        if not self.findings:
+            yield "[]"
+        else:
+            sep = "[\n  "
+            for text in _finding_texts(self.findings, include_runtime):
+                yield sep + text
+                sep = ",\n  "
+            yield "\n ]"
+        for key in ("legend", "seed", "summary"):
+            yield f',\n "{key}": ' + jsontext.encode(head[key], "\n ")
+        yield "\n}"
+
+
+def _finding_texts(
+    findings: list[Finding], include_runtime: bool
+) -> Iterator[str]:
+    """The text of each finding at depth 2 of the report.
+
+    A finding is written from its fixed key layout, in sorted key order:
+    ``claim``, ``instance``, [``runtime_ms``], ``verdict``, ``witness``,
+    with its instance and witness dicts at depth 3.  An instance's member
+    lists are shared between findings (see ``_member_list``), so each is
+    encoded once per call.
+    """
+    quote = jsontext.SCALARS[str]
+    nl = "\n    "
+    instance_text = _dict_writer(
+        nl, ",", "\n   }", _by_identity(lambda v: jsontext.encode(v, nl))
+    )
+    witness_text = _dict_writer(nl, ",", "\n   }", lambda v: jsontext.encode(v, nl))
+    for f in findings:
+        runtime = (
+            ',\n   "runtime_ms": ' + jsontext.encode(round(f.runtime_ms, 3), "")
+            if include_runtime
+            else ""
+        )
+        yield (
+            '{\n   "claim": '
+            + quote(f.claim)
+            + ',\n   "instance": '
+            + instance_text(f.instance)
+            + runtime
+            + ',\n   "verdict": '
+            + quote(f.verdict)
+            + ',\n   "witness": '
+            + witness_text(f.witness)
+            + "\n  }"
+        )
+
+
+def _dict_writer(
+    indent: str, item_sep: str, close: str, container: Callable[[object], str]
+) -> Callable[[dict], str]:
+    """A writer of the JSON text of dicts with ``str`` keys, in sorted key order.
+
+    Each item is ``indent``, the key, ``": "`` and the value, the items are
+    joined by ``item_sep`` and followed by ``close``.  Scalar values go
+    through ``jsontext.SCALARS``, which writes them as the compact and the
+    indented standard-library forms both do; any other value through
+    ``container``.  The sorted key order is worked out once per distinct
+    insertion order of the keys.
+    """
+    scalars = jsontext.SCALARS
+    quote = scalars[str]
+    layouts: dict[tuple[str, ...], list[tuple[str, str]]] = {}
+
+    def text(d: dict) -> str:
+        if not d:
+            return "{}"
+        keys = tuple(d)
+        layout = layouts.get(keys)
+        if layout is None:
+            layout = layouts[keys] = [
+                (k, indent + quote(k) + ": ") for k in sorted(keys)
+            ]
+        parts = []
+        for key, prefix in layout:
+            v = d[key]
+            w = scalars.get(type(v))
+            parts.append(prefix + (w(v) if w is not None else container(v)))
+        return "{" + item_sep.join(parts) + close
+
+    return text
+
+
+def _by_identity(encode: Callable[[object], str]) -> Callable[[object], str]:
+    """``encode``, run once per object; for objects nothing mutates."""
+    # id -> (object, text); holding the object keeps its id from being reused.
+    seen: dict[int, tuple[object, str]] = {}
+
+    def text(v: object) -> str:
+        hit = seen.get(id(v))
+        if hit is None:
+            hit = seen[id(v)] = (v, encode(v))
+        return hit[1]
+
+    return text
 
 
 def _subgroup_pool(G: GroupTable, config: AuditConfig) -> list[SubgroupRef]:
@@ -992,9 +1122,25 @@ _TABLE_CHECKS = {
     "check_frob_bound", "check_zeta_character", "check_eq7", *_GROUP_CHECKS
 }
 
-# Findings sort by claim, then by this compact encoding of the instance
-# (the bytes of ``json.dumps(instance, sort_keys=True)``).
-_INSTANCE_KEY = json.JSONEncoder(sort_keys=True)
+def _sort_findings(findings: list[Finding]) -> None:
+    """Sort by claim, then by the text of ``json.dumps(instance, sort_keys=True)``.
+
+    P2a/P2b and T3i/T3ii share one instance dict, and instances share
+    their member lists (see ``_member_list``), so each dict and each list
+    is encoded once.
+    """
+    instance_text = _dict_writer(
+        "", ", ", "}", _by_identity(json.JSONEncoder(sort_keys=True).encode)
+    )
+    instance_keys: dict[int, str] = {}
+
+    def sort_key(f: Finding) -> tuple[str, str]:
+        key = instance_keys.get(id(f.instance))
+        if key is None:
+            key = instance_keys[id(f.instance)] = instance_text(f.instance)
+        return (f.claim, key)
+
+    findings.sort(key=sort_key)
 
 
 def run_battery(config: AuditConfig) -> AuditReport:
@@ -1096,16 +1242,7 @@ def run_battery(config: AuditConfig) -> AuditReport:
                             E, F, A, B, C, D, n, m, e, f, product,
                         )
 
-    # P2a/P2b and T3i/T3ii share one instance dict: encode each dict once.
-    instance_keys: dict[int, str] = {}
-
-    def sort_key(f: Finding) -> tuple[str, str]:
-        key = instance_keys.get(id(f.instance))
-        if key is None:
-            key = instance_keys[id(f.instance)] = _INSTANCE_KEY.encode(f.instance)
-        return (f.claim, key)
-
-    findings.sort(key=sort_key)
+    _sort_findings(findings)
     summary: dict[str, dict[str, int]] = {}
     for f in findings:
         per_claim = summary.setdefault(f.claim, {})

@@ -15,7 +15,7 @@ import json
 import os
 import sys
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Optional, Sequence, TextIO
 
 from . import audit, chartab, engine, groups, groupspec, jsontext
 from .engine import BRUTE_CAP_DEFAULT, CommParams
@@ -516,6 +516,18 @@ def _audit_config(args: argparse.Namespace) -> audit.AuditConfig:
 def _cmd_audit(args: argparse.Namespace) -> int:
     config = _audit_config(args)
     report = audit.run_battery(config)
+    if args.out is not None:
+        with open(args.out, "w", encoding="utf-8") as fh:
+            _write_audit(fh, report, args)
+    else:
+        _write_audit(sys.stdout, report, args)
+    return EXIT_HARD_VIOLATION if report.hard_violations() else EXIT_OK
+
+
+def _write_audit(
+    fp: TextIO, report: audit.AuditReport, args: argparse.Namespace
+) -> None:
+    """The report in ``args.output`` form plus a newline; JSON is streamed."""
     if args.output == "csv":
         rows = [
             [
@@ -530,7 +542,7 @@ def _cmd_audit(args: argparse.Namespace) -> int:
         header = ["claim", "verdict", "instance", "witness"] + (
             ["runtime_ms"] if args.timings else []
         )
-        text = _emit_csv(header, rows)
+        fp.write(_emit_csv(header, rows))
     elif args.output == "table":
         lines = [f"{'claim':<12} holds violated vacuous precondition_failed"]
         for claim in sorted(report.summary):
@@ -543,16 +555,10 @@ def _cmd_audit(args: argparse.Namespace) -> int:
             )
         hard = report.hard_violations()
         lines.append(f"findings: {len(report.findings)}, hard violations: {len(hard)}")
-        text = "\n".join(lines)
+        fp.write("\n".join(lines))
     else:
-        text = report.dumps(include_runtime=args.timings)
-    if args.out is not None:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-            fh.write("\n")
-    else:
-        print(text)
-    return EXIT_HARD_VIOLATION if report.hard_violations() else EXIT_OK
+        report.write(fp, include_runtime=args.timings)
+    fp.write("\n")
 
 
 _HANDLERS = {

@@ -9,11 +9,17 @@ The standard library writes indented JSON with its pure-Python encoder (its
 C encoder runs only when ``indent is None``), yields one small chunk per
 token, and joins all of a document's chunks at the end.  Here each container
 becomes one string, joined from the strings of its items, so the largest
-transient list has one entry per item of the biggest container (one per
-finding of an audit report), not one per token.  Scalars are written by C
+transient list has one entry per item of the biggest container, not one
+per token.  Scalars are written by C
 functions without a Python call (``encode_basestring_ascii`` for strings,
 ``int.__repr__`` for ints), and a list of plain ``int`` -- the subgroup
 member lists that fill an audit report -- takes a single ``join``.
+
+``dumps`` writes every ``-o json`` output.  The audit report goes through
+``audit.AuditReport.write``, which streams the document one finding at a
+time: it writes the values inside each finding with ``encode`` and the
+``SCALARS`` writers, at the depth a finding sits in the report, so its text
+is the one ``dumps`` gives for the whole document.
 
 Accepted values: ``dict`` with ``str`` keys, ``list``, ``tuple``, ``str``,
 ``int``, ``float``, ``bool`` and ``None``, subclasses included, as in the
@@ -25,7 +31,7 @@ from __future__ import annotations
 
 from json.encoder import encode_basestring_ascii as _quote
 
-__all__ = ["dumps"]
+__all__ = ["dumps", "encode", "SCALARS"]
 
 _INF = float("inf")
 _ONLY_INT = {int}
@@ -42,8 +48,8 @@ def _float(x: float) -> str:
 
 
 # Writers for values of exactly these types; subclasses take the
-# isinstance route at the end of ``_encode``.
-_SCALAR = {
+# isinstance route at the end of ``encode``.
+SCALARS = {
     str: _quote,
     int: int.__repr__,
     float: _float,
@@ -54,13 +60,17 @@ _SCALAR = {
 
 def dumps(obj: object) -> str:
     """Serialize ``obj`` exactly as ``json.dumps(obj, sort_keys=True, indent=1)``."""
-    return _encode(obj, "\n")
+    return encode(obj, "\n")
 
 
-def _encode(o: object, nl: str) -> str:
-    # ``nl`` is a newline plus the indent of the line ``o`` closes on; the
-    # items of a container sit one space deeper.
-    scalar = _SCALAR.get(type(o))
+def encode(o: object, nl: str) -> str:
+    """The text of ``o`` as a value nested in a document ``dumps`` writes.
+
+    ``nl`` is a newline plus the indent of the line ``o`` closes on (one
+    space per level of depth); the items of a container sit one space
+    deeper.
+    """
+    scalar = SCALARS.get(type(o))
     if scalar is not None:
         return scalar(o)
     inner = nl + " "
@@ -72,7 +82,7 @@ def _encode(o: object, nl: str) -> str:
         else:
             body = ("," + inner).join(
                 [
-                    w(v) if (w := _SCALAR.get(type(v))) else _encode(v, inner)
+                    w(v) if (w := SCALARS.get(type(v))) else encode(v, inner)
                     for v in o
                 ]
             )
@@ -87,7 +97,7 @@ def _encode(o: object, nl: str) -> str:
             [
                 _quote(k)
                 + ": "
-                + (w(v) if (w := _SCALAR.get(type(v))) else _encode(v, inner))
+                + (w(v) if (w := SCALARS.get(type(v))) else encode(v, inner))
                 for k, v in sorted(o.items())
             ]
         )

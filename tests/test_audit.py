@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import io
 import json
 import tracemalloc
 from fractions import Fraction
@@ -381,6 +382,39 @@ def test_report_bytes_match_stdlib_writer(s3_d4_report):
         assert s3_d4_report.dumps(include_runtime=include_runtime) == json.dumps(
             s3_d4_report.to_json(include_runtime), sort_keys=True, indent=1
         )
+
+
+def test_write_streams_the_dumps_text(s3_d4_report):
+    for include_runtime in (False, True):
+        sink = io.StringIO()
+        s3_d4_report.write(sink, include_runtime=include_runtime)
+        assert sink.getvalue() == s3_d4_report.dumps(include_runtime=include_runtime)
+
+
+class _Discard:
+    def write(self, text):
+        pass
+
+
+def test_report_write_peak_memory(s3_d4_report):
+    # Streaming holds one finding's text at a time; joining the document,
+    # even once, would peak above its length.
+    size = len(s3_d4_report.dumps())
+    tracemalloc.start()
+    try:
+        s3_d4_report.write(_Discard())
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < size / 10
+
+
+def test_findings_over_one_subgroup_share_its_member_list(s3, a3_in_s3):
+    c4 = audit.check_c4(a3_in_s3, groups.full_subgroup(s3), 1, 1)
+    c6 = audit.check_c6(a3_in_s3, a3_in_s3, 2, 1)
+    assert c4.instance is not c6.instance
+    assert c4.instance["H"] is c6.instance["H"] is c6.instance["K"]
+    assert c4.instance["H"] == list(a3_in_s3.members)
 
 
 def test_findings_sorted_by_claim_then_instance_json(s3_d4_report):

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import commdeg
-from commdeg import cli, engine, groups, groupspec
+from commdeg import audit, cli, engine, groups, groupspec
 from commdeg.engine import CommDistribution
 
 
@@ -359,6 +359,30 @@ def test_audit_byte_identical_runs(capsys):
     _, first, _ = run(capsys, *argv)
     _, second, _ = run(capsys, *argv)
     assert first == second
+
+
+def test_audit_json_is_the_report_text(capsys, monkeypatch, tmp_path):
+    # One battery per config, so the --timings runs write the same timings
+    # the expected text holds.
+    reports = {}
+    real = audit.run_battery
+
+    def once(config):
+        if config not in reports:
+            reports[config] = real(config)
+        return reports[config]
+
+    monkeypatch.setattr(audit, "run_battery", once)
+    target = tmp_path / "report.json"
+    for timings in ([], ["--timings"]):
+        for out_args in ([], ["--out", str(target)]):
+            argv = ["audit", "--groups", "S3,D4", *timings, *out_args]
+            code, out, _ = run(capsys, *argv)
+            assert code == 0
+            text = target.read_bytes().decode() if out_args else out
+            (report,) = reports.values()
+            assert text == report.dumps(include_runtime=bool(timings)) + "\n"
+            assert out == ("" if out_args else text)
 
 
 def test_audit_timings_flag(capsys):

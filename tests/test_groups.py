@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from commdeg import groups, lattice
+from commdeg import groups, groupspec, lattice
 from commdeg.errors import (
     ClosureTooLarge,
     ForeignSubgroup,
@@ -327,6 +327,13 @@ def test_centers(s3, q8):
     assert groups.center(s3).order == 1
     assert groups.center(q8).order == 2
     assert groups.center(groups.named_group("C", 6)).order == 6
+
+
+@pytest.mark.parametrize("spec", ["S3", "Q8", "D12", "C6", "Q8xC3", "A5", "C1"])
+def test_center_is_where_row_equals_column(spec):
+    G = groupspec.parse_group_spec(spec)
+    commuting = np.flatnonzero((G.mul == G.mul.T).all(axis=1))
+    assert groups.center(G).members == tuple(commuting.tolist())
 
 
 def test_centralizer_of_subgroup(s3, a3_in_s3):
