@@ -11,34 +11,36 @@ violated; the audit command's exit code keys off those.
 A claim is registered in ``_CHECK_CLAIMS``, which maps each ``check_*``
 function to the claim tags its findings carry.  ``run_battery`` walks each
 instance shape of a group once and calls every selected check of that
-shape:
+shape once per instance:
 
-- per (H, K, n, m) cell of the subgroup pool: R1, P3, C4, C6;
-- per g of that cell: P2, T2_CHAIN, T3;
-- per nested pair H <= K, and per g of (H, G, n, m): P4;
-- per normal N and H <= N, and per g of (H, G, n, m): P5;
-- per n at m = 1, and per g of (H, K, n, 1): C5;
+- per (H, K, n, m) cell of the subgroup pool: R1, P3, C4, C6, and, with
+  the g list of that cell, P2, T2_CHAIN, T3;
+- per nested pair H <= K and (n, m), with the g list of (H, G, n, m): P4;
+- per normal N, H <= N and (n, m), with the g list of (H, G, n, m): P5;
+- per n at m = 1, with the g list of (H, K, n, 1): C5;
 - per subgroup, with the group's character table: FROB_BOUND, ZETA_CHAR
   (per (n, m)), EQ7 (normal subgroups only);
 - per group: EQ3, EQ4, PSI;
 
-then P1 on the configured product pairs.
+then P1 per product pair, blocks and (n, m), with the g list of the
+product blocks.  A check that receives a g list decides every g in it from
+the cached count vectors, returning its findings in g order.
 """
 
 from __future__ import annotations
 
+import gc
 import json
 import math
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Iterator, Optional, Sequence, TextIO
 
 import numpy as np
 
 from . import chartab, engine, groups, groupspec, jsontext, lattice
-from .engine import CommParams
 from .errors import ConfigInvalid, NotClassConstant
 from .groups import DEFAULT_MAX_ORDER, GroupTable, SubgroupRef
 
@@ -149,8 +151,10 @@ class Finding:
         return out
 
 
-def _frac(x: Fraction) -> str:
-    return f"{x.numerator}/{x.denominator}"
+def _ratio(c: int, s: int) -> str:
+    """The text of ``Fraction(c, s)`` for ``s > 0``: lowest terms, sign on top."""
+    d = math.gcd(c, s)
+    return f"{c // d}/{s // d}"
 
 
 def _mem(S: SubgroupRef) -> list[int]:
@@ -172,8 +176,12 @@ def _inst(G: GroupTable, **kw) -> dict:
     return base
 
 
-def _p(H: SubgroupRef, K: SubgroupRef, n: int, m: int, g: int) -> Fraction:
-    return engine.prob_fast(CommParams(H, K, n, m, g)).value
+def _g_insts(
+    G: GroupTable, n: int, m: int, gs: Sequence[int], **blocks
+) -> list[dict]:
+    """The instance of each g in ``gs``: group, ``blocks``, n, m and g."""
+    base = {"group": G.name, **blocks, "n": n, "m": m}
+    return [{**base, "g": g} for g in gs]
 
 
 @lru_cache(maxsize=4096)
@@ -190,6 +198,13 @@ def _product_subgroup(
     return SubgroupRef(product, ids, _checked=True)
 
 
+# The checks below that take ``gs`` decide every g of one instance shape in
+# one call.  A probability p_g(H, K) is the count final_counts(H, K, n, m)[g]
+# over the space size |H|^n |K|^m, so every equality and bound between
+# probabilities is an integer cross-multiplication of counts and sizes, and
+# each witness fraction is written by ``_ratio``.
+
+
 def check_multiplicativity(
     E: GroupTable,
     F: GroupTable,
@@ -199,93 +214,117 @@ def check_multiplicativity(
     D: SubgroupRef,
     n: int,
     m: int,
-    e: int,
-    f: int,
+    gs: Sequence[int],
     product: Optional[GroupTable] = None,
-) -> Finding:
+) -> list[Finding]:
     """p_(e,f)(A x C, B x D) on E x F against p_e(A, B) * p_f(C, D).
 
     A and B live in E, C and D in F (the x-block is A x C, the y-block
-    B x D); (a, c) has id a*|F| + c in the product.
+    B x D); (e, f) has id e*|F| + f in the product, and ``gs`` lists such
+    ids.  The product space is the product of the factor spaces, so the
+    equality is one of counts.
     """
     if product is None:
         product = groups.direct_product(E, F)
-    block_x = _product_subgroup(product, A, C)
-    block_y = _product_subgroup(product, B, D)
-    lhs = _p(block_x, block_y, n, m, e * F.order + f)
-    left = _p(A, B, n, m, e)
-    right = _p(C, D, n, m, f)
-    inst = {
-        "group": product.name,
-        "left_group": E.name,
-        "right_group": F.name,
-        "A": _mem(A),
-        "B": _mem(B),
-        "C": _mem(C),
-        "D": _mem(D),
-        "n": n,
-        "m": m,
-        "e": e,
-        "f": f,
-    }
-    witness = {
-        "product_prob": _frac(lhs),
-        "left_prob": _frac(left),
-        "right_prob": _frac(right),
-        "factor_product": _frac(left * right),
-    }
-    return Finding("P1", inst, HOLDS if lhs == left * right else VIOLATED, witness)
+    product_counts = engine.final_counts(
+        _product_subgroup(product, A, C), _product_subgroup(product, B, D), n, m
+    )
+    left_counts = engine.final_counts(A, B, n, m)
+    right_counts = engine.final_counts(C, D, n, m)
+    left_size = A.order**n * B.order**m
+    right_size = C.order**n * D.order**m
+    size = left_size * right_size
+    members = {"A": _mem(A), "B": _mem(B), "C": _mem(C), "D": _mem(D)}
+    findings = []
+    for g in gs:
+        e, f = divmod(g, F.order)
+        lhs, left, right = product_counts[g], left_counts[e], right_counts[f]
+        inst = {
+            "group": product.name,
+            "left_group": E.name,
+            "right_group": F.name,
+            **members,
+            "n": n,
+            "m": m,
+            "e": e,
+            "f": f,
+        }
+        witness = {
+            "product_prob": _ratio(lhs, size),
+            "left_prob": _ratio(left, left_size),
+            "right_prob": _ratio(right, right_size),
+            "factor_product": _ratio(left * right, size),
+        }
+        verdict = HOLDS if lhs == left * right else VIOLATED
+        findings.append(Finding("P1", inst, verdict, witness))
+    return findings
 
 
 def check_symmetry(
-    H: SubgroupRef, K: SubgroupRef, n: int, m: int, g: int
+    H: SubgroupRef, K: SubgroupRef, n: int, m: int, gs: Sequence[int]
 ) -> list[Finding]:
     """Swap symmetry, plus the extra equalities when H or K is normal.
 
     The headline verdict keeps the block lengths as written (n stays with
     the x-block after the swap); the reading that also swaps the exponents
-    is evaluated into the witness since the two differ for n != m.
+    is evaluated into the witness since the two differ for n != m.  Two
+    findings per g, P2a then P2b, sharing one instance.
     """
     G = H.parent
-    ginv = G.inverse(g)
-    lhs = _p(H, K, n, m, g)
-    as_written = _p(K, H, n, m, ginv)
-    exp_swapped = _p(K, H, m, n, ginv)
-    inst = _inst(G, H=_mem(H), K=_mem(K), n=n, m=m, g=g)
-    f_a = Finding(
-        "P2a",
-        inst,
-        HOLDS if lhs == as_written else VIOLATED,
-        {
-            "lhs": _frac(lhs),
-            "swapped_same_exponents": _frac(as_written),
-            "swapped_exponents_too": _frac(exp_swapped),
-            "exponent_swapped_equal": lhs == exp_swapped,
-        },
-    )
+    inv = G.inv
+    counts = engine.final_counts(H, K, n, m)
+    swapped_counts = engine.final_counts(K, H, n, m)
+    # (K, H, m, n) spans the same space as (H, K, n, m).
+    exp_swapped_counts = engine.final_counts(K, H, m, n)
+    size = H.order**n * K.order**m
+    swapped_size = K.order**n * H.order**m
     h_normal = groups.is_normal(G, H)
     k_normal = groups.is_normal(G, K)
-    if not (h_normal or k_normal):
-        f_b = Finding(
-            "P2b", inst, VACUOUS, {"H_normal": h_normal, "K_normal": k_normal}
+    findings = []
+    for g, inst in zip(gs, _g_insts(G, n, m, gs, H=_mem(H), K=_mem(K))):
+        ginv = int(inv[g])
+        lhs = counts[g]
+        as_written = swapped_counts[ginv]
+        exp_swapped = exp_swapped_counts[ginv]
+        lhs_text = _ratio(lhs, size)
+        findings.append(
+            Finding(
+                "P2a",
+                inst,
+                HOLDS if lhs * swapped_size == as_written * size else VIOLATED,
+                {
+                    "lhs": lhs_text,
+                    "swapped_same_exponents": _ratio(as_written, swapped_size),
+                    "swapped_exponents_too": _ratio(exp_swapped, size),
+                    "exponent_swapped_equal": lhs == exp_swapped,
+                },
+            )
         )
-    else:
-        swapped = _p(K, H, n, m, g)
-        inverted = _p(H, K, n, m, ginv)
-        ok = lhs == swapped and lhs == inverted
-        f_b = Finding(
-            "P2b",
-            inst,
-            HOLDS if ok else VIOLATED,
-            {
-                "H_normal": h_normal,
-                "K_normal": k_normal,
-                "lhs": _frac(lhs),
-                "swapped_subgroups": _frac(swapped),
-                "inverted_element": _frac(inverted),
-            },
+        if not (h_normal or k_normal):
+            findings.append(
+                Finding(
+                    "P2b", inst, VACUOUS, {"H_normal": h_normal, "K_normal": k_normal}
+                )
+            )
+            continue
+        swapped = swapped_counts[g]
+        inverted = counts[ginv]
+        ok = lhs * swapped_size == swapped * size and lhs == inverted
+        findings.append(
+            Finding(
+                "P2b",
+                inst,
+                HOLDS if ok else VIOLATED,
+                {
+                    "H_normal": h_normal,
+                    "K_normal": k_normal,
+                    "lhs": lhs_text,
+                    "swapped_subgroups": _ratio(swapped, swapped_size),
+                    "inverted_element": _ratio(inverted, size),
+                },
+            )
         )
-    return [f_a, f_b]
+    return findings
 
 
 def check_class_formula(H: SubgroupRef, K: SubgroupRef, n: int, m: int) -> Finding:
@@ -333,12 +372,12 @@ def check_class_formula(H: SubgroupRef, K: SubgroupRef, n: int, m: int) -> Findi
     witness.update(
         {
             "g": g,
-            "formula_value": _frac(Fraction(formula[g], size)),
-            "exact_value": _frac(Fraction(exact_counts[g], size)),
+            "formula_value": _ratio(formula[g], size),
+            "exact_value": _ratio(exact_counts[g], size),
         }
     )
     if counts[g] != exact_counts[g]:
-        witness["histogram_value"] = _frac(Fraction(counts[g], size))
+        witness["histogram_value"] = _ratio(counts[g], size)
     return Finding(tag, inst, VIOLATED, witness)
 
 
@@ -348,7 +387,8 @@ def check_c4(H: SubgroupRef, K: SubgroupRef, n: int, m: int) -> Finding:
     Hypothesis reading: the x-block support contains at least one
     non-identity value and every such value has |C_K(w)| = 1 (the identity
     is exempt, since its centralizer is all of K).  Anything else is
-    vacuous.
+    vacuous.  Over the space size |H|^n |K|^m the closed form is
+    |K|^m + |H|^n - 1.
     """
     G = H.parent
     dist = engine.comm_distribution(H, n)
@@ -365,17 +405,15 @@ def check_c4(H: SubgroupRef, K: SubgroupRef, n: int, m: int) -> Finding:
             VACUOUS,
             {"hypothesis": False, "nonidentity_support_count": len(nontrivial)},
         )
-    lhs = _p(H, K, n, m, 0)
-    rhs = (
-        Fraction(1, H.order**n)
-        + Fraction(1, K.order**m)
-        - Fraction(1, H.order**n * K.order**m)
-    )
+    x_size, y_size = H.order**n, K.order**m
+    lhs = engine.final_counts(H, K, n, m)[0]
+    rhs = x_size + y_size - 1
+    size = x_size * y_size
     return Finding(
         "C4",
         inst,
         HOLDS if lhs == rhs else VIOLATED,
-        {"hypothesis": True, "lhs": _frac(lhs), "rhs": _frac(rhs)},
+        {"hypothesis": True, "lhs": _ratio(lhs, size), "rhs": _ratio(rhs, size)},
     )
 
 
@@ -391,8 +429,8 @@ def _canonical_partition(class_of: Sequence[int]) -> list[int]:
 
 
 def check_monotonicity(
-    H: SubgroupRef, K: SubgroupRef, n: int, m: int, g: int
-) -> Finding:
+    H: SubgroupRef, K: SubgroupRef, n: int, m: int, gs: Sequence[int]
+) -> list[Finding]:
     """p_g(H, G) >= p_g(K, G) for H <= K, with the equality condition.
 
     On equality instances the witness records whether H- and K-conjugation
@@ -400,24 +438,36 @@ def check_monotonicity(
     by first occurrence so the class indexings do not matter.
     """
     G = H.parent
-    inst = _inst(G, H=_mem(H), K=_mem(K), n=n, m=m, g=g)
+    insts = _g_insts(G, n, m, gs, H=_mem(H), K=_mem(K))
     if not set(H.members) <= set(K.members):
-        return Finding(
-            "P4", inst, PRECONDITION_FAILED, {"reason": "H is not contained in K"}
-        )
+        return [
+            Finding(
+                "P4", inst, PRECONDITION_FAILED, {"reason": "H is not contained in K"}
+            )
+            for inst in insts
+        ]
     full = groups.full_subgroup(G)
-    lhs = _p(H, full, n, m, g)
-    rhs = _p(K, full, n, m, g)
-    witness = {
-        "smaller_subgroup_prob": _frac(lhs),
-        "larger_subgroup_prob": _frac(rhs),
-    }
-    if lhs == rhs:
-        same = _canonical_partition(
-            engine.conjugacy_info(H).class_of
-        ) == _canonical_partition(engine.conjugacy_info(K).class_of)
-        witness["class_partitions_match"] = same
-    return Finding("P4", inst, HOLDS if lhs >= rhs else VIOLATED, witness)
+    smaller = engine.final_counts(H, full, n, m)
+    larger = engine.final_counts(K, full, n, m)
+    smaller_size = H.order**n * G.order**m
+    larger_size = K.order**n * G.order**m
+    same: Optional[bool] = None
+    findings = []
+    for g, inst in zip(gs, insts):
+        lhs = smaller[g] * larger_size
+        rhs = larger[g] * smaller_size
+        witness = {
+            "smaller_subgroup_prob": _ratio(smaller[g], smaller_size),
+            "larger_subgroup_prob": _ratio(larger[g], larger_size),
+        }
+        if lhs == rhs:
+            if same is None:
+                same = _canonical_partition(
+                    engine.conjugacy_info(H).class_of
+                ) == _canonical_partition(engine.conjugacy_info(K).class_of)
+            witness["class_partitions_match"] = same
+        findings.append(Finding("P4", inst, HOLDS if lhs >= rhs else VIOLATED, witness))
+    return findings
 
 
 def check_quotient(
@@ -425,63 +475,102 @@ def check_quotient(
     N: SubgroupRef,
     n: int,
     m: int,
-    g: int,
+    gs: Sequence[int],
     quotient: Optional[tuple[GroupTable, np.ndarray]] = None,
-) -> Finding:
+) -> list[Finding]:
     """p_g(H, G) <= p at the image (g to its coset, H to its projection).
 
     When N meets the nested commutator subgroup trivially, equality is
     required as well; a strict inequality there counts as a violation.
     """
     G = H.parent
-    inst = _inst(G, H=_mem(H), N=_mem(N), n=n, m=m, g=g)
+    insts = _g_insts(G, n, m, gs, H=_mem(H), N=_mem(N))
+    reason = None
     if not groups.is_normal(G, N):
-        return Finding("P5", inst, PRECONDITION_FAILED, {"reason": "N is not normal"})
-    if not set(H.members) <= set(N.members):
-        return Finding(
-            "P5", inst, PRECONDITION_FAILED, {"reason": "H is not contained in N"}
-        )
+        reason = "N is not normal"
+    elif not set(H.members) <= set(N.members):
+        reason = "H is not contained in N"
+    if reason is not None:
+        return [
+            Finding("P5", inst, PRECONDITION_FAILED, {"reason": reason})
+            for inst in insts
+        ]
     Q, proj = quotient if quotient is not None else groups.quotient_group(G, N)
     full = groups.full_subgroup(G)
-    lhs = _p(H, full, n, m, g)
-    h_image = SubgroupRef(Q, {int(proj[x]) for x in H.members})
-    rhs = _p(h_image, groups.full_subgroup(Q), n, m, int(proj[g]))
+    # The image of a subgroup under the projection is a subgroup.
+    h_image = SubgroupRef(Q, {int(proj[x]) for x in H.members}, _checked=True)
+    sub = engine.final_counts(H, full, n, m)
+    quo = engine.final_counts(h_image, groups.full_subgroup(Q), n, m)
+    sub_size = H.order**n * G.order**m
+    quo_size = h_image.order**n * Q.order**m
     nested = engine.nested_commutator_subgroup(H, full, n, m)
     intersection = sorted(set(N.members) & set(nested.members))
     equality_required = intersection == [0]
-    ok = lhs <= rhs and (not equality_required or lhs == rhs)
-    witness = {
-        "subgroup_prob": _frac(lhs),
-        "quotient_prob": _frac(rhs),
-        "intersection_order": len(intersection),
-        "equality_required": equality_required,
-    }
-    return Finding("P5", inst, HOLDS if ok else VIOLATED, witness)
+    findings = []
+    for g, inst in zip(gs, insts):
+        coset = int(proj[g])
+        lhs = sub[g] * quo_size
+        rhs = quo[coset] * sub_size
+        ok = lhs <= rhs and (not equality_required or lhs == rhs)
+        witness = {
+            "subgroup_prob": _ratio(sub[g], sub_size),
+            "quotient_prob": _ratio(quo[coset], quo_size),
+            "intersection_order": len(intersection),
+            "equality_required": equality_required,
+        }
+        findings.append(Finding("P5", inst, HOLDS if ok else VIOLATED, witness))
+    return findings
 
 
-def check_chain(H: SubgroupRef, K: SubgroupRef, n: int, m: int, g: int) -> Finding:
-    """The four-link probability chain, each link witnessed separately."""
+def check_chain(
+    H: SubgroupRef, K: SubgroupRef, n: int, m: int, gs: Sequence[int]
+) -> list[Finding]:
+    """The four-link probability chain, each link witnessed separately.
+
+    The last two links, between identity probabilities, are the same for
+    every g of the cell.
+    """
     G = H.parent
     full = groups.full_subgroup(G)
-    whole = _p(full, full, n, m, g)
-    pair = _p(H, K, n, m, g)
-    pair_id = _p(H, K, n, m, 0)
-    ambient_id = _p(H, full, n, m, 0)
-    self_id = _p(H, H, n, m, 0)
-    links = [whole <= pair, pair <= pair_id, pair_id <= ambient_id, ambient_id <= self_id]
-    inst = _inst(G, H=_mem(H), K=_mem(K), n=n, m=m, g=g)
-    witness = {
-        "whole_group": _frac(whole),
-        "pair": _frac(pair),
-        "pair_identity": _frac(pair_id),
-        "ambient_identity": _frac(ambient_id),
-        "self_identity": _frac(self_id),
-        "links_hold": links,
-    }
-    return Finding("T2_CHAIN", inst, HOLDS if all(links) else VIOLATED, witness)
+    whole = engine.final_counts(full, full, n, m)
+    pair = engine.final_counts(H, K, n, m)
+    pair_id = pair[0]
+    ambient_id = engine.final_counts(H, full, n, m)[0]
+    self_id = engine.final_counts(H, H, n, m)[0]
+    whole_size = G.order ** (n + m)
+    pair_size = H.order**n * K.order**m
+    ambient_size = H.order**n * G.order**m
+    self_size = H.order ** (n + m)
+    identity_links = [
+        pair_id * ambient_size <= ambient_id * pair_size,
+        ambient_id * self_size <= self_id * ambient_size,
+    ]
+    pair_id_text = _ratio(pair_id, pair_size)
+    ambient_id_text = _ratio(ambient_id, ambient_size)
+    self_id_text = _ratio(self_id, self_size)
+    findings = []
+    for g, inst in zip(gs, _g_insts(G, n, m, gs, H=_mem(H), K=_mem(K))):
+        links = [
+            whole[g] * pair_size <= pair[g] * whole_size,
+            pair[g] <= pair_id,
+            *identity_links,
+        ]
+        witness = {
+            "whole_group": _ratio(whole[g], whole_size),
+            "pair": _ratio(pair[g], pair_size),
+            "pair_identity": pair_id_text,
+            "ambient_identity": ambient_id_text,
+            "self_identity": self_id_text,
+            "links_hold": links,
+        }
+        verdict = HOLDS if all(links) else VIOLATED
+        findings.append(Finding("T2_CHAIN", inst, verdict, witness))
+    return findings
 
 
-def check_c5(H: SubgroupRef, K: SubgroupRef, n: int, g: int) -> Finding:
+def check_c5(
+    H: SubgroupRef, K: SubgroupRef, n: int, gs: Sequence[int]
+) -> list[Finding]:
     """(2^n - 1)/2^n bound at m = 1 under a trivial ambient center.
 
     Tested as stated (hypothesis on Z(G), taken as C_G(G)); the witness
@@ -492,62 +581,82 @@ def check_c5(H: SubgroupRef, K: SubgroupRef, n: int, g: int) -> Finding:
     full = groups.full_subgroup(G)
     z_g = _mutual_centralizer(full, full)
     z_h = _mutual_centralizer(H, H)
-    lhs = _p(H, K, n, 1, g)
-    bound = Fraction(2**n - 1, 2**n)
-    inst = _inst(G, H=_mem(H), K=_mem(K), n=n, m=1, g=g)
-    witness = {
-        "lhs": _frac(lhs),
-        "bound": _frac(bound),
-        "center_order": z_g.order,
-        "subgroup_center_order": z_h.order,
-    }
-    if z_h.is_trivial:
-        witness["variant_subgroup_center_holds"] = bool(lhs <= bound)
-    if not z_g.is_trivial:
-        return Finding("C5", inst, VACUOUS, witness)
-    return Finding("C5", inst, HOLDS if lhs <= bound else VIOLATED, witness)
+    counts = engine.final_counts(H, K, n, 1)
+    size = H.order**n * K.order
+    bound_num, bound_den = 2**n - 1, 2**n
+    bound = _ratio(bound_num, bound_den)
+    findings = []
+    for g, inst in zip(gs, _g_insts(G, n, 1, gs, H=_mem(H), K=_mem(K))):
+        below = counts[g] * bound_den <= bound_num * size
+        witness = {
+            "lhs": _ratio(counts[g], size),
+            "bound": bound,
+            "center_order": z_g.order,
+            "subgroup_center_order": z_h.order,
+        }
+        if z_h.is_trivial:
+            witness["variant_subgroup_center_holds"] = below
+        if not z_g.is_trivial:
+            verdict = VACUOUS
+        else:
+            verdict = HOLDS if below else VIOLATED
+        findings.append(Finding("C5", inst, verdict, witness))
+    return findings
 
 
 def check_t3(
-    H: SubgroupRef, K: SubgroupRef, n: int, m: int, g: int
+    H: SubgroupRef, K: SubgroupRef, n: int, m: int, gs: Sequence[int]
 ) -> list[Finding]:
-    """Both smallest-prime bounds on one instance."""
+    """Both smallest-prime bounds; two findings per g, T3i then T3ii.
+
+    The T3ii bound has the space size |H|^n |K|^m as its denominator, so
+    it is compared with the count directly.
+    """
     G = H.parent
-    inst = _inst(G, H=_mem(H), K=_mem(K), n=n, m=m, g=g)
+    insts = _g_insts(G, n, m, gs, H=_mem(H), K=_mem(K))
     if G.order == 1:
-        reason = {"reason": "no prime divides the trivial group order"}
+        reason = "no prime divides the trivial group order"
         return [
-            Finding("T3i", inst, PRECONDITION_FAILED, dict(reason)),
-            Finding("T3ii", inst, PRECONDITION_FAILED, dict(reason)),
+            Finding(tag, inst, PRECONDITION_FAILED, {"reason": reason})
+            for inst in insts
+            for tag in ("T3i", "T3ii")
         ]
     p = groups.smallest_prime_divisor(G)
-    lhs = _p(H, K, n, m, g)
-    upper = Fraction(2 * p**n + p - 2, p ** (m + n))
-    f_upper = Finding(
-        "T3i",
-        inst,
-        HOLDS if lhs <= upper else VIOLATED,
-        {"lhs": _frac(lhs), "bound": _frac(upper), "prime": p},
-    )
+    counts = engine.final_counts(H, K, n, m)
+    size = H.order**n * K.order**m
+    upper_num, upper_den = 2 * p**n + p - 2, p ** (m + n)
+    upper = _ratio(upper_num, upper_den)
     y = engine.y_set_size(H, K, n)
     c = _mutual_centralizer(H, K).order
-    lower = Fraction(
-        (1 - p) * y + p * H.order**n - (K.order + p) * c**n,
-        H.order**n * K.order**m,
-    )
-    f_lower = Finding(
-        "T3ii",
-        inst,
-        HOLDS if lhs >= lower else VIOLATED,
-        {
-            "lhs": _frac(lhs),
-            "bound": _frac(lower),
-            "prime": p,
-            "y_tuple_count": y,
-            "mutual_centralizer_order": c,
-        },
-    )
-    return [f_upper, f_lower]
+    lower_num = (1 - p) * y + p * H.order**n - (K.order + p) * c**n
+    lower = _ratio(lower_num, size)
+    findings = []
+    for g, inst in zip(gs, insts):
+        lhs = counts[g]
+        lhs_text = _ratio(lhs, size)
+        findings.append(
+            Finding(
+                "T3i",
+                inst,
+                HOLDS if lhs * upper_den <= upper_num * size else VIOLATED,
+                {"lhs": lhs_text, "bound": upper, "prime": p},
+            )
+        )
+        findings.append(
+            Finding(
+                "T3ii",
+                inst,
+                HOLDS if lhs >= lower_num else VIOLATED,
+                {
+                    "lhs": lhs_text,
+                    "bound": lower,
+                    "prime": p,
+                    "y_tuple_count": y,
+                    "mutual_centralizer_order": c,
+                },
+            )
+        )
+    return findings
 
 
 def check_c6(H: SubgroupRef, K: SubgroupRef, n: int, m: int) -> Finding:
@@ -567,29 +676,27 @@ def check_c6(H: SubgroupRef, K: SubgroupRef, n: int, m: int) -> Finding:
             {"reason": "no prime divides the trivial group order"},
         )
     p = groups.smallest_prime_divisor(G)
-    upper = Fraction(2 * p**n + p - 2, p ** (m + n))
-    size = H.order**n * K.order**m
+    upper_num, upper_den = 2 * p**n + p - 2, p ** (m + n)
+    upper = _ratio(upper_num, upper_den)
+    target = upper_num * H.order**n * K.order**m
     counts = engine.final_counts(H, K, n, m)
-    equality_gs = [
-        g for g in range(G.order) if Fraction(counts[g], size) == upper
-    ]
+    equality_gs = [g for g, c in enumerate(counts) if c * upper_den == target]
     if not equality_gs:
-        return Finding(
-            "C6", inst, VACUOUS, {"bound": _frac(upper), "equality_elements": []}
-        )
+        return Finding("C6", inst, VACUOUS, {"bound": upper, "equality_elements": []})
     index = H.order // _mutual_centralizer(H, K).order
-    rhs = Fraction(2 * (p ** (n + 1) - p**3 + p) - p**2, 2 * (2 * p**2 + p - 2))
-    holds = Fraction(index**n) <= rhs
+    rhs_num = 2 * (p ** (n + 1) - p**3 + p) - p**2
+    rhs_den = 2 * (2 * p**2 + p - 2)
+    holds = index**n * rhs_den <= rhs_num
     return Finding(
         "C6",
         inst,
         HOLDS if holds else VIOLATED,
         {
-            "bound": _frac(upper),
+            "bound": upper,
             "equality_elements": equality_gs[:8],
             "index": index,
             "index_power": index**n,
-            "rhs_power": _frac(rhs),
+            "rhs_power": _ratio(rhs_num, rhs_den),
         },
     )
 
@@ -604,18 +711,19 @@ def check_frob_bound(H: SubgroupRef, table: chartab.CharacterTable) -> Finding:
     G = table.group
     full = groups.full_subgroup(G)
     index = G.order // H.order
-    bound = index * engine.commutativity_degree(G).value
+    # d(G) is the commuting-pair count over |G|^2.
+    bound_num = index * engine.final_counts(full, full, 1, 1)[0]
+    bound_den = G.order**2
     counts = engine.final_counts(H, full, 1, 1)
-    size = H.order * G.order
-    values = [Fraction(c, size) for c in counts]
-    violating = [g for g, v in enumerate(values) if v > bound]
-    equality_gs = [g for g, v in enumerate(values) if v == bound]
+    target = bound_num * H.order * G.order
+    violating = [g for g, c in enumerate(counts) if c * bound_den > target]
+    equality_gs = [g for g, c in enumerate(counts) if c * bound_den == target]
     all_vanish = all(
         chartab.vanishes_outside(table, i, H) for i in range(table.n_classes)
     )
     inst = _inst(G, H=_mem(H))
     witness = {
-        "bound": _frac(bound),
+        "bound": _ratio(bound_num, bound_den),
         "index": index,
         "violating_elements": violating[:8],
         "equality_elements": equality_gs[:8],
@@ -656,16 +764,14 @@ def check_remark_r1(
 ) -> list[Finding]:
     """Support and triviality characterizations of the probability.
 
-    The value set is recomputed by plain set reachability (element-by-
-    element commutators, no counting), so the comparison does not share
-    the histogram recurrence with the side being tested.
+    The value set is recomputed by plain set reachability (commutator
+    blocks as the brute oracle forms them, no counting), so the comparison
+    does not share the histogram recurrence with the side being tested.
     """
     G = H.parent
     counts = engine.final_counts(H, K, n, m)
     support = {g for g, c in enumerate(counts) if c}
-    reach = set(H.members)
-    for pool in [H.members] * (n - 1) + [K.members] * m:
-        reach = {engine.commutator(G, w, x) for w in reach for x in pool}
+    reach = set(_reachable_values(H, K, n, m).tolist())
     inst = _inst(G, H=_mem(H), K=_mem(K), n=n, m=m)
     f_support = Finding(
         "R1a",
@@ -678,19 +784,38 @@ def check_remark_r1(
             "reachable_minus_support": sorted(reach - support)[:8],
         },
     )
-    p_identity = Fraction(counts[0], H.order**n * K.order**m)
+    size = H.order**n * K.order**m
     value_subgroup = engine.nested_commutator_subgroup(H, K, n, m)
-    ok = (p_identity == 1) == value_subgroup.is_trivial
+    ok = (counts[0] == size) == value_subgroup.is_trivial
     f_trivial = Finding(
         "R1b",
         inst,
         HOLDS if ok else VIOLATED,
         {
-            "prob_identity": _frac(p_identity),
+            "prob_identity": _ratio(counts[0], size),
             "value_subgroup_order": value_subgroup.order,
         },
     )
     return [f_support, f_trivial]
+
+
+def _reachable_values(H: SubgroupRef, K: SubgroupRef, n: int, m: int) -> np.ndarray:
+    """Sorted ids of every [x1, ..., xn, y1, ..., ym] over H^n x K^m.
+
+    Each slot replaces the value set by the commutators of its values with
+    the slot's subgroup, formed in row chunks of ``engine._comm_block`` and
+    gathered in a mask over the group.
+    """
+    G = H.parent
+    reach = np.asarray(H.members, dtype=np.int32)
+    for pool in [H] * (n - 1) + [K] * m:
+        cols = np.asarray(pool.members, dtype=np.int32)
+        step = max(1, engine._CHUNK // cols.size)
+        seen = np.zeros(G.order, dtype=bool)
+        for lo in range(0, reach.size, step):
+            seen[engine._comm_block(G, reach[lo : lo + step], cols)] = True
+        reach = np.flatnonzero(seen)
+    return reach
 
 
 def check_eq3(table: chartab.CharacterTable) -> Finding:
@@ -719,9 +844,12 @@ def check_eq3(table: chartab.CharacterTable) -> Finding:
 def check_eq4(table: chartab.CharacterTable) -> Finding:
     """Irreducible count vs class count, and d(G) = k(G)/|G| exactly."""
     G = table.group
-    k = len(engine.conjugacy_info(groups.full_subgroup(G)).classes)
-    degree = engine.commutativity_degree(G).value
-    ok = table.n_classes == k and degree == Fraction(k, G.order)
+    full = groups.full_subgroup(G)
+    k = len(engine.conjugacy_info(full).classes)
+    # d(G) is the commuting-pair count over |G|^2.
+    commuting = engine.final_counts(full, full, 1, 1)[0]
+    size = G.order**2
+    ok = table.n_classes == k and commuting * G.order == k * size
     return Finding(
         "EQ4",
         {"group": G.name},
@@ -729,8 +857,8 @@ def check_eq4(table: chartab.CharacterTable) -> Finding:
         {
             "irreducible_count": table.n_classes,
             "class_count": k,
-            "commuting_probability": _frac(degree),
-            "class_ratio": _frac(Fraction(k, G.order)),
+            "commuting_probability": _ratio(commuting, size),
+            "class_ratio": _ratio(k, G.order),
         },
     )
 
@@ -1143,6 +1271,18 @@ def _sort_findings(findings: list[Finding]) -> None:
     findings.sort(key=sort_key)
 
 
+@contextmanager
+def _collector_paused() -> Iterator[None]:
+    """Pause the cyclic garbage collector, restoring its state after."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
 def run_battery(config: AuditConfig) -> AuditReport:
     """Execute every selected check on every instance the config describes.
 
@@ -1177,72 +1317,75 @@ def run_battery(config: AuditConfig) -> AuditReport:
             if f.claim in selected:
                 findings.append(f)
 
-    for spec in config.groups:
-        G = groupspec.parse_group_spec(spec, max_order=config.max_order)
-        pool = _subgroup_pool(G, config)
-        full = groups.full_subgroup(G)
-        for H in pool:
-            for K in pool:
-                for n, m in cells:
-                    for name in _CELL_CHECKS:
-                        run(name, H, K, n, m)
-                    if per_g:
-                        for g in _g_values(H, K, n, m, config):
-                            for name in per_g:
-                                run(name, H, K, n, m, g)
-                if "check_monotonicity" in active and set(H.members) <= set(K.members):
-                    for n, m in cells:
-                        for g in _g_values(H, full, n, m, config):
-                            run("check_monotonicity", H, K, n, m, g)
-                if "check_c5" in active:
-                    for n in config.n_values:
-                        for g in _g_values(H, K, n, 1, config):
-                            run("check_c5", H, K, n, g)
-        if "check_quotient" in active:
-            for N in pool:
-                if not groups.is_normal(G, N):
-                    continue
-                quotient = groups.quotient_group(G, N)
-                for H in pool:
-                    if set(H.members) <= set(N.members):
-                        for n, m in cells:
-                            for g in _g_values(H, full, n, m, config):
-                                run("check_quotient", H, N, n, m, g, quotient)
-        if active & _TABLE_CHECKS:
-            table = chartab.character_table(G, seed=config.seed)
+    # Findings accumulate for the whole walk and form no reference cycles,
+    # so full cyclic collections during it only re-traverse them: about a
+    # tenth of the default battery's time.
+    with _collector_paused():
+        for spec in config.groups:
+            G = groupspec.parse_group_spec(spec, max_order=config.max_order)
+            pool = _subgroup_pool(G, config)
+            full = groups.full_subgroup(G)
             for H in pool:
-                run("check_frob_bound", H, table)
-                for n, m in cells:
-                    run("check_zeta_character", H, n, m, table)
-                if groups.is_normal(G, H):
-                    run("check_eq7", H, table)
-            for name in _GROUP_CHECKS:
-                run(name, table)
+                for K in pool:
+                    for n, m in cells:
+                        for name in _CELL_CHECKS:
+                            run(name, H, K, n, m)
+                        if per_g:
+                            gs = _g_values(H, K, n, m, config)
+                            for name in per_g:
+                                run(name, H, K, n, m, gs)
+                    nested = set(H.members) <= set(K.members)
+                    if "check_monotonicity" in active and nested:
+                        for n, m in cells:
+                            gs = _g_values(H, full, n, m, config)
+                            run("check_monotonicity", H, K, n, m, gs)
+                    if "check_c5" in active:
+                        for n in config.n_values:
+                            run("check_c5", H, K, n, _g_values(H, K, n, 1, config))
+            if "check_quotient" in active:
+                for N in pool:
+                    if not groups.is_normal(G, N):
+                        continue
+                    quotient = groups.quotient_group(G, N)
+                    for H in pool:
+                        if set(H.members) <= set(N.members):
+                            for n, m in cells:
+                                gs = _g_values(H, full, n, m, config)
+                                run("check_quotient", H, N, n, m, gs, quotient)
+            if active & _TABLE_CHECKS:
+                table = chartab.character_table(G, seed=config.seed)
+                for H in pool:
+                    run("check_frob_bound", H, table)
+                    for n, m in cells:
+                        run("check_zeta_character", H, n, m, table)
+                    if groups.is_normal(G, H):
+                        run("check_eq7", H, table)
+                for name in _GROUP_CHECKS:
+                    run(name, table)
 
-    if "check_multiplicativity" in active:
-        for left_spec, right_spec in config.product_pairs:
-            E = groupspec.parse_group_spec(left_spec, max_order=config.max_order)
-            F = groupspec.parse_group_spec(right_spec, max_order=config.max_order)
-            product = groups.direct_product(E, F, max_order=config.max_order)
-            full_e, full_f = groups.full_subgroup(E), groups.full_subgroup(F)
-            combos = [(full_e, full_e, full_f, full_f)]
-            prop_e, prop_f = _first_proper(E), _first_proper(F)
-            if prop_e is not None or prop_f is not None:
-                combos.append(
-                    (prop_e or full_e, full_e, full_f, prop_f or full_f)
-                )
-            for A, B, C, D in combos:
-                block_x = _product_subgroup(product, A, C)
-                block_y = _product_subgroup(product, B, D)
-                for n, m in cells:
-                    for gid in _g_values(block_x, block_y, n, m, config):
-                        e, f = divmod(gid, F.order)
+        if "check_multiplicativity" in active:
+            for left_spec, right_spec in config.product_pairs:
+                E = groupspec.parse_group_spec(left_spec, max_order=config.max_order)
+                F = groupspec.parse_group_spec(right_spec, max_order=config.max_order)
+                product = groups.direct_product(E, F, max_order=config.max_order)
+                full_e, full_f = groups.full_subgroup(E), groups.full_subgroup(F)
+                combos = [(full_e, full_e, full_f, full_f)]
+                prop_e, prop_f = _first_proper(E), _first_proper(F)
+                if prop_e is not None or prop_f is not None:
+                    combos.append(
+                        (prop_e or full_e, full_e, full_f, prop_f or full_f)
+                    )
+                for A, B, C, D in combos:
+                    block_x = _product_subgroup(product, A, C)
+                    block_y = _product_subgroup(product, B, D)
+                    for n, m in cells:
+                        gs = _g_values(block_x, block_y, n, m, config)
                         run(
                             "check_multiplicativity",
-                            E, F, A, B, C, D, n, m, e, f, product,
+                            E, F, A, B, C, D, n, m, gs, product,
                         )
 
-    _sort_findings(findings)
+        _sort_findings(findings)
     summary: dict[str, dict[str, int]] = {}
     for f in findings:
         per_claim = summary.setdefault(f.claim, {})

@@ -527,22 +527,27 @@ def _cmd_audit(args: argparse.Namespace) -> int:
 def _write_audit(
     fp: TextIO, report: audit.AuditReport, args: argparse.Namespace
 ) -> None:
-    """The report in ``args.output`` form plus a newline; JSON is streamed."""
+    """The report in ``args.output`` form plus a newline.
+
+    JSON and CSV are written one finding at a time.
+    """
     if args.output == "csv":
-        rows = [
-            [
-                f.claim,
-                f.verdict,
-                json.dumps(f.instance, sort_keys=True),
-                json.dumps(f.witness, sort_keys=True),
-            ]
-            + ([round(f.runtime_ms, 3)] if args.timings else [])
-            for f in report.findings
-        ]
-        header = ["claim", "verdict", "instance", "witness"] + (
-            ["runtime_ms"] if args.timings else []
+        # Each row ends in a newline, the last one included.
+        writer = csv.writer(fp, lineterminator="\n")
+        writer.writerow(
+            ["claim", "verdict", "instance", "witness"]
+            + (["runtime_ms"] if args.timings else [])
         )
-        fp.write(_emit_csv(header, rows))
+        for f in report.findings:
+            writer.writerow(
+                [
+                    f.claim,
+                    f.verdict,
+                    json.dumps(f.instance, sort_keys=True),
+                    json.dumps(f.witness, sort_keys=True),
+                ]
+                + ([round(f.runtime_ms, 3)] if args.timings else [])
+            )
     elif args.output == "table":
         lines = [f"{'claim':<12} holds violated vacuous precondition_failed"]
         for claim in sorted(report.summary):
@@ -555,10 +560,10 @@ def _write_audit(
             )
         hard = report.hard_violations()
         lines.append(f"findings: {len(report.findings)}, hard violations: {len(hard)}")
-        fp.write("\n".join(lines))
+        fp.write("\n".join(lines) + "\n")
     else:
         report.write(fp, include_runtime=args.timings)
-    fp.write("\n")
+        fp.write("\n")
 
 
 _HANDLERS = {

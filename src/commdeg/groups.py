@@ -400,7 +400,7 @@ class SubgroupRef:
     construction guarantees it; normality is computed lazily and cached.
     """
 
-    __slots__ = ("parent", "members", "_member_set", "_normal")
+    __slots__ = ("parent", "members", "_member_set", "_normal", "_hash")
 
     def __init__(
         self, parent: GroupTable, members: Iterable[int], _checked: bool = False
@@ -423,6 +423,8 @@ class SubgroupRef:
         self.members = mem
         self._member_set = frozenset(mem)
         self._normal: Optional[bool] = None
+        # Hashed once: a SubgroupRef keys the engine's caches on every call.
+        self._hash = hash((id(parent), mem))
 
     @property
     def order(self) -> int:
@@ -447,7 +449,7 @@ class SubgroupRef:
         )
 
     def __hash__(self) -> int:
-        return hash((id(self.parent), self.members))
+        return self._hash
 
     def __repr__(self) -> str:
         return f"<SubgroupRef order {self.order} of {self.parent.name}>"
@@ -562,14 +564,23 @@ def conjugacy(G: GroupTable, K: SubgroupRef) -> ConjugacyInfo:
 
 
 def center(G: GroupTable) -> SubgroupRef:
-    """Z(G): the elements whose centralizer in G is all of G.
+    """Z(G): the elements whose row of ``mul`` equals their column.
 
-    Read off the G-conjugacy classes, which touch O(|G|) table entries per
-    class instead of comparing the whole table with its transpose.
+    Each block of _CHECK_BLOCK rows is compared with the same columns,
+    copied out transposed one square tile at a time as ``_check_latin``
+    does, so the scratch is O(_CHECK_BLOCK * N).
     """
-    info = conjugacy(G, full_subgroup(G))
-    mask = info.centralizer_order == G.order
-    return SubgroupRef(G, np.flatnonzero(mask), _checked=True)
+    mul = G.mul
+    n = G.order
+    step = _CHECK_BLOCK
+    central = np.empty(n, dtype=bool)
+    buf = np.empty((min(step, n), n), dtype=np.int32)
+    for lo in range(0, n, step):
+        block = buf[: min(step, n - lo)]
+        for r in range(0, n, step):
+            block[:, r : r + step] = mul[r : r + step, lo : lo + step].T
+        central[lo : lo + step] = (block == mul[lo : lo + step]).all(axis=1)
+    return SubgroupRef(G, np.flatnonzero(central), _checked=True)
 
 
 def quotient_group(

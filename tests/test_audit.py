@@ -1,4 +1,5 @@
 import dataclasses
+import gc
 import hashlib
 import io
 import json
@@ -6,6 +7,8 @@ import tracemalloc
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from commdeg import audit, chartab, engine, groups
 from commdeg.engine import CommDistribution, CommParams
@@ -45,7 +48,7 @@ def test_class_formula_weight_three_witness(s3):
 
 def test_monotonicity_violation_at_a3(s3, a3_in_s3):
     full = groups.full_subgroup(s3)
-    f = audit.check_monotonicity(a3_in_s3, full, 1, 1, 1)
+    [f] = audit.check_monotonicity(a3_in_s3, full, 1, 1, [1])
     assert f.verdict == audit.VIOLATED
     assert f.witness["smaller_subgroup_prob"] == "1/6"
     assert f.witness["larger_subgroup_prob"] == "1/4"
@@ -53,16 +56,16 @@ def test_monotonicity_violation_at_a3(s3, a3_in_s3):
 
 def test_monotonicity_holds_at_identity(s3, a3_in_s3):
     full = groups.full_subgroup(s3)
-    f = audit.check_monotonicity(a3_in_s3, full, 1, 1, 0)
+    [f] = audit.check_monotonicity(a3_in_s3, full, 1, 1, [0])
     assert f.verdict == audit.HOLDS
-    g = audit.check_monotonicity(a3_in_s3, a3_in_s3, 1, 1, 0)
+    [g] = audit.check_monotonicity(a3_in_s3, a3_in_s3, 1, 1, [0])
     assert g.verdict == audit.HOLDS
     assert g.witness["class_partitions_match"] is True
 
 
 def test_monotonicity_requires_containment(s3):
-    f = audit.check_monotonicity(
-        members(s3, 2), members(s3, 4), 1, 1, 0
+    [f] = audit.check_monotonicity(
+        members(s3, 2), members(s3, 4), 1, 1, [0]
     )
     assert f.verdict == audit.PRECONDITION_FAILED
 
@@ -70,22 +73,22 @@ def test_monotonicity_requires_containment(s3):
 def test_symmetry_weight_two_always_holds(s3, a3_in_s3):
     flip = members(s3, 2)
     for g in range(s3.order):
-        f_a, f_b = audit.check_symmetry(a3_in_s3, flip, 1, 1, g)
+        f_a, f_b = audit.check_symmetry(a3_in_s3, flip, 1, 1, [g])
         assert f_a.verdict == audit.HOLDS
         assert f_b.verdict == audit.HOLDS
 
 
 def test_symmetry_vacuous_without_normality(s3):
-    _, f_b = audit.check_symmetry(members(s3, 2), members(s3, 4), 1, 1, 0)
+    _, f_b = audit.check_symmetry(members(s3, 2), members(s3, 4), 1, 1, [0])
     assert f_b.verdict == audit.VACUOUS
 
 
 def test_chain_link_three_fails_for_a3_pair(s3, a3_in_s3):
-    f = audit.check_chain(a3_in_s3, a3_in_s3, 1, 1, 0)
+    [f] = audit.check_chain(a3_in_s3, a3_in_s3, 1, 1, [0])
     assert f.verdict == audit.VIOLATED
     assert f.witness["links_hold"] == [True, True, False, True]
     full = groups.full_subgroup(s3)
-    f = audit.check_chain(full, full, 1, 1, 0)
+    [f] = audit.check_chain(full, full, 1, 1, [0])
     assert f.verdict == audit.HOLDS
 
 
@@ -102,19 +105,19 @@ def test_c4_vacuous_when_centralizers_are_big(s3):
 
 
 def test_c5_bound(s3, q8, a3_in_s3):
-    f = audit.check_c5(a3_in_s3, a3_in_s3, 1, 0)
+    [f] = audit.check_c5(a3_in_s3, a3_in_s3, 1, [0])
     assert f.verdict == audit.VIOLATED
     assert f.witness["subgroup_center_order"] == 3
-    f = audit.check_c5(groups.full_subgroup(s3), groups.full_subgroup(s3), 1, 2)
+    [f] = audit.check_c5(groups.full_subgroup(s3), groups.full_subgroup(s3), 1, [2])
     assert f.verdict == audit.HOLDS
-    f = audit.check_c5(groups.full_subgroup(q8), groups.full_subgroup(q8), 1, 0)
+    [f] = audit.check_c5(groups.full_subgroup(q8), groups.full_subgroup(q8), 1, [0])
     assert f.verdict == audit.VACUOUS
 
 
 def test_t3_bounds():
     c3 = groups.named_group("C", 3)
     triv = groups.trivial_subgroup(c3)
-    upper, lower = audit.check_t3(triv, triv, 1, 1, 0)
+    upper, lower = audit.check_t3(triv, triv, 1, 1, [0])
     assert upper.claim == "T3i" and upper.verdict == audit.VIOLATED
     assert upper.witness == {
         "lhs": "1/1",
@@ -125,7 +128,7 @@ def test_t3_bounds():
 
     c1 = groups.named_group("C", 1)
     t = groups.trivial_subgroup(c1)
-    upper, lower = audit.check_t3(t, t, 1, 1, 0)
+    upper, lower = audit.check_t3(t, t, 1, 1, [0])
     assert upper.verdict == audit.PRECONDITION_FAILED
     assert lower.verdict == audit.PRECONDITION_FAILED
 
@@ -147,19 +150,19 @@ def test_c6_vacuous_without_equality(s3):
 
 
 def test_quotient_claim(s3, a3_in_s3):
-    f = audit.check_quotient(a3_in_s3, a3_in_s3, 1, 1, 0)
+    [f] = audit.check_quotient(a3_in_s3, a3_in_s3, 1, 1, [0])
     assert f.verdict == audit.HOLDS
-    f = audit.check_quotient(a3_in_s3, a3_in_s3, 1, 1, 1)
+    [f] = audit.check_quotient(a3_in_s3, a3_in_s3, 1, 1, [1])
     assert f.verdict == audit.HOLDS
     assert f.witness["equality_required"] is False
     # abelian full pair: nested values are trivial, so equality is required
     # at every g in N, but a non-identity g has probability 0 on the left
     c4 = groups.named_group("C", 4)
     full = groups.full_subgroup(c4)
-    f = audit.check_quotient(full, full, 1, 1, 1)
+    [f] = audit.check_quotient(full, full, 1, 1, [1])
     assert f.verdict == audit.VIOLATED
     assert f.witness["equality_required"] is True
-    f = audit.check_quotient(members(s3, 2), a3_in_s3, 1, 1, 0)
+    [f] = audit.check_quotient(members(s3, 2), a3_in_s3, 1, 1, [0])
     assert f.verdict == audit.PRECONDITION_FAILED
 
 
@@ -177,21 +180,23 @@ def test_remark_support_and_triviality(s3, a3_in_s3):
 
 def test_multiplicativity_exact(s3, q8):
     c2 = groups.named_group("C", 2)
-    f = audit.check_multiplicativity(
+    # (e, f) = (1, 0) has id e*|F| + f in the product.
+    [f] = audit.check_multiplicativity(
         c2,
         c2,
         *(groups.full_subgroup(c2),) * 4,
         n=1,
         m=1,
-        e=1,
-        f=0,
+        gs=[1 * c2.order + 0],
     )
+    assert (f.instance["e"], f.instance["f"]) == (1, 0)
     assert f.verdict == audit.HOLDS
     full_s3 = groups.full_subgroup(s3)
     full_q8 = groups.full_subgroup(q8)
-    f = audit.check_multiplicativity(
-        s3, q8, full_s3, full_s3, full_q8, full_q8, 1, 1, 1, 3
+    [f] = audit.check_multiplicativity(
+        s3, q8, full_s3, full_s3, full_q8, full_q8, 1, 1, [1 * q8.order + 3]
     )
+    assert (f.instance["e"], f.instance["f"]) == (1, 3)
     assert f.verdict == audit.HOLDS
     lhs = Fraction(*map(int, f.witness["product_prob"].split("/")))
     # p of a 3-cycle in S3 is 1/4; p of -1 in Q8 is 1 - d(Q8) = 3/8
@@ -315,6 +320,39 @@ def test_every_claim_is_registered_to_one_check():
     assert list(audit._CHECK_CLAIMS) == exported
     tags = [tag for claims in audit._CHECK_CLAIMS.values() for tag in claims]
     assert sorted(tags) == sorted(audit.CLAIMS)
+
+
+@given(st.integers(-(10**30), 10**30), st.integers(1, 10**30))
+@example(0, 7)
+@example(-6, 4)
+@example(12, 18)
+def test_ratio_text_is_the_fraction_text(c, s):
+    fraction = Fraction(c, s)
+    assert audit._ratio(c, s) == f"{fraction.numerator}/{fraction.denominator}"
+
+
+def test_battery_never_builds_a_per_g_probability(monkeypatch):
+    # Every check decides its g from count vectors, so the per-g
+    # probability route of the engine is never reached.
+    def refuse(*args, **kwargs):
+        raise AssertionError("per-g probability route reached")
+
+    monkeypatch.setattr(engine, "prob_fast", refuse)
+    monkeypatch.setattr(engine, "CommParams", refuse)
+    config = audit.AuditConfig(groups=("S3", "D4", "Q8", "S3xC2"))
+    report = audit.run_battery(config)
+    assert {f.claim for f in report.findings} == set(audit.CLAIMS)
+
+
+def test_battery_restores_the_collector_state():
+    config = audit.AuditConfig(groups=("C2",), claims=("EQ4",))
+    try:
+        for enabled in (True, False):
+            (gc.enable if enabled else gc.disable)()
+            audit.run_battery(config)
+            assert gc.isenabled() is enabled
+    finally:
+        gc.enable()
 
 
 def _finding_json(findings):

@@ -1,8 +1,11 @@
+import argparse
+import io
 import json
 import os
 import resource
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -415,6 +418,57 @@ def test_audit_csv_flattening(capsys):
     lines = out.splitlines()
     assert lines[0] == "claim,verdict,instance,witness"
     assert lines[1].startswith("EQ4,holds,")
+
+
+@pytest.fixture(scope="module")
+def s3_d4_report():
+    return audit.run_battery(audit.AuditConfig(groups=("S3", "D4")))
+
+
+def _csv_text_in_one_piece(report, timings):
+    # Every row first, then the whole text through cli._emit_csv.
+    rows = [
+        [
+            f.claim,
+            f.verdict,
+            json.dumps(f.instance, sort_keys=True),
+            json.dumps(f.witness, sort_keys=True),
+        ]
+        + ([round(f.runtime_ms, 3)] if timings else [])
+        for f in report.findings
+    ]
+    header = ["claim", "verdict", "instance", "witness"] + (
+        ["runtime_ms"] if timings else []
+    )
+    return cli._emit_csv(header, rows) + "\n"
+
+
+def test_audit_csv_rows_are_the_one_piece_text(s3_d4_report):
+    for timings in (False, True):
+        sink = io.StringIO()
+        args = argparse.Namespace(output="csv", timings=timings)
+        cli._write_audit(sink, s3_d4_report, args)
+        assert sink.getvalue() == _csv_text_in_one_piece(s3_d4_report, timings)
+
+
+class _Discard:
+    def write(self, text):
+        pass
+
+
+def test_audit_csv_write_peak_memory(s3_d4_report):
+    # Writing row by row holds one row at a time, plus the csv module's
+    # 128 KiB record buffer; building the rows or the text first would
+    # peak above the text's length.
+    size = len(_csv_text_in_one_piece(s3_d4_report, False))
+    args = argparse.Namespace(output="csv", timings=False)
+    tracemalloc.start()
+    try:
+        cli._write_audit(_Discard(), s3_d4_report, args)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < size / 4
 
 
 def test_audit_unknown_claim_is_usage_error(capsys):

@@ -336,6 +336,37 @@ def test_center_is_where_row_equals_column(spec):
     assert groups.center(G).members == tuple(commuting.tolist())
 
 
+def _cyclic_table(n):
+    a = np.arange(n)
+    return groups.GroupTable((a[:, None] + a[None, :]) % n, name=f"C{n}")
+
+
+def _dihedral_table(n):
+    # r^i s^j has id i + j*n; (r^a s^b)(r^c s^d) = r^(a + (-1)^b c) s^(b + d).
+    i, j = np.arange(2 * n) % n, np.arange(2 * n) // n
+    rot = (i[:, None] + np.where(j[:, None], -1, 1) * i[None, :]) % n
+    return groups.GroupTable(rot + ((j[:, None] + j[None, :]) % 2) * n, name=f"D{n}")
+
+
+# C5040 and D2520 come from their arithmetic tables: closing their regular
+# permutation representations spends seconds on labels.
+_ARITHMETIC = {
+    "C5040": lambda: _cyclic_table(5040),
+    "D2520": lambda: _dihedral_table(2520),
+}
+
+
+@pytest.mark.parametrize(
+    "spec", ["S3", "Q8", "D12", "C6", "Q8xC3", "A5", "C1", "C5040", "D2520"]
+)
+def test_center_is_where_the_class_is_a_point(spec):
+    make = _ARITHMETIC.get(spec, lambda: groupspec.parse_group_spec(spec))
+    G = make()
+    info = groups.conjugacy(G, groups.full_subgroup(G))
+    central = np.flatnonzero(info.centralizer_order == G.order)
+    assert groups.center(G).members == tuple(central.tolist())
+
+
 def test_centralizer_of_subgroup(s3, a3_in_s3):
     full = groups.full_subgroup(s3)
     assert groups.centralizer_of_subgroup(full, a3_in_s3).members == (0, 1, 3)
