@@ -1,15 +1,12 @@
 """Exact commutator-value probabilities and claim audits on finite groups."""
 
 from .engine import (
-    CommParams,
-    ExactProb,
+    brute_counts,
     comm_distribution,
-    commutativity_degree,
     final_counts,
-    nilpotency_degree,
-    prob_brute,
     prob_class_formula,
     prob_fast,
+    space_size,
 )
 from .errors import CommdegError
 from .groups import GroupTable, SubgroupRef, direct_product, named_group
@@ -21,15 +18,12 @@ __version__ = "0.1.0"
 
 __all__ = [
     "__version__",
-    "CommParams",
-    "ExactProb",
+    "brute_counts",
     "comm_distribution",
-    "commutativity_degree",
     "final_counts",
-    "nilpotency_degree",
-    "prob_brute",
     "prob_class_formula",
     "prob_fast",
+    "space_size",
     "CommdegError",
     "GroupTable",
     "SubgroupRef",

@@ -391,9 +391,9 @@ def check_c4(H: SubgroupRef, K: SubgroupRef, n: int, m: int) -> Finding:
     |K|^m + |H|^n - 1.
     """
     G = H.parent
-    dist = engine.comm_distribution(H, n)
+    counts = engine.comm_distribution(H, n)
     info = engine.conjugacy_info(K)
-    nontrivial = [w for w in dist.support() if w != 0]
+    nontrivial = [w for w, c in enumerate(counts) if c and w != 0]
     inst = _inst(G, H=_mem(H), K=_mem(K), n=n, m=m)
     hypothesis = bool(nontrivial) and all(
         int(info.centralizer_order[w]) == 1 for w in nontrivial

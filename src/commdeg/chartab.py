@@ -16,6 +16,7 @@ anything is allocated.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional, Sequence
 
 import numpy as np
@@ -331,6 +332,22 @@ def restriction_norm(table: CharacterTable, index: int, H: SubgroupRef) -> float
     return float(np.sum(np.abs(vals) ** 2) / H.order)
 
 
+@lru_cache(maxsize=8)
+def _relative_coeffs(table: CharacterTable, H: SubgroupRef) -> np.ndarray:
+    """|H| * restriction_norm / degree per irreducible, the g-free factor.
+
+    Computed once per (table, H), so a sweep over every g of G costs k
+    restriction norms, not k per g; the small cache pins few tables.
+    """
+    degs = np.asarray(table.degrees, dtype=np.float64)
+    norms = np.asarray(
+        [restriction_norm(table, i, H) for i in range(table.n_classes)]
+    )
+    coeffs = H.order * norms / degs
+    coeffs.setflags(write=False)
+    return coeffs
+
+
 def prob_char_relative(
     G: GroupTable, table: CharacterTable, H: SubgroupRef, g: int
 ) -> float:
@@ -338,11 +355,7 @@ def prob_char_relative(
     _require_table_group(table, G)
     if not groups.is_normal(G, H):
         raise NotNormal(f"subgroup of order {H.order} is not normal in {G.name}")
-    degs = np.asarray(table.degrees, dtype=np.float64)
-    norms = np.asarray(
-        [restriction_norm(table, i, H) for i in range(table.n_classes)]
-    )
-    coeffs = H.order * norms / degs
+    coeffs = _relative_coeffs(table, H)
     s = complex(
         np.sum(coeffs * table.values[:, table.class_of[g]]) / (H.order * G.order)
     )

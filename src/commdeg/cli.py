@@ -18,7 +18,7 @@ from fractions import Fraction
 from typing import Optional, Sequence, TextIO
 
 from . import audit, chartab, engine, groups, groupspec, jsontext
-from .engine import BRUTE_CAP_DEFAULT, CommParams
+from .engine import BRUTE_CAP_DEFAULT
 from .errors import (
     CommdegError,
     ConfigInvalid,
@@ -243,11 +243,30 @@ def _cmd_info(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _prob_json(p: engine.ExactProb, cross_checks: list[engine.ExactProb]) -> dict:
-    payload = engine.prob_to_json(p)
-    if cross_checks:
-        payload["cross_checks"] = [engine.prob_to_json(q) for q in cross_checks]
-    return payload
+def _prob_json(
+    args: argparse.Namespace,
+    G: GroupTable,
+    H: SubgroupRef,
+    K: SubgroupRef,
+    g: int,
+    method: str,
+    value: dict,
+) -> dict:
+    """The `prob -o json` object for one route's value of p_g."""
+    return {
+        "group": G.name,
+        "H": list(H.members),
+        "K": list(K.members),
+        "n": args.n,
+        "m": args.m,
+        "g": g,
+        "method": method,
+        "value": value,
+    }
+
+
+def _exact_json(value: Fraction) -> dict:
+    return {"num": str(value.numerator), "den": str(value.denominator)}
 
 
 # prob flag -> (the --method values whose route reads it, its default).
@@ -276,48 +295,59 @@ def _cmd_prob(args: argparse.Namespace) -> int:
     if args.g == "all":
         return _render_profile(args, G, H, K)
     g = _resolve_g(G, args.g)
-    params = CommParams(H, K, args.n, args.m, g)
-
     if args.method == "char":
         return _cmd_prob_char(args, G, H, K, g)
 
-    results: list[engine.ExactProb] = []
-    cross: list[engine.ExactProb] = []
+    n, m = args.n, args.m
+    space = engine.space_size(H, K, n, m)
+
+    def brute() -> Fraction:
+        pools = [H.members] * n + [K.members] * m
+        counts = engine.brute_counts(G, pools, cap=args.brute_cap, threads=args.threads)
+        return Fraction(counts[g], space)
+
+    # (method, exact value) pairs: the answer first, then its cross-checks.
+    results: list[tuple[str, Fraction]] = []
     if args.method == "dist":
-        results.append(engine.prob_fast(params))
+        results.append(("distribution", engine.prob_fast(H, K, n, m, g)))
     elif args.method == "brute":
-        results.append(
-            engine.prob_brute(params, cap=args.brute_cap, threads=args.threads)
-        )
+        results.append(("brute", brute()))
     elif args.method == "class":
-        results.append(engine.prob_class_formula(params))
+        results.append(("class_formula", engine.prob_class_formula(H, K, n, m, g)))
     else:
-        fast = engine.prob_fast(params)
-        results.append(fast)
-        if params.space_size <= args.brute_cap:
-            check = engine.prob_brute(params, cap=args.brute_cap, threads=args.threads)
-            cross.append(check)
-            if check.value != fast.value:
+        fast = engine.prob_fast(H, K, n, m, g)
+        results.append(("distribution", fast))
+        if space <= args.brute_cap:
+            check = brute()
+            results.append(("brute", check))
+            if check != fast:
                 raise ToleranceExceeded(
-                    f"cross-check failed: distribution {_frac(fast.value)}"
-                    f" != brute {_frac(check.value)}"
+                    f"cross-check failed: distribution {_frac(fast)}"
+                    f" != brute {_frac(check)}"
                 )
 
     if args.output == "json":
-        print(jsontext.dumps(_prob_json(results[0], cross)))
+        payloads = [
+            _prob_json(args, G, H, K, g, method, _exact_json(value))
+            for method, value in results
+        ]
+        payload = payloads[0]
+        if payloads[1:]:
+            payload["cross_checks"] = payloads[1:]
+        print(jsontext.dumps(payload))
     elif args.output == "csv":
         rows = [
-            [p.method, p.numerator, p.denominator, float(p)]
-            for p in results + cross
+            [method, value.numerator, value.denominator, float(value)]
+            for method, value in results
         ]
         print(_emit_csv(("method", "num", "den", "float"), rows))
     else:
         print(
             f"group {G.name}, |H|={H.order}, |K|={K.order},"
-            f" n={args.n}, m={args.m}, g={g} [{G.label(g)}]"
+            f" n={n}, m={m}, g={g} [{G.label(g)}]"
         )
-        for p in results + cross:
-            print(f"{p.method:>14}: {_frac(p.value)} = {float(p):.6f}")
+        for method, value in results:
+            print(f"{method:>14}: {_frac(value)} = {float(value):.6f}")
     return EXIT_OK
 
 
@@ -338,17 +368,7 @@ def _cmd_prob_char(
     else:
         raise UsageError("--method char requires -H full or a normal subgroup for -H")
     if args.output == "json":
-        payload = {
-            "group": G.name,
-            "H": list(H.members),
-            "K": list(K.members),
-            "n": 1,
-            "m": 1,
-            "g": g,
-            "method": method,
-            "value": {"float": value},
-        }
-        print(jsontext.dumps(payload))
+        print(jsontext.dumps(_prob_json(args, G, H, K, g, method, {"float": value})))
     elif args.output == "csv":
         print(_emit_csv(("method", "float"), [[method, value]]))
     else:
@@ -364,7 +384,7 @@ def _render_profile(
     args: argparse.Namespace, G: GroupTable, H: SubgroupRef, K: SubgroupRef
 ) -> int:
     counts = engine.final_counts(H, K, args.n, args.m)
-    size = H.order**args.n * K.order**args.m
+    size = engine.space_size(H, K, args.n, args.m)
     profile = {g: Fraction(c, size) for g, c in enumerate(counts)}
     if args.output == "json":
         payload = {
@@ -374,10 +394,7 @@ def _render_profile(
             "n": args.n,
             "m": args.m,
             "method": "distribution",
-            "values": {
-                str(g): {"num": str(p.numerator), "den": str(p.denominator)}
-                for g, p in profile.items()
-            },
+            "values": {str(g): _exact_json(p) for g, p in profile.items()},
         }
         print(jsontext.dumps(payload))
     elif args.output == "csv":
@@ -427,21 +444,22 @@ def _cmd_zeta(args: argparse.Namespace) -> int:
 def _cmd_dist(args: argparse.Namespace) -> int:
     G = _resolve_group(args)
     H = groupspec.parse_subgroup_spec(G, args.H)
-    dist = engine.comm_distribution(H, args.n)
+    counts = engine.comm_distribution(H, args.n)
+    total = sum(counts)
     if args.output == "json":
         payload = {
             "group": G.name,
             "H": list(H.members),
             "n": args.n,
-            "total": dist.total,
-            "counts": list(dist.counts),
+            "total": total,
+            "counts": list(counts),
         }
         print(jsontext.dumps(payload))
     elif args.output == "csv":
-        print(_emit_csv(("element_id", "count"), list(enumerate(dist.counts))))
+        print(_emit_csv(("element_id", "count"), list(enumerate(counts))))
     else:
-        print(f"group {G.name}, |H|={H.order}, n={args.n}, total {dist.total}")
-        for g, c in enumerate(dist.counts):
+        print(f"group {G.name}, |H|={H.order}, n={args.n}, total {total}")
+        for g, c in enumerate(counts):
             if c:
                 print(f"{g:>4} {G.label(g):<12} {c}")
     return EXIT_OK

@@ -1,25 +1,27 @@
 """Exact engine for left-normed commutator statistics.
 
-Probabilities are exact ``fractions.Fraction`` values.  Every count but
-the brute-force one comes from a single primitive, the orbit step: it
-walks the conjugation orbits of a subgroup P and weights each orbit pair
-by a power of |C_P(w)|, so a step costs sum_w |w^P| <= |G| * |P|
-updates regardless of how many tuples it accounts for.  The histogram
-recurrence (the production path) chains such steps at weight 1; the
-conjugacy-class formula, whose one solvability test keeps w*g in the
-K-class of w, is one step at weight m.  Literal tuple
-enumeration shares nothing with the step and is the independent oracle
-that audits it.
+Every result is a count vector: entry g counts the tuples of H^n x K^m
+whose left-normed commutator [x1..xn, y1..ym] equals g, and
+``space_size(H, K, n, m) = |H|^n |K|^m`` is the denominator that turns an
+entry into the exact probability p_g.  Every count but the brute-force
+one comes from a single primitive, the orbit step: it walks the
+conjugation orbits of a subgroup P and weights each orbit pair by a power
+of |C_P(w)|, so a step costs sum_w |w^P| <= |G| * |P| updates regardless
+of how many tuples it accounts for.  The histogram recurrence
+(`final_counts`, the production path) chains such steps at weight 1; the
+conjugacy-class formula (`class_formula_counts`), whose one solvability
+test keeps w*g in the K-class of w, is one step at weight m.  Literal
+tuple enumeration (`brute_counts`) shares nothing with the step and is
+the independent oracle that audits it.
 """
 
 from __future__ import annotations
 
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Optional, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -34,25 +36,18 @@ _CHUNK = 1 << 22
 
 __all__ = [
     "BRUTE_CAP_DEFAULT",
-    "CommParams",
-    "ExactProb",
-    "CommDistribution",
     "commutator",
+    "space_size",
     "comm_distribution",
     "extend_by_conjugators",
     "final_counts",
     "brute_counts",
-    "prob_brute",
     "prob_fast",
     "class_formula_counts",
     "prob_class_formula",
-    "commutator_value_set",
     "nested_commutator_subgroup",
-    "nilpotency_degree",
-    "commutativity_degree",
     "y_set_size",
     "conjugacy_info",
-    "prob_to_json",
     "clear_caches",
 ]
 
@@ -61,70 +56,6 @@ def commutator(G: GroupTable, x: int, y: int) -> int:
     """x^-1 * y^-1 * x * y."""
     mul, inv = G.mul, G.inv
     return int(mul[mul[mul[inv[x], inv[y]], x], y])
-
-
-@dataclass(frozen=True)
-class CommParams:
-    """Inputs (H, K, n, m, g) for a weight-(n + m) commutator probability."""
-
-    H: SubgroupRef
-    K: SubgroupRef
-    n: int
-    m: int
-    g: int
-
-    def __post_init__(self) -> None:
-        if self.H.parent is not self.K.parent:
-            raise ForeignSubgroup("H and K must live in the same parent group")
-        if self.n < 1 or self.m < 1:
-            raise ValueError("n and m must be >= 1")
-        if not 0 <= self.g < self.H.parent.order:
-            raise ValueError(f"element id {self.g} out of range")
-
-    @property
-    def parent(self) -> GroupTable:
-        return self.H.parent
-
-    @property
-    def space_size(self) -> int:
-        return self.H.order**self.n * self.K.order**self.m
-
-
-@dataclass(frozen=True)
-class ExactProb:
-    """An exact probability together with the method that produced it."""
-
-    value: Fraction
-    method: str
-    params: Optional[CommParams] = None
-
-    @property
-    def numerator(self) -> int:
-        return self.value.numerator
-
-    @property
-    def denominator(self) -> int:
-        return self.value.denominator
-
-    def __float__(self) -> float:
-        return float(self.value)
-
-
-@dataclass(frozen=True)
-class CommDistribution:
-    """Dense histogram of left-normed commutator values over a tuple space."""
-
-    group: GroupTable
-    counts: tuple[int, ...]
-    weight: int
-    source: str
-
-    @property
-    def total(self) -> int:
-        return sum(self.counts)
-
-    def support(self) -> tuple[int, ...]:
-        return tuple(v for v, c in enumerate(self.counts) if c)
 
 
 def _comm_block(G: GroupTable, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
@@ -183,42 +114,43 @@ def _orbit_steps(
     return [int(v) for v in cur]
 
 
+def space_size(H: SubgroupRef, K: SubgroupRef, n: int, m: int) -> int:
+    """|H|^n * |K|^m, the number of tuples in H^n x K^m."""
+    if H.parent is not K.parent:
+        raise ForeignSubgroup("H and K must live in the same parent group")
+    if n < 1 or m < 1:
+        raise ValueError("n and m must be >= 1")
+    return H.order**n * K.order**m
+
+
 @lru_cache(maxsize=4096)
-def comm_distribution(H: SubgroupRef, n: int) -> CommDistribution:
-    """Histogram of [x1,...,xn] over H^n, computed without touching H^n."""
+def comm_distribution(H: SubgroupRef, n: int) -> tuple[int, ...]:
+    """Counts of [x1,...,xn] over H^n, indexed by value, without touching H^n."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    G = H.parent
-    counts = [0] * G.order
+    counts = [0] * H.parent.order
     for h in H.members:
         counts[h] = 1
-    counts = _orbit_steps(counts, H, n - 1)
-    return CommDistribution(
-        G, tuple(counts), n, source=f"x-block n={n}, |H|={H.order}, G={G.name}"
-    )
+    return tuple(_orbit_steps(counts, H, n - 1))
 
 
 def extend_by_conjugators(
-    dist: CommDistribution, K: SubgroupRef, m: int
-) -> CommDistribution:
-    """Extend a value histogram by m further slots drawn from K."""
-    if K.parent is not dist.group:
+    counts: Sequence[int], K: SubgroupRef, m: int
+) -> tuple[int, ...]:
+    """Extend a value count vector by m further slots drawn from K."""
+    if len(counts) != K.parent.order:
         raise ForeignSubgroup("conjugator subgroup must live in the same group")
     if m < 0:
         raise ValueError("m must be >= 0")
-    counts = _orbit_steps(dist.counts, K, m)
-    return CommDistribution(
-        dist.group,
-        tuple(counts),
-        dist.weight + m,
-        source=f"{dist.source} + y-block m={m}, |K|={K.order}",
-    )
+    return tuple(_orbit_steps(counts, K, m))
 
 
 @lru_cache(maxsize=4096)
 def final_counts(H: SubgroupRef, K: SubgroupRef, n: int, m: int) -> tuple[int, ...]:
     """Cached counts of [x1..xn,y1..ym] = g over H^n x K^m, indexed by g."""
-    return extend_by_conjugators(comm_distribution(H, n), K, m).counts
+    if H.parent is not K.parent:
+        raise ForeignSubgroup("H and K must live in the same parent group")
+    return extend_by_conjugators(comm_distribution(H, n), K, m)
 
 
 @lru_cache(maxsize=1024)
@@ -287,23 +219,24 @@ def brute_counts(
     return [int(v) for v in out]
 
 
-def prob_brute(
-    params: CommParams, cap: int = BRUTE_CAP_DEFAULT, threads: int = 1
-) -> ExactProb:
-    """Exact probability by enumerating all |H|^n * |K|^m tuples."""
-    pools = [params.H.members] * params.n + [params.K.members] * params.m
-    counts = brute_counts(params.parent, pools, cap=cap, threads=threads)
-    return ExactProb(
-        Fraction(counts[params.g], params.space_size), "brute", params
-    )
+def _prob(
+    counts: Callable[[SubgroupRef, SubgroupRef, int, int], Sequence[int]],
+    H: SubgroupRef,
+    K: SubgroupRef,
+    n: int,
+    m: int,
+    g: int,
+) -> Fraction:
+    """counts(H, K, n, m)[g] over the space size, arguments checked first."""
+    size = space_size(H, K, n, m)
+    if not 0 <= g < H.parent.order:
+        raise ValueError(f"element id {g} out of range")
+    return Fraction(counts(H, K, n, m)[g], size)
 
 
-def prob_fast(params: CommParams) -> ExactProb:
+def prob_fast(H: SubgroupRef, K: SubgroupRef, n: int, m: int, g: int) -> Fraction:
     """Exact probability via the histogram recurrence (production path)."""
-    counts = final_counts(params.H, params.K, params.n, params.m)
-    return ExactProb(
-        Fraction(counts[params.g], params.space_size), "distribution", params
-    )
+    return _prob(final_counts, H, K, n, m, g)
 
 
 def class_formula_counts(H: SubgroupRef, K: SubgroupRef, n: int, m: int) -> list[int]:
@@ -316,69 +249,25 @@ def class_formula_counts(H: SubgroupRef, K: SubgroupRef, n: int, m: int) -> list
     """
     if H.parent is not K.parent:
         raise ForeignSubgroup("H and K must live in the same parent group")
-    return _orbit_steps(comm_distribution(H, n).counts, K, 1, power=m)
+    return _orbit_steps(comm_distribution(H, n), K, 1, power=m)
 
 
-def prob_class_formula(params: CommParams) -> ExactProb:
+def prob_class_formula(
+    H: SubgroupRef, K: SubgroupRef, n: int, m: int, g: int
+) -> Fraction:
     """One entry of `class_formula_counts` as a probability."""
-    counts = class_formula_counts(params.H, params.K, params.n, params.m)
-    return ExactProb(
-        Fraction(counts[params.g], params.space_size), "class_formula", params
-    )
-
-
-def commutator_value_set(
-    H: SubgroupRef, K: SubgroupRef, n: int, m: int
-) -> tuple[int, ...]:
-    """All values attained by weight-(n + m) commutators over H^n x K^m."""
-    counts = final_counts(H, K, n, m)
-    return tuple(v for v, c in enumerate(counts) if c)
+    return _prob(class_formula_counts, H, K, n, m, g)
 
 
 def nested_commutator_subgroup(
     H: SubgroupRef, K: SubgroupRef, n: int, m: int
 ) -> SubgroupRef:
-    """The subgroup generated by the commutator value set."""
-    return groups.subgroup_closure(
-        H.parent, commutator_value_set(H, K, n, m)
-    )
-
-
-def nilpotency_degree(G: GroupTable, H: SubgroupRef, n: int) -> ExactProb:
-    """Probability that a weight-(n + 1) commutator with x-block in H is trivial."""
-    if H.parent is not G:
-        raise ForeignSubgroup("H must be a subgroup of G")
-    return prob_fast(CommParams(H, groups.full_subgroup(G), n, 1, 0))
-
-
-def commutativity_degree(G: GroupTable) -> ExactProb:
-    """Probability that two uniform elements of G commute."""
-    return nilpotency_degree(G, groups.full_subgroup(G), 1)
+    """The subgroup generated by the values of weight-(n + m) commutators."""
+    counts = final_counts(H, K, n, m)
+    return groups.subgroup_closure(H.parent, [v for v, c in enumerate(counts) if c])
 
 
 def y_set_size(H: SubgroupRef, K: SubgroupRef, n: int) -> int:
     """Tuples in H^n whose folded value has trivial centralizer in K."""
-    dist = comm_distribution(H, n)
-    info = conjugacy_info(K)
-    return sum(
-        dist.counts[w]
-        for w in dist.support()
-        if int(info.centralizer_order[w]) == 1
-    )
-
-
-def prob_to_json(p: ExactProb) -> dict:
-    """JSON-ready form of a probability with its full parameter context."""
-    if p.params is None:
-        raise ValueError("probability carries no parameters to serialize")
-    q = p.params
-    return {
-        "group": q.parent.name,
-        "H": list(q.H.members),
-        "K": list(q.K.members),
-        "n": q.n,
-        "m": q.m,
-        "g": q.g,
-        "method": p.method,
-        "value": {"num": str(p.numerator), "den": str(p.denominator)},
-    }
+    cent = conjugacy_info(K).centralizer_order
+    return sum(c for w, c in enumerate(comm_distribution(H, n)) if c and cent[w] == 1)

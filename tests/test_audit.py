@@ -11,7 +11,6 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from commdeg import audit, chartab, engine, groups
-from commdeg.engine import CommDistribution, CommParams
 from commdeg.errors import ConfigInvalid
 
 
@@ -338,7 +337,7 @@ def test_battery_never_builds_a_per_g_probability(monkeypatch):
         raise AssertionError("per-g probability route reached")
 
     monkeypatch.setattr(engine, "prob_fast", refuse)
-    monkeypatch.setattr(engine, "CommParams", refuse)
+    monkeypatch.setattr(engine, "prob_class_formula", refuse)
     config = audit.AuditConfig(groups=("S3", "D4", "Q8", "S3xC2"))
     report = audit.run_battery(config)
     assert {f.claim for f in report.findings} == set(audit.CLAIMS)
@@ -491,10 +490,9 @@ def test_findings_are_reproducible_single_instances():
 
 def _corrupting(real):
     def wrapper(H, n):
-        dist = real(H, n)
-        counts = list(dist.counts)
+        counts = list(real(H, n))
         counts[0] += 1
-        return CommDistribution(dist.group, tuple(counts), dist.weight, dist.source)
+        return tuple(counts)
 
     return wrapper
 
@@ -521,9 +519,11 @@ def test_seeded_fault_breaks_oracle_agreement(monkeypatch, s3):
         engine, "comm_distribution", _corrupting(engine.comm_distribution.__wrapped__)
     )
     full = groups.full_subgroup(s3)
-    params = CommParams(full, full, 2, 1, 0)
-    fast = engine.prob_fast(params).value
-    brute = engine.prob_brute(params).value
+    fast = engine.prob_fast(full, full, 2, 1, 0)
+    brute = Fraction(
+        engine.brute_counts(s3, [full.members] * 3)[0],
+        engine.space_size(full, full, 2, 1),
+    )
     monkeypatch.undo()
     engine.clear_caches()
     assert fast != brute

@@ -7,8 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from commdeg import audit, cli, engine, groups, groupspec, jsontext, lattice
-from commdeg.engine import CommParams
+from commdeg import audit, cli, engine, groups, groupspec, lattice
 from commdeg.errors import BruteCapExceeded, ForeignSubgroup
 
 
@@ -51,28 +50,32 @@ def test_commutator_convention(s3):
 
 
 def test_commuting_degree_frozen_values(s3, q8):
-    assert engine.commutativity_degree(s3).value == Fraction(1, 2)
-    assert engine.commutativity_degree(q8).value == Fraction(5, 8)
+    # d(G) = p_1 at n = m = 1 over the whole group
+    for G, degree in ((s3, Fraction(1, 2)), (q8, Fraction(5, 8))):
+        full = groups.full_subgroup(G)
+        commuting = engine.final_counts(full, full, 1, 1)[0]
+        assert Fraction(commuting, engine.space_size(full, full, 1, 1)) == degree
 
 
-def test_nilpotency_degree_weight_three(s3):
+def test_identity_probability_weight_three(s3):
     full = groups.full_subgroup(s3)
-    assert engine.nilpotency_degree(s3, full, 2).value == Fraction(3, 4)
+    trivial = engine.final_counts(full, full, 2, 1)[0]
+    assert Fraction(trivial, engine.space_size(full, full, 2, 1)) == Fraction(3, 4)
 
 
 def test_s3_single_element_probabilities(s3):
     full = groups.full_subgroup(s3)
-    three_cycle = engine.prob_fast(CommParams(full, full, 1, 1, 1))
-    transposition = engine.prob_fast(CommParams(full, full, 1, 1, 2))
-    assert three_cycle.value == Fraction(1, 4)
-    assert transposition.value == 0
+    three_cycle = engine.prob_fast(full, full, 1, 1, 1)
+    transposition = engine.prob_fast(full, full, 1, 1, 2)
+    assert three_cycle == Fraction(1, 4)
+    assert transposition == 0
 
 
 def test_comm_distribution_s3_weight_two(s3):
-    dist = engine.comm_distribution(groups.full_subgroup(s3), 2)
-    assert dist.counts == (18, 9, 0, 9, 0, 0)
-    assert dist.total == 36
-    assert dist.support() == (0, 1, 3)
+    counts = engine.comm_distribution(groups.full_subgroup(s3), 2)
+    assert counts == (18, 9, 0, 9, 0, 0)
+    assert sum(counts) == 36
+    assert tuple(v for v, c in enumerate(counts) if c) == (0, 1, 3)
 
 
 def test_counts_match_oracle_on_mixed_pairs(s3, q8):
@@ -92,27 +95,33 @@ def test_counts_match_oracle_on_mixed_pairs(s3, q8):
         assert list(got) == want
 
 
-def test_prob_fast_equals_prob_brute(s3):
+def brute_prob(H, K, n, m, g, **kwargs):
+    """p_g from literal enumeration, the route `prob --method brute` takes."""
+    pools = [H.members] * n + [K.members] * m
+    counts = engine.brute_counts(H.parent, pools, **kwargs)
+    return Fraction(counts[g], engine.space_size(H, K, n, m))
+
+
+def test_prob_fast_equals_brute_counts(s3):
     full = groups.full_subgroup(s3)
     tr = groups.subgroup_closure(s3, [2])
     for n, m in [(1, 1), (2, 1), (1, 2)]:
         for g in range(s3.order):
-            params = CommParams(tr, full, n, m, g)
-            assert engine.prob_fast(params).value == engine.prob_brute(params).value
+            assert engine.prob_fast(tr, full, n, m, g) == brute_prob(
+                tr, full, n, m, g
+            )
 
 
 def test_brute_cap_is_enforced(s3):
     full = groups.full_subgroup(s3)
     with pytest.raises(BruteCapExceeded):
-        engine.prob_brute(CommParams(full, full, 2, 2, 0), cap=100)
+        brute_prob(full, full, 2, 2, 0, cap=100)
 
 
 def test_brute_threads_agree(q8):
     full = groups.full_subgroup(q8)
-    params = CommParams(full, full, 2, 1, 0)
-    assert (
-        engine.prob_brute(params, threads=4).value
-        == engine.prob_brute(params, threads=1).value
+    assert brute_prob(full, full, 2, 1, 0, threads=4) == brute_prob(
+        full, full, 2, 1, 0, threads=1
     )
 
 
@@ -132,18 +141,15 @@ def test_class_formula_exact_at_m_one(s3, q8):
         for H, K in [(full, full), (sub, full), (full, sub), (sub, sub)]:
             for n in (1, 2):
                 for g in range(G.order):
-                    params = CommParams(H, K, n, 1, g)
-                    assert (
-                        engine.prob_class_formula(params).value
-                        == engine.prob_fast(params).value
-                    )
+                    assert engine.prob_class_formula(
+                        H, K, n, 1, g
+                    ) == engine.prob_fast(H, K, n, 1, g)
 
 
 def test_class_formula_overcounts_at_m_two(s3):
     full = groups.full_subgroup(s3)
-    params = CommParams(full, full, 1, 2, 0)
-    assert engine.prob_class_formula(params).value == Fraction(66, 216)
-    assert engine.prob_fast(params).value == Fraction(162, 216)
+    assert engine.prob_class_formula(full, full, 1, 2, 0) == Fraction(66, 216)
+    assert engine.prob_fast(full, full, 1, 2, 0) == Fraction(162, 216)
 
 
 def class_sum(H, K, n, m, g):
@@ -151,7 +157,7 @@ def class_sum(H, K, n, m, g):
     G = H.parent
     info = engine.conjugacy_info(K)
     total = 0
-    for w, c in enumerate(engine.comm_distribution(H, n).counts):
+    for w, c in enumerate(engine.comm_distribution(H, n)):
         t = G.product(w, g)
         if info.class_of[t] == info.class_of[w]:
             total += c * int(info.centralizer_order[w]) ** m
@@ -185,7 +191,7 @@ def test_x_block_histograms_are_inversion_symmetric():
         G = groupspec.parse_group_spec(spec)
         for H in lattice.all_subgroups(G):
             for n in (1, 2, 3):
-                counts = engine.comm_distribution(H, n).counts
+                counts = engine.comm_distribution(H, n)
                 assert all(
                     counts[v] == counts[G.inv[v]] for v in range(G.order)
                 ), (spec, H.members, n)
@@ -208,7 +214,8 @@ def test_y_set_size(s3):
 
 def test_value_set_and_generated_subgroup(s3, a3_in_s3):
     full = groups.full_subgroup(s3)
-    assert engine.commutator_value_set(full, full, 1, 1) == (0, 1, 3)
+    counts = engine.final_counts(full, full, 1, 1)
+    assert tuple(v for v, c in enumerate(counts) if c) == (0, 1, 3)
     derived = engine.nested_commutator_subgroup(full, full, 1, 1)
     assert derived.members == a3_in_s3.members
     triv = engine.nested_commutator_subgroup(
@@ -219,18 +226,45 @@ def test_value_set_and_generated_subgroup(s3, a3_in_s3):
 
 def test_relative_probability_frozen(s3, a3_in_s3):
     full = groups.full_subgroup(s3)
-    assert engine.prob_fast(CommParams(a3_in_s3, full, 1, 1, 0)).value == Fraction(
-        2, 3
-    )
-    assert engine.prob_fast(CommParams(a3_in_s3, full, 1, 1, 1)).value == Fraction(
-        1, 6
-    )
+    assert engine.prob_fast(a3_in_s3, full, 1, 1, 0) == Fraction(2, 3)
+    assert engine.prob_fast(a3_in_s3, full, 1, 1, 1) == Fraction(1, 6)
 
 
 def test_extend_rejects_foreign_subgroup(s3, q8):
-    dist = engine.comm_distribution(groups.full_subgroup(s3), 1)
+    counts = engine.comm_distribution(groups.full_subgroup(s3), 1)
     with pytest.raises(ForeignSubgroup):
-        engine.extend_by_conjugators(dist, groups.full_subgroup(q8), 1)
+        engine.extend_by_conjugators(counts, groups.full_subgroup(q8), 1)
+
+
+def _refusal_cases():
+    """(id, call, args, the exception it must raise) for refused input."""
+    full = groups.full_subgroup(groups.named_group("S", 3))
+    q8 = groups.full_subgroup(groups.named_group("Q", 8))
+    extend, foreign = engine.extend_by_conjugators, ForeignSubgroup
+    cases = [
+        ("space_size-foreign", engine.space_size, (full, q8, 1, 1), foreign),
+        ("space_size-n0", engine.space_size, (full, full, 0, 1), ValueError),
+        ("final_counts-S3xQ8", engine.final_counts, (full, q8, 1, 1), foreign),
+        ("final_counts-Q8xS3", engine.final_counts, (q8, full, 1, 1), foreign),
+        ("extend-short", extend, ([1] * 5, full, 1), foreign),
+        ("extend-long", extend, ([1] * 6, q8, 1), foreign),
+    ]
+    for prob in (engine.prob_fast, engine.prob_class_formula):
+        name = prob.__name__
+        cases += [
+            (f"{name}-foreign", prob, (full, q8, 1, 1, 0), foreign),
+            (f"{name}-n0", prob, (full, full, 0, 1, 0), ValueError),
+            (f"{name}-m0", prob, (full, full, 1, 0, 0), ValueError),
+            (f"{name}-g-1", prob, (full, full, 1, 1, -1), ValueError),
+            (f"{name}-g6", prob, (full, full, 1, 1, 6), ValueError),
+        ]
+    return [pytest.param(*case[1:], id=case[0]) for case in cases]
+
+
+@pytest.mark.parametrize("call, args, error", _refusal_cases())
+def test_refuses_foreign_and_out_of_range_input(call, args, error):
+    with pytest.raises(error):
+        call(*args)
 
 
 def test_bigint_path_matches_int64_path(monkeypatch, s3, a3_in_s3):
@@ -238,8 +272,8 @@ def test_bigint_path_matches_int64_path(monkeypatch, s3, a3_in_s3):
     flip = groups.subgroup_closure(s3, [2])
     cases = [
         ([1] * 6, full, 2),
-        (engine.comm_distribution(a3_in_s3, 1).counts, full, 2),
-        (engine.comm_distribution(flip, 1).counts, full, 2),
+        (engine.comm_distribution(a3_in_s3, 1), full, 2),
+        (engine.comm_distribution(flip, 1), full, 2),
     ]
     fast = [engine._orbit_steps(c, P, k) for c, P, k in cases]
     monkeypatch.setattr(engine, "_INT64_SAFE", 1)
@@ -280,21 +314,24 @@ def test_brute_threads_clamped_to_cpu_count(monkeypatch, s3):
     assert counts == engine.brute_counts(s3, pools)
 
 
-def test_prob_json_round_trip(s3):
+def test_prob_json_round_trip(capsys, s3):
+    # The payload `prob -o json` prints carries the exact value and its inputs.
     full = groups.full_subgroup(s3)
-    p = engine.prob_fast(CommParams(full, full, 1, 1, 1))
-    payload = json.loads(jsontext.dumps(engine.prob_to_json(p)))
+    argv = ["prob", "-G", "S3", "-g", "1", "--method", "dist", "-o", "json"]
+    assert cli.main(argv) == 0
+    payload = json.loads(capsys.readouterr().out)
     value = payload["value"]
-    assert Fraction(int(value["num"]), int(value["den"])) == p.value
-    assert payload["method"] == p.method
-    assert payload["g"] == p.params.g
-    assert payload["H"] == list(p.params.H.members)
+    p = engine.prob_fast(full, full, 1, 1, 1)
+    assert Fraction(int(value["num"]), int(value["den"])) == p == Fraction(1, 4)
+    assert payload["method"] == "distribution"
+    assert payload["g"] == 1
+    assert payload["H"] == list(full.members)
 
 
 def test_distribution_csv(s3):
     # The CSV that `dist -o csv` prints for a distribution.
-    dist = engine.comm_distribution(groups.full_subgroup(s3), 2)
-    text = cli._emit_csv(("element_id", "count"), list(enumerate(dist.counts)))
+    counts = engine.comm_distribution(groups.full_subgroup(s3), 2)
+    text = cli._emit_csv(("element_id", "count"), list(enumerate(counts)))
     lines = text.splitlines()
     assert lines[0] == "element_id,count"
     assert lines[1] == "0,18"

@@ -42,3 +42,30 @@ def test_tracer_layers_resolve():
         except AttributeError:
             missing.append(prefix)
     assert not missing
+
+
+def test_package_exports_are_pinned():
+    # Probabilities are count vectors over a space size; a change to this
+    # list is a change to the public surface and should be deliberate.
+    assert tuple(commdeg.__all__) == (
+        "__version__",
+        "brute_counts",
+        "comm_distribution",
+        "final_counts",
+        "prob_class_formula",
+        "prob_fast",
+        "space_size",
+        "CommdegError",
+        "GroupTable",
+        "SubgroupRef",
+        "direct_product",
+        "named_group",
+        "parse_group_spec",
+        "parse_subgroup_spec",
+        "CharacterTable",
+        "character_table",
+        "AuditConfig",
+        "AuditReport",
+        "default_config",
+        "run_battery",
+    )
