@@ -36,6 +36,7 @@ import time
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import itemgetter
 from typing import Callable, Iterator, Optional, Sequence, TextIO
 
 import numpy as np
@@ -231,8 +232,8 @@ def check_multiplicativity(
     )
     left_counts = engine.final_counts(A, B, n, m)
     right_counts = engine.final_counts(C, D, n, m)
-    left_size = A.order**n * B.order**m
-    right_size = C.order**n * D.order**m
+    left_size = engine.space_size(A, B, n, m)
+    right_size = engine.space_size(C, D, n, m)
     size = left_size * right_size
     members = {"A": _mem(A), "B": _mem(B), "C": _mem(C), "D": _mem(D)}
     findings = []
@@ -276,8 +277,8 @@ def check_symmetry(
     swapped_counts = engine.final_counts(K, H, n, m)
     # (K, H, m, n) spans the same space as (H, K, n, m).
     exp_swapped_counts = engine.final_counts(K, H, m, n)
-    size = H.order**n * K.order**m
-    swapped_size = K.order**n * H.order**m
+    size = engine.space_size(H, K, n, m)
+    swapped_size = engine.space_size(K, H, n, m)
     h_normal = groups.is_normal(G, H)
     k_normal = groups.is_normal(G, K)
     findings = []
@@ -346,7 +347,7 @@ def check_class_formula(H: SubgroupRef, K: SubgroupRef, n: int, m: int) -> Findi
     """
     G = H.parent
     tag = "P3_m1" if m == 1 else "P3_mgt1"
-    size = H.order**n * K.order**m
+    size = engine.space_size(H, K, n, m)
     counts = exact_counts = engine.final_counts(H, K, n, m)
     if m == 1 and size <= engine.BRUTE_CAP_DEFAULT:
         exact_counts = engine.brute_counts(G, [H.members] * n + [K.members])
@@ -405,10 +406,9 @@ def check_c4(H: SubgroupRef, K: SubgroupRef, n: int, m: int) -> Finding:
             VACUOUS,
             {"hypothesis": False, "nonidentity_support_count": len(nontrivial)},
         )
-    x_size, y_size = H.order**n, K.order**m
     lhs = engine.final_counts(H, K, n, m)[0]
-    rhs = x_size + y_size - 1
-    size = x_size * y_size
+    rhs = H.order**n + K.order**m - 1
+    size = engine.space_size(H, K, n, m)
     return Finding(
         "C4",
         inst,
@@ -449,8 +449,8 @@ def check_monotonicity(
     full = groups.full_subgroup(G)
     smaller = engine.final_counts(H, full, n, m)
     larger = engine.final_counts(K, full, n, m)
-    smaller_size = H.order**n * G.order**m
-    larger_size = K.order**n * G.order**m
+    smaller_size = engine.space_size(H, full, n, m)
+    larger_size = engine.space_size(K, full, n, m)
     same: Optional[bool] = None
     findings = []
     for g, inst in zip(gs, insts):
@@ -499,10 +499,11 @@ def check_quotient(
     full = groups.full_subgroup(G)
     # The image of a subgroup under the projection is a subgroup.
     h_image = SubgroupRef(Q, {int(proj[x]) for x in H.members}, _checked=True)
+    q_full = groups.full_subgroup(Q)
     sub = engine.final_counts(H, full, n, m)
-    quo = engine.final_counts(h_image, groups.full_subgroup(Q), n, m)
-    sub_size = H.order**n * G.order**m
-    quo_size = h_image.order**n * Q.order**m
+    quo = engine.final_counts(h_image, q_full, n, m)
+    sub_size = engine.space_size(H, full, n, m)
+    quo_size = engine.space_size(h_image, q_full, n, m)
     nested = engine.nested_commutator_subgroup(H, full, n, m)
     intersection = sorted(set(N.members) & set(nested.members))
     equality_required = intersection == [0]
@@ -537,10 +538,10 @@ def check_chain(
     pair_id = pair[0]
     ambient_id = engine.final_counts(H, full, n, m)[0]
     self_id = engine.final_counts(H, H, n, m)[0]
-    whole_size = G.order ** (n + m)
-    pair_size = H.order**n * K.order**m
-    ambient_size = H.order**n * G.order**m
-    self_size = H.order ** (n + m)
+    whole_size = engine.space_size(full, full, n, m)
+    pair_size = engine.space_size(H, K, n, m)
+    ambient_size = engine.space_size(H, full, n, m)
+    self_size = engine.space_size(H, H, n, m)
     identity_links = [
         pair_id * ambient_size <= ambient_id * pair_size,
         ambient_id * self_size <= self_id * ambient_size,
@@ -582,7 +583,7 @@ def check_c5(
     z_g = _mutual_centralizer(full, full)
     z_h = _mutual_centralizer(H, H)
     counts = engine.final_counts(H, K, n, 1)
-    size = H.order**n * K.order
+    size = engine.space_size(H, K, n, 1)
     bound_num, bound_den = 2**n - 1, 2**n
     bound = _ratio(bound_num, bound_den)
     findings = []
@@ -623,7 +624,7 @@ def check_t3(
         ]
     p = groups.smallest_prime_divisor(G)
     counts = engine.final_counts(H, K, n, m)
-    size = H.order**n * K.order**m
+    size = engine.space_size(H, K, n, m)
     upper_num, upper_den = 2 * p**n + p - 2, p ** (m + n)
     upper = _ratio(upper_num, upper_den)
     y = engine.y_set_size(H, K, n)
@@ -678,7 +679,7 @@ def check_c6(H: SubgroupRef, K: SubgroupRef, n: int, m: int) -> Finding:
     p = groups.smallest_prime_divisor(G)
     upper_num, upper_den = 2 * p**n + p - 2, p ** (m + n)
     upper = _ratio(upper_num, upper_den)
-    target = upper_num * H.order**n * K.order**m
+    target = upper_num * engine.space_size(H, K, n, m)
     counts = engine.final_counts(H, K, n, m)
     equality_gs = [g for g, c in enumerate(counts) if c * upper_den == target]
     if not equality_gs:
@@ -713,9 +714,9 @@ def check_frob_bound(H: SubgroupRef, table: chartab.CharacterTable) -> Finding:
     index = G.order // H.order
     # d(G) is the commuting-pair count over |G|^2.
     bound_num = index * engine.final_counts(full, full, 1, 1)[0]
-    bound_den = G.order**2
+    bound_den = engine.space_size(full, full, 1, 1)
     counts = engine.final_counts(H, full, 1, 1)
-    target = bound_num * H.order * G.order
+    target = bound_num * engine.space_size(H, full, 1, 1)
     violating = [g for g, c in enumerate(counts) if c * bound_den > target]
     equality_gs = [g for g, c in enumerate(counts) if c * bound_den == target]
     all_vanish = all(
@@ -784,7 +785,7 @@ def check_remark_r1(
             "reachable_minus_support": sorted(reach - support)[:8],
         },
     )
-    size = H.order**n * K.order**m
+    size = engine.space_size(H, K, n, m)
     value_subgroup = engine.nested_commutator_subgroup(H, K, n, m)
     ok = (counts[0] == size) == value_subgroup.is_trivial
     f_trivial = Finding(
@@ -823,7 +824,7 @@ def check_eq3(table: chartab.CharacterTable) -> Finding:
     G = table.group
     full = groups.full_subgroup(G)
     counts = engine.final_counts(full, full, 1, 1)
-    size = G.order**2
+    size = engine.space_size(full, full, 1, 1)
     worst, worst_g = 0.0, 0
     for g in range(G.order):
         dev = abs(chartab.prob_char_pg(G, table, g) - counts[g] / size)
@@ -848,7 +849,7 @@ def check_eq4(table: chartab.CharacterTable) -> Finding:
     k = len(engine.conjugacy_info(full).classes)
     # d(G) is the commuting-pair count over |G|^2.
     commuting = engine.final_counts(full, full, 1, 1)[0]
-    size = G.order**2
+    size = engine.space_size(full, full, 1, 1)
     ok = table.n_classes == k and commuting * G.order == k * size
     return Finding(
         "EQ4",
@@ -869,8 +870,9 @@ def check_eq7(H: SubgroupRef, table: chartab.CharacterTable) -> Finding:
     inst = _inst(G, H=_mem(H))
     if not groups.is_normal(G, H):
         return Finding("EQ7", inst, PRECONDITION_FAILED, {"reason": "H is not normal"})
-    denom = H.order * G.order
-    counts = engine.final_counts(H, groups.full_subgroup(G), 1, 1)
+    full = groups.full_subgroup(G)
+    denom = engine.space_size(H, full, 1, 1)
+    counts = engine.final_counts(H, full, 1, 1)
     worst, worst_g = 0.0, 0
     for g in range(G.order):
         exact = counts[g] / denom
@@ -1253,22 +1255,29 @@ _TABLE_CHECKS = {
 def _sort_findings(findings: list[Finding]) -> None:
     """Sort by claim, then by the text of ``json.dumps(instance, sort_keys=True)``.
 
-    P2a/P2b and T3i/T3ii share one instance dict, and instances share
-    their member lists (see ``_member_list``), so each dict and each list
-    is encoded once.
+    The findings go into one list per claim, and each list is sorted by
+    its instance texts alone.  P2a/P2b and T3i/T3ii share one instance
+    dict, and instances share their member lists (see ``_member_list``),
+    so each dict and each list is encoded once.
     """
     instance_text = _dict_writer(
         "", ", ", "}", _by_identity(json.JSONEncoder(sort_keys=True).encode)
     )
-    instance_keys: dict[int, str] = {}
-
-    def sort_key(f: Finding) -> tuple[str, str]:
-        key = instance_keys.get(id(f.instance))
-        if key is None:
-            key = instance_keys[id(f.instance)] = instance_text(f.instance)
-        return (f.claim, key)
-
-    findings.sort(key=sort_key)
+    texts: dict[int, str] = {}
+    by_claim: dict[str, list[tuple[str, Finding]]] = {}
+    for f in findings:
+        text = texts.get(id(f.instance))
+        if text is None:
+            text = texts[id(f.instance)] = instance_text(f.instance)
+        bucket = by_claim.get(f.claim)
+        if bucket is None:
+            bucket = by_claim[f.claim] = []
+        bucket.append((text, f))
+    findings.clear()
+    for claim in sorted(by_claim):
+        bucket = by_claim.pop(claim)
+        bucket.sort(key=itemgetter(0))
+        findings.extend([f for _, f in bucket])
 
 
 @contextmanager

@@ -4,15 +4,19 @@ Every result is a count vector: entry g counts the tuples of H^n x K^m
 whose left-normed commutator [x1..xn, y1..ym] equals g, and
 ``space_size(H, K, n, m) = |H|^n |K|^m`` is the denominator that turns an
 entry into the exact probability p_g.  Every count but the brute-force
-one comes from a single primitive, the orbit step: it walks the
-conjugation orbits of a subgroup P and weights each orbit pair by a power
-of |C_P(w)|, so a step costs sum_w |w^P| <= |G| * |P| updates regardless
-of how many tuples it accounts for.  The histogram recurrence
-(`final_counts`, the production path) chains such steps at weight 1; the
-conjugacy-class formula (`class_formula_counts`), whose one solvability
-test keeps w*g in the K-class of w, is one step at weight m.  Literal
-tuple enumeration (`brute_counts`) shares nothing with the step and is
-the independent oracle that audits it.
+one comes from a single primitive, the orbit step over the conjugation
+orbits of a subgroup P, weighted by a power of |C_P(w)|.  The step has
+two routes with the same counts: the pair route walks every orbit pair,
+sum_w |w^P| <= |G| * |P| updates regardless of how many tuples it
+accounts for, and the class route, for a vector constant on the k
+orbits, multiplies one value per orbit by a k x k class-algebra matrix
+when k^2 is at most the pair count (with H = K = G every vector is a
+class function, and S7 has k = 15 against 2,675,724 pairs).  The
+histogram recurrence (`final_counts`, the production path) chains such
+steps at weight 1; the conjugacy-class formula (`class_formula_counts`),
+whose one solvability test keeps w*g in the K-class of w, is one step at
+weight m.  Literal tuple enumeration (`brute_counts`) shares nothing with
+the step and is the independent oracle that audits it.
 """
 
 from __future__ import annotations
@@ -93,25 +97,103 @@ def _orbit_steps(
 ) -> list[int]:
     """Apply `steps` rounds of new[w^-1 * u] += old[w] * |C_P(w)|^power.
 
-    The pairs (w, w^-1 * u) are those of `_orbit_pairs`.  At power 1 a
-    round is new[v] = sum(old[w] for [w, y] = v, y in P); at power m it is
-    the conjugacy-class formula.  A round multiplies the total mass by at
-    most |P|^power, so it runs on int64 when the final mass provably fits,
-    otherwise on Python integers over the same pairs; both give the same
-    exact counts.
+    Here w runs over G and u over its P-orbit w^P.  At power 1 a round is
+    new[v] = sum(old[w] for [w, y] = v, y in P); at power m it is the
+    conjugacy-class formula.  A round maps a vector constant on the
+    P-orbits to another one, so such a vector takes the class route
+    (`_class_steps`, O(k^2) per round for k orbits) whenever k^2 is at
+    most the orbit-pair count; any other vector takes the pair route
+    (`_pair_steps`).  Both give the same exact counts.
     """
     if steps == 0:
         return [int(c) for c in counts]
-    src, dst = _orbit_pairs(P)
+    if _class_route_fits(counts, P):
+        return _class_steps(counts, P, steps, power)
+    return _pair_steps(counts, P, steps, power)
+
+
+def _step_dtype(counts: Sequence[int], P: SubgroupRef, steps: int, power: int):
+    """int64 when the final mass provably fits, otherwise Python integers.
+
+    A round multiplies the total mass by at most |P|^power, and every
+    partial sum of a round is at most that round's mass.
+    """
     total = sum(counts) * P.order ** (steps * power)
-    dtype = np.int64 if total < _INT64_SAFE else object
+    return np.int64 if total < _INT64_SAFE else object
+
+
+def _pair_steps(
+    counts: Sequence[int], P: SubgroupRef, steps: int, power: int
+) -> list[int]:
+    """The rounds of `_orbit_steps` over the pairs of `_orbit_pairs`."""
+    src, dst = _orbit_pairs(P)
+    dtype = _step_dtype(counts, P, steps, power)
     weight = conjugacy_info(P).centralizer_order.astype(dtype) ** power
     cur = np.array([int(c) for c in counts], dtype=dtype)
     for _ in range(steps):
         new = np.zeros(len(cur), dtype=dtype)
         np.add.at(new, dst, (cur * weight)[src])
         cur = new
-    return [int(v) for v in cur]
+    return cur.tolist()
+
+
+def _class_route_fits(counts: Sequence[int], P: SubgroupRef) -> bool:
+    """Whether `_orbit_steps` takes the class route: a class round pays
+    over P and counts is constant on the P-orbits."""
+    if not _class_route_pays(P):
+        return False
+    reps, _ = _class_algebra(P)
+    vec = np.asarray(counts)
+    return bool((vec == vec[reps][conjugacy_info(P).class_of]).all())
+
+
+@lru_cache(maxsize=1024)
+def _class_route_pays(P: SubgroupRef) -> bool:
+    """k^2 <= sum |O|^2 over the k P-orbits O: a class round costs no more
+    than a pair round."""
+    orbits = conjugacy_info(P).classes
+    return len(orbits) ** 2 <= sum(len(orbit) ** 2 for orbit in orbits)
+
+
+@lru_cache(maxsize=32)
+def _class_algebra(P: SubgroupRef) -> tuple[np.ndarray, np.ndarray]:
+    """Orbit representatives z_t and D[i, t] = #{w in O_i : w * z_t in O_i}.
+
+    O_i is the i-th P-orbit of `conjugacy_info(P)` and z_t its least
+    member.  Column t of D takes one column read of the table.
+    """
+    G = P.parent
+    info = conjugacy_info(P)
+    cls = info.class_of
+    k = len(info.classes)
+    reps = np.array([orbit[0] for orbit in info.classes], dtype=np.intp)
+    D = np.empty((k, k), dtype=np.int64)
+    for t, z in enumerate(reps):
+        same = cls[G.mul[:, z]] == cls
+        D[:, t] = np.bincount(cls[same], minlength=k)
+    reps.setflags(write=False)
+    D.setflags(write=False)
+    return reps, D
+
+
+def _class_steps(
+    counts: Sequence[int], P: SubgroupRef, steps: int, power: int
+) -> list[int]:
+    """The rounds of `_orbit_steps` on one value per P-orbit.
+
+    ``counts`` must be constant on the P-orbits.  For v in O_t the
+    pairs (w, u) with w^-1 * u = v and w, u in O_i number D[i, t] (see
+    `_class_algebra`), so a round is o <- o . (diag(|C_P(z_i)|^power) D).
+    """
+    info = conjugacy_info(P)
+    reps, D = _class_algebra(P)
+    dtype = _step_dtype(counts, P, steps, power)
+    weight = info.centralizer_order[reps].astype(dtype) ** power
+    step = weight[:, None] * D.astype(dtype)
+    cur = np.array([int(counts[z]) for z in reps], dtype=dtype)
+    for _ in range(steps):
+        cur = cur @ step
+    return cur[info.class_of].tolist()
 
 
 def space_size(H: SubgroupRef, K: SubgroupRef, n: int, m: int) -> int:
@@ -162,6 +244,8 @@ def conjugacy_info(K: SubgroupRef) -> groups.ConjugacyInfo:
 def clear_caches() -> None:
     comm_distribution.cache_clear()
     _orbit_pairs.cache_clear()
+    _class_route_pays.cache_clear()
+    _class_algebra.cache_clear()
     final_counts.cache_clear()
     conjugacy_info.cache_clear()
 

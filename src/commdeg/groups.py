@@ -4,13 +4,15 @@ Elements are integers ``0..N-1`` with the identity fixed at id 0.  Groups
 are closed from permutation generators in breadth-first discovery order,
 so ids are reproducible across runs; named families, direct products and
 quotients all reduce to the same table representation, which keeps every
-higher-level computation a matter of integer array lookups.
+higher-level computation a matter of integer array lookups.  Element
+labels are written on demand, from the permutations closure keeps.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -32,6 +34,9 @@ TABLE_BYTES_MAX = 1 << 30
 # Rows (or columns) per block when validating a table: validation holds
 # O(_CHECK_BLOCK * N) scratch, never a second copy of the table.
 _CHECK_BLOCK = 128
+# Largest degree whose permutations key closure as one int64, their images
+# read in base degree: 15**15 < 2**63 <= 16**16.  Higher degrees key by bytes.
+_INT64_KEY_DEGREE = 15
 
 __all__ = [
     "DEFAULT_MAX_ORDER",
@@ -98,6 +103,32 @@ def cycle_label(perm: Sequence[int]) -> str:
             nxt = perm[nxt]
         parts.append("(" + " ".join(str(i + 1) for i in cyc) + ")")
     return "".join(parts) or "()"
+
+
+class _LazyLabels(Sequence[str]):
+    """Element labels, each written by ``label_of(id)`` on first use."""
+
+    def __init__(self, n: int, label_of: Callable[[int], str]) -> None:
+        self._n = n
+        self._label_of = label_of
+        self._done: dict[int, str] = {}
+
+    def __len__(self) -> int:
+        return self._n
+
+    def __getitem__(self, a):  # type: ignore[override]
+        a = operator.index(a)
+        if not 0 <= a < self._n:
+            raise IndexError("element id out of range")
+        text = self._done.get(a)
+        if text is None:
+            text = self._done[a] = self._label_of(a)
+        return text
+
+
+def _label_of(G: "GroupTable") -> Callable[[int], str]:
+    """G.label without holding on to G's table."""
+    return str if G.labels is None else G.labels.__getitem__
 
 
 def _refuse_oversized(n: int) -> None:
@@ -186,7 +217,9 @@ class GroupTable:
         self.inv = inv
         self.order = n
         self.name = name
-        self.labels = list(labels) if labels is not None else None
+        if labels is not None and not isinstance(labels, _LazyLabels):
+            labels = list(labels)
+        self.labels = labels
 
     def product(self, a: int, b: int) -> int:
         return int(self.mul[a, b])
@@ -223,52 +256,77 @@ def close_group(
 
     Elements are discovered breadth-first from the identity by right
     multiplication with the generators in the order given, which pins the
-    id assignment and makes runs reproducible.  Each element e_j is
-    discovered as e_i * g_k for an earlier e_i, so the table is filled
+    id assignment and makes runs reproducible.  The search runs one BFS
+    level at a time on an array of permutations: every element of the
+    level times every generator is one gather, and each candidate is
+    looked up once by an int64 key (its images in base ``degree``, when
+    ``degree**degree`` fits) or by its packed bytes.  Each new element
+    e_j is found as e_i * g_k for an earlier e_i, so the table is filled
     row by row along that tree: row j is row i gathered through left
-    multiplication by g_k, one contiguous O(N) pass per row.  A table
-    over TABLE_BYTES_MAX raises ResourceLimit before it is allocated.
+    multiplication by g_k, one contiguous O(N) pass per row.  The
+    elements are kept as one ``(N, degree)`` array, from which the cycle
+    labels are written on demand.  A table over TABLE_BYTES_MAX raises
+    ResourceLimit before it is allocated.
     """
     d = gens.degree
-    ident = tuple(range(d))
-    elems: list[tuple[int, ...]] = [ident]
-    index: dict[tuple[int, ...], int] = {ident: 0}
-    edges: list[tuple[int, int]] = [(-1, -1)]
-    gen_to: list[list[int]] = [[] for _ in gens.perms]
-    cur = 0
-    while cur < len(elems):
-        w = elems[cur]
-        for k, p in enumerate(gens.perms):
-            nxt = tuple(w[p[i]] for i in range(d))
-            j = index.get(nxt)
+    dtype = np.int16 if d <= np.iinfo(np.int16).max else np.int32
+    gen_idx = np.asarray(gens.perms, dtype=np.intp).reshape(-1, d)
+    ngens = len(gen_idx)
+    if d <= _INT64_KEY_DEGREE:
+        radix = d ** np.arange(d, dtype=np.int64)
+
+        def keys(block: np.ndarray) -> list:
+            return (block @ radix).tolist()
+
+    else:
+        row = np.dtype((np.void, d * np.dtype(dtype).itemsize))
+
+        def keys(block: np.ndarray) -> list:
+            return np.ascontiguousarray(block).view(row).ravel().tolist()
+
+    level = np.arange(d, dtype=dtype)[None, :]
+    index = {keys(level)[0]: 0}
+    levels = [level]
+    # found[i * ngens + k] = id(e_i * g_k); edges[j] = (i, k) for the first
+    # of these products to reach e_j, with a placeholder for the identity.
+    found: list[int] = []
+    edges = [(0, 0)]
+    while len(level):
+        cand = level[:, gen_idx].reshape(-1, d)
+        base = len(found)
+        fresh = []
+        for c, key in enumerate(keys(cand)):
+            j = index.get(key)
             if j is None:
-                if len(elems) >= max_order:
-                    raise ClosureTooLarge(
-                        f"closure exceeds the order cap {max_order}"
-                    )
-                j = len(elems)
-                index[nxt] = j
-                elems.append(nxt)
-                edges.append((cur, k))
-            gen_to[k].append(j)
-        cur += 1
-    n = len(elems)
+                j = index[key] = len(index)
+                fresh.append(c)
+                edges.append(divmod(base + c, ngens))
+            found.append(j)
+        if len(index) > max_order:
+            raise ClosureTooLarge(f"closure exceeds the order cap {max_order}")
+        level = cand[fresh]
+        levels.append(level)
+    del index
+    perms = np.concatenate(levels)
+    perms.setflags(write=False)
+    n = len(perms)
     _refuse_oversized(n)
-    # left[k][b] = id(g_k * e_b), walked down the same tree:
-    # g_k * e_j = (g_k * e_i) * g_l when e_j = e_i * g_l.
-    left = []
-    for to in gen_to:
-        lk = [to[0]] * n
-        for j in range(1, n):
-            i, l = edges[j]
-            lk[j] = gen_to[l][lk[i]]
-        left.append(np.asarray(lk, dtype=np.intp))
+    right = np.array(found, dtype=np.intp).reshape(n, ngens).T
+    parents, vias = np.array(edges, dtype=np.intp).T
+    # left[k, b] = id(g_k * e_b), walked down the same tree one level at a
+    # time: g_k * e_j = (g_k * e_i) * g_l when e_j = e_i * g_l.
+    left = np.empty((ngens, n), dtype=np.intp)
+    left[:, 0] = right[:, 0]
+    lo = 1
+    for lvl in levels[1:]:
+        js = slice(lo, lo + len(lvl))
+        left[:, js] = right[vias[js], left[:, parents[js]]]
+        lo += len(lvl)
     mul = np.empty((n, n), dtype=np.int32)
     mul[0] = np.arange(n, dtype=np.int32)
-    for j in range(1, n):
-        i, k = edges[j]
-        np.take(mul[i], left[k], out=mul[j])
-    labels = [cycle_label(e) for e in elems]
+    for j, (i, k) in enumerate(edges[1:], start=1):
+        mul[i].take(left[k], out=mul[j])
+    labels = _LazyLabels(n, lambda a: cycle_label(perms[a].tolist()))
     return GroupTable(mul, name=name or f"perm{d}", labels=labels)
 
 
@@ -387,9 +445,8 @@ def direct_product(
         shift = np.repeat((g1.mul[a] - g1.mul[0]) * n2, n2)
         np.add(top, shift, out=mul[a * n2 : (a + 1) * n2])
     inv = np.add.outer(g1.inv * n2, g2.inv).reshape(-1)
-    labels = [
-        f"({g1.label(a)},{g2.label(b)})" for a in range(n1) for b in range(n2)
-    ]
+    first, second = _label_of(g1), _label_of(g2)
+    labels = _LazyLabels(n, lambda a: f"({first(a // n2)},{second(a % n2)})")
     return GroupTable(mul, inv, name=f"{g1.name}x{g2.name}", labels=labels)
 
 
@@ -599,7 +656,8 @@ def quotient_group(
     rank = {int(r): i for i, r in enumerate(reps)}
     proj = np.asarray([rank[int(v)] for v in cosmin], dtype=np.int32)
     mulq = proj[G.mul[np.ix_(reps, reps)]]
-    labels = [f"{G.label(int(r))}N" for r in reps]
+    label = _label_of(G)
+    labels = _LazyLabels(len(reps), lambda q: f"{label(int(reps[q]))}N")
     table = GroupTable(mulq, name=f"{G.name}/N{N.order}", labels=labels)
     proj.setflags(write=False)
     return table, proj

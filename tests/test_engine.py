@@ -289,6 +289,69 @@ def test_bigint_path_beyond_int64(s3):
     assert counts[2] == counts[4] == counts[5] == 0
 
 
+def _both_routes(counts, P, steps, power):
+    """The class route and the pair route on one input; they must agree."""
+    by_class = engine._class_steps(counts, P, steps, power)
+    by_pairs = engine._pair_steps(counts, P, steps, power)
+    assert by_class == by_pairs, (P.parent.name, steps, power)
+    return by_class
+
+
+@pytest.mark.parametrize("spec", audit.named_group_specs(24))
+def test_class_route_matches_pair_route(spec):
+    full = groups.full_subgroup(groupspec.parse_group_spec(spec))
+    ones = [1] * full.order
+    for n, m in itertools.product((1, 2, 3), repeat=2):
+        x_block = _both_routes(ones, full, n - 1, 1) if n > 1 else ones
+        assert tuple(x_block) == engine.comm_distribution(full, n)
+        counts = _both_routes(x_block, full, m, 1)
+        assert tuple(counts) == engine.final_counts(full, full, n, m)
+        formula = _both_routes(x_block, full, 1, m)
+        assert formula == engine.class_formula_counts(full, full, n, m)
+    # A subgroup's own indicator is constant on its orbits, so the x-block
+    # steps of comm_distribution(H, n) may take the class route too.
+    for H in lattice.all_subgroups(full.parent):
+        members = [int(x in H) for x in range(full.order)]
+        assert _both_routes(members, H, 2, 1) == list(engine.comm_distribution(H, 3))
+
+
+@pytest.mark.parametrize("spec", ["S7", "S7xC2"])
+def test_class_route_matches_pair_route_at_the_cap(spec):
+    full = groups.full_subgroup(groupspec.parse_group_spec(spec))
+    try:
+        x_block = _both_routes([1] * full.order, full, 1, 1)
+        counts = _both_routes(x_block, full, 2, 1)
+        assert engine._class_route_fits(x_block, full)
+        assert sum(counts) == engine.space_size(full, full, 2, 2)
+        if spec == "S7":
+            assert counts[0] == 927917 * 5040**4 // 98784000
+    finally:
+        engine.clear_caches()
+
+
+def test_class_route_beyond_int64(s4):
+    # 24 * 24^13 > 2^62, so both routes must run on Python integers
+    full = groups.full_subgroup(s4)
+    counts = _both_routes([1] * 24, full, 13, 1)
+    assert sum(counts) == 24**14 >= 2**62
+    assert engine._step_dtype([1] * 24, full, 13, 1) is object
+    formula = _both_routes(engine.comm_distribution(full, 1), full, 1, 14)
+    assert sum(formula) >= 2**62
+
+
+def test_non_invariant_input_takes_the_pair_route(s3):
+    # <(1 2)> in S3: its x-block histogram is not constant on the classes of
+    # S3, so extending by the full group must not use the class algebra.
+    flip = groups.subgroup_closure(s3, [2])
+    full = groups.full_subgroup(s3)
+    assert engine._class_route_fits([1] * 6, full)
+    x_block = engine.comm_distribution(flip, 1)
+    assert not engine._class_route_fits(x_block, full)
+    for m in (1, 2, 3):
+        want = engine.brute_counts(s3, [flip.members] + [full.members] * m)
+        assert list(engine.final_counts(flip, full, 1, m)) == want
+
+
 def test_brute_threads_clamped_to_cpu_count(monkeypatch, s3):
     requested = []
 

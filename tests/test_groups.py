@@ -1,3 +1,4 @@
+import hashlib
 import tracemalloc
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from commdeg import groups, groupspec, lattice
+from commdeg import audit, groups, groupspec, lattice
 from commdeg.errors import (
     ClosureTooLarge,
     ForeignSubgroup,
@@ -80,6 +81,81 @@ def test_close_group_matches_word_oracle_on_s7():
         if G.mul[ids[p], ids[q]] != ids[_compose(p, q)]:
             bad.append((p, q))
     assert not bad
+
+
+# sha256 of mul.tobytes(), inv.tobytes() and the labels joined by newlines.
+# Element ids (what -g names), products, inverses and labels all reach the
+# output, so closure must reproduce each table byte for byte.
+_CLOSURE_SHA256 = {
+    "C1": "b162f519ea318f3ea919ea29068bbd9b71119237957718e12a79f65867b4aefd",
+    "C2": "d6af33467fd4d0aa1da3bb447d7b316ccc292203c29760854a3ce66992e6aa08",
+    "C3": "41e36bf7002569038b65ffeb26fcd219a2726d6c9b94a70e38c433f5ab171d8b",
+    "C4": "49b0a03eafb902803c0fb9003c6f4640857786a5cbcdde00f0487662229e1953",
+    "C5": "743252bf8b1c1c782a81cb7c3b4451dfbf374fa8ad0fa2dc597c13795293055a",
+    "C6": "c22681a2d5b0aaebdb598d8333ddc99e7daf9b1125488e2133c9de5c7daff412",
+    "C7": "34dd96ebd944c57a3ef428c17f59827a9857f948e73368d14c06bc9e9a887663",
+    "C8": "61a201a0ae41cc53603048ed4cf7bca30efb7edc5bdf615b687a8f4576a9a85d",
+    "C9": "2159ae9131742721e9e3e6f71a83bf50edb1d39cef7d21471d2ed95c82d34763",
+    "C10": "2d382953d84287740b538ff994f6def508ae6413aa94aaa02dd795254ee52ecd",
+    "C11": "3c8fc4fa82321eed222de46d92277dfaafb7bb422d09e106b93721ef645ffcd4",
+    "C12": "e71e2dd7df7374969ed3313daf828f608457ee24abcabf0d536dcd22d42df3a5",
+    "C13": "009db6148f61855193589961d311513c1cb673e1105fdec4e277b81b07d476e4",
+    "C14": "dbfa969db8336020f23f189c8d39d5906ce397e9306206d43fa0df12890bab1c",
+    "C15": "b3746db86cf8147fb670498f4f5b76da792a5bf830ea634c2a247a8fadefe2f4",
+    "C16": "fce749d7899204869ac9fe1c6b01e592924434186eee2c68c290d1cefc6cc45a",
+    "C17": "cd5f5c5dba493c6c8ea5c71b489c2bb35d17f78cf5180e913d4066667624e8dd",
+    "C18": "b62dc18b9e1f6c8763104cac39affabf3a71a9626db558b60c822b2051ace76c",
+    "C19": "96dcd709283abf8e5e4776633d28fc4c76d839fc3518325a33e02a9c610f3627",
+    "C20": "5401ef4c4377cb29b4177f91a5952f48cb681b0ee6339e657d6b5c9cdcb0ee36",
+    "C21": "61c6dd5932f30979729cea6ff57c2d3403a86626379a151ae3b5a0a53825cfa8",
+    "C22": "2cae4646ff8a05fe4ddf32cefa2892c21c920b6da32ae72a7bdadfac214bf848",
+    "C23": "850f7027162955a41068134d059215a0a43560f64295b6108cda17d200693d03",
+    "C24": "7f79486fa7763261b543a10bd9bca42c507cc2684ba8160207e1468c0d127363",
+    "D1": "d6af33467fd4d0aa1da3bb447d7b316ccc292203c29760854a3ce66992e6aa08",
+    "D2": "55ccec96e323b7ab714a0f4fb0a60d4ea2ae9e02c99ad962c50ef1047a3fe938",
+    "D3": "923e2f562fd0d4bce4d011fd77305c8baa10a40b2a56b1a341dbea900aae923e",
+    "D4": "1678b8d79a0b31b38448d99438746977151775786b622703407e635e5b0aabe5",
+    "D5": "d8e7e75efd6c4224d8b19967ba841cad931b22cd91bf6e9a6463db80e5f67366",
+    "D6": "e538942ab2c7cd3a3d7200ec270ef76efb958baa36f201a31335ec984ae0c553",
+    "D7": "f09d559d3d489e0d3480255fc5c36d200baeb91bbb6f9253af36bc42e7ab1f75",
+    "D8": "34f4d8f7febc4c97033989f2fa6e42915a0c2a9b619c5a582135de09c8ba5320",
+    "D9": "94920be576a9202babcf13d84638f304645bb48f83c3c6c98bede05d4e07ba08",
+    "D10": "0c4b5a5aad4e9de570ccb71a8d95fe74cfb0ddc67a164a45a3f66fa7c0dccb34",
+    "D11": "915507fab7b3805fe165c3709ed2823a18672425eb179187bb8b76b56bf8e60a",
+    "D12": "a4636ba7c049a1461f440d03628a1b1576013e0e16381d865a8d75c0d3e6c848",
+    "S1": "b162f519ea318f3ea919ea29068bbd9b71119237957718e12a79f65867b4aefd",
+    "S2": "d6af33467fd4d0aa1da3bb447d7b316ccc292203c29760854a3ce66992e6aa08",
+    "S3": "43e4aa2d46877b5195ad1ed99002f588b52e2fb30520f6f4bb75793b3de6dbb8",
+    "S4": "d4467460f33f31f9078e9b6a50ad4381fd746ea93010c3e40bf24787ab1f0222",
+    "A1": "b162f519ea318f3ea919ea29068bbd9b71119237957718e12a79f65867b4aefd",
+    "A2": "b162f519ea318f3ea919ea29068bbd9b71119237957718e12a79f65867b4aefd",
+    "A3": "41e36bf7002569038b65ffeb26fcd219a2726d6c9b94a70e38c433f5ab171d8b",
+    "A4": "451bab48e7cdce532e5760114ae4c882981967b5a9611185c8053a18ff379c9b",
+    "Q8": "27794cc37ac7474239ec94ffef7cac7e27199bd4c86ebec40d2626cb231b9694",
+    "S7": "4be02aee10188149aa29670f00974622cc03daccf99bf69e6ab9756ee461fb3f",
+    "A7": "bbc708bd7266be18b8ea87ac9728340e43ef89a97bdb7b425d74bb76ea480243",
+    "S3xQ8": "67e58ab4b444054225bca04ed45251eac3e93491aa864ac4ead40b35bb536326",
+    "perm(4): (1 2)(3 4); (1 3)": (
+        "1530ec33fae34f8c3210b33621682d033752de7da8435849ff73b946931dbca2"
+    ),
+}
+
+
+def _table_sha256(G):
+    digest = hashlib.sha256()
+    digest.update(G.mul.tobytes())
+    digest.update(G.inv.tobytes())
+    digest.update("\n".join(G.label(i) for i in range(G.order)).encode())
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize("spec", sorted(_CLOSURE_SHA256))
+def test_closure_bytes_are_pinned(spec):
+    assert _table_sha256(groupspec.parse_group_spec(spec)) == _CLOSURE_SHA256[spec]
+
+
+def test_pinned_closures_cover_the_named_groups():
+    assert set(audit.named_group_specs(24)) <= set(_CLOSURE_SHA256)
 
 
 @pytest.mark.parametrize(
@@ -348,8 +424,16 @@ def _dihedral_table(n):
     return groups.GroupTable(rot + ((j[:, None] + j[None, :]) % 2) * n, name=f"D{n}")
 
 
-# C5040 and D2520 come from their arithmetic tables: closing their regular
-# permutation representations spends seconds on labels.
+def test_c5040_closes_to_its_arithmetic_table():
+    # Degree 5040 keys the closure by bytes; g^j must get id j.
+    G = groupspec.parse_group_spec("C5040")
+    want = _cyclic_table(5040)
+    assert np.array_equal(G.mul, want.mul)
+    assert np.array_equal(G.inv, want.inv)
+    assert G.label(1) == "(" + " ".join(map(str, range(1, 5041))) + ")"
+
+
+# C5040 and D2520 come from their arithmetic tables, which skip closure.
 _ARITHMETIC = {
     "C5040": lambda: _cyclic_table(5040),
     "D2520": lambda: _dihedral_table(2520),
