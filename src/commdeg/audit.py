@@ -25,6 +25,16 @@ shape once per instance:
 then P1 per product pair, blocks and (n, m), with the g list of the
 product blocks.  A check that receives a g list decides every g in it from
 the cached count vectors, returning its findings in g order.
+
+The checks on one cell ``{group, H, K, n, m}`` report shared instance
+dicts: R1, P3, C4 and C6 the cell's dict (``_Cell.base``), and P2,
+T2_CHAIN, T3 and C5 one ``_GInstance`` per g, which the cell's g list
+(``_CellGs``) carries to each of them; P4's instances lie over the same
+cell.  A ``_GInstance`` points at its ``_Cell``, which holds the text of
+its instances cut around the digits of g, once per style: as the sort
+key and at depth 3 of the report (``_template``).  The sort and the
+report writer join head, g and tail for such an instance, and write every
+other dict with ``_dict_writer``.
 """
 
 from __future__ import annotations
@@ -177,12 +187,59 @@ def _inst(G: GroupTable, **kw) -> dict:
     return base
 
 
+class _Cell:
+    """One cell ``{group, blocks, n, m}`` and the text of its instances.
+
+    ``base`` is the cell's instance without g, the one the per-cell checks
+    report.  ``compact`` and ``indented`` are, once made, the head and the
+    tail around the digits of g in the text of any of the cell's g
+    instances: as the sort key (``_compact_writer``) and at depth 3 of the
+    report (``_indented_writer``).  See ``_template``.
+    """
+
+    __slots__ = ("base", "compact", "indented")
+
+    def __init__(self, base: dict) -> None:
+        self.base = base
+        self.compact: Optional[tuple[str, str]] = None
+        self.indented: Optional[tuple[str, str]] = None
+
+    def g_list(self, gs: Sequence[int]) -> _CellGs:
+        """``gs`` as a list that carries the cell's instance of each g."""
+        insts = []
+        for g in gs:
+            inst = _GInstance(self.base, g=g)
+            inst.cell = self
+            insts.append(inst)
+        out = _CellGs(gs)
+        out.insts = insts
+        return out
+
+
+class _GInstance(dict):
+    """The instance ``{**cell.base, "g": g}``, a plain dict to every reader."""
+
+    __slots__ = ("cell",)
+
+
+class _CellGs(list):
+    """A g list that carries its cell's instance of each of its g."""
+
+    __slots__ = ("insts",)
+
+
 def _g_insts(
     G: GroupTable, n: int, m: int, gs: Sequence[int], **blocks
 ) -> list[dict]:
-    """The instance of each g in ``gs``: group, ``blocks``, n, m and g."""
-    base = {"group": G.name, **blocks, "n": n, "m": m}
-    return [{**base, "g": g} for g in gs]
+    """The instance of each g in ``gs``: group, ``blocks``, n, m and g.
+
+    A g list built by ``_Cell.g_list`` (as ``run_battery`` builds them)
+    carries its instances, so the checks it is handed to share them; any
+    other list gets instances over a new cell.
+    """
+    if isinstance(gs, _CellGs):
+        return gs.insts
+    return _Cell({"group": G.name, **blocks, "n": n, "m": m}).g_list(gs).insts
 
 
 @lru_cache(maxsize=4096)
@@ -1099,17 +1156,27 @@ def _finding_texts(
 
     A finding is written from its fixed key layout, in sorted key order:
     ``claim``, ``instance``, [``runtime_ms``], ``verdict``, ``witness``,
-    with its instance and witness dicts at depth 3.  An instance's member
-    lists are shared between findings (see ``_member_list``), so each is
-    encoded once per call.
+    with its instance and witness dicts at depth 3.  The instance of one g
+    of a cell is its cell's indented template with the digits of g in
+    between (see ``_template``); every other instance goes through
+    ``_indented_writer``.  An instance's member lists are shared between
+    findings (see ``_member_list``), so each is encoded once per call.
     """
     quote = jsontext.SCALARS[str]
+    digits = int.__repr__
     nl = "\n    "
-    instance_text = _dict_writer(
-        nl, ",", "\n   }", _by_identity(lambda v: jsontext.encode(v, nl))
-    )
+    instance_text = _indented_writer()
     witness_text = _dict_writer(nl, ",", "\n   }", lambda v: jsontext.encode(v, nl))
     for f in findings:
+        inst = f.instance
+        if type(inst) is _GInstance:
+            cell = inst.cell
+            if cell.indented is None:
+                cell.indented = _template(instance_text, cell.base)
+            head, tail = cell.indented
+            inst_text = head + digits(inst["g"]) + tail
+        else:
+            inst_text = instance_text(inst)
         runtime = (
             ',\n   "runtime_ms": ' + jsontext.encode(round(f.runtime_ms, 3), "")
             if include_runtime
@@ -1119,7 +1186,7 @@ def _finding_texts(
             '{\n   "claim": '
             + quote(f.claim)
             + ',\n   "instance": '
-            + instance_text(f.instance)
+            + inst_text
             + runtime
             + ',\n   "verdict": '
             + quote(f.verdict)
@@ -1127,6 +1194,35 @@ def _finding_texts(
             + witness_text(f.witness)
             + "\n  }"
         )
+
+
+def _compact_writer() -> Callable[[dict], str]:
+    """A writer of ``json.dumps(d, sort_keys=True)`` for instance dicts."""
+    return _dict_writer(
+        "", ", ", "}", _by_identity(json.JSONEncoder(sort_keys=True).encode)
+    )
+
+
+def _indented_writer() -> Callable[[dict], str]:
+    """A writer of instance dicts at depth 3 of the report.
+
+    Its text of ``d`` is ``jsontext.encode(d, "\\n   ")``.
+    """
+    nl = "\n    "
+    return _dict_writer(
+        nl, ",", "\n   }", _by_identity(lambda v: jsontext.encode(v, nl))
+    )
+
+
+def _template(text: Callable[[dict], str], base: dict) -> tuple[str, str]:
+    """The head and the tail of ``text({**base, "g": g})`` around g's digits.
+
+    Cut from ``text`` of the instance with g = 0, in which ``"g": 0``
+    occurs once: ``"g"`` is the one key of that name, and a quote inside
+    a string value is written escaped.
+    """
+    head, _, tail = text({**base, "g": 0}).partition('"g": 0')
+    return head + '"g": ', tail
 
 
 def _dict_writer(
@@ -1256,19 +1352,29 @@ def _sort_findings(findings: list[Finding]) -> None:
     """Sort by claim, then by the text of ``json.dumps(instance, sort_keys=True)``.
 
     The findings go into one list per claim, and each list is sorted by
-    its instance texts alone.  P2a/P2b and T3i/T3ii share one instance
-    dict, and instances share their member lists (see ``_member_list``),
-    so each dict and each list is encoded once.
+    its instance texts alone.  Each instance dict is written once, however
+    many findings share it: the instance of one g of a cell as its cell's
+    compact template with the digits of g in between (see ``_template``),
+    any other through ``_compact_writer``.  Instances share their member
+    lists (see ``_member_list``), so each list is encoded once.
     """
-    instance_text = _dict_writer(
-        "", ", ", "}", _by_identity(json.JSONEncoder(sort_keys=True).encode)
-    )
+    instance_text = _compact_writer()
+    digits = int.__repr__
     texts: dict[int, str] = {}
     by_claim: dict[str, list[tuple[str, Finding]]] = {}
     for f in findings:
-        text = texts.get(id(f.instance))
+        inst = f.instance
+        text = texts.get(id(inst))
         if text is None:
-            text = texts[id(f.instance)] = instance_text(f.instance)
+            if type(inst) is _GInstance:
+                cell = inst.cell
+                if cell.compact is None:
+                    cell.compact = _template(instance_text, cell.base)
+                head, tail = cell.compact
+                text = head + digits(inst["g"]) + tail
+            else:
+                text = instance_text(inst)
+            texts[id(inst)] = text
         bucket = by_claim.get(f.claim)
         if bucket is None:
             bucket = by_claim[f.claim] = []
@@ -1296,11 +1402,14 @@ def run_battery(config: AuditConfig) -> AuditReport:
     """Execute every selected check on every instance the config describes.
 
     Each instance shape of a group is walked once, calling every selected
-    check of that shape (see the module docstring).  Instance generation
-    is fully deterministic (ordering comes from the config and from
-    element ids), so a fixed config yields a byte-identical serialized
-    report; per-finding timings are measured but excluded from
-    serialization unless explicitly requested.
+    check of that shape (see the module docstring).  The checks on one
+    (H, K, n, m) cell report one instance dict: R1, P3, C4 and C6 its
+    ``_Cell.base``, and P2, T2_CHAIN, T3 and C5 the instances that the
+    cell's g list carries, one per g; P4 gets a g list of its own over the
+    same cell.  Instance generation is fully deterministic (ordering comes
+    from the config and from element ids), so a fixed config yields a
+    byte-identical serialized report; per-finding timings are measured but
+    excluded from serialization unless explicitly requested.
     """
     config.validate()
     selected = set(config.claims)
@@ -1309,9 +1418,11 @@ def run_battery(config: AuditConfig) -> AuditReport:
     }
     per_g = [name for name in _G_CHECKS if name in active]
     cells = [(n, m) for n in config.n_values for m in config.m_values]
+    # C5 reads the cells at m = 1, which ``cells`` lacks when 1 is no m value.
+    cell_keys = list(dict.fromkeys(cells + [(n, 1) for n in config.n_values]))
     findings: list[Finding] = []
 
-    def run(name: str, *args) -> None:
+    def run(name: str, *args, instance: Optional[dict] = None) -> None:
         if name not in active:
             return
         # Looked up on the module at each call, so a check replaced there
@@ -1323,6 +1434,9 @@ def run_battery(config: AuditConfig) -> AuditReport:
         batch = produced if isinstance(produced, list) else [produced]
         for f in batch:
             f.runtime_ms = elapsed / len(batch)
+            if instance is not None and f.instance == instance:
+                # The check built its own copy of the cell's dict.
+                f.instance = instance
             if f.claim in selected:
                 findings.append(f)
 
@@ -1336,21 +1450,32 @@ def run_battery(config: AuditConfig) -> AuditReport:
             full = groups.full_subgroup(G)
             for H in pool:
                 for K in pool:
+                    hk = {
+                        (n, m): _Cell(_inst(G, H=_mem(H), K=_mem(K), n=n, m=m))
+                        for n, m in cell_keys
+                    }
+                    g_lists: dict[tuple[int, int], _CellGs] = {}
                     for n, m in cells:
+                        cell = hk[n, m]
                         for name in _CELL_CHECKS:
-                            run(name, H, K, n, m)
+                            run(name, H, K, n, m, instance=cell.base)
                         if per_g:
-                            gs = _g_values(H, K, n, m, config)
+                            gs = g_lists[n, m] = cell.g_list(
+                                _g_values(H, K, n, m, config)
+                            )
                             for name in per_g:
                                 run(name, H, K, n, m, gs)
                     nested = set(H.members) <= set(K.members)
                     if "check_monotonicity" in active and nested:
                         for n, m in cells:
-                            gs = _g_values(H, full, n, m, config)
+                            gs = hk[n, m].g_list(_g_values(H, full, n, m, config))
                             run("check_monotonicity", H, K, n, m, gs)
                     if "check_c5" in active:
                         for n in config.n_values:
-                            run("check_c5", H, K, n, _g_values(H, K, n, 1, config))
+                            gs = g_lists.get((n, 1))
+                            if gs is None:
+                                gs = hk[n, 1].g_list(_g_values(H, K, n, 1, config))
+                            run("check_c5", H, K, n, gs)
             if "check_quotient" in active:
                 for N in pool:
                     if not groups.is_normal(G, N):

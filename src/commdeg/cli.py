@@ -205,11 +205,12 @@ def _cmd_info(args: argparse.Namespace) -> int:
     # every class is a single element.
     center_order = int((info.centralizer_order == G.order).sum())
     is_abelian = len(info.classes) == G.order
+    orders = G.element_orders().tolist()
     elements = [
         {
             "id": i,
             "label": G.label(i),
-            "order": G.element_order(i),
+            "order": orders[i],
             "class": int(info.class_of[i]),
         }
         for i in range(G.order)

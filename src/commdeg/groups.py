@@ -243,6 +243,25 @@ class GroupTable:
             k += 1
         return k
 
+    def element_orders(self) -> np.ndarray:
+        """The order of every element, indexed by id.
+
+        All powers advance together: round k gathers ``x^k = mul[x^(k-1), x]``
+        for every x whose power has not yet reached the identity, then
+        retires those that have.
+        """
+        orders = np.zeros(self.order, dtype=np.int64)
+        live = np.arange(self.order)
+        power = live
+        k = 1
+        while live.size:
+            done = power == 0
+            orders[live[done]] = k
+            live, power = live[~done], power[~done]
+            power = self.mul[power, live]
+            k += 1
+        return orders
+
     def __repr__(self) -> str:
         return f"<GroupTable {self.name} order {self.order}>"
 

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from commdeg import audit, chartab, engine, groups
+from commdeg import audit, chartab, engine, groups, jsontext
 from commdeg.errors import ConfigInvalid
 
 
@@ -459,6 +459,87 @@ def test_findings_sorted_by_claim_then_instance_json(s3_d4_report):
     assert findings == sorted(
         findings, key=lambda f: (f.claim, json.dumps(f.instance, sort_keys=True))
     )
+
+
+# Group names a template must carry through: spaces, quotes, a backslash,
+# non-ASCII, and the text a template is cut at.
+_TEMPLATE_NAMES = (
+    "S3",
+    "perm(4): (1 2)(3 4); (1 3)",
+    'a "quoted" \\ name',
+    "Gruppe \u00e4\u2202",
+    'C2 "g": 0',
+)
+
+
+@pytest.mark.parametrize("name", _TEMPLATE_NAMES)
+@pytest.mark.parametrize("blocks", [("H", "K"), ("H", "N")])
+@pytest.mark.parametrize("n, m", [(1, 2), (12, 3), (4, 105)])
+def test_cell_template_is_the_encoder_text(name, blocks, n, m):
+    base = {"group": name, blocks[0]: [0, 1, 2], blocks[1]: [0, 5, 11]}
+    base.update(n=n, m=m)
+    styles = [
+        (audit._compact_writer(), lambda d: json.dumps(d, sort_keys=True)),
+        (audit._indented_writer(), lambda d: jsontext.encode(d, "\n   ")),
+    ]
+    for writer, reference in styles:
+        head, tail = audit._template(writer, base)
+        for g in (0, 9, 10, 99, 100, 12345):
+            inst = {**base, "g": g}
+            assert head + str(g) + tail == writer(inst) == reference(inst)
+
+
+def test_battery_templates_are_the_encoder_text():
+    config = audit.AuditConfig(groups=("S3", "D4", "Q8", "C6"), product_pairs=())
+    report = audit.run_battery(config)
+    report.write(_Discard())
+    per_g = [
+        f.instance
+        for f in report.findings
+        if isinstance(f.instance, audit._GInstance)
+    ]
+    assert len(per_g) > len(report.findings) / 2
+    for inst in per_g:
+        g = str(inst["g"])
+        head, tail = inst.cell.compact
+        assert head + g + tail == json.dumps(inst, sort_keys=True)
+        head, tail = inst.cell.indented
+        assert head + g + tail == jsontext.encode(inst, "\n   ")
+
+
+def test_checks_of_one_cell_share_its_instances():
+    report = audit.run_battery(audit.AuditConfig(groups=("S3",), product_pairs=()))
+    # Claims that report one instance, and how many of them one instance
+    # carries at m = 1 and at m > 1 (C5 reads only the cells at m = 1).
+    shared = [
+        ({"P2a", "P2b", "T2_CHAIN", "T3i", "T3ii", "C5"}, {1: 6, 2: 5}),
+        ({"R1a", "R1b", "P3_m1", "P3_mgt1", "C4", "C6"}, {1: 5, 2: 5}),
+    ]
+    for claims, counts in shared:
+        by_text: dict[str, list] = {}
+        for f in report.findings:
+            if f.claim in claims:
+                by_text.setdefault(json.dumps(f.instance, sort_keys=True), []).append(f)
+        assert by_text
+        for text, found in by_text.items():
+            assert len(found) == counts[json.loads(text)["m"]], text
+            assert all(f.instance is found[0].instance for f in found), text
+
+
+def test_lone_check_builds_its_own_plain_equal_instances(s3, a3_in_s3):
+    full = groups.full_subgroup(s3)
+    gs = [0, 1, 4]
+    findings = audit.check_t3(a3_in_s3, full, 2, 1, gs)
+    H, K = list(a3_in_s3.members), list(full.members)
+    plain = [
+        {"group": s3.name, "H": H, "K": K, "n": 2, "m": 1, "g": g}
+        for g in gs
+        for _ in ("T3i", "T3ii")
+    ]
+    assert [f.instance for f in findings] == plain
+    assert [json.dumps(f.instance) for f in findings] == [json.dumps(d) for d in plain]
+    again = audit.check_t3(a3_in_s3, full, 2, 1, gs)
+    assert again[0].instance is not findings[0].instance
 
 
 def test_report_dumps_peak_memory(s3_d4_report):

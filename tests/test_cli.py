@@ -1,4 +1,5 @@
 import argparse
+import hashlib
 import io
 import json
 import os
@@ -66,6 +67,23 @@ def test_info_json_center_and_abelian_match_definitions(capsys, spec):
     commutes = mul == mul.T
     assert payload["center_order"] == int(commutes.all(axis=1).sum())
     assert payload["is_abelian"] == bool(commutes.all())
+
+
+@pytest.mark.parametrize(
+    "spec, digest",
+    [
+        ("S4", "f8d77aeb8dafe4ba533602a6defe7bb480db983aefebb4d6af6221579e0a16d8"),
+        ("S3xQ8", "cfd32b30048e56abe8fb05794cd83cf94976e870bba81b222957b2aa693fb3e7"),
+        (
+            "perm(4): (1 2)(3 4); (1 3)",
+            "398ef567e518d6451680d34fa702ae07e7cfae2113dcaa43224fd7b56dc094a6",
+        ),
+    ],
+)
+def test_info_json_bytes_are_pinned(capsys, spec, digest):
+    code, out, _ = run(capsys, "info", "-G", spec, "-o", "json")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_prob_table_cross_checks_brute(capsys):

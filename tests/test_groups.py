@@ -1,4 +1,5 @@
 import hashlib
+import math
 import tracemalloc
 
 import numpy as np
@@ -185,6 +186,19 @@ def test_q8_element_order_census(q8):
     for x in range(q8.order):
         tally[q8.element_order(x)] = tally.get(q8.element_order(x), 0) + 1
     assert tally == {1: 1, 2: 1, 4: 6}
+
+
+@pytest.mark.parametrize("spec", audit.named_group_specs(24) + ("S7",))
+def test_element_orders_match_element_order(spec):
+    G = groupspec.parse_group_spec(spec)
+    assert G.element_orders().tolist() == [G.element_order(a) for a in range(G.order)]
+
+
+def test_element_orders_of_a_large_cyclic_group():
+    # Element id r of C5040 is gen^r.
+    G = groupspec.parse_group_spec("C5040")
+    expected = [5040 // math.gcd(r, 5040) for r in range(5040)]
+    assert G.element_orders().tolist() == expected
 
 
 def test_s3_element_labels(s3):
