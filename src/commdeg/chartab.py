@@ -6,17 +6,23 @@ eigenvectors are refined into central characters, from which degrees and
 character values follow (Dixon 1967; Schneider 1990).  Every downstream
 quantity is tolerance-gated.
 
-Cost for a group with k classes: the float64 structure tensor takes
-O(k |G|) time and k^3 * 8 bytes, built once; each draw (eigensolve plus
-central characters) takes O(k^3).  Tables whose tensor would exceed
-TENSOR_BYTES_MAX (1 GiB, so k <= 512) raise ResourceLimit before
-anything is allocated.
+Cost for a group with k classes: the class-sum structure constants
+a[i, j, t] are read from the table a few k x k slices at a time and never
+held as a k x k x k array, so a draw (its matrix, the eigensolve and the
+central characters) takes O(k |G|) table reads and O(k^3) arithmetic in
+O(k^2) memory.  Tables whose k x k working set, the JSON rows of
+``table_to_json`` included, would exceed WORKING_SET_BYTES_MAX
+(512 MiB at WORKING_SET_BYTES_PER_ENTRY bytes per class pair, so
+k <= 1024) raise ResourceLimit before any k x k array is allocated.
+C1024, at the limit, takes about 16 s and peaks at 443 MB RSS as
+``chartab -o json`` on a 2-core x86-64 machine.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import repeat
 from typing import Optional, Sequence
 
 import numpy as np
@@ -37,14 +43,22 @@ CONSTRUCTION_TOL = 1e-8
 ROUNDING_TOL = 1e-6
 FORMULA_TOL = 1e-8
 MAX_RETRIES = 20
-TENSOR_BYTES_MAX = 1 << 30
+# Bytes per (class, class) pair at the peak of ``chartab -o json``: the
+# float64 and complex128 k x k arrays of a draw and of the orthogonality
+# check, then the JSON rows and their text, which dominate (380 to 480
+# bytes per pair, measured as peak RSS at k = 600 and k = 1024).
+WORKING_SET_BYTES_PER_ENTRY = 512
+WORKING_SET_BYTES_MAX = 1 << 29
+# Structure-constant slices per matrix-vector product in a draw.
+_SLICES_PER_PRODUCT = 4
 
 __all__ = [
     "CONSTRUCTION_TOL",
     "ROUNDING_TOL",
     "FORMULA_TOL",
     "MAX_RETRIES",
-    "TENSOR_BYTES_MAX",
+    "WORKING_SET_BYTES_MAX",
+    "WORKING_SET_BYTES_PER_ENTRY",
     "CharacterTable",
     "OrthogonalityReport",
     "character_table",
@@ -126,53 +140,132 @@ def _class_layout(G: GroupTable) -> tuple[list[int], list[int], np.ndarray]:
     return reps, sizes, class_of
 
 
-def _structure_tensor(
-    G: GroupTable, reps: Sequence[int], class_of: np.ndarray
-) -> np.ndarray:
-    """a[i, j, t] = #{(x, y) in C_i x C_j : x*y = rep_t}, as float64.
+def _class_members(class_of: np.ndarray, sizes: Sequence[int]) -> list[np.ndarray]:
+    """The member ids of each class, in class order."""
+    order = np.argsort(class_of, kind="stable")
+    return np.split(order, np.cumsum(sizes)[:-1])
 
-    Every count is at most |G| < 2^53, so float64 holds it exactly.
+
+def _draw_matrix(
+    G: GroupTable, reps: np.ndarray, cls: np.ndarray, coeffs: np.ndarray
+) -> np.ndarray:
+    """combo[j, t] = sum_i coeffs[i] a[i, j, t], a few slices a[:, :, t] at a time.
+
+    a[i, j, t] = #{x in C_i : x^-1 rep_t in C_j}.  A slice is the bincount
+    of (class of x, class of x^-1 rep_t) over G, read off the row of
+    rep_t^-1 (x^-1 rep_t is the inverse of rep_t^-1 x).  Every count is at
+    most |G| < 2^53, so the float64 slab is exact.
+
+    _SLICES_PER_PRODUCT slices share one slab laid out as a[i, j, t] with t
+    fastest, and one product with coeffs.  OpenBLAS's x86-64 matrix-vector
+    kernels sum the last (rows mod 4) output rows apart from the others;
+    with four slices per product every entry falls on the same side of
+    that split as in one contraction of a whole k x k x k array, so the
+    tables of small groups keep their bits.
     """
     k = len(reps)
-    a = np.empty((k, k, k), dtype=np.float64)
-    cls64 = class_of.astype(np.int64)
-    for t, z in enumerate(reps):
-        y = G.mul[G.inv, z]
-        pairs = cls64 * k + cls64[y]
-        a[:, :, t] = np.bincount(pairs, minlength=k * k).reshape(k, k)
-    return a
+    step = _SLICES_PER_PRODUCT
+    row = cls * k
+    cls_of_inverse = cls[G.inv]
+    combo = np.empty((k, k), dtype=np.float64)
+    idx = np.empty((step, G.order), dtype=np.int64)
+    ones = np.ones(step * G.order)
+    for t0 in range(0, k, step):
+        zs = reps[t0 : t0 + step]
+        w = len(zs)
+        for s, z in enumerate(zs):
+            np.add(row, cls_of_inverse[G.mul[G.inv[z]]], out=idx[s])
+            idx[s] *= w
+            idx[s] += s
+        slab = np.bincount(
+            idx[:w].ravel(), weights=ones[: w * G.order], minlength=k * k * w
+        ).reshape(k, k * w)
+        combo[:, t0 : t0 + w] = (coeffs @ slab).reshape(k, w)
+    return combo
+
+
+def _pivot_slice(
+    G: GroupTable,
+    reps: np.ndarray,
+    cls: np.ndarray,
+    members: np.ndarray,
+    out: np.ndarray,
+) -> np.ndarray:
+    """Fill ``out[i, t]`` with a[i, j, t] for the class C_j of ``members``.
+
+    a[i, j, t] counts the y in C_j with rep_t y^-1 in C_i, so the slice is
+    the bincount of (class of rep_t y^-1, t) over y in C_j and every t,
+    read from the columns y^-1 of the rows rep_t.  Members are taken in
+    chunks so no temporary exceeds max(k^2, |G|) entries.
+    """
+    k = len(reps)
+    cols = np.arange(k)[:, None]
+    step = max(1, max(k * k, G.order) // k)
+    flat = out.reshape(-1)
+    flat[...] = 0
+    for lo in range(0, len(members), step):
+        y_inv = G.inv[members[lo : lo + step]]
+        idx = cls[G.mul[reps[:, None], y_inv[None, :]]] * k + cols
+        flat += np.bincount(idx.ravel(), minlength=k * k)
+    return out
+
+
+def _row_order(values: np.ndarray, degs: np.ndarray) -> np.ndarray:
+    """Stable order of the rows by (degree, re_0, im_0, re_1, im_1, ...).
+
+    Each value is rounded with ``round(x, 6)``, so rows that agree to six
+    places keep their order; a rounded -0.0 compares equal to 0.0.
+    """
+    n, k = values.shape
+    parts = np.empty((n, k, 2), dtype=np.float64)
+    parts[..., 0] = values.real
+    parts[..., 1] = values.imag
+    flat = parts.ravel().tolist()
+    rounded = np.fromiter(
+        map(round, flat, repeat(6)), dtype=np.float64, count=len(flat)
+    ).reshape(n, 2 * k)
+    # lexsort takes its primary key last.
+    return np.lexsort(np.vstack([rounded[:, ::-1].T, degs]))
 
 
 def character_table(G: GroupTable, seed: int = 0) -> CharacterTable:
     """Build the table of irreducible complex characters of G.
 
-    The class-sum structure tensor is contracted with a seeded random
-    real vector; the resulting matrix has the central characters as
-    eigenvectors whenever its eigenvalues separate.  Draws with an
-    eigenvalue gap under the construction tolerance are retried (a fresh
-    vector from the same generator) up to MAX_RETRIES times before
+    The class-sum structure constants a[i, j, t] are contracted with a
+    seeded random real vector; the resulting k x k matrix has the central
+    characters as eigenvectors whenever its eigenvalues separate.  Draws
+    with an eigenvalue gap under the construction tolerance are retried (a
+    fresh vector from the same generator) up to MAX_RETRIES times before
     DegenerateEigenbasis is raised; degree rounding and row orthogonality
     failures raise ToleranceExceeded.
 
-    Building the k x k x k tensor costs O(k |G|) time and k^3 * 8 bytes;
-    each draw costs O(k^3), since a central character needs only the
-    pivot row of each class matrix.  A tensor over TENSOR_BYTES_MAX
-    raises ResourceLimit before it is allocated.
+    The constants are never held as a k x k x k array.  A draw builds its
+    matrix from a few k x k slices a[:, :, t] at a time, and each central
+    character reads the slice a[:, pivot, :] of its pivot class, built
+    once per distinct pivot into one reused buffer.  So a draw costs
+    O(k |G|) table reads plus O(k^3) arithmetic in O(k^2) memory.  A group
+    whose k x k working set, the JSON rows of ``table_to_json`` included,
+    would exceed WORKING_SET_BYTES_MAX (k > 1024) raises ResourceLimit
+    before any k x k array is allocated.
     """
     reps, sizes, class_of = _class_layout(G)
     k = len(reps)
-    if k**3 * 8 > TENSOR_BYTES_MAX:
+    need = k * k * WORKING_SET_BYTES_PER_ENTRY
+    if need > WORKING_SET_BYTES_MAX:
         raise ResourceLimit(
-            f"{G.name} has {k} classes; its structure tensor needs "
-            f"{k**3 * 8} bytes, over the {TENSOR_BYTES_MAX}-byte limit"
+            f"{G.name} has {k} classes; its character table needs about "
+            f"{need} bytes, over the {WORKING_SET_BYTES_MAX}-byte limit"
         )
-    a = _structure_tensor(G, reps, class_of)
+    reps_arr = np.asarray(reps, dtype=np.int64)
+    cls = class_of.astype(np.int64)
+    members = _class_members(class_of, sizes)
+    pivot_buf = np.empty((k, k), dtype=np.float64)
     rng = np.random.default_rng(seed)
     sizes_arr = np.asarray(sizes, dtype=np.float64)
     last_error: Optional[Exception] = None
     for _ in range(MAX_RETRIES):
         coeffs = rng.standard_normal(k)
-        combo = np.tensordot(coeffs, a, axes=(0, 0))
+        combo = _draw_matrix(G, reps_arr, cls, coeffs)
         eigvals, eigvecs = np.linalg.eig(combo)
         scale = max(1.0, float(np.abs(eigvals).max()))
         gaps = np.abs(eigvals[:, None] - eigvals[None, :])
@@ -183,10 +276,12 @@ def character_table(G: GroupTable, seed: int = 0) -> CharacterTable:
             )
             continue
         omegas = np.empty((k, k), dtype=np.complex128)
-        for p in range(k):
-            v = eigvecs[:, p]
-            pivot = int(np.argmax(np.abs(v)))
-            omegas[p] = (a[:, pivot, :] @ v) / v[pivot]
+        pivots = np.argmax(np.abs(eigvecs), axis=0)
+        for pivot in np.unique(pivots):
+            piv = _pivot_slice(G, reps_arr, cls, members[pivot], pivot_buf)
+            for p in np.flatnonzero(pivots == pivot):
+                v = eigvecs[:, p]
+                omegas[p] = (piv @ v) / v[pivot]
         degs_float = np.sqrt(
             G.order / np.sum(np.abs(omegas) ** 2 / sizes_arr, axis=1)
         )
@@ -202,17 +297,7 @@ def character_table(G: GroupTable, seed: int = 0) -> CharacterTable:
             )
             continue
         values = omegas * (degs[:, None] / sizes_arr[None, :])
-        key = sorted(
-            range(k),
-            key=lambda p: (
-                int(degs[p]),
-                tuple(
-                    (round(float(values[p, i].real), 6) + 0.0,
-                     round(float(values[p, i].imag), 6) + 0.0)
-                    for i in range(k)
-                ),
-            ),
-        )
+        key = _row_order(values, degs)
         values = values[key]
         degs = degs[key]
         table = CharacterTable(

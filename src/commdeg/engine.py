@@ -250,6 +250,28 @@ def clear_caches() -> None:
     conjugacy_info.cache_clear()
 
 
+def _expand(
+    G: GroupTable, vals: np.ndarray, rest: Sequence[np.ndarray], acc: np.ndarray
+) -> None:
+    """Fold each value in ``vals`` with every tuple over ``rest``; bin into acc.
+
+    A module-level function rather than a closure in ``brute_counts``, so a
+    call leaves no function-cell cycle pinning ``G`` until a cyclic
+    collection runs.
+    """
+    if not rest:
+        np.add(acc, np.bincount(vals, minlength=G.order), out=acc)
+        return
+    nxt = rest[0]
+    if vals.size * nxt.size <= _CHUNK:
+        _expand(G, _comm_block(G, vals, nxt).ravel(), rest[1:], acc)
+    else:
+        step = max(1, _CHUNK // max(nxt.size, 1))
+        for s in range(0, vals.size, step):
+            block = _comm_block(G, vals[s : s + step], nxt)
+            _expand(G, block.ravel(), rest[1:], acc)
+
+
 def brute_counts(
     G: GroupTable,
     pools: Sequence[Sequence[int]],
@@ -271,35 +293,20 @@ def brute_counts(
     if total > cap:
         raise BruteCapExceeded(f"{total} tuples exceed the cap {cap}")
     arrs = [np.asarray(p, dtype=np.int32) for p in pools]
-
-    def expand(vals: np.ndarray, rest: list[np.ndarray], acc: np.ndarray) -> None:
-        if not rest:
-            np.add(acc, np.bincount(vals, minlength=G.order), out=acc)
-            return
-        nxt = rest[0]
-        if vals.size * nxt.size <= _CHUNK:
-            expand(_comm_block(G, vals, nxt).ravel(), rest[1:], acc)
-        else:
-            step = max(1, _CHUNK // max(nxt.size, 1))
-            for s in range(0, vals.size, step):
-                expand(
-                    _comm_block(G, vals[s : s + step], nxt).ravel(), rest[1:], acc
-                )
-
     workers = min(threads, os.cpu_count() or 1, arrs[0].size)
     if workers > 1:
         slices = np.array_split(arrs[0], workers)
         accs = [np.zeros(G.order, dtype=np.int64) for _ in slices]
 
         def work(i: int) -> None:
-            expand(slices[i], arrs[1:], accs[i])
+            _expand(G, slices[i], arrs[1:], accs[i])
 
         with ThreadPoolExecutor(max_workers=len(slices)) as ex:
             list(ex.map(work, range(len(slices))))
         out = np.sum(accs, axis=0)
     else:
         out = np.zeros(G.order, dtype=np.int64)
-        expand(arrs[0], arrs[1:], out)
+        _expand(G, arrs[0], arrs[1:], out)
     return [int(v) for v in out]
 
 

@@ -2,7 +2,116 @@ import numpy as np
 import pytest
 
 from commdeg import chartab, engine, groups
+from commdeg.audit import named_group_specs
 from commdeg.errors import ForeignSubgroup, NotClassConstant, NotNormal
+from commdeg.groupspec import parse_group_spec
+
+
+def tensor_character_table(G, seed):
+    """The table by the whole k x k x k structure tensor: the reference route.
+
+    The first construction, kept as an oracle for the slice-by-slice one:
+    a[i, j, t] = #{(x, y) in C_i x C_j : x*y = rep_t} held whole, each
+    draw contracted with np.tensordot, each central character read from
+    the strided view a[:, pivot, :], rows ordered by a key of Python
+    tuples.  Raises AssertionError when no draw succeeds.
+    """
+    reps, sizes, class_of = chartab._class_layout(G)
+    k = len(reps)
+    a = np.empty((k, k, k), dtype=np.float64)
+    cls64 = class_of.astype(np.int64)
+    for t, z in enumerate(reps):
+        y = G.mul[G.inv, z]
+        pairs = cls64 * k + cls64[y]
+        a[:, :, t] = np.bincount(pairs, minlength=k * k).reshape(k, k)
+    rng = np.random.default_rng(seed)
+    sizes_arr = np.asarray(sizes, dtype=np.float64)
+    for _ in range(chartab.MAX_RETRIES):
+        combo = np.tensordot(rng.standard_normal(k), a, axes=(0, 0))
+        eigvals, eigvecs = np.linalg.eig(combo)
+        scale = max(1.0, float(np.abs(eigvals).max()))
+        gaps = np.abs(eigvals[:, None] - eigvals[None, :])
+        np.fill_diagonal(gaps, np.inf)
+        if gaps.min() < chartab.CONSTRUCTION_TOL * scale:
+            continue
+        omegas = np.empty((k, k), dtype=np.complex128)
+        for p in range(k):
+            v = eigvecs[:, p]
+            pivot = int(np.argmax(np.abs(v)))
+            omegas[p] = (a[:, pivot, :] @ v) / v[pivot]
+        norms = np.sum(np.abs(omegas) ** 2 / sizes_arr, axis=1)
+        degs_float = np.sqrt(G.order / norms)
+        degs = np.rint(degs_float).astype(np.int64)
+        if np.any(np.abs(degs_float - degs) > chartab.ROUNDING_TOL):
+            continue
+        if np.any(degs < 1) or int(np.sum(degs**2)) != G.order:
+            continue
+        values = omegas * (degs[:, None] / sizes_arr[None, :])
+        key = sorted(
+            range(k),
+            key=lambda p: (
+                int(degs[p]),
+                tuple(
+                    (round(float(values[p, i].real), 6) + 0.0,
+                     round(float(values[p, i].imag), 6) + 0.0)
+                    for i in range(k)
+                ),
+            ),
+        )
+        values, degs = values[key], degs[key]
+        table = chartab.CharacterTable(
+            G, reps, sizes, class_of, values, degs, chartab.CONSTRUCTION_TOL
+        )
+        if chartab.verify_orthogonality(table).passed:
+            return table
+    raise AssertionError(f"no draw of the reference route succeeded on {G.name}")
+
+
+@pytest.mark.parametrize("spec", named_group_specs(24))
+def test_table_is_bit_identical_to_the_tensor_route(spec):
+    G = parse_group_spec(spec)
+    for seed in (0, 1, 2):
+        ref = tensor_character_table(G, seed)
+        t = chartab.character_table(G, seed=seed)
+        assert t.degrees == ref.degrees
+        assert np.array_equal(t.values, ref.values), (spec, seed)
+
+
+@pytest.mark.parametrize("spec", ["A5", "S5", "S3xQ8"])
+def test_table_matches_the_tensor_route_on_larger_groups(spec):
+    # BLAS may sum these in another order than the tensor contraction, so
+    # only the degrees and classes are pinned exactly.
+    G = parse_group_spec(spec)
+    for seed in (0, 1, 2):
+        ref = tensor_character_table(G, seed)
+        t = chartab.character_table(G, seed=seed)
+        assert t.degrees == ref.degrees
+        assert (t.class_reps, t.class_sizes) == (ref.class_reps, ref.class_sizes)
+        assert np.allclose(t.values, ref.values, rtol=0, atol=1e-12), (spec, seed)
+
+
+def test_row_order_is_the_tuple_key_order():
+    # Ties to six places, -0.0 against 0.0 and degree ties all keep the
+    # order that sorting by (degree, rounded tuple) gives.
+    rng = np.random.default_rng(7)
+    values = np.round(rng.standard_normal((40, 6)), 1) + 1j * np.round(
+        rng.standard_normal((40, 6)), 1
+    )
+    values[::3, 0] = 1e-9 - 1e-9j
+    values[1::3, 0] = -0.0
+    values[5] = values[11] + 1e-8
+    degs = rng.integers(1, 3, 40)
+    key = sorted(
+        range(40),
+        key=lambda p: (
+            int(degs[p]),
+            tuple(
+                (round(float(v.real), 6) + 0.0, round(float(v.imag), 6) + 0.0)
+                for v in values[p]
+            ),
+        ),
+    )
+    assert chartab._row_order(values, degs).tolist() == key
 
 
 def test_s3_table_frozen(s3):
@@ -62,8 +171,7 @@ def test_orthogonality_on_battery_groups():
         assert sum(d * d for d in t.degrees) == G.order
 
 
-def test_cyclic_table_matches_closed_form():
-    n = 60
+def _assert_cyclic_closed_form(n):
     G = groups.named_group("C", n)
     t = chartab.character_table(G, seed=0)
     # C_n is generated by element 1; r is the exponent of each class rep
@@ -82,6 +190,15 @@ def test_cyclic_table_matches_closed_form():
         assert np.abs(row - want).max() < 1e-9
         found.add(j)
     assert found == set(range(n))
+
+
+def test_cyclic_table_matches_closed_form():
+    _assert_cyclic_closed_form(60)
+
+
+def test_c600_table_matches_closed_form():
+    # 600 classes: a whole k x k x k structure tensor would need 1.7 GB.
+    _assert_cyclic_closed_form(600)
 
 
 def test_value_lookup_by_element(s3):

@@ -2,6 +2,7 @@ import argparse
 import hashlib
 import io
 import json
+import math
 import os
 import resource
 import subprocess
@@ -13,7 +14,7 @@ from pathlib import Path
 import pytest
 
 import commdeg
-from commdeg import audit, cli, engine, groups, groupspec
+from commdeg import audit, chartab, cli, engine, groups, groupspec
 
 
 def run(capsys, *argv):
@@ -324,9 +325,23 @@ def _run_capped(limit, *argv):
     )
 
 
-def test_chartab_over_tensor_limit_exits_4():
-    # C600 has 600 classes, so its structure tensor would need 1.7 GB.
-    proc = _run_capped(1 << 30, "chartab", "-G", "C600")
+def test_chartab_past_512_classes_answers_under_memory_cap():
+    # C600 has 600 classes: a whole k x k x k structure tensor would need
+    # 1.7 GB, but the table is built from k x k slices.
+    proc = _run_capped(1 << 30, "chartab", "-G", "C600", "-o", "json")
+    assert proc.returncode == 0, proc.stderr
+    payload = json.loads(proc.stdout)
+    assert payload["order"] == 600
+    assert [irr["degree"] for irr in payload["irreducibles"]] == [1] * 600
+
+
+def test_chartab_over_working_set_limit_exits_4():
+    # The first class count whose k x k working set is over the limit;
+    # a cyclic group has one class per element.
+    k = math.isqrt(
+        chartab.WORKING_SET_BYTES_MAX // chartab.WORKING_SET_BYTES_PER_ENTRY
+    ) + 1
+    proc = _run_capped(1 << 30, "chartab", "-G", f"C{k}", "-o", "json")
     assert proc.returncode == 4, proc.stderr
     assert "error [resource_limit]" in proc.stderr
     assert proc.stdout == ""

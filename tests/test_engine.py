@@ -1,6 +1,8 @@
+import gc
 import itertools
 import json
 import os
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -422,3 +424,20 @@ def test_total_mass_is_the_tuple_space(data):
     counts = engine.final_counts(H, K, n, m)
     assert sum(counts) == H.order**n * K.order**m
     assert all(c >= 0 for c in counts)
+
+
+def test_brute_counts_leaves_no_cycle_pinning_the_group():
+    # Reference counting alone must free the table once the caller drops
+    # it: a recursive closure inside brute_counts used to hold it in a
+    # function-cell cycle until a cyclic collection ran.
+    G = groups.named_group("S", 3)
+    ref = weakref.ref(G)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        assert engine.brute_counts(G, [range(6), range(6), range(6)])[0] > 0
+        del G
+        assert ref() is None
+    finally:
+        if enabled:
+            gc.enable()
