@@ -32,9 +32,9 @@ T2_CHAIN, T3 and C5 one ``_GInstance`` per g, which the cell's g list
 (``_CellGs``) carries to each of them; P4's instances lie over the same
 cell.  A ``_GInstance`` points at its ``_Cell``, which holds the text of
 its instances cut around the digits of g, once per style: as the sort
-key and at depth 3 of the report (``_template``).  The sort and the
-report writer join head, g and tail for such an instance, and write every
-other dict with ``_dict_writer``.
+key (and CSV cell) and at depth 3 of the report (``_template``).
+``_cell_writer`` joins head, g and tail for such an instance, and writes
+every other dict with ``_dict_writer``.
 """
 
 from __future__ import annotations
@@ -117,6 +117,7 @@ __all__ = [
     "AuditConfig",
     "AuditReport",
     "named_group_specs",
+    "instance_json_writer",
     "default_config",
     "config_from_json",
     "run_battery",
@@ -193,8 +194,8 @@ class _Cell:
     ``base`` is the cell's instance without g, the one the per-cell checks
     report.  ``compact`` and ``indented`` are, once made, the head and the
     tail around the digits of g in the text of any of the cell's g
-    instances: as the sort key (``_compact_writer``) and at depth 3 of the
-    report (``_indented_writer``).  See ``_template``.
+    instances: as the sort key and CSV cell (``_compact_writer``) and at
+    depth 3 of the report (``_indented_writer``).  See ``_cell_writer``.
     """
 
     __slots__ = ("base", "compact", "indented")
@@ -970,19 +971,7 @@ def check_psi(table: chartab.CharacterTable) -> Finding:
 
 def named_group_specs(max_order: int = 24) -> tuple[str, ...]:
     """Specs of every named-family member within the order bound."""
-    specs = [f"C{i}" for i in range(1, max_order + 1)]
-    specs += [f"D{i}" for i in range(1, max_order // 2 + 1)]
-    i = 1
-    while math.factorial(i) <= max_order:
-        specs.append(f"S{i}")
-        i += 1
-    i = 1
-    while max(1, math.factorial(i) // 2) <= max_order:
-        specs.append(f"A{i}")
-        i += 1
-    if max_order >= 8:
-        specs.append("Q8")
-    return tuple(specs)
+    return groups.named_group_names(max_order)
 
 
 @dataclass(frozen=True)
@@ -1156,27 +1145,15 @@ def _finding_texts(
 
     A finding is written from its fixed key layout, in sorted key order:
     ``claim``, ``instance``, [``runtime_ms``], ``verdict``, ``witness``,
-    with its instance and witness dicts at depth 3.  The instance of one g
-    of a cell is its cell's indented template with the digits of g in
-    between (see ``_template``); every other instance goes through
-    ``_indented_writer``.  An instance's member lists are shared between
-    findings (see ``_member_list``), so each is encoded once per call.
+    with its instance (through ``_cell_writer``) and witness dicts at
+    depth 3.  An instance's member lists are shared between findings (see
+    ``_member_list``), so each is encoded once per call.
     """
     quote = jsontext.SCALARS[str]
-    digits = int.__repr__
     nl = "\n    "
-    instance_text = _indented_writer()
+    instance_text = _cell_writer(_indented_writer(), "indented")
     witness_text = _dict_writer(nl, ",", "\n   }", lambda v: jsontext.encode(v, nl))
     for f in findings:
-        inst = f.instance
-        if type(inst) is _GInstance:
-            cell = inst.cell
-            if cell.indented is None:
-                cell.indented = _template(instance_text, cell.base)
-            head, tail = cell.indented
-            inst_text = head + digits(inst["g"]) + tail
-        else:
-            inst_text = instance_text(inst)
         runtime = (
             ',\n   "runtime_ms": ' + jsontext.encode(round(f.runtime_ms, 3), "")
             if include_runtime
@@ -1186,7 +1163,7 @@ def _finding_texts(
             '{\n   "claim": '
             + quote(f.claim)
             + ',\n   "instance": '
-            + inst_text
+            + instance_text(f.instance)
             + runtime
             + ',\n   "verdict": '
             + quote(f.verdict)
@@ -1212,6 +1189,28 @@ def _indented_writer() -> Callable[[dict], str]:
     return _dict_writer(
         nl, ",", "\n   }", _by_identity(lambda v: jsontext.encode(v, nl))
     )
+
+
+def _cell_writer(write: Callable[[dict], str], slot: str) -> Callable[[dict], str]:
+    """``write`` for instances, writing each cell's g instances from a template.
+
+    The instance of one g of a cell is the head and the tail ``_template``
+    cuts from ``write`` once per cell, kept in the cell's ``slot``, with
+    the digits of g in between; any other instance goes through ``write``.
+    """
+    digits = int.__repr__
+
+    def text(inst: dict) -> str:
+        if type(inst) is not _GInstance:
+            return write(inst)
+        cell = inst.cell
+        cut = getattr(cell, slot)
+        if cut is None:
+            cut = _template(write, cell.base)
+            setattr(cell, slot, cut)
+        return cut[0] + digits(inst["g"]) + cut[1]
+
+    return text
 
 
 def _template(text: Callable[[dict], str], base: dict) -> tuple[str, str]:
@@ -1348,33 +1347,26 @@ _TABLE_CHECKS = {
     "check_frob_bound", "check_zeta_character", "check_eq7", *_GROUP_CHECKS
 }
 
+def instance_json_writer() -> Callable[[dict], str]:
+    """A writer of ``json.dumps(instance, sort_keys=True)`` for instances."""
+    return _cell_writer(_compact_writer(), "compact")
+
+
 def _sort_findings(findings: list[Finding]) -> None:
     """Sort by claim, then by the text of ``json.dumps(instance, sort_keys=True)``.
 
     The findings go into one list per claim, and each list is sorted by
-    its instance texts alone.  Each instance dict is written once, however
-    many findings share it: the instance of one g of a cell as its cell's
-    compact template with the digits of g in between (see ``_template``),
-    any other through ``_compact_writer``.  Instances share their member
-    lists (see ``_member_list``), so each list is encoded once.
+    its instance texts alone, as ``instance_json_writer`` writes them.
+    Each instance dict is written once, however many findings share it.
     """
-    instance_text = _compact_writer()
-    digits = int.__repr__
+    instance_text = instance_json_writer()
     texts: dict[int, str] = {}
     by_claim: dict[str, list[tuple[str, Finding]]] = {}
     for f in findings:
         inst = f.instance
         text = texts.get(id(inst))
         if text is None:
-            if type(inst) is _GInstance:
-                cell = inst.cell
-                if cell.compact is None:
-                    cell.compact = _template(instance_text, cell.base)
-                head, tail = cell.compact
-                text = head + digits(inst["g"]) + tail
-            else:
-                text = instance_text(inst)
-            texts[id(inst)] = text
+            text = texts[id(inst)] = instance_text(inst)
         bucket = by_claim.get(f.claim)
         if bucket is None:
             bucket = by_claim[f.claim] = []

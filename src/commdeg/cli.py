@@ -519,7 +519,7 @@ def _audit_config(args: argparse.Namespace) -> audit.AuditConfig:
                 payload = json.load(fh)
         except OSError as exc:
             raise UsageError(f"--config: cannot read {args.config!r}: {exc}")
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # bad JSON, or an integer too long to read
             raise UsageError(f"--config: invalid JSON in {args.config!r}: {exc}")
         return audit.config_from_json(payload)
     if args.claims is not None:
@@ -557,12 +557,13 @@ def _write_audit(
             ["claim", "verdict", "instance", "witness"]
             + (["runtime_ms"] if args.timings else [])
         )
+        instance_text = audit.instance_json_writer()
         for f in report.findings:
             writer.writerow(
                 [
                     f.claim,
                     f.verdict,
-                    json.dumps(f.instance, sort_keys=True),
+                    instance_text(f.instance),
                     json.dumps(f.witness, sort_keys=True),
                 ]
                 + ([round(f.runtime_ms, 3)] if args.timings else [])

@@ -5,14 +5,16 @@ are closed from permutation generators in breadth-first discovery order,
 so ids are reproducible across runs; named families, direct products and
 quotients all reduce to the same table representation, which keeps every
 higher-level computation a matter of integer array lookups.  Element
-labels are written on demand, from the permutations closure keeps.
+labels are written on demand, from the permutations closure keeps.  The
+named families are one table, ``_FAMILIES``, of orders and generators.
 """
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -34,9 +36,9 @@ TABLE_BYTES_MAX = 1 << 30
 # Rows (or columns) per block when validating a table: validation holds
 # O(_CHECK_BLOCK * N) scratch, never a second copy of the table.
 _CHECK_BLOCK = 128
-# Largest degree whose permutations key closure as one int64, their images
-# read in base degree: 15**15 < 2**63 <= 16**16.  Higher degrees key by bytes.
-_INT64_KEY_DEGREE = 15
+# Family orders are worked out exactly up to this bound (or the cap, if
+# larger) and abandoned past it, so a refusal never computes or prints n!.
+_ORDER_BOUND = 10**18
 
 __all__ = [
     "DEFAULT_MAX_ORDER",
@@ -48,6 +50,7 @@ __all__ = [
     "cycle_label",
     "close_group",
     "named_group",
+    "named_group_names",
     "direct_product",
     "subgroup_closure",
     "trivial_subgroup",
@@ -131,23 +134,34 @@ def _label_of(G: "GroupTable") -> Callable[[int], str]:
     return str if G.labels is None else G.labels.__getitem__
 
 
-def _refuse_oversized(n: int) -> None:
-    """Raise ResourceLimit if an order-n table would exceed TABLE_BYTES_MAX."""
-    if n * n * 4 > TABLE_BYTES_MAX:
+def _refuse_bytes(size: int, what: str) -> None:
+    """Raise ResourceLimit if ``what`` needs ``size`` > TABLE_BYTES_MAX bytes."""
+    if size > TABLE_BYTES_MAX:
         raise ResourceLimit(
-            f"a group of order {n} needs a {n * n * 4}-byte table, "
-            f"over the {TABLE_BYTES_MAX}-byte limit"
+            f"{what} needs {size} bytes, over the {TABLE_BYTES_MAX}-byte limit"
         )
+
+
+def _column_blocks(
+    mul: np.ndarray, buf: np.ndarray
+) -> Iterator[tuple[int, np.ndarray]]:
+    """Yield ``(lo, mul[:, lo : lo + _CHECK_BLOCK].T)``, each copied into ``buf``."""
+    n = mul.shape[0]
+    step = _CHECK_BLOCK
+    for lo in range(0, n, step):
+        block = buf[: min(step, n - lo)]
+        for r in range(0, n, step):
+            block[:, r : r + step] = mul[r : r + step, lo : lo + step].T
+        yield lo, block
 
 
 def _check_latin(mul: np.ndarray) -> np.ndarray:
     """Check that every row and column of ``mul`` permutes 0..N-1.
 
     Each block of _CHECK_BLOCK rows, and each block of as many columns
-    (copied out transposed, one square tile at a time), is sorted in one
-    scratch buffer and compared with 0..N-1, so the scratch is
-    O(_CHECK_BLOCK * N).  Returns, for each row, the column where 0 sits:
-    the right inverse of each element.
+    (see ``_column_blocks``), is sorted in one scratch buffer and compared
+    with 0..N-1, so the scratch is O(_CHECK_BLOCK * N).  Returns, for each
+    row, the column where 0 sits: the right inverse of each element.
     """
     n = mul.shape[0]
     step = _CHECK_BLOCK
@@ -162,10 +176,7 @@ def _check_latin(mul: np.ndarray) -> np.ndarray:
         if not (block == ids).all():
             raise ValueError("each row must permute 0..N-1")
         right_inv[lo : lo + step] = np.argmax(rows == 0, axis=1)
-    for lo in range(0, n, step):
-        block = buf[: min(step, n - lo)]
-        for r in range(0, n, step):
-            block[:, r : r + step] = mul[r : r + step, lo : lo + step].T
+    for _, block in _column_blocks(mul, buf):
         block.sort(axis=1)
         if not (block == ids).all():
             raise ValueError("each column must permute 0..N-1")
@@ -278,33 +289,21 @@ def close_group(
     id assignment and makes runs reproducible.  The search runs one BFS
     level at a time on an array of permutations: every element of the
     level times every generator is one gather, and each candidate is
-    looked up once by an int64 key (its images in base ``degree``, when
-    ``degree**degree`` fits) or by its packed bytes.  Each new element
-    e_j is found as e_i * g_k for an earlier e_i, so the table is filled
-    row by row along that tree: row j is row i gathered through left
-    multiplication by g_k, one contiguous O(N) pass per row.  The
-    elements are kept as one ``(N, degree)`` array, from which the cycle
-    labels are written on demand.  A table over TABLE_BYTES_MAX raises
-    ResourceLimit before it is allocated.
+    looked up once by its packed bytes.  Each new element e_j is found as
+    e_i * g_k for an earlier e_i, so the table is filled row by row along
+    that tree: row j is row i gathered through left multiplication by
+    g_k, one contiguous O(N) pass per row.  The elements are kept as one
+    ``(N, degree)`` array, from which the cycle labels are written on
+    demand.  ResourceLimit is raised as soon as that array passes
+    TABLE_BYTES_MAX, and for a table over it before it is allocated.
     """
     d = gens.degree
     dtype = np.int16 if d <= np.iinfo(np.int16).max else np.int32
     gen_idx = np.asarray(gens.perms, dtype=np.intp).reshape(-1, d)
     ngens = len(gen_idx)
-    if d <= _INT64_KEY_DEGREE:
-        radix = d ** np.arange(d, dtype=np.int64)
-
-        def keys(block: np.ndarray) -> list:
-            return (block @ radix).tolist()
-
-    else:
-        row = np.dtype((np.void, d * np.dtype(dtype).itemsize))
-
-        def keys(block: np.ndarray) -> list:
-            return np.ascontiguousarray(block).view(row).ravel().tolist()
-
+    row = np.dtype((np.void, d * np.dtype(dtype).itemsize))
     level = np.arange(d, dtype=dtype)[None, :]
-    index = {keys(level)[0]: 0}
+    index = {level.tobytes(): 0}
     levels = [level]
     # found[i * ngens + k] = id(e_i * g_k); edges[j] = (i, k) for the first
     # of these products to reach e_j, with a placeholder for the identity.
@@ -314,7 +313,7 @@ def close_group(
         cand = level[:, gen_idx].reshape(-1, d)
         base = len(found)
         fresh = []
-        for c, key in enumerate(keys(cand)):
+        for c, key in enumerate(cand.view(row).ravel().tolist()):
             j = index.get(key)
             if j is None:
                 j = index[key] = len(index)
@@ -323,13 +322,14 @@ def close_group(
             found.append(j)
         if len(index) > max_order:
             raise ClosureTooLarge(f"closure exceeds the order cap {max_order}")
+        _refuse_bytes(len(index) * row.itemsize, f"a closure of degree {d}")
         level = cand[fresh]
         levels.append(level)
     del index
     perms = np.concatenate(levels)
     perms.setflags(write=False)
     n = len(perms)
-    _refuse_oversized(n)
+    _refuse_bytes(n * n * 4, f"the table of a group of order {n}")
     right = np.array(found, dtype=np.intp).reshape(n, ngens).T
     parents, vias = np.array(edges, dtype=np.intp).T
     # left[k, b] = id(g_k * e_b), walked down the same tree one level at a
@@ -349,10 +349,57 @@ def close_group(
     return GroupTable(mul, name=name or f"perm{d}", labels=labels)
 
 
-def _factorial(n: int) -> int:
+def _cycle(n: int) -> tuple[int, ...]:
+    """The n-cycle (1 2 ... n) as an image tuple."""
+    return tuple((i + 1) % n for i in range(n))
+
+
+def _dihedral(n: int) -> tuple[tuple[int, ...], ...]:
+    if n <= 2:  # D1 on 2 points, D2 (the Klein group) on 4
+        return (((1, 0),), ((1, 0, 2, 3), (0, 1, 3, 2)))[n - 1]
+    return (_cycle(n), tuple((n - i) % n for i in range(n)))
+
+
+def _symmetric(n: int) -> tuple[tuple[int, ...], ...]:
+    if n <= 2:
+        return ((1, 0),) if n == 2 else ()
+    return (_cycle(n), (1, 0) + tuple(range(2, n)))
+
+
+def _alternating(n: int) -> tuple[tuple[int, ...], ...]:
+    if n <= 3:
+        return ((1, 2, 0),) if n == 3 else ()
+    big = _cycle(n) if n % 2 else (0,) + tuple(range(2, n)) + (1,)
+    return ((1, 2, 0) + tuple(range(3, n)), big)
+
+
+class _Family(NamedTuple):
+    """Members n = first..last, of order ``prod(factors(n))`` (never falling in n)."""
+
+    first: int
+    last: float
+    factors: Callable[[int], Iterable[int]]
+    gens: Callable[[int], tuple[tuple[int, ...], ...]]  # on n points if empty
+
+
+_QUATERNION = ((2, 3, 1, 0, 6, 7, 5, 4), (4, 5, 7, 6, 1, 0, 2, 3))
+# Family letter -> family, in the order named_group_names lists them.
+_FAMILIES = {
+    "C": _Family(1, math.inf, lambda n: (n,), lambda n: (_cycle(n),) if n > 1 else ()),
+    "D": _Family(1, math.inf, lambda n: (2, n), _dihedral),
+    "S": _Family(1, math.inf, lambda n: range(2, n + 1), _symmetric),
+    "A": _Family(1, math.inf, lambda n: range(3, n + 1), _alternating),
+    "Q": _Family(8, 8, lambda n: (8,), lambda n: _QUATERNION),
+}
+
+
+def _bounded_product(factors: Iterable[int], bound: int) -> Optional[int]:
+    """The product of ``factors``, or None once it passes ``bound``."""
     out = 1
-    for i in range(2, n + 1):
-        out *= i
+    for f in factors:
+        out *= f
+        if out > bound:
+            return None
     return out
 
 
@@ -360,80 +407,33 @@ def named_group(
     family: str, param: int, max_order: int = DEFAULT_MAX_ORDER
 ) -> GroupTable:
     """Build a member of a named family: C n, D n (order 2n), S n, A n, Q8."""
-    fam = family.upper()
-    if fam == "Q":
-        if param != 8:
-            raise UnknownFamily("only Q8 is available in the Q family")
-        expected = 8
-        if expected > max_order:
-            raise ClosureTooLarge(f"order {expected} exceeds the cap {max_order}")
-        gens = PermList(8, ((2, 3, 1, 0, 6, 7, 5, 4), (4, 5, 7, 6, 1, 0, 2, 3)))
-        g = close_group(gens, max_order=max_order, name="Q8")
-    elif fam == "C":
-        if param < 1:
-            raise UnknownFamily("C n needs n >= 1")
-        expected = param
-        if expected > max_order:
-            raise ClosureTooLarge(f"order {expected} exceeds the cap {max_order}")
-        if param == 1:
-            gens = PermList(1, ())
-        else:
-            gens = PermList(param, (tuple((i + 1) % param for i in range(param)),))
-        g = close_group(gens, max_order=max_order, name=f"C{param}")
-    elif fam == "D":
-        if param < 1:
-            raise UnknownFamily("D n needs n >= 1")
-        expected = 2 * param
-        if expected > max_order:
-            raise ClosureTooLarge(f"order {expected} exceeds the cap {max_order}")
-        if param == 1:
-            gens = PermList(2, ((1, 0),))
-        elif param == 2:
-            gens = PermList(4, ((1, 0, 2, 3), (0, 1, 3, 2)))
-        else:
-            rot = tuple((i + 1) % param for i in range(param))
-            ref = tuple((param - i) % param for i in range(param))
-            gens = PermList(param, (rot, ref))
-        g = close_group(gens, max_order=max_order, name=f"D{param}")
-    elif fam == "S":
-        if param < 1:
-            raise UnknownFamily("S n needs n >= 1")
-        expected = _factorial(param)
-        if expected > max_order:
-            raise ClosureTooLarge(f"order {expected} exceeds the cap {max_order}")
-        if param == 1:
-            gens = PermList(1, ())
-        elif param == 2:
-            gens = PermList(2, ((1, 0),))
-        else:
-            cyc = tuple((i + 1) % param for i in range(param))
-            gens = PermList(param, (cyc, (1, 0) + tuple(range(2, param))))
-        g = close_group(gens, max_order=max_order, name=f"S{param}")
-    elif fam == "A":
-        if param < 1:
-            raise UnknownFamily("A n needs n >= 1")
-        expected = max(1, _factorial(param) // 2)
-        if expected > max_order:
-            raise ClosureTooLarge(f"order {expected} exceeds the cap {max_order}")
-        if param <= 2:
-            gens = PermList(max(param, 1), ())
-        elif param == 3:
-            gens = PermList(3, ((1, 2, 0),))
-        else:
-            three = (1, 2, 0) + tuple(range(3, param))
-            if param % 2 == 1:
-                big = tuple((i + 1) % param for i in range(param))
-            else:
-                big = (0,) + tuple(2 + i for i in range(param - 2)) + (1,)
-            gens = PermList(param, (three, big))
-        g = close_group(gens, max_order=max_order, name=f"A{param}")
-    else:
-        raise UnknownFamily(f"unknown family {family!r}")
-    if g.order != expected:
-        raise AssertionError(
-            f"{g.name}: closed to order {g.order}, expected {expected}"
-        )
+    letter = family.upper()
+    name = f"{letter}{param}"
+    fam = _FAMILIES.get(letter)
+    if fam is None or not fam.first <= param <= fam.last:
+        raise UnknownFamily(f"unrecognized group spec {name!r}")
+    bound = max(max_order, _ORDER_BOUND)
+    order = _bounded_product(fam.factors(param), bound)
+    if order is None or order > max_order:
+        shown = f"over {bound}" if order is None else order
+        raise ClosureTooLarge(f"order {shown} exceeds the cap {max_order}")
+    perms = fam.gens(param)
+    gens = PermList(len(perms[0]) if perms else param, perms)
+    g = close_group(gens, max_order=max_order, name=name)
+    if g.order != order:
+        raise AssertionError(f"{name}: closed to order {g.order}, expected {order}")
     return g
+
+
+def named_group_names(max_order: int = DEFAULT_MAX_ORDER) -> tuple[str, ...]:
+    """Names of the named-family members of order at most ``max_order``."""
+    names = []
+    for letter, fam in _FAMILIES.items():
+        n = fam.first
+        while n <= fam.last and _bounded_product(fam.factors(n), max_order):
+            names.append(f"{letter}{n}")
+            n += 1
+    return tuple(names)
 
 
 def direct_product(
@@ -449,7 +449,7 @@ def direct_product(
     n = n1 * n2
     if n > max_order:
         raise ClosureTooLarge(f"order {n} exceeds the cap {max_order}")
-    _refuse_oversized(n)
+    _refuse_bytes(n * n * 4, f"the table of a group of order {n}")
     mul = np.empty((n, n), dtype=np.int32)
     top = mul[:n2]
     # row (a, b), column (c, d) holds g1[a, c]*n2 + g2[b, d]; write a = 0
@@ -642,20 +642,15 @@ def conjugacy(G: GroupTable, K: SubgroupRef) -> ConjugacyInfo:
 def center(G: GroupTable) -> SubgroupRef:
     """Z(G): the elements whose row of ``mul`` equals their column.
 
-    Each block of _CHECK_BLOCK rows is compared with the same columns,
-    copied out transposed one square tile at a time as ``_check_latin``
-    does, so the scratch is O(_CHECK_BLOCK * N).
+    Each block of columns (see ``_column_blocks``) is compared with the
+    same block of rows, so the scratch is O(_CHECK_BLOCK * N).
     """
     mul = G.mul
     n = G.order
-    step = _CHECK_BLOCK
     central = np.empty(n, dtype=bool)
-    buf = np.empty((min(step, n), n), dtype=np.int32)
-    for lo in range(0, n, step):
-        block = buf[: min(step, n - lo)]
-        for r in range(0, n, step):
-            block[:, r : r + step] = mul[r : r + step, lo : lo + step].T
-        central[lo : lo + step] = (block == mul[lo : lo + step]).all(axis=1)
+    buf = np.empty((min(_CHECK_BLOCK, n), n), dtype=np.int32)
+    for lo, block in _column_blocks(mul, buf):
+        central[lo : lo + len(block)] = (block == mul[lo : lo + len(block)]).all(axis=1)
     return SubgroupRef(G, np.flatnonzero(central), _checked=True)
 
 

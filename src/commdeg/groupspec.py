@@ -5,10 +5,13 @@ combine named atoms with infix ``x`` (``S3xC2``), or give raw generators:
 
     perm(<degree>): (<cycle>)(<cycle>); (<cycle>)
 
+Named atoms are a letter and a number, looked up by ``groups.named_group``.
 Cycles use 1-based entries separated by spaces or commas; several cycles
 inside one generator are applied left to right.  Raw ``perm`` specs stand
 alone (no ``x`` products).  Subgroup specs are ``triv``, ``full``,
-``center``, or ``gen[<id>,<id>,...]`` with element ids of the parent.
+``center``, or ``gen[<id>,<id>,...]`` with element ids of the parent.  A
+number ``int`` cannot read is a UsageError, and a degree too large to parse
+within ``groups.TABLE_BYTES_MAX`` a ResourceLimit.
 """
 
 from __future__ import annotations
@@ -20,19 +23,30 @@ from .errors import InvalidPermutation, UnknownFamily, UsageError
 
 __all__ = ["parse_group_spec", "parse_subgroup_spec"]
 
-_ATOM_RE = re.compile(r"^([CDSA])([0-9]+)$")
+_ATOM_RE = re.compile(r"^([A-Z])([0-9]+)$")
 _PERM_RE = re.compile(r"^perm\((\d+)\)\s*:\s*(.+)$", re.DOTALL)
 _CYCLE_RE = re.compile(r"\(([^()]*)\)")
 _GEN_RE = re.compile(r"^gen\[([0-9,\s]*)\]$")
+# Parse memory per point of each generator, and of one more in flight
+# (one generator of degree 10**6 peaks at about 96 MB under tracemalloc).
+_PARSE_POINT_BYTES = 64
+
+
+def _int(text: str, what: str) -> int:
+    """``int(text)``, with a UsageError for text ``int`` cannot read."""
+    try:
+        return int(text)
+    except ValueError:
+        shown = f"{text[:20]}... ({len(text)} chars)" if len(text) > 40 else text
+        raise UsageError(f"{what} must be a readable integer, got {shown!r}") from None
 
 
 def _parse_atom(atom: str, max_order: int) -> groups.GroupTable:
-    if atom.upper() == "Q8":
-        return groups.named_group("Q", 8, max_order=max_order)
     m = _ATOM_RE.match(atom.upper())
     if m is None:
         raise UnknownFamily(f"unrecognized group spec {atom!r}")
-    return groups.named_group(m.group(1), int(m.group(2)), max_order=max_order)
+    n = _int(m.group(2), "a family parameter")
+    return groups.named_group(m.group(1), n, max_order=max_order)
 
 
 def _parse_cycles(text: str, degree: int) -> tuple[int, ...]:
@@ -45,10 +59,7 @@ def _parse_cycles(text: str, degree: int) -> tuple[int, ...]:
         entries = [e for e in re.split(r"[,\s]+", cyc.strip()) if e]
         if not entries:
             continue
-        try:
-            pts = [int(e) - 1 for e in entries]
-        except ValueError:
-            raise UsageError(f"non-integer cycle entry in {text!r}") from None
+        pts = [_int(e, "a cycle entry") - 1 for e in entries]
         if len(set(pts)) != len(pts):
             raise InvalidPermutation(f"repeated point in cycle ({cyc})")
         for p in pts:
@@ -67,14 +78,13 @@ def _parse_perm_spec(spec: str, max_order: int) -> groups.GroupTable:
         raise UsageError(
             "raw generator specs look like 'perm(<degree>): (1 2 3); (1 2)'"
         )
-    degree = int(m.group(1))
+    degree = _int(m.group(1), "perm degree")
     if degree < 1:
         raise UsageError("perm degree must be >= 1")
-    perms = [
-        _parse_cycles(chunk, degree)
-        for chunk in m.group(2).split(";")
-        if chunk.strip()
-    ]
+    chunks = [chunk for chunk in m.group(2).split(";") if chunk.strip()]
+    need = (len(chunks) + 1) * degree * _PARSE_POINT_BYTES
+    groups._refuse_bytes(need, f"parsing perm({degree})")
+    perms = [_parse_cycles(chunk, degree) for chunk in chunks]
     gens = groups.PermList(degree, tuple(perms))
     return groups.close_group(gens, max_order=max_order, name=spec.strip())
 
@@ -110,7 +120,7 @@ def parse_subgroup_spec(G: groups.GroupTable, text: str) -> groups.SubgroupRef:
     m = _GEN_RE.match(low)
     if m is not None:
         body = m.group(1).strip()
-        ids = [int(e) for e in re.split(r"[,\s]+", body) if e] if body else []
+        ids = [_int(e, "a generator id") for e in re.split(r"[,\s]+", body) if e]
         for x in ids:
             if not 0 <= x < G.order:
                 raise UsageError(

@@ -259,6 +259,32 @@ def test_named_group_specs():
         "A2",
         "A3",
     )
+    assert audit.named_group_specs(1) == ("C1", "S1", "A1", "A2")
+    assert audit.named_group_specs(8) == (
+        "C1", "C2", "C3", "C4", "C5", "C6", "C7", "C8",
+        "D1", "D2", "D3", "D4",
+        "S1", "S2", "S3",
+        "A1", "A2", "A3",
+        "Q8",
+    )  # fmt: skip
+    # C1..C<cyclic>, D1..D<dihedral>, then the rest as listed.
+    for cap, count, cyclic, dihedral, rest in (
+        (120, 191, 120, 60, (
+            "S1", "S2", "S3", "S4", "S5", "A1", "A2", "A3", "A4", "A5", "Q8",
+        )),
+        (10080, 15135, 10080, 5040, (
+            "S1", "S2", "S3", "S4", "S5", "S6", "S7",
+            "A1", "A2", "A3", "A4", "A5", "A6", "A7",
+            "Q8",
+        )),
+    ):  # fmt: skip
+        specs = audit.named_group_specs(cap)
+        assert len(specs) == count
+        assert specs[:cyclic] == tuple(f"C{i}" for i in range(1, cyclic + 1))
+        assert specs[cyclic : cyclic + dihedral] == tuple(
+            f"D{i}" for i in range(1, dihedral + 1)
+        )
+        assert specs[cyclic + dihedral :] == rest
 
 
 def test_config_validation():

@@ -43,6 +43,51 @@ def test_computation_error_exit_code(capsys):
     assert "closure_too_large" in err
 
 
+@pytest.mark.parametrize(
+    "spec,message",
+    [
+        ("S9", "order 362880 exceeds the cap 10080"),
+        ("C20000", "order 20000 exceeds the cap 10080"),
+        # Orders with thousands of digits are refused without working out n!.
+        ("S1700", "order over 1000000000000000000 exceeds the cap 10080"),
+        ("S3000", "order over 1000000000000000000 exceeds the cap 10080"),
+        ("A20000", "order over 1000000000000000000 exceeds the cap 10080"),
+        ("S200000", "order over 1000000000000000000 exceeds the cap 10080"),
+    ],
+)
+def test_family_order_over_the_cap_exits_4(capsys, spec, message):
+    code, out, err = run(capsys, "info", "-G", spec)
+    assert (code, out, err) == (4, "", f"error [closure_too_large]: {message}\n")
+
+
+_LONG = "9" * 5000
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("info", "-G", f"C{_LONG}"),
+        ("info", "-G", f"perm({_LONG}): (1 2)"),
+        ("info", "-G", f"perm(3): (1 {_LONG})"),
+        ("prob", "-G", "S3", "-H", f"gen[{_LONG}]", "-g", "0"),
+        ("audit", "--config", "{seed}"),
+        ("audit", "--config", "{groups}"),
+    ],
+)
+def test_over_long_integers_are_usage_errors(capsys, tmp_path, argv):
+    configs = {
+        "{seed}": '{"seed": ' + _LONG + "}",
+        "{groups}": json.dumps({"groups": [f"C{_LONG}"]}),
+    }
+    for key, text in configs.items():
+        (tmp_path / key).write_text(text)
+    argv = [str(tmp_path / a) if a in configs else a for a in argv]
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("usage error:")
+
+
 def test_info_table(capsys):
     code, out, _ = run(capsys, "info", "-G", "D4xC2")
     assert code == 0
@@ -345,6 +390,17 @@ def test_chartab_over_working_set_limit_exits_4():
     assert proc.returncode == 4, proc.stderr
     assert "error [resource_limit]" in proc.stderr
     assert proc.stdout == ""
+
+
+def test_huge_permutation_degree_is_refused_before_allocation():
+    # The parse lists of 30,000,000 points would take gigabytes.
+    proc = _run_capped(1 << 31, "info", "-G", "perm(30000000): (1 2)")
+    assert proc.returncode == 4, proc.stderr
+    assert proc.stderr.startswith("error [resource_limit]: parsing perm(30000000)")
+    assert proc.stdout == ""
+    proc = _run_capped(1 << 31, "info", "-G", "perm(1000000): (1 2)")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("group perm(1000000): (1 2): order 2\n")
 
 
 def test_group_over_table_limit_exits_4():

@@ -12,6 +12,7 @@ from commdeg.errors import (
     ClosureTooLarge,
     ForeignSubgroup,
     NotNormal,
+    ResourceLimit,
     TrivialGroup,
 )
 
@@ -329,6 +330,18 @@ def test_validation_rejects_corrupted_table(s6, fault, message):
         inv[[r, r + 1]] = inv[[r + 1, r]]
     with pytest.raises(ValueError, match=message):
         groups.GroupTable(mul, inv)
+
+
+def test_closure_refuses_a_permutation_array_over_the_limit(monkeypatch):
+    # C100 as a 100-cycle on 1000 points: its table takes 40,000 bytes,
+    # its (100, 1000) int16 permutation array 200,000.
+    cycle = tuple(range(1, 100)) + (0,) + tuple(range(100, 1000))
+    gens = groups.PermList(1000, (cycle,))
+    monkeypatch.setattr(groups, "TABLE_BYTES_MAX", 100 * 100 * 4)
+    with pytest.raises(ResourceLimit, match="closure of degree 1000"):
+        groups.close_group(gens)
+    monkeypatch.setattr(groups, "TABLE_BYTES_MAX", 100 * 1000 * 2)
+    assert groups.close_group(gens).order == 100
 
 
 @pytest.mark.parametrize("family", ["C", "S"])
