@@ -10,24 +10,24 @@ Cost for a group with k classes: the class-sum structure constants
 a[i, j, t] are read from the table a few k x k slices at a time and never
 held as a k x k x k array, so a draw (its matrix, the eigensolve and the
 central characters) takes O(k |G|) table reads and O(k^3) arithmetic in
-O(k^2) memory.  Tables whose k x k working set, the JSON rows of
-``table_to_json`` included, would exceed WORKING_SET_BYTES_MAX
-(512 MiB at WORKING_SET_BYTES_PER_ENTRY bytes per class pair, so
-k <= 1024) raise ResourceLimit before any k x k array is allocated.
-C1024, at the limit, takes about 16 s and peaks at 443 MB RSS as
-``chartab -o json`` on a 2-core x86-64 machine.
+O(k^2) memory.  Tables whose k x k working set would exceed
+WORKING_SET_BYTES_MAX (512 MiB at WORKING_SET_BYTES_PER_ENTRY bytes per
+class pair, so k <= 1024) raise ResourceLimit before any k x k array is
+allocated.  ``table_to_json`` writes the JSON one irreducible at a time,
+so the rows no longer hold the whole text: C1024, at the limit, takes
+about 9 s and peaks at 217 MB RSS as ``chartab -o json`` on a 2-core
+x86-64 machine (16 s and 443 MB when the rows were built whole).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import repeat
-from typing import Optional, Sequence
+from typing import Optional, Sequence, TextIO
 
 import numpy as np
 
-from . import engine, groups
+from . import engine, groups, jsontext
 from .errors import (
     DegenerateEigenbasis,
     ForeignSubgroup,
@@ -45,12 +45,18 @@ FORMULA_TOL = 1e-8
 MAX_RETRIES = 20
 # Bytes per (class, class) pair at the peak of ``chartab -o json``: the
 # float64 and complex128 k x k arrays of a draw and of the orthogonality
-# check, then the JSON rows and their text, which dominate (380 to 480
-# bytes per pair, measured as peak RSS at k = 600 and k = 1024).
+# check, then the distinct float texts of the JSON rows.  Measured as
+# peak RSS, interpreter included, that is about 300 bytes per pair at
+# k = 600 and 210 at k = 1024 (380 to 480 when the JSON text was built
+# whole); the bound is kept, so the limit stays at k = 1024.
 WORKING_SET_BYTES_PER_ENTRY = 512
 WORKING_SET_BYTES_MAX = 1 << 29
 # Structure-constant slices per matrix-vector product in a draw.
 _SLICES_PER_PRODUCT = 4
+# The double x * 1e6 is within |x * 1e6| * 2**-53 of the exact product;
+# _row_order hands an entry to Python's round when it lies within eight
+# times that of a half-integer.
+_HALF_SLACK = 2.0**-50
 
 __all__ = [
     "CONSTRUCTION_TOL",
@@ -213,17 +219,25 @@ def _pivot_slice(
 def _row_order(values: np.ndarray, degs: np.ndarray) -> np.ndarray:
     """Stable order of the rows by (degree, re_0, im_0, re_1, im_1, ...).
 
-    Each value is rounded with ``round(x, 6)``, so rows that agree to six
-    places keep their order; a rounded -0.0 compares equal to 0.0.
+    Each value is rounded as ``round(x, 6)`` rounds it, so rows that agree
+    to six places keep their order; a rounded -0.0 compares equal to 0.0.
+    ``rint(x * 1e6) / 1e6`` is that value wherever x * 1e6 is a finite
+    double under 2**52 whose rounding error cannot carry it across a
+    half-integer (the division is correctly rounded, as is Python's
+    conversion of the six-place decimal); the other entries, normally
+    few, go through ``round`` itself.
     """
-    n, k = values.shape
-    parts = np.empty((n, k, 2), dtype=np.float64)
-    parts[..., 0] = values.real
-    parts[..., 1] = values.imag
-    flat = parts.ravel().tolist()
-    rounded = np.fromiter(
-        map(round, flat, repeat(6)), dtype=np.float64, count=len(flat)
-    ).reshape(n, 2 * k)
+    n = values.shape[0]
+    parts = np.ascontiguousarray(values, dtype=np.complex128).view(np.float64)
+    parts = parts.reshape(n, -1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        scaled = parts * 1e6
+        rounded = np.rint(scaled) / 1e6
+        mag = np.abs(scaled)
+        near_half = np.abs(mag - np.floor(mag) - 0.5) <= mag * _HALF_SLACK
+        unsure = np.flatnonzero(near_half | ~(mag < 2.0**52))
+    if unsure.size:
+        rounded.flat[unsure] = [round(x, 6) for x in parts.flat[unsure].tolist()]
     # lexsort takes its primary key last.
     return np.lexsort(np.vstack([rounded[:, ::-1].T, degs]))
 
@@ -244,7 +258,7 @@ def character_table(G: GroupTable, seed: int = 0) -> CharacterTable:
     character reads the slice a[:, pivot, :] of its pivot class, built
     once per distinct pivot into one reused buffer.  So a draw costs
     O(k |G|) table reads plus O(k^3) arithmetic in O(k^2) memory.  A group
-    whose k x k working set, the JSON rows of ``table_to_json`` included,
+    whose k x k working set, the JSON text of ``table_to_json`` included,
     would exceed WORKING_SET_BYTES_MAX (k > 1024) raises ResourceLimit
     before any k x k array is allocated.
     """
@@ -462,20 +476,38 @@ def vanishes_outside(table: CharacterTable, index: int, H: SubgroupRef) -> bool:
     return bool(np.abs(vals).max() < FORMULA_TOL)
 
 
-def table_to_json(table: CharacterTable) -> dict:
-    return {
-        "order": table.group.order,
-        "classes": [
-            {"size": s, "rep": r}
-            for s, r in zip(table.class_sizes, table.class_reps)
-        ],
-        "irreducibles": [
-            {
-                "degree": table.degrees[i],
-                "values": [
-                    [float(v.real), float(v.imag)] for v in table.values[i]
-                ],
-            }
-            for i in range(table.n_classes)
-        ],
-    }
+# The text of one irreducible as an item of the "irreducibles" list that
+# ``jsontext.dumps`` writes at depth 2: each value a [re, im] pair at depth 4.
+_ROW_HEAD = '{\n   "degree": %d,\n   "values": [\n    '
+_ROW_PAIR = "[\n     %s,\n     %s\n    ]"
+_ROW_TAIL = "\n   ]\n  }"
+
+
+def table_to_json(table: CharacterTable, fp: TextIO) -> None:
+    """Write the table as JSON to ``fp``, one irreducible at a time.
+
+    The text is that of ``jsontext.dumps`` of the object with ``order``,
+    ``classes`` (``{"rep", "size"}`` per class) and ``irreducibles``
+    (``{"degree", "values"}`` per row, each value a ``[re, im]`` pair of
+    floats), with no trailing newline.  Each distinct float, told apart
+    by its bits so that -0.0 keeps its own text, is written once with
+    ``float.__repr__`` and spliced into a per-row template.  A verified
+    table is finite, so no value needs ``NaN`` or ``Infinity``.
+    """
+    k = table.n_classes
+    classes = [
+        {"size": s, "rep": r} for s, r in zip(table.class_sizes, table.class_reps)
+    ]
+    bits = table.values.view(np.float64).view(np.int64)
+    distinct, which = np.unique(bits, return_inverse=True)
+    texts = np.array(
+        list(map(float.__repr__, distinct.view(np.float64).tolist())), dtype=object
+    )
+    which = which.reshape(k, 2 * k)
+    row = _ROW_HEAD + ",\n    ".join([_ROW_PAIR] * k) + _ROW_TAIL
+    classes_text = jsontext.encode(classes, "\n ")
+    sep = '{\n "classes": ' + classes_text + ',\n "irreducibles": [\n  '
+    for i, degree in enumerate(table.degrees):
+        fp.write(sep + row % (degree, *texts[which[i]]))
+        sep = ",\n  "
+    fp.write('\n ],\n "order": ' + jsontext.encode(table.group.order, "") + "\n}")

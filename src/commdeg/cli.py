@@ -1,9 +1,10 @@
 """Command-line front end: spec parsing, dispatch, and rendering.
 
 Exit codes: 0 success, 2 usage error, 3 hard-guarantee audit violation,
-4 computation error.  Element ids everywhere are the dense ids assigned
-at group construction; `info` prints the id-to-permutation table so ids
-can be chosen meaningfully.
+4 computation error, 141 standard output closed early by its reader.
+Element ids everywhere are the dense ids assigned at group construction;
+`info` prints the id-to-permutation table so ids can be chosen
+meaningfully.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_HARD_VIOLATION = 3
 EXIT_COMPUTE = 4
+EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, as a shell reports a piped-to process
 
 _ENV_MAX_ORDER = "COMMDEG_MAX_ORDER"
 
@@ -470,7 +472,8 @@ def _cmd_chartab(args: argparse.Namespace) -> int:
     G = _resolve_group(args)
     table = chartab.character_table(G, seed=args.seed)
     if args.output == "json":
-        print(jsontext.dumps(chartab.table_to_json(table)))
+        chartab.table_to_json(table, sys.stdout)
+        sys.stdout.write("\n")
     elif args.output == "csv":
         header = ["degree"] + [f"c{j}" for j in range(table.n_classes)]
         rows = [
@@ -603,7 +606,16 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return _HANDLERS[args.command](args)
+        code = _HANDLERS[args.command](args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader closed stdout early (``| head``).  Send the rest of
+        # the output, and the interpreter's final flush, nowhere.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_BROKEN_PIPE
     except (UsageError, ConfigInvalid, UnknownFamily, InvalidPermutation) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -49,6 +49,7 @@ __all__ = [
     "ConjugacyInfo",
     "cycle_label",
     "close_group",
+    "family_order",
     "named_group",
     "named_group_names",
     "direct_product",
@@ -403,10 +404,13 @@ def _bounded_product(factors: Iterable[int], bound: int) -> Optional[int]:
     return out
 
 
-def named_group(
-    family: str, param: int, max_order: int = DEFAULT_MAX_ORDER
-) -> GroupTable:
-    """Build a member of a named family: C n, D n (order 2n), S n, A n, Q8."""
+def family_order(family: str, param: int, max_order: int = DEFAULT_MAX_ORDER) -> int:
+    """The order of a named family member, from the family table alone.
+
+    Raises UnknownFamily for a letter or member the table lacks, and
+    ClosureTooLarge for an order over ``max_order``; the order is worked
+    out exactly only up to max(max_order, 10**18).
+    """
     letter = family.upper()
     name = f"{letter}{param}"
     fam = _FAMILIES.get(letter)
@@ -417,6 +421,17 @@ def named_group(
     if order is None or order > max_order:
         shown = f"over {bound}" if order is None else order
         raise ClosureTooLarge(f"order {shown} exceeds the cap {max_order}")
+    return order
+
+
+def named_group(
+    family: str, param: int, max_order: int = DEFAULT_MAX_ORDER
+) -> GroupTable:
+    """Build a member of a named family: C n, D n (order 2n), S n, A n, Q8."""
+    order = family_order(family, param, max_order)
+    letter = family.upper()
+    name = f"{letter}{param}"
+    fam = _FAMILIES[letter]
     perms = fam.gens(param)
     gens = PermList(len(perms[0]) if perms else param, perms)
     g = close_group(gens, max_order=max_order, name=name)

@@ -19,7 +19,7 @@ from __future__ import annotations
 import re
 
 from . import groups
-from .errors import InvalidPermutation, UnknownFamily, UsageError
+from .errors import ClosureTooLarge, InvalidPermutation, UnknownFamily, UsageError
 
 __all__ = ["parse_group_spec", "parse_subgroup_spec"]
 
@@ -41,12 +41,12 @@ def _int(text: str, what: str) -> int:
         raise UsageError(f"{what} must be a readable integer, got {shown!r}") from None
 
 
-def _parse_atom(atom: str, max_order: int) -> groups.GroupTable:
+def _parse_atom(atom: str) -> tuple[str, int]:
+    """The family letter and parameter of a named atom such as ``S4``."""
     m = _ATOM_RE.match(atom.upper())
     if m is None:
         raise UnknownFamily(f"unrecognized group spec {atom!r}")
-    n = _int(m.group(2), "a family parameter")
-    return groups.named_group(m.group(1), n, max_order=max_order)
+    return m.group(1), _int(m.group(2), "a family parameter")
 
 
 def _parse_cycles(text: str, degree: int) -> tuple[int, ...]:
@@ -55,6 +55,9 @@ def _parse_cycles(text: str, degree: int) -> tuple[int, ...]:
     if stripped.strip():
         raise UsageError(f"stray text in generator spec: {text!r}")
     img = list(range(degree))
+    # inv[p] is the point img sends to p, so a cycle moves only its own
+    # points: img becomes cycle o img.
+    inv = img.copy()
     for cyc in _CYCLE_RE.findall(text):
         entries = [e for e in re.split(r"[,\s]+", cyc.strip()) if e]
         if not entries:
@@ -67,8 +70,10 @@ def _parse_cycles(text: str, degree: int) -> tuple[int, ...]:
                 raise InvalidPermutation(
                     f"point {p + 1} outside degree {degree} in ({cyc})"
                 )
-        step = {pts[i]: pts[(i + 1) % len(pts)] for i in range(len(pts))}
-        img = [step.get(v, v) for v in img]
+        sources = [inv[p] for p in pts]
+        for x, q in zip(sources, pts[1:] + pts[:1]):
+            img[x] = q
+            inv[q] = x
     return tuple(img)
 
 
@@ -101,9 +106,20 @@ def parse_group_spec(
     parts = spec.replace(" ", "").split("x")
     if any(not p for p in parts):
         raise UsageError(f"malformed product spec {text!r}")
-    g = _parse_atom(parts[0], max_order)
-    for part in parts[1:]:
-        g = groups.direct_product(g, _parse_atom(part, max_order), max_order)
+    # Refuse an order over the cap, as direct_product would, before any
+    # atom is built.
+    atoms = []
+    order = 1
+    for part in parts:
+        letter, n = _parse_atom(part)
+        order *= groups.family_order(letter, n, max_order)
+        if order > max_order:
+            raise ClosureTooLarge(f"order {order} exceeds the cap {max_order}")
+        atoms.append((letter, n))
+    g = groups.named_group(*atoms[0], max_order=max_order)
+    for letter, n in atoms[1:]:
+        atom = groups.named_group(letter, n, max_order=max_order)
+        g = groups.direct_product(g, atom, max_order)
     return g
 
 

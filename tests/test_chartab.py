@@ -1,3 +1,6 @@
+import io
+import json
+
 import numpy as np
 import pytest
 
@@ -114,6 +117,68 @@ def test_row_order_is_the_tuple_key_order():
     assert chartab._row_order(values, degs).tolist() == key
 
 
+def test_row_order_rounds_half_way_values_as_round_does():
+    # Values at the six-place half-way boundary and their neighbours, on
+    # both sides, where x * 1e6 can round across the half-integer.
+    centres = [0.0000005, -0.0000015, 0.1234565, 2.0000025, 0.0078125, -0.0000025]
+    near = []
+    for x in centres:
+        for y in (x, -x):
+            near += [np.nextafter(y, -np.inf), y, np.nextafter(y, np.inf)]
+    rng = np.random.default_rng(3)
+    vals = np.array(near + list(rng.standard_normal(24)))
+    values = vals[:, None] + 1j * vals[::-1, None]
+    values = np.hstack([values, values[::-1], np.full_like(values, -0.0)])
+    degs = np.ones(len(values), dtype=np.int64)
+    key = sorted(
+        range(len(values)),
+        key=lambda p: tuple(
+            (round(float(v.real), 6), round(float(v.imag), 6)) for v in values[p]
+        ),
+    )
+    # The rounded keys differ where the two sides of a boundary part.
+    assert round(near[0], 6) != round(near[2], 6)
+    assert chartab._row_order(values, degs).tolist() == key
+
+
+def _old_payload(t):
+    """The dict ``table_to_json`` returned before it wrote text."""
+    return {
+        "order": t.group.order,
+        "classes": [
+            {"size": s, "rep": r} for s, r in zip(t.class_sizes, t.class_reps)
+        ],
+        "irreducibles": [
+            {
+                "degree": t.degrees[i],
+                "values": [[float(v.real), float(v.imag)] for v in t.values[i]],
+            }
+            for i in range(t.n_classes)
+        ],
+    }
+
+
+@pytest.mark.parametrize("spec", named_group_specs(120))
+def test_table_json_is_the_dump_of_the_payload(spec):
+    G = parse_group_spec(spec)
+    for seed in (0, 1):
+        t = chartab.character_table(G, seed=seed)
+        buf = io.StringIO()
+        chartab.table_to_json(t, buf)
+        want = json.dumps(_old_payload(t), sort_keys=True, indent=1)
+        assert buf.getvalue() == want, (spec, seed)
+
+
+def test_table_json_keeps_negative_zero():
+    # C4's table has -0.0 parts, which share their value, not their bits
+    # or their text, with 0.0.
+    t = chartab.character_table(groups.named_group("C", 4), seed=0)
+    buf = io.StringIO()
+    chartab.table_to_json(t, buf)
+    assert "\n     -0.0" in buf.getvalue()
+    assert buf.getvalue() == json.dumps(_old_payload(t), sort_keys=True, indent=1)
+
+
 def test_s3_table_frozen(s3):
     t = chartab.character_table(s3, seed=0)
     assert t.class_reps == (0, 1, 2)
@@ -138,7 +203,9 @@ def test_c4_table_has_complex_entries():
     assert t.degrees == (1, 1, 1, 1)
     assert abs(t.values.imag).max() == pytest.approx(1.0, abs=1e-9)
     # The JSON form carries every degree and value, imaginary parts included.
-    payload = chartab.table_to_json(t)
+    buf = io.StringIO()
+    chartab.table_to_json(t, buf)
+    payload = json.loads(buf.getvalue())
     irreducibles = payload["irreducibles"]
     assert [irr["degree"] for irr in irreducibles] == list(t.degrees)
     values = [[complex(re, im) for re, im in irr["values"]] for irr in irreducibles]

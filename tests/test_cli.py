@@ -403,6 +403,42 @@ def test_huge_permutation_degree_is_refused_before_allocation():
     assert proc.stdout.startswith("group perm(1000000): (1 2): order 2\n")
 
 
+@pytest.mark.parametrize(
+    "spec,order", [("C10000xC10000", 100000000), ("C100xC100xC100", 1000000)]
+)
+def test_product_over_the_cap_exits_4_before_building_its_atoms(spec, order):
+    # Each C10000 table takes 400 MB, and C100xC100 is a 400 MB table
+    # too, so building any of them first would fail under this cap.
+    proc = _run_capped(1 << 29, "info", "-G", spec)
+    assert proc.returncode == 4, proc.stderr
+    assert proc.stderr == (
+        f"error [closure_too_large]: order {order} exceeds the cap 10080\n"
+    )
+    assert proc.stdout == ""
+
+
+@pytest.mark.parametrize(
+    "argv", [("chartab", "-G", "C200", "-o", "json"), ("info", "-G", "C500")]
+)
+def test_closed_stdout_exits_141_without_a_traceback(argv):
+    src = str(Path(commdeg.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "commdeg.cli", *argv],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    # Both outputs are far larger than a pipe's buffer, so the child is
+    # still writing when the pipe closes.
+    assert len(proc.stdout.read(10)) == 10
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=60)
+    assert (proc.returncode, err) == (cli.EXIT_BROKEN_PIPE, b"")
+    assert cli.EXIT_BROKEN_PIPE == 141
+
+
 def test_group_over_table_limit_exits_4():
     # S8 has order 40320, so its table would need 6.5 GB.
     proc = _run_capped(1 << 30, "info", "-G", "S8", "--max-order", "40320")

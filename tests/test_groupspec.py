@@ -1,3 +1,6 @@
+import random
+import re
+
 import pytest
 
 from commdeg import groups, groupspec
@@ -62,6 +65,37 @@ def test_parse_respects_order_cap():
         groupspec.parse_group_spec("C30", max_order=24)
     with pytest.raises(ClosureTooLarge):
         groupspec.parse_group_spec("S3xS3", max_order=24)
+
+
+def _rewrite_cycles(text, degree):
+    """The reference parse: the whole image list rewritten once per cycle."""
+    img = list(range(degree))
+    for cyc in groupspec._CYCLE_RE.findall(text):
+        pts = [int(e) - 1 for e in re.split(r"[,\s]+", cyc.strip()) if e]
+        step = {pts[i]: pts[(i + 1) % len(pts)] for i in range(len(pts))}
+        img = [step.get(v, v) for v in img]
+    return tuple(img)
+
+
+def test_cycles_apply_left_to_right_as_the_list_rewrite():
+    rng = random.Random(11)
+    for _ in range(300):
+        degree = rng.randint(1, 12)
+        cycles = []
+        for _ in range(rng.randint(0, 6)):
+            # Cycles overlap freely, so their left-to-right order matters.
+            pts = rng.sample(range(1, degree + 1), rng.randint(1, degree))
+            sep = rng.choice([" ", ",", ", "])
+            cycles.append("(" + sep.join(map(str, pts)) + ")")
+        text = "".join(cycles) or "()"
+        assert groupspec._parse_cycles(text, degree) == _rewrite_cycles(
+            text, degree
+        ), text
+    # Read left to right, (1 2)(2 3) sends 1 to 3, 2 to 1 and 3 to 2.
+    assert groupspec._parse_cycles("(1 2)(2 3)", 3) == (2, 0, 1)
+    assert groupspec._parse_cycles("(1 2)(2 3)", 3) != groupspec._parse_cycles(
+        "(2 3)(1 2)", 3
+    )
 
 
 def test_subgroup_spec_keywords(s3):
