@@ -77,6 +77,7 @@ def _orbit_pairs(P: SubgroupRef) -> tuple[np.ndarray, np.ndarray]:
     As y runs over P, [w, y] = w^-1 * w^y meets each w^-1 * u with
     u in w^P exactly |C_P(w)| times, so these sum_w |w^P| pairs carry the
     whole counting step.  Orbits of one size are handled as one array.
+    Both arrays hold ids in the table's own dtype (int16).
     """
     G = P.parent
     by_size: dict[int, list[tuple[int, ...]]] = {}
@@ -84,7 +85,7 @@ def _orbit_pairs(P: SubgroupRef) -> tuple[np.ndarray, np.ndarray]:
         by_size.setdefault(len(orbit), []).append(orbit)
     srcs, dsts = [], []
     for size, orbits in by_size.items():
-        block = np.asarray(orbits, dtype=np.int32)
+        block = np.asarray(orbits, dtype=G.mul.dtype)
         w = np.repeat(block, size, axis=1)
         u = np.tile(block, (1, size))
         srcs.append(w.ravel())

@@ -4,7 +4,10 @@ Elements are integers ``0..N-1`` with the identity fixed at id 0.  Groups
 are closed from permutation generators in breadth-first discovery order,
 so ids are reproducible across runs; named families, direct products and
 quotients all reduce to the same table representation, which keeps every
-higher-level computation a matter of integer array lookups.  Element
+higher-level computation a matter of integer array lookups.  Every
+table, and every id array cached from one, holds its ids as int16, so an
+order-N table takes N*N*2 bytes; orders past the int16 range, or tables
+past TABLE_BYTES_MAX, are refused before anything is allocated.  Element
 labels are written on demand, from the permutations closure keeps.  The
 named families are one table, ``_FAMILIES``, of orders and generators.
 """
@@ -29,8 +32,14 @@ from .errors import (
 )
 
 DEFAULT_MAX_ORDER = 10080
-# Largest multiplication table (N * N * 4 bytes of int32) that closure or a
-# direct product will allocate: 1 GiB, so N <= 16384.  Larger orders raise
+# Element ids in every table.  Signed, so that differences of ids (see
+# direct_product) stay exact.
+_ID_DTYPE = np.dtype(np.int16)
+# Largest order a table holds: N itself must be an int16, so that no id
+# arithmetic or bound N can wrap, whatever TABLE_BYTES_MAX is.
+_ORDER_MAX = int(np.iinfo(_ID_DTYPE).max)
+# Largest multiplication table (N * N * 2 bytes of int16) that any group
+# table will hold: 1 GiB, so N <= 23170.  Larger orders raise
 # ResourceLimit before anything is allocated.
 TABLE_BYTES_MAX = 1 << 30
 # Rows (or columns) per block when validating a table: validation holds
@@ -143,6 +152,31 @@ def _refuse_bytes(size: int, what: str) -> None:
         )
 
 
+def _refuse_order(n: int) -> None:
+    """Raise ResourceLimit unless an order-n table fits TABLE_BYTES_MAX and int16."""
+    _refuse_bytes(n * n * _ID_DTYPE.itemsize, f"the table of a group of order {n}")
+    if n > _ORDER_MAX:
+        raise ResourceLimit(
+            f"a group of order {n} is past the {_ORDER_MAX} elements a table holds"
+        )
+
+
+def _as_ids(a, n: int, message: str) -> np.ndarray:
+    """``a`` as a contiguous int16 array, once its ids are checked to fit.
+
+    A table of another integer dtype is checked to lie in 0..n-1 before
+    it is narrowed, so that no entry can wrap onto a valid id; an int16
+    table is left to the checks that follow.  ValueError(message) if not.
+    """
+    a = np.asarray(a)
+    if a.dtype != _ID_DTYPE:
+        if a.dtype.kind not in "iu":
+            raise ValueError(f"{message}: ids must be integers, not {a.dtype}")
+        if a.size and not (a.min() >= 0 and a.max() < n):
+            raise ValueError(f"{message}: an id lies outside 0..{n - 1}")
+    return np.ascontiguousarray(a, dtype=_ID_DTYPE)
+
+
 def _column_blocks(
     mul: np.ndarray, buf: np.ndarray
 ) -> Iterator[tuple[int, np.ndarray]]:
@@ -166,9 +200,9 @@ def _check_latin(mul: np.ndarray) -> np.ndarray:
     """
     n = mul.shape[0]
     step = _CHECK_BLOCK
-    ids = np.arange(n, dtype=np.int32)
-    right_inv = np.empty(n, dtype=np.int32)
-    buf = np.empty((min(step, n), n), dtype=np.int32)
+    ids = np.arange(n, dtype=mul.dtype)
+    right_inv = np.empty(n, dtype=mul.dtype)
+    buf = np.empty((min(step, n), n), dtype=mul.dtype)
     for lo in range(0, n, step):
         rows = mul[lo : lo + step]
         block = buf[: rows.shape[0]]
@@ -188,8 +222,10 @@ class GroupTable:
     """A finite group materialized as an N x N multiplication table.
 
     ``mul[a, b]`` is the id of the product a*b and ``inv[a]`` the id of
-    the inverse; both arrays are read-only after construction.  Every
-    construction validates that each row and each column permutes
+    the inverse; both arrays are int16 and read-only after construction.
+    A table of another integer dtype is range-checked before it is
+    narrowed, and an order past the int16 range raises ResourceLimit.
+    Every construction validates that each row and each column permutes
     0..N-1, that the identity sits at id 0, and that ``inv`` is a two-sided
     inverse.  The check runs over blocks of rows and blocks of columns,
     so its scratch memory is O(block * N) on top of the table itself;
@@ -207,18 +243,20 @@ class GroupTable:
         name: str = "G",
         labels: Optional[Sequence[str]] = None,
     ) -> None:
-        mul = np.ascontiguousarray(mul, dtype=np.int32)
+        mul = np.asarray(mul)
         if mul.ndim != 2 or mul.shape[0] != mul.shape[1]:
             raise ValueError("multiplication table must be square")
         n = mul.shape[0]
+        _refuse_order(n)
+        mul = _as_ids(mul, n, "each row must permute 0..N-1")
         right_inv = _check_latin(mul)
-        ids = np.arange(n, dtype=np.int32)
+        ids = np.arange(n, dtype=mul.dtype)
         if not (np.array_equal(mul[0], ids) and np.array_equal(mul[:, 0], ids)):
             raise ValueError("identity must sit at id 0")
         if inv is None:
             inv = right_inv
         else:
-            inv = np.ascontiguousarray(inv, dtype=np.int32)
+            inv = _as_ids(inv, n, "inverse table inconsistent with multiplication")
         # A row holds 0 exactly once, so inv is a right inverse iff it
         # equals right_inv; the gather then checks the left side.
         if not (np.array_equal(inv, right_inv) and not mul[inv, ids].any()):
@@ -330,7 +368,7 @@ def close_group(
     perms = np.concatenate(levels)
     perms.setflags(write=False)
     n = len(perms)
-    _refuse_bytes(n * n * 4, f"the table of a group of order {n}")
+    _refuse_order(n)
     right = np.array(found, dtype=np.intp).reshape(n, ngens).T
     parents, vias = np.array(edges, dtype=np.intp).T
     # left[k, b] = id(g_k * e_b), walked down the same tree one level at a
@@ -342,8 +380,8 @@ def close_group(
         js = slice(lo, lo + len(lvl))
         left[:, js] = right[vias[js], left[:, parents[js]]]
         lo += len(lvl)
-    mul = np.empty((n, n), dtype=np.int32)
-    mul[0] = np.arange(n, dtype=np.int32)
+    mul = np.empty((n, n), dtype=_ID_DTYPE)
+    mul[0] = np.arange(n, dtype=_ID_DTYPE)
     for j, (i, k) in enumerate(edges[1:], start=1):
         mul[i].take(left[k], out=mul[j])
     labels = _LazyLabels(n, lambda a: cycle_label(perms[a].tolist()))
@@ -456,16 +494,19 @@ def direct_product(
 ) -> GroupTable:
     """Componentwise product; the pair (a, b) gets id a*|G2| + b.
 
-    The table is written into one int32 array, |G2| rows at a time, so no
-    temporary larger than one row exists.  A table over TABLE_BYTES_MAX
-    raises ResourceLimit before it is allocated.
+    The table is written into one int16 array, |G2| rows at a time, so no
+    temporary larger than one row exists.  Every value formed on the way,
+    a*|G2| and the shifts (c - c')*|G2| below, lies within -N..N-1, so
+    int16 arithmetic is exact for every order a table holds.  A table
+    over TABLE_BYTES_MAX or past the int16 range raises ResourceLimit
+    before it is allocated.
     """
     n1, n2 = g1.order, g2.order
     n = n1 * n2
     if n > max_order:
         raise ClosureTooLarge(f"order {n} exceeds the cap {max_order}")
-    _refuse_bytes(n * n * 4, f"the table of a group of order {n}")
-    mul = np.empty((n, n), dtype=np.int32)
+    _refuse_order(n)
+    mul = np.empty((n, n), dtype=_ID_DTYPE)
     top = mul[:n2]
     # row (a, b), column (c, d) holds g1[a, c]*n2 + g2[b, d]; write a = 0
     np.add(
@@ -663,7 +704,7 @@ def center(G: GroupTable) -> SubgroupRef:
     mul = G.mul
     n = G.order
     central = np.empty(n, dtype=bool)
-    buf = np.empty((min(_CHECK_BLOCK, n), n), dtype=np.int32)
+    buf = np.empty((min(_CHECK_BLOCK, n), n), dtype=mul.dtype)
     for lo, block in _column_blocks(mul, buf):
         central[lo : lo + len(block)] = (block == mul[lo : lo + len(block)]).all(axis=1)
     return SubgroupRef(G, np.flatnonzero(central), _checked=True)
@@ -683,7 +724,7 @@ def quotient_group(
     cosmin = G.mul[:, narr].min(axis=1)
     reps = np.unique(cosmin)
     rank = {int(r): i for i, r in enumerate(reps)}
-    proj = np.asarray([rank[int(v)] for v in cosmin], dtype=np.int32)
+    proj = np.asarray([rank[int(v)] for v in cosmin], dtype=_ID_DTYPE)
     mulq = proj[G.mul[np.ix_(reps, reps)]]
     label = _label_of(G)
     labels = _LazyLabels(len(reps), lambda q: f"{label(int(reps[q]))}N")

@@ -448,9 +448,9 @@ def test_group_over_table_limit_exits_4():
 
 
 def test_group_at_order_cap_builds_under_memory_cap():
-    # S7xC2 has order 10080, the default cap: a 406 MB table, which must be
-    # built and validated without a second full-size copy.
-    proc = _run_capped(3 << 29, "info", "-G", "S7xC2")
+    # S7xC2 has order 10080, the default cap: a 203 MB table of int16 ids,
+    # which must be built and validated without a second full-size copy.
+    proc = _run_capped(1 << 29, "info", "-G", "S7xC2")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("group S7xC2: order 10080\n")
 

@@ -85,9 +85,10 @@ def test_close_group_matches_word_oracle_on_s7():
     assert not bad
 
 
-# sha256 of mul.tobytes(), inv.tobytes() and the labels joined by newlines.
-# Element ids (what -g names), products, inverses and labels all reach the
-# output, so closure must reproduce each table byte for byte.
+# sha256 of the int32 bytes of mul and inv, and the labels joined by
+# newlines.  Element ids (what -g names), products, inverses and labels all
+# reach the output, so closure must reproduce each table id for id; the
+# ids are hashed as int32 whatever dtype the table holds them in.
 _CLOSURE_SHA256 = {
     "C1": "b162f519ea318f3ea919ea29068bbd9b71119237957718e12a79f65867b4aefd",
     "C2": "d6af33467fd4d0aa1da3bb447d7b316ccc292203c29760854a3ce66992e6aa08",
@@ -145,8 +146,8 @@ _CLOSURE_SHA256 = {
 
 def _table_sha256(G):
     digest = hashlib.sha256()
-    digest.update(G.mul.tobytes())
-    digest.update(G.inv.tobytes())
+    digest.update(G.mul.astype(np.int32).tobytes())
+    digest.update(G.inv.astype(np.int32).tobytes())
     digest.update("\n".join(G.label(i) for i in range(G.order)).encode())
     return digest.hexdigest()
 
@@ -250,7 +251,7 @@ def test_direct_product_matches_broadcast_formula():
         n1 * n2, n1 * n2
     )
     inv = np.add.outer(a5.inv.astype(np.int64) * n2, d6.inv).reshape(-1)
-    assert P.mul.dtype == np.int32 and P.inv.dtype == np.int32
+    assert P.mul.dtype == np.int16 and P.inv.dtype == np.int16
     assert np.array_equal(P.mul, mul)
     assert np.array_equal(P.inv, inv)
 
@@ -270,11 +271,44 @@ def test_table_build_peak_memory():
     # needs little beyond the table; a full-table sort or broadcast would
     # not fit in 2x.
     G, peak = _build_peak(lambda: groups.named_group("A", 7))
-    assert peak <= 2 * G.order**2 * 4
+    assert peak <= 2 * G.order**2 * G.mul.itemsize
     s5, d10 = groups.named_group("S", 5), groups.named_group("D", 10)
     P, peak = _build_peak(lambda: groups.direct_product(s5, d10))
     assert P.order >= 2000
-    assert peak <= 2 * P.order**2 * 4
+    assert peak <= 2 * P.order**2 * P.mul.itemsize
+
+
+def test_every_table_holds_int16_ids(s3, q8):
+    tables = [
+        groups.named_group("S", 4),
+        groups.direct_product(s3, q8),
+        groups.quotient_group(q8, groups.center(q8))[0],
+        groups.GroupTable(s3.mul.astype(np.int64), s3.inv.astype(np.uint32)),
+        groups.GroupTable(s3.mul.tolist()),
+    ]
+    for G in tables:
+        assert G.mul.dtype == G.inv.dtype == np.int16, G
+
+
+def test_narrowing_never_wraps_an_id_onto_a_valid_one(s6):
+    # 65536 + j is j once cast to int16, so a blind cast would accept both.
+    mul = s6.mul.astype(np.int64)
+    mul[5, 7] += 1 << 16
+    with pytest.raises(ValueError, match="each row must permute"):
+        groups.GroupTable(mul)
+    inv = s6.inv.astype(np.int64)
+    inv[5] += 1 << 16
+    with pytest.raises(ValueError, match="inverse table inconsistent"):
+        groups.GroupTable(s6.mul, inv)
+    with pytest.raises(ValueError, match="ids must be integers"):
+        groups.GroupTable(s6.mul + 0.5)
+
+
+def test_order_past_int16_ids_is_refused_whatever_the_byte_limit(monkeypatch):
+    monkeypatch.setattr(groups, "TABLE_BYTES_MAX", 1 << 40)
+    c128, c256 = groups.named_group("C", 128), groups.named_group("C", 256)
+    with pytest.raises(ResourceLimit, match="order 32768 is past"):
+        groups.direct_product(c128, c256, max_order=40000)
 
 
 def _last_block(n):
