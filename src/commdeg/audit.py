@@ -27,14 +27,21 @@ product blocks.  A check that receives a g list decides every g in it from
 the cached count vectors, returning its findings in g order.
 
 The checks on one cell ``{group, H, K, n, m}`` report shared instance
-dicts: R1, P3, C4 and C6 the cell's dict (``_Cell.base``), and P2,
+dicts: R1, P3, C4 and C6 the cell itself (a ``_Cell``), and P2,
 T2_CHAIN, T3 and C5 one ``_GInstance`` per g, which the cell's g list
 (``_CellGs``) carries to each of them; P4's instances lie over the same
-cell.  A ``_GInstance`` points at its ``_Cell``, which holds the text of
-its instances cut around the digits of g, once per style: as the sort
-key (and CSV cell) and at depth 3 of the report (``_template``).
-``_cell_writer`` joins head, g and tail for such an instance, and writes
-every other dict with ``_dict_writer``.
+cell.  A ``_GInstance`` points at its ``_Cell``, which holds, once per
+style (the sort key and CSV cell, and depth 3 of the report), its own
+text and the text of its g instances cut around the digits of g
+(``_template``).  ``_cell_writer`` writes a cell from its kept text,
+joins head, g and tail for a g instance, and writes every other dict
+with ``_dict_writer``.
+
+A ``Finding`` is a slotted record that keeps its witness as a key tuple,
+shared by every witness of that layout, and a tuple of values; the
+report and CSV writers read the two tuples, not a dict.  The fraction
+texts of one ``run_battery`` call are shared through one table
+(``_RATIO_TEXTS``), so a text that many witnesses hold is stored once.
 """
 
 from __future__ import annotations
@@ -44,9 +51,9 @@ import json
 import math
 import time
 from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
 from functools import lru_cache
-from operator import itemgetter
 from typing import Callable, Iterator, Optional, Sequence, TextIO
 
 import numpy as np
@@ -118,6 +125,7 @@ __all__ = [
     "AuditReport",
     "named_group_specs",
     "instance_json_writer",
+    "witness_json_writer",
     "default_config",
     "config_from_json",
     "run_battery",
@@ -141,15 +149,47 @@ __all__ = [
 ]
 
 
-@dataclass
+# One key tuple per distinct witness layout, shared by every Finding whose
+# witness has that layout; the checks make a few dozen layouts in all.
+_WITNESS_KEYS: dict[tuple[str, ...], tuple[str, ...]] = {}
+
+
+@dataclass(slots=True, init=False)
 class Finding:
-    """One checked instance: what was tested, the verdict, and the numbers."""
+    """One checked instance: what was tested, the verdict, and the numbers.
+
+    A slotted record that holds its witness as two tuples: the keys, one
+    tuple shared by every witness with the same keys in the same order,
+    and the values in that order.  ``witness`` is a fresh dict made from
+    them on each read, so changing it changes nothing in the finding.
+    """
 
     claim: str
     instance: dict
     verdict: str
-    witness: dict
-    runtime_ms: float = 0.0
+    witness_keys: tuple[str, ...]
+    witness_values: tuple
+    runtime_ms: float
+
+    def __init__(
+        self,
+        claim: str,
+        instance: dict,
+        verdict: str,
+        witness: dict,
+        runtime_ms: float = 0.0,
+    ) -> None:
+        self.claim = claim
+        self.instance = instance
+        self.verdict = verdict
+        keys = tuple(witness)
+        self.witness_keys = _WITNESS_KEYS.setdefault(keys, keys)
+        self.witness_values = tuple(witness.values())
+        self.runtime_ms = runtime_ms
+
+    @property
+    def witness(self) -> dict:
+        return dict(zip(self.witness_keys, self.witness_values))
 
     def to_json(self, include_runtime: bool = False) -> dict:
         out = {
@@ -163,10 +203,19 @@ class Finding:
         return out
 
 
+# The fraction texts written during one ``run_battery`` call, each kept once
+# however many witnesses hold it; None outside such a call.
+_RATIO_TEXTS: ContextVar[Optional[dict[str, str]]] = ContextVar(
+    "_RATIO_TEXTS", default=None
+)
+
+
 def _ratio(c: int, s: int) -> str:
     """The text of ``Fraction(c, s)`` for ``s > 0``: lowest terms, sign on top."""
     d = math.gcd(c, s)
-    return f"{c // d}/{s // d}"
+    text = f"{c // d}/{s // d}"
+    texts = _RATIO_TEXTS.get()
+    return text if texts is None else texts.setdefault(text, text)
 
 
 def _mem(S: SubgroupRef) -> list[int]:
@@ -188,28 +237,32 @@ def _inst(G: GroupTable, **kw) -> dict:
     return base
 
 
-class _Cell:
-    """One cell ``{group, blocks, n, m}`` and the text of its instances.
+class _Cell(dict):
+    """One cell ``{group, blocks, n, m}``: the instance the per-cell checks report.
 
-    ``base`` is the cell's instance without g, the one the per-cell checks
-    report.  ``compact`` and ``indented`` are, once made, the head and the
-    tail around the digits of g in the text of any of the cell's g
-    instances: as the sort key and CSV cell (``_compact_writer``) and at
-    depth 3 of the report (``_indented_writer``).  See ``_cell_writer``.
+    A plain dict to every reader, which also keeps the text of its
+    instances once made, one slot per style: as the sort key and CSV cell
+    (``_compact_writer``) and at depth 3 of the report
+    (``_indented_writer``).  ``compact`` and ``indented`` hold the head and
+    the tail around the digits of g in the text of any of the cell's g
+    instances, ``compact_text`` and ``indented_text`` the text of the cell
+    itself.  See ``_cell_writer``.
     """
 
-    __slots__ = ("base", "compact", "indented")
+    __slots__ = ("compact", "indented", "compact_text", "indented_text")
 
     def __init__(self, base: dict) -> None:
-        self.base = base
+        super().__init__(base)
         self.compact: Optional[tuple[str, str]] = None
         self.indented: Optional[tuple[str, str]] = None
+        self.compact_text: Optional[str] = None
+        self.indented_text: Optional[str] = None
 
     def g_list(self, gs: Sequence[int]) -> _CellGs:
         """``gs`` as a list that carries the cell's instance of each g."""
         insts = []
         for g in gs:
-            inst = _GInstance(self.base, g=g)
+            inst = _GInstance(self, g=g)
             inst.cell = self
             insts.append(inst)
         out = _CellGs(gs)
@@ -218,7 +271,7 @@ class _Cell:
 
 
 class _GInstance(dict):
-    """The instance ``{**cell.base, "g": g}``, a plain dict to every reader."""
+    """The instance ``{**cell, "g": g}``, a plain dict to every reader."""
 
     __slots__ = ("cell",)
 
@@ -1145,14 +1198,15 @@ def _finding_texts(
 
     A finding is written from its fixed key layout, in sorted key order:
     ``claim``, ``instance``, [``runtime_ms``], ``verdict``, ``witness``,
-    with its instance (through ``_cell_writer``) and witness dicts at
-    depth 3.  An instance's member lists are shared between findings (see
-    ``_member_list``), so each is encoded once per call.
+    with its instance (through ``_cell_writer``) and witness at depth 3.
+    An instance's member lists are shared between findings (see
+    ``_member_list``), so each is encoded once per call.  The witness is
+    written from the finding's key and value tuples (``_items_writer``).
     """
     quote = jsontext.SCALARS[str]
     nl = "\n    "
     instance_text = _cell_writer(_indented_writer(), "indented")
-    witness_text = _dict_writer(nl, ",", "\n   }", lambda v: jsontext.encode(v, nl))
+    witness_text = _items_writer(nl, ",", "\n   }", lambda v: jsontext.encode(v, nl))
     for f in findings:
         runtime = (
             ',\n   "runtime_ms": ' + jsontext.encode(round(f.runtime_ms, 3), "")
@@ -1168,7 +1222,7 @@ def _finding_texts(
             + ',\n   "verdict": '
             + quote(f.verdict)
             + ',\n   "witness": '
-            + witness_text(f.witness)
+            + witness_text(f.witness_keys, f.witness_values)
             + "\n  }"
         )
 
@@ -1191,24 +1245,34 @@ def _indented_writer() -> Callable[[dict], str]:
     )
 
 
-def _cell_writer(write: Callable[[dict], str], slot: str) -> Callable[[dict], str]:
-    """``write`` for instances, writing each cell's g instances from a template.
+def _cell_writer(write: Callable[[dict], str], style: str) -> Callable[[dict], str]:
+    """``write`` for instances, writing each cell's instances once or from a template.
 
-    The instance of one g of a cell is the head and the tail ``_template``
-    cuts from ``write`` once per cell, kept in the cell's ``slot``, with
-    the digits of g in between; any other instance goes through ``write``.
+    The text of a cell is made once by ``write`` and kept in the cell's
+    ``<style>_text`` slot.  The instance of one g of a cell is the head
+    and the tail ``_template`` cuts from ``write`` once per cell, kept in
+    the cell's ``style`` slot, with the digits of g in between.  Any other
+    instance goes through ``write``.
     """
-    digits = int.__repr__
+    own = style + "_text"
 
     def text(inst: dict) -> str:
-        if type(inst) is not _GInstance:
-            return write(inst)
-        cell = inst.cell
-        cut = getattr(cell, slot)
-        if cut is None:
-            cut = _template(write, cell.base)
-            setattr(cell, slot, cut)
-        return cut[0] + digits(inst["g"]) + cut[1]
+        kind = type(inst)
+        if kind is _GInstance:
+            cell = inst.cell
+            cut = getattr(cell, style)
+            if cut is None:
+                cut = _template(write, cell)
+                setattr(cell, style, cut)
+            # One f-string makes one string; g is an int, written as repr.
+            return f"{cut[0]}{inst['g']}{cut[1]}"
+        if kind is _Cell:
+            whole = getattr(inst, own)
+            if whole is None:
+                whole = write(inst)
+                setattr(inst, own, whole)
+            return whole
+        return write(inst)
 
     return text
 
@@ -1224,39 +1288,47 @@ def _template(text: Callable[[dict], str], base: dict) -> tuple[str, str]:
     return head + '"g": ', tail
 
 
-def _dict_writer(
+def _items_writer(
     indent: str, item_sep: str, close: str, container: Callable[[object], str]
-) -> Callable[[dict], str]:
-    """A writer of the JSON text of dicts with ``str`` keys, in sorted key order.
+) -> Callable[[tuple[str, ...], tuple], str]:
+    """A writer of the JSON text of the dict ``dict(zip(keys, values))``.
 
-    Each item is ``indent``, the key, ``": "`` and the value, the items are
-    joined by ``item_sep`` and followed by ``close``.  Scalar values go
-    through ``jsontext.SCALARS``, which writes them as the compact and the
-    indented standard-library forms both do; any other value through
-    ``container``.  The sorted key order is worked out once per distinct
-    insertion order of the keys.
+    The dict's keys are ``str``, and its items are written in sorted key
+    order.  Each item is ``indent``, the key, ``": "`` and the value, the
+    items are joined by ``item_sep`` and followed by ``close``.  Scalar
+    values go through ``jsontext.SCALARS``, which writes them as the
+    compact and the indented standard-library forms both do; any other
+    value through ``container``.  The sorted key order is worked out once
+    per distinct key tuple, and each value is then read by its position.
     """
     scalars = jsontext.SCALARS
     quote = scalars[str]
-    layouts: dict[tuple[str, ...], list[tuple[str, str]]] = {}
+    layouts: dict[tuple[str, ...], list[tuple[int, str]]] = {}
 
-    def text(d: dict) -> str:
-        if not d:
+    def text(keys: tuple[str, ...], values: tuple) -> str:
+        if not keys:
             return "{}"
-        keys = tuple(d)
         layout = layouts.get(keys)
         if layout is None:
             layout = layouts[keys] = [
-                (k, indent + quote(k) + ": ") for k in sorted(keys)
+                (keys.index(k), indent + quote(k) + ": ") for k in sorted(keys)
             ]
         parts = []
-        for key, prefix in layout:
-            v = d[key]
+        for i, prefix in layout:
+            v = values[i]
             w = scalars.get(type(v))
             parts.append(prefix + (w(v) if w is not None else container(v)))
         return "{" + item_sep.join(parts) + close
 
     return text
+
+
+def _dict_writer(
+    indent: str, item_sep: str, close: str, container: Callable[[object], str]
+) -> Callable[[dict], str]:
+    """``_items_writer`` for dicts with ``str`` keys."""
+    items = _items_writer(indent, item_sep, close, container)
+    return lambda d: items(tuple(d), tuple(d.values()))
 
 
 def _by_identity(encode: Callable[[object], str]) -> Callable[[object], str]:
@@ -1352,30 +1424,37 @@ def instance_json_writer() -> Callable[[dict], str]:
     return _cell_writer(_compact_writer(), "compact")
 
 
+def witness_json_writer() -> Callable[[Finding], str]:
+    """A writer of ``json.dumps(finding.witness, sort_keys=True)`` for findings.
+
+    It writes from the finding's key and value tuples, without the dict.
+    """
+    items = _items_writer("", ", ", "}", json.JSONEncoder(sort_keys=True).encode)
+    return lambda f: items(f.witness_keys, f.witness_values)
+
+
 def _sort_findings(findings: list[Finding]) -> None:
     """Sort by claim, then by the text of ``json.dumps(instance, sort_keys=True)``.
 
     The findings go into one list per claim, and each list is sorted by
     its instance texts alone, as ``instance_json_writer`` writes them.
-    Each instance dict is written once, however many findings share it.
+    The texts are made one claim at a time, and each claim's are dropped
+    before the next claim's are made.  A cell keeps its own text (see
+    ``_cell_writer``), so it is written once however many claims report
+    it; a g instance's text is joined from its cell's template.
     """
     instance_text = instance_json_writer()
-    texts: dict[int, str] = {}
-    by_claim: dict[str, list[tuple[str, Finding]]] = {}
+    by_claim: dict[str, list[Finding]] = {}
     for f in findings:
-        inst = f.instance
-        text = texts.get(id(inst))
-        if text is None:
-            text = texts[id(inst)] = instance_text(inst)
         bucket = by_claim.get(f.claim)
         if bucket is None:
             bucket = by_claim[f.claim] = []
-        bucket.append((text, f))
+        bucket.append(f)
     findings.clear()
     for claim in sorted(by_claim):
         bucket = by_claim.pop(claim)
-        bucket.sort(key=itemgetter(0))
-        findings.extend([f for _, f in bucket])
+        bucket.sort(key=lambda f: instance_text(f.instance))
+        findings.extend(bucket)
 
 
 @contextmanager
@@ -1390,13 +1469,23 @@ def _collector_paused() -> Iterator[None]:
             gc.enable()
 
 
+@contextmanager
+def _ratio_texts_shared() -> Iterator[None]:
+    """Share ``_ratio``'s texts through one table, dropped on exit."""
+    token = _RATIO_TEXTS.set({})
+    try:
+        yield
+    finally:
+        _RATIO_TEXTS.reset(token)
+
+
 def run_battery(config: AuditConfig) -> AuditReport:
     """Execute every selected check on every instance the config describes.
 
     Each instance shape of a group is walked once, calling every selected
     check of that shape (see the module docstring).  The checks on one
-    (H, K, n, m) cell report one instance dict: R1, P3, C4 and C6 its
-    ``_Cell.base``, and P2, T2_CHAIN, T3 and C5 the instances that the
+    (H, K, n, m) cell report one instance dict: R1, P3, C4 and C6 the
+    ``_Cell`` itself, and P2, T2_CHAIN, T3 and C5 the instances that the
     cell's g list carries, one per g; P4 gets a g list of its own over the
     same cell.  Instance generation is fully deterministic (ordering comes
     from the config and from element ids), so a fixed config yields a
@@ -1424,8 +1513,9 @@ def run_battery(config: AuditConfig) -> AuditReport:
         produced = check(*args)
         elapsed = (time.perf_counter() - start) * 1000.0
         batch = produced if isinstance(produced, list) else [produced]
+        share = elapsed / len(batch)
         for f in batch:
-            f.runtime_ms = elapsed / len(batch)
+            f.runtime_ms = share
             if instance is not None and f.instance == instance:
                 # The check built its own copy of the cell's dict.
                 f.instance = instance
@@ -1438,7 +1528,7 @@ def run_battery(config: AuditConfig) -> AuditReport:
     # leave are standard-library closures (``ast.literal_eval``,
     # ``inspect``), a few hundred objects on the default battery, freed by
     # the first collection after the pause.
-    with _collector_paused():
+    with _collector_paused(), _ratio_texts_shared():
         for spec in config.groups:
             G = groupspec.parse_group_spec(spec, max_order=config.max_order)
             pool = _subgroup_pool(G, config)
@@ -1453,7 +1543,7 @@ def run_battery(config: AuditConfig) -> AuditReport:
                     for n, m in cells:
                         cell = hk[n, m]
                         for name in _CELL_CHECKS:
-                            run(name, H, K, n, m, instance=cell.base)
+                            run(name, H, K, n, m, instance=cell)
                         if per_g:
                             gs = g_lists[n, m] = cell.g_list(
                                 _g_values(H, K, n, m, config)

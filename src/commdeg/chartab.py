@@ -54,7 +54,7 @@ WORKING_SET_BYTES_MAX = 1 << 29
 # Structure-constant slices per matrix-vector product in a draw.
 _SLICES_PER_PRODUCT = 4
 # The double x * 1e6 is within |x * 1e6| * 2**-53 of the exact product;
-# _row_order hands an entry to Python's round when it lies within eight
+# rounded_parts hands an entry to Python's round when it lies within eight
 # times that of a half-integer.
 _HALF_SLACK = 2.0**-50
 
@@ -78,6 +78,7 @@ __all__ = [
     "prob_char_relative",
     "vanishes_outside",
     "table_to_json",
+    "rounded_parts",
 ]
 
 
@@ -216,20 +217,19 @@ def _pivot_slice(
     return out
 
 
-def _row_order(values: np.ndarray, degs: np.ndarray) -> np.ndarray:
-    """Stable order of the rows by (degree, re_0, im_0, re_1, im_1, ...).
+def rounded_parts(values: np.ndarray) -> np.ndarray:
+    """The real and imaginary parts of ``values``, each rounded as ``round(x, 6)``.
 
-    Each value is rounded as ``round(x, 6)`` rounds it, so rows that agree
-    to six places keep their order; a rounded -0.0 compares equal to 0.0.
-    ``rint(x * 1e6) / 1e6`` is that value wherever x * 1e6 is a finite
-    double under 2**52 whose rounding error cannot carry it across a
-    half-integer (the division is correctly rounded, as is Python's
+    The parts interleave along the last axis, ``re_0, im_0, re_1, im_1,
+    ...``, so the last axis is twice as long as that of ``values``.
+    ``rint(x * 1e6) / 1e6`` is ``round(x, 6)`` wherever x * 1e6 is a
+    finite double under 2**52 whose rounding error cannot carry it across
+    a half-integer (the division is correctly rounded, as is Python's
     conversion of the six-place decimal); the other entries, normally
     few, go through ``round`` itself.
     """
-    n = values.shape[0]
-    parts = np.ascontiguousarray(values, dtype=np.complex128).view(np.float64)
-    parts = parts.reshape(n, -1)
+    values = np.ascontiguousarray(values, dtype=np.complex128)
+    parts = values.view(np.float64)
     with np.errstate(over="ignore", invalid="ignore"):
         scaled = parts * 1e6
         rounded = np.rint(scaled) / 1e6
@@ -238,6 +238,16 @@ def _row_order(values: np.ndarray, degs: np.ndarray) -> np.ndarray:
         unsure = np.flatnonzero(near_half | ~(mag < 2.0**52))
     if unsure.size:
         rounded.flat[unsure] = [round(x, 6) for x in parts.flat[unsure].tolist()]
+    return rounded
+
+
+def _row_order(values: np.ndarray, degs: np.ndarray) -> np.ndarray:
+    """Stable order of the rows by (degree, re_0, im_0, re_1, im_1, ...).
+
+    Each value is rounded by ``rounded_parts``, so rows that agree to six
+    places keep their order; a rounded -0.0 compares equal to 0.0.
+    """
+    rounded = rounded_parts(values)
     # lexsort takes its primary key last.
     return np.lexsort(np.vstack([rounded[:, ::-1].T, degs]))
 

@@ -16,7 +16,7 @@ import json
 import os
 import sys
 from fractions import Fraction
-from typing import Optional, Sequence, TextIO
+from typing import Iterator, Optional, Sequence, TextIO
 
 from . import audit, chartab, engine, groups, groupspec, jsontext
 from .engine import BRUTE_CAP_DEFAULT
@@ -182,14 +182,30 @@ def _frac(value: Fraction) -> str:
     return f"{value.numerator}/{value.denominator}"
 
 
-def _fmt_complex(z: complex, digits: int = 6) -> str:
-    re = round(z.real, digits) + 0.0
-    im = round(z.imag, digits) + 0.0
-    if im == 0.0:
-        return f"{re:g}"
-    if re == 0.0:
-        return f"{im:g}i"
-    return f"{re:g}{im:+g}i"
+def _complex_rows(table: chartab.CharacterTable) -> Iterator[list[str]]:
+    """The text of each value of the table, one row at a time.
+
+    Each part is rounded to six places by ``chartab.rounded_parts``, as
+    the row order rounds it, and each distinct rounded part is written
+    with ``:g`` once.  A value reads ``re`` when its imaginary part rounds
+    to zero, ``imi`` when its real part does, and ``re±imi`` otherwise; a
+    part that rounds to -0.0 reads as 0.
+    """
+    texts: dict[float, str] = {}
+    for row in table.values:
+        parts = (chartab.rounded_parts(row) + 0.0).tolist()
+        for x in parts:
+            if x not in texts:
+                texts[x] = f"{x:g}"
+        cells = []
+        for re, im in zip(parts[0::2], parts[1::2]):
+            if im == 0.0:
+                cells.append(texts[re])
+            elif re == 0.0:
+                cells.append(texts[im] + "i")
+            else:
+                cells.append(texts[re] + ("+" if im > 0.0 else "") + texts[im] + "i")
+        yield cells
 
 
 def _emit_csv(header: Sequence[str], rows: Sequence[Sequence]) -> str:
@@ -477,8 +493,8 @@ def _cmd_chartab(args: argparse.Namespace) -> int:
     elif args.output == "csv":
         header = ["degree"] + [f"c{j}" for j in range(table.n_classes)]
         rows = [
-            [table.degrees[i]] + [_fmt_complex(v) for v in table.values[i]]
-            for i in range(table.n_classes)
+            [degree, *cells]
+            for degree, cells in zip(table.degrees, _complex_rows(table))
         ]
         print(_emit_csv(header, rows))
     else:
@@ -487,11 +503,9 @@ def _cmd_chartab(args: argparse.Namespace) -> int:
         width = max(8, max(len(r) for r in reps) + 1)
         print(" " * 6 + "".join(f"{r:>{width}}" for r in reps))
         print(" " * 6 + "".join(f"{s:>{width}}" for s in table.class_sizes))
-        for i in range(table.n_classes):
-            cells = "".join(
-                f"{_fmt_complex(v):>{width}}" for v in table.values[i]
-            )
-            print(f"chi{i:<2} ({table.degrees[i]})".ljust(6)[:6] + cells)
+        for i, cells in enumerate(_complex_rows(table)):
+            line = "".join([c.rjust(width) for c in cells])
+            print(f"chi{i:<2} ({table.degrees[i]})".ljust(6)[:6] + line)
     return EXIT_OK
 
 
@@ -561,14 +575,10 @@ def _write_audit(
             + (["runtime_ms"] if args.timings else [])
         )
         instance_text = audit.instance_json_writer()
+        witness_text = audit.witness_json_writer()
         for f in report.findings:
             writer.writerow(
-                [
-                    f.claim,
-                    f.verdict,
-                    instance_text(f.instance),
-                    json.dumps(f.witness, sort_keys=True),
-                ]
+                [f.claim, f.verdict, instance_text(f.instance), witness_text(f)]
                 + ([round(f.runtime_ms, 3)] if args.timings else [])
             )
     elif args.output == "table":

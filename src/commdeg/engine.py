@@ -294,7 +294,9 @@ def brute_counts(
     if total > cap:
         raise BruteCapExceeded(f"{total} tuples exceed the cap {cap}")
     arrs = [np.asarray(p, dtype=np.int32) for p in pools]
-    workers = min(threads, os.cpu_count() or 1, arrs[0].size)
+    workers = 1
+    if threads > 1:
+        workers = min(threads, os.cpu_count() or 1, arrs[0].size)
     if workers > 1:
         slices = np.array_split(arrs[0], workers)
         accs = [np.zeros(G.order, dtype=np.int64) for _ in slices]

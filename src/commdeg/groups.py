@@ -465,8 +465,12 @@ def family_order(family: str, param: int, max_order: int = DEFAULT_MAX_ORDER) ->
 def named_group(
     family: str, param: int, max_order: int = DEFAULT_MAX_ORDER
 ) -> GroupTable:
-    """Build a member of a named family: C n, D n (order 2n), S n, A n, Q8."""
+    """Build a member of a named family: C n, D n (order 2n), S n, A n, Q8.
+
+    An order whose table would not fit is refused before any closure.
+    """
     order = family_order(family, param, max_order)
+    _refuse_order(order)
     letter = family.upper()
     name = f"{letter}{param}"
     fam = _FAMILIES[letter]

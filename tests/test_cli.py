@@ -370,6 +370,56 @@ def _run_capped(limit, *argv):
     )
 
 
+# sha256 of `chartab -G <spec> --seed <seed> -o <form>` standard output:
+# the rounded values, told apart to six places, are the same for every seed.
+_CHARTAB_TEXT_SHA256 = {
+    ("C200", "csv"): "92805adef8ea81e69e1c7ecec3580b7975527efaa8dfdea2f0bc9fd2f5fcf15e",
+    ("C200", "table"): "2f8519bda5f8e853e5faad4eaa429fcbd342129399ca0e9a664596110fc25954",
+    ("S4", "csv"): "84bd0542ae16543e2a37f0db7c683685e94d7363ea12874246dddec7a58885a6",
+    ("S4", "table"): "5426eaff48dc28218a9b4e28fe2599f6767d1c588437c67d9940fd7ebe0688d8",
+    ("C600", "csv"): "97a7a7c7f6168a35d38446b657c79d44f585f009133b23ed9600878a30d211c4",
+    ("C600", "table"): "8bac9f28cfd132be9b0a78771e051e3d92732369d46a63046706f4d0d0958ccf",
+}
+
+
+class _Sha256Sink:
+    """A standard output that keeps only the sha256 of what is written."""
+
+    def __init__(self):
+        self.digest = hashlib.sha256()
+
+    def write(self, text):
+        self.digest.update(text.encode())
+        return len(text)
+
+    def flush(self):
+        pass
+
+
+@pytest.mark.parametrize(
+    "spec,seed", [("C200", "0"), ("C200", "1"), ("S4", "0"), ("C600", "0")]
+)
+def test_chartab_csv_and_table_bytes_are_pinned(monkeypatch, spec, seed):
+    # One table per case, rendered in both forms.  C600's table form is
+    # about 940 MB (each column as wide as the longest class label), so
+    # the output is hashed as it is written, never held.
+    real = chartab.character_table
+    built = {}
+
+    def once(G, seed=0):
+        if "table" not in built:
+            built["table"] = real(G, seed=seed)
+        return built["table"]
+
+    monkeypatch.setattr(chartab, "character_table", once)
+    for form in ("csv", "table"):
+        sink = _Sha256Sink()
+        monkeypatch.setattr(sys, "stdout", sink)
+        code = cli.main(["chartab", "-G", spec, "--seed", seed, "-o", form])
+        assert code == 0
+        assert sink.digest.hexdigest() == _CHARTAB_TEXT_SHA256[spec, form], form
+
+
 def test_chartab_past_512_classes_answers_under_memory_cap():
     # C600 has 600 classes: a whole k x k x k structure tensor would need
     # 1.7 GB, but the table is built from k x k slices.
@@ -442,6 +492,15 @@ def test_closed_stdout_exits_141_without_a_traceback(argv):
 def test_group_over_table_limit_exits_4():
     # S8 has order 40320, so its table would need 6.5 GB.
     proc = _run_capped(1 << 30, "info", "-G", "S8", "--max-order", "40320")
+    assert proc.returncode == 4, proc.stderr
+    assert "error [resource_limit]" in proc.stderr
+    assert proc.stdout == ""
+
+
+def test_family_order_over_table_limit_exits_4_before_closure():
+    # S10's 3,628,800 elements would take about 1 GB to close, and its
+    # table 26 TB; the order from the family table is refused first.
+    proc = _run_capped(1 << 29, "info", "-G", "S10", "--max-order", "4000000")
     assert proc.returncode == 4, proc.stderr
     assert "error [resource_limit]" in proc.stderr
     assert proc.stdout == ""

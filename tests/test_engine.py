@@ -426,6 +426,18 @@ def test_total_mass_is_the_tuple_space(data):
     assert all(c >= 0 for c in counts)
 
 
+def test_single_thread_brute_never_reads_cpu_count(monkeypatch, s3):
+    pools = [range(6)] * 3
+    expected = engine.brute_counts(s3, pools)
+
+    def unread():
+        raise AssertionError("os.cpu_count read for one thread")
+
+    monkeypatch.setattr(engine.os, "cpu_count", unread)
+    assert engine.brute_counts(s3, pools) == expected
+    assert engine.brute_counts(s3, pools, threads=1) == expected
+
+
 def test_brute_counts_leaves_no_cycle_pinning_the_group():
     # Reference counting alone must free the table once the caller drops
     # it: a recursive closure inside brute_counts used to hold it in a
