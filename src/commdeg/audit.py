@@ -39,9 +39,11 @@ with ``_dict_writer``.
 
 A ``Finding`` is a slotted record that keeps its witness as a key tuple,
 shared by every witness of that layout, and a tuple of values; the
-report and CSV writers read the two tuples, not a dict.  The fraction
-texts of one ``run_battery`` call are shared through one table
-(``_RATIO_TEXTS``), so a text that many witnesses hold is stored once.
+report and CSV writers read the two tuples, not a dict.  One
+``run_battery`` call shares its work through one ``_RunTables``: each
+distinct fraction text is made once, every equal witness holds one
+values tuple, and a check makes each witness once for the numbers it is
+made from; the writers then write each distinct witness once.
 """
 
 from __future__ import annotations
@@ -50,6 +52,7 @@ import gc
 import json
 import math
 import time
+from collections.abc import Mapping
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
@@ -154,14 +157,91 @@ __all__ = [
 _WITNESS_KEYS: dict[tuple[str, ...], tuple[str, ...]] = {}
 
 
+class _RunTables:
+    """What one ``run_battery`` call shares between its findings.
+
+    ``ratios`` maps ``(c, s)`` to the text ``_ratio`` wrote for it.
+    ``witnesses`` maps a key tuple and the ``repr`` of a values tuple to
+    the first values tuple seen with them, which every equal witness of
+    the run then holds; the ``repr`` tells ``True`` from ``1`` and
+    ``0.0`` from ``-0.0``, which compare equal but are written apart.
+    ``memo`` maps a tag and the numbers a check makes one witness from to
+    that ``_Witness`` (see ``_witness_memo``).
+    """
+
+    __slots__ = ("ratios", "witnesses", "memo")
+
+    def __init__(self) -> None:
+        self.ratios: dict[tuple[int, int], str] = {}
+        self.witnesses: dict[tuple[tuple[str, ...], str], tuple] = {}
+        self.memo: dict[tuple, _Witness] = {}
+
+
+# The tables of the run_battery call in progress; None outside one.
+_RUN: ContextVar[Optional[_RunTables]] = ContextVar("_RUN", default=None)
+
+
+def _shared(keys: tuple[str, ...], values: tuple) -> tuple[tuple[str, ...], tuple]:
+    """``keys`` and ``values`` as the tuples every equal witness holds.
+
+    Key tuples are shared for good; values tuples within one run.
+    """
+    keys = _WITNESS_KEYS.setdefault(keys, keys)
+    tables = _RUN.get()
+    if tables is not None:
+        values = tables.witnesses.setdefault((keys, repr(values)), values)
+    return keys, values
+
+
+class _Witness(Mapping):
+    """A witness held as its shared key tuple and values tuple.
+
+    What a check hands to ``Finding``: a read-only mapping, which the
+    finding takes its two tuples from as they are.
+    """
+
+    __slots__ = ("key_tuple", "value_tuple")
+
+    def __init__(self, fields: dict) -> None:
+        self.key_tuple, self.value_tuple = _shared(
+            tuple(fields), tuple(fields.values())
+        )
+
+    def __getitem__(self, key: str):
+        try:
+            return self.value_tuple[self.key_tuple.index(key)]
+        except ValueError:
+            raise KeyError(key) from None
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self.key_tuple)
+
+    def __len__(self) -> int:
+        return len(self.key_tuple)
+
+
+def _witness_memo() -> dict:
+    """The run's witnesses by the numbers they are made from.
+
+    A check keys each witness it makes by a tag of its layout and every
+    number the witness is made from, and looks the key up before it
+    makes one, so each distinct witness of a run is made once.  Outside
+    a run the table is a new one, shared by one check call only.
+    """
+    tables = _RUN.get()
+    return {} if tables is None else tables.memo
+
+
 @dataclass(slots=True, init=False)
 class Finding:
     """One checked instance: what was tested, the verdict, and the numbers.
 
     A slotted record that holds its witness as two tuples: the keys, one
     tuple shared by every witness with the same keys in the same order,
-    and the values in that order.  ``witness`` is a fresh dict made from
-    them on each read, so changing it changes nothing in the finding.
+    and the values in that order, one tuple shared by every equal
+    witness of a ``run_battery`` call.  ``witness`` is a fresh dict made
+    from them on each read, with fresh copies of its lists, so changing
+    it changes nothing in any finding.
     """
 
     claim: str
@@ -176,20 +256,27 @@ class Finding:
         claim: str,
         instance: dict,
         verdict: str,
-        witness: dict,
+        witness: Mapping,
         runtime_ms: float = 0.0,
     ) -> None:
         self.claim = claim
         self.instance = instance
         self.verdict = verdict
-        keys = tuple(witness)
-        self.witness_keys = _WITNESS_KEYS.setdefault(keys, keys)
-        self.witness_values = tuple(witness.values())
+        if type(witness) is _Witness:
+            self.witness_keys = witness.key_tuple
+            self.witness_values = witness.value_tuple
+        else:
+            self.witness_keys, self.witness_values = _shared(
+                tuple(witness), tuple(witness.values())
+            )
         self.runtime_ms = runtime_ms
 
     @property
     def witness(self) -> dict:
-        return dict(zip(self.witness_keys, self.witness_values))
+        return {
+            k: list(v) if type(v) is list else v
+            for k, v in zip(self.witness_keys, self.witness_values)
+        }
 
     def to_json(self, include_runtime: bool = False) -> dict:
         out = {
@@ -203,19 +290,20 @@ class Finding:
         return out
 
 
-# The fraction texts written during one ``run_battery`` call, each kept once
-# however many witnesses hold it; None outside such a call.
-_RATIO_TEXTS: ContextVar[Optional[dict[str, str]]] = ContextVar(
-    "_RATIO_TEXTS", default=None
-)
-
-
 def _ratio(c: int, s: int) -> str:
-    """The text of ``Fraction(c, s)`` for ``s > 0``: lowest terms, sign on top."""
-    d = math.gcd(c, s)
-    text = f"{c // d}/{s // d}"
-    texts = _RATIO_TEXTS.get()
-    return text if texts is None else texts.setdefault(text, text)
+    """The text of ``Fraction(c, s)`` for ``s > 0``: lowest terms, sign on top.
+
+    Within a run each ``(c, s)`` is written once.
+    """
+    tables = _RUN.get()
+    if tables is None:
+        d = math.gcd(c, s)
+        return f"{c // d}/{s // d}"
+    text = tables.ratios.get((c, s))
+    if text is None:
+        d = math.gcd(c, s)
+        text = tables.ratios[c, s] = f"{c // d}/{s // d}"
+    return text
 
 
 def _mem(S: SubgroupRef) -> list[int]:
@@ -392,50 +480,52 @@ def check_symmetry(
     swapped_size = engine.space_size(K, H, n, m)
     h_normal = groups.is_normal(G, H)
     k_normal = groups.is_normal(G, K)
+    memo = _witness_memo()
+    vacuous = _Witness({"H_normal": h_normal, "K_normal": k_normal})
     findings = []
     for g, inst in zip(gs, _g_insts(G, n, m, gs, H=_mem(H), K=_mem(K))):
         ginv = int(inv[g])
         lhs = counts[g]
         as_written = swapped_counts[ginv]
         exp_swapped = exp_swapped_counts[ginv]
-        lhs_text = _ratio(lhs, size)
+        key = ("P2a", lhs, size, as_written, swapped_size, exp_swapped)
+        witness = memo.get(key)
+        if witness is None:
+            witness = memo[key] = _Witness(
+                {
+                    "lhs": _ratio(lhs, size),
+                    "swapped_same_exponents": _ratio(as_written, swapped_size),
+                    "swapped_exponents_too": _ratio(exp_swapped, size),
+                    "exponent_swapped_equal": lhs == exp_swapped,
+                }
+            )
         findings.append(
             Finding(
                 "P2a",
                 inst,
                 HOLDS if lhs * swapped_size == as_written * size else VIOLATED,
-                {
-                    "lhs": lhs_text,
-                    "swapped_same_exponents": _ratio(as_written, swapped_size),
-                    "swapped_exponents_too": _ratio(exp_swapped, size),
-                    "exponent_swapped_equal": lhs == exp_swapped,
-                },
+                witness,
             )
         )
         if not (h_normal or k_normal):
-            findings.append(
-                Finding(
-                    "P2b", inst, VACUOUS, {"H_normal": h_normal, "K_normal": k_normal}
-                )
-            )
+            findings.append(Finding("P2b", inst, VACUOUS, vacuous))
             continue
         swapped = swapped_counts[g]
         inverted = counts[ginv]
         ok = lhs * swapped_size == swapped * size and lhs == inverted
-        findings.append(
-            Finding(
-                "P2b",
-                inst,
-                HOLDS if ok else VIOLATED,
+        key = ("P2b", h_normal, k_normal, lhs, size, swapped, swapped_size, inverted)
+        witness = memo.get(key)
+        if witness is None:
+            witness = memo[key] = _Witness(
                 {
                     "H_normal": h_normal,
                     "K_normal": k_normal,
-                    "lhs": lhs_text,
+                    "lhs": _ratio(lhs, size),
                     "swapped_subgroups": _ratio(swapped, swapped_size),
                     "inverted_element": _ratio(inverted, size),
-                },
+                }
             )
-        )
+        findings.append(Finding("P2b", inst, HOLDS if ok else VIOLATED, witness))
     return findings
 
 
@@ -528,25 +618,15 @@ def check_c4(H: SubgroupRef, K: SubgroupRef, n: int, m: int) -> Finding:
     )
 
 
-def _canonical_partition(class_of: Sequence[int]) -> list[int]:
-    remap: dict[int, int] = {}
-    out = []
-    for c in class_of:
-        c = int(c)
-        if c not in remap:
-            remap[c] = len(remap)
-        out.append(remap[c])
-    return out
-
-
 def check_monotonicity(
     H: SubgroupRef, K: SubgroupRef, n: int, m: int, gs: Sequence[int]
 ) -> list[Finding]:
     """p_g(H, G) >= p_g(K, G) for H <= K, with the equality condition.
 
     On equality instances the witness records whether H- and K-conjugation
-    partition the parent identically (the stated criterion), canonicalized
-    by first occurrence so the class indexings do not matter.
+    partition the parent identically (the stated criterion).
+    ``conjugacy_info`` numbers classes in order of their least member, so
+    two partitions are equal exactly when their ``class_of`` arrays are.
     """
     G = H.parent
     insts = _g_insts(G, n, m, gs, H=_mem(H), K=_mem(K))
@@ -563,20 +643,26 @@ def check_monotonicity(
     smaller_size = engine.space_size(H, full, n, m)
     larger_size = engine.space_size(K, full, n, m)
     same: Optional[bool] = None
+    memo = _witness_memo()
     findings = []
     for g, inst in zip(gs, insts):
         lhs = smaller[g] * larger_size
         rhs = larger[g] * smaller_size
-        witness = {
-            "smaller_subgroup_prob": _ratio(smaller[g], smaller_size),
-            "larger_subgroup_prob": _ratio(larger[g], larger_size),
-        }
-        if lhs == rhs:
-            if same is None:
-                same = _canonical_partition(
-                    engine.conjugacy_info(H).class_of
-                ) == _canonical_partition(engine.conjugacy_info(K).class_of)
-            witness["class_partitions_match"] = same
+        if lhs == rhs and same is None:
+            same = np.array_equal(
+                engine.conjugacy_info(H).class_of, engine.conjugacy_info(K).class_of
+            )
+        match = same if lhs == rhs else None
+        key = ("P4", smaller[g], smaller_size, larger[g], larger_size, match)
+        witness = memo.get(key)
+        if witness is None:
+            fields = {
+                "smaller_subgroup_prob": _ratio(smaller[g], smaller_size),
+                "larger_subgroup_prob": _ratio(larger[g], larger_size),
+            }
+            if match is not None:
+                fields["class_partitions_match"] = match
+            witness = memo[key] = _Witness(fields)
         findings.append(Finding("P4", inst, HOLDS if lhs >= rhs else VIOLATED, witness))
     return findings
 
@@ -618,18 +704,32 @@ def check_quotient(
     nested = engine.nested_commutator_subgroup(H, full, n, m)
     intersection = sorted(set(N.members) & set(nested.members))
     equality_required = intersection == [0]
+    memo = _witness_memo()
     findings = []
     for g, inst in zip(gs, insts):
         coset = int(proj[g])
         lhs = sub[g] * quo_size
         rhs = quo[coset] * sub_size
         ok = lhs <= rhs and (not equality_required or lhs == rhs)
-        witness = {
-            "subgroup_prob": _ratio(sub[g], sub_size),
-            "quotient_prob": _ratio(quo[coset], quo_size),
-            "intersection_order": len(intersection),
-            "equality_required": equality_required,
-        }
+        key = (
+            "P5",
+            sub[g],
+            sub_size,
+            quo[coset],
+            quo_size,
+            len(intersection),
+            equality_required,
+        )
+        witness = memo.get(key)
+        if witness is None:
+            witness = memo[key] = _Witness(
+                {
+                    "subgroup_prob": _ratio(sub[g], sub_size),
+                    "quotient_prob": _ratio(quo[coset], quo_size),
+                    "intersection_order": len(intersection),
+                    "equality_required": equality_required,
+                }
+            )
         findings.append(Finding("P5", inst, HOLDS if ok else VIOLATED, witness))
     return findings
 
@@ -660,6 +760,11 @@ def check_chain(
     pair_id_text = _ratio(pair_id, pair_size)
     ambient_id_text = _ratio(ambient_id, ambient_size)
     self_id_text = _ratio(self_id, self_size)
+    # Every number the witness is made from but whole[g] and pair[g].
+    cell_key = (
+        whole_size, pair_size, pair_id, ambient_id, ambient_size, self_id, self_size
+    )
+    memo = _witness_memo()
     findings = []
     for g, inst in zip(gs, _g_insts(G, n, m, gs, H=_mem(H), K=_mem(K))):
         links = [
@@ -667,14 +772,19 @@ def check_chain(
             pair[g] <= pair_id,
             *identity_links,
         ]
-        witness = {
-            "whole_group": _ratio(whole[g], whole_size),
-            "pair": _ratio(pair[g], pair_size),
-            "pair_identity": pair_id_text,
-            "ambient_identity": ambient_id_text,
-            "self_identity": self_id_text,
-            "links_hold": links,
-        }
+        key = ("T2_CHAIN", whole[g], pair[g], cell_key)
+        witness = memo.get(key)
+        if witness is None:
+            witness = memo[key] = _Witness(
+                {
+                    "whole_group": _ratio(whole[g], whole_size),
+                    "pair": _ratio(pair[g], pair_size),
+                    "pair_identity": pair_id_text,
+                    "ambient_identity": ambient_id_text,
+                    "self_identity": self_id_text,
+                    "links_hold": links,
+                }
+            )
         verdict = HOLDS if all(links) else VIOLATED
         findings.append(Finding("T2_CHAIN", inst, verdict, witness))
     return findings
@@ -697,17 +807,22 @@ def check_c5(
     size = engine.space_size(H, K, n, 1)
     bound_num, bound_den = 2**n - 1, 2**n
     bound = _ratio(bound_num, bound_den)
+    memo = _witness_memo()
     findings = []
     for g, inst in zip(gs, _g_insts(G, n, 1, gs, H=_mem(H), K=_mem(K))):
         below = counts[g] * bound_den <= bound_num * size
-        witness = {
-            "lhs": _ratio(counts[g], size),
-            "bound": bound,
-            "center_order": z_g.order,
-            "subgroup_center_order": z_h.order,
-        }
-        if z_h.is_trivial:
-            witness["variant_subgroup_center_holds"] = below
+        key = ("C5", counts[g], size, bound_num, z_g.order, z_h.order)
+        witness = memo.get(key)
+        if witness is None:
+            fields = {
+                "lhs": _ratio(counts[g], size),
+                "bound": bound,
+                "center_order": z_g.order,
+                "subgroup_center_order": z_h.order,
+            }
+            if z_h.is_trivial:
+                fields["variant_subgroup_center_holds"] = below
+            witness = memo[key] = _Witness(fields)
         if not z_g.is_trivial:
             verdict = VACUOUS
         else:
@@ -742,30 +857,39 @@ def check_t3(
     c = _mutual_centralizer(H, K).order
     lower_num = (1 - p) * y + p * H.order**n - (K.order + p) * c**n
     lower = _ratio(lower_num, size)
+    memo = _witness_memo()
     findings = []
     for g, inst in zip(gs, insts):
         lhs = counts[g]
-        lhs_text = _ratio(lhs, size)
+        key = ("T3i", lhs, size, upper_num, upper_den, p)
+        upper_witness = memo.get(key)
+        if upper_witness is None:
+            upper_witness = memo[key] = _Witness(
+                {"lhs": _ratio(lhs, size), "bound": upper, "prime": p}
+            )
         findings.append(
             Finding(
                 "T3i",
                 inst,
                 HOLDS if lhs * upper_den <= upper_num * size else VIOLATED,
-                {"lhs": lhs_text, "bound": upper, "prime": p},
+                upper_witness,
             )
         )
-        findings.append(
-            Finding(
-                "T3ii",
-                inst,
-                HOLDS if lhs >= lower_num else VIOLATED,
+        key = ("T3ii", lhs, size, lower_num, p, y, c)
+        lower_witness = memo.get(key)
+        if lower_witness is None:
+            lower_witness = memo[key] = _Witness(
                 {
-                    "lhs": lhs_text,
+                    "lhs": _ratio(lhs, size),
                     "bound": lower,
                     "prime": p,
                     "y_tuple_count": y,
                     "mutual_centralizer_order": c,
-                },
+                }
+            )
+        findings.append(
+            Finding(
+                "T3ii", inst, HOLDS if lhs >= lower_num else VIOLATED, lower_witness
             )
         )
     return findings
@@ -911,22 +1035,44 @@ def check_remark_r1(
     return [f_support, f_trivial]
 
 
+@lru_cache(maxsize=64)
 def _reachable_values(H: SubgroupRef, K: SubgroupRef, n: int, m: int) -> np.ndarray:
     """Sorted ids of every [x1, ..., xn, y1, ..., ym] over H^n x K^m.
 
     Each slot replaces the value set by the commutators of its values with
-    the slot's subgroup, formed in row chunks of ``engine._comm_block`` and
-    gathered in a mask over the group.
+    the slot's subgroup (``_reach_step``).  The set after the n H-slots
+    is kept per (H, n) and serves every K, and (n, m) is (n, m - 1) plus
+    one more K-slot, so the cells of one (H, K), taken in order of m, walk
+    each slot prefix once.  The arrays are shared, and read-only.
     """
-    G = H.parent
-    reach = np.asarray(H.members, dtype=np.int32)
-    for pool in [H] * (n - 1) + [K] * m:
-        cols = np.asarray(pool.members, dtype=np.int32)
-        step = max(1, engine._CHUNK // cols.size)
-        seen = np.zeros(G.order, dtype=bool)
-        for lo in range(0, reach.size, step):
-            seen[engine._comm_block(G, reach[lo : lo + step], cols)] = True
-        reach = np.flatnonzero(seen)
+    before = _x_block_values(H, n) if m == 1 else _reachable_values(H, K, n, m - 1)
+    return _reach_step(before, K)
+
+
+@lru_cache(maxsize=16)
+def _x_block_values(H: SubgroupRef, n: int) -> np.ndarray:
+    """Sorted ids of every [x1, ..., xn] over H^n, read-only."""
+    if n == 1:
+        reach = np.asarray(H.members, dtype=np.intp)
+        reach.setflags(write=False)
+        return reach
+    return _reach_step(_x_block_values(H, n - 1), H)
+
+
+def _reach_step(reach: np.ndarray, pool: SubgroupRef) -> np.ndarray:
+    """Sorted ids of every [v, y] with v in ``reach`` and y in ``pool``.
+
+    Formed in row chunks of ``engine._comm_block`` and gathered in a mask
+    over the group; read-only.
+    """
+    G = pool.parent
+    cols = np.asarray(pool.members, dtype=np.int32)
+    step = max(1, engine._CHUNK // cols.size)
+    seen = np.zeros(G.order, dtype=bool)
+    for lo in range(0, reach.size, step):
+        seen[engine._comm_block(G, reach[lo : lo + step], cols)] = True
+    reach = np.flatnonzero(seen)
+    reach.setflags(write=False)
     return reach
 
 
@@ -1161,9 +1307,14 @@ class AuditReport:
         }
 
     def write(self, fp: TextIO, include_runtime: bool = False) -> None:
-        """Write the report to ``fp``, holding one finding's text at a time."""
-        for piece in self._pieces(include_runtime):
-            fp.write(piece)
+        """Write the report to ``fp``, holding one finding's text at a time.
+
+        The cyclic collector is paused meanwhile: the writer makes no
+        cycles, so a collection would only traverse the findings again.
+        """
+        with _collector_paused():
+            for piece in self._pieces(include_runtime):
+                fp.write(piece)
 
     def dumps(self, include_runtime: bool = False) -> str:
         """The text ``write`` writes, as one string."""
@@ -1201,30 +1352,61 @@ def _finding_texts(
     with its instance (through ``_cell_writer``) and witness at depth 3.
     An instance's member lists are shared between findings (see
     ``_member_list``), so each is encoded once per call.  The witness is
-    written from the finding's key and value tuples (``_items_writer``).
+    written from the finding's key and value tuples (``_items_writer``),
+    once per distinct values tuple (``_witness_writer``); each finding is
+    then one f-string of the kept texts.
     """
     quote = jsontext.SCALARS[str]
+    quoted = {text: quote(text) for text in (*CLAIMS, *VERDICTS)}
     nl = "\n    "
     instance_text = _cell_writer(_indented_writer(), "indented")
-    witness_text = _items_writer(nl, ",", "\n   }", lambda v: jsontext.encode(v, nl))
+    witness_text = _witness_writer(
+        _items_writer(nl, ",", "\n   }", lambda v: jsontext.encode(v, nl))
+    )
     for f in findings:
         runtime = (
             ',\n   "runtime_ms": ' + jsontext.encode(round(f.runtime_ms, 3), "")
             if include_runtime
             else ""
         )
+        claim = quoted.get(f.claim) or quote(f.claim)
+        verdict = quoted.get(f.verdict) or quote(f.verdict)
         yield (
-            '{\n   "claim": '
-            + quote(f.claim)
-            + ',\n   "instance": '
-            + instance_text(f.instance)
-            + runtime
-            + ',\n   "verdict": '
-            + quote(f.verdict)
-            + ',\n   "witness": '
-            + witness_text(f.witness_keys, f.witness_values)
-            + "\n  }"
+            f'{{\n   "claim": {claim},\n   "instance": {instance_text(f.instance)}'
+            f'{runtime},\n   "verdict": {verdict},\n   "witness": {witness_text(f)}'
+            "\n  }"
         )
+
+
+# Witness texts a writer keeps at most; past it, it starts a new table.
+_WITNESS_TEXTS_MAX = 1 << 16
+
+
+def _witness_writer(
+    items: Callable[[tuple[str, ...], tuple], str],
+) -> Callable[[Finding], str]:
+    """``items`` of a finding's witness tuples, run once per values tuple.
+
+    The equal witnesses of a run share one values tuple, so the text of
+    each distinct witness is made once.  The texts are kept by the id of
+    the values tuple, next to the tuple itself, so that no id is reused
+    while its text is kept; a finding whose key tuple is not the one kept
+    with its values is written afresh.
+    """
+    texts: dict[int, tuple[tuple[str, ...], tuple, str]] = {}
+
+    def text(f: Finding) -> str:
+        keys, values = f.witness_keys, f.witness_values
+        hit = texts.get(id(values))
+        if hit is not None and hit[0] is keys:
+            return hit[2]
+        out = items(keys, values)
+        if len(texts) >= _WITNESS_TEXTS_MAX:
+            texts.clear()
+        texts[id(values)] = (keys, values, out)
+        return out
+
+    return text
 
 
 def _compact_writer() -> Callable[[dict], str]:
@@ -1364,13 +1546,18 @@ def _subgroup_pool(G: GroupTable, config: AuditConfig) -> list[SubgroupRef]:
     return subs
 
 
+@lru_cache(maxsize=256)
 def _g_values(
-    H: SubgroupRef, K: SubgroupRef, n: int, m: int, config: AuditConfig
-) -> list[int]:
-    """Elements to test: the support, the identity, one non-support id."""
+    H: SubgroupRef, K: SubgroupRef, n: int, m: int, g_policy: str
+) -> tuple[int, ...]:
+    """Elements to test: the support, the identity, one non-support id.
+
+    Kept per (H, K, n, m): P4 and P5 ask for the same (H, G, n, m) once
+    for each K above H and each normal N.
+    """
     G = H.parent
-    if config.g_policy == "all":
-        return list(range(G.order))
+    if g_policy == "all":
+        return tuple(range(G.order))
     counts = engine.final_counts(H, K, n, m)
     chosen = {g for g, c in enumerate(counts) if c}
     chosen.add(0)
@@ -1378,7 +1565,7 @@ def _g_values(
         if not counts[g]:
             chosen.add(g)
             break
-    return sorted(chosen)
+    return tuple(sorted(chosen))
 
 
 def _first_proper(G: GroupTable) -> Optional[SubgroupRef]:
@@ -1427,10 +1614,12 @@ def instance_json_writer() -> Callable[[dict], str]:
 def witness_json_writer() -> Callable[[Finding], str]:
     """A writer of ``json.dumps(finding.witness, sort_keys=True)`` for findings.
 
-    It writes from the finding's key and value tuples, without the dict.
+    It writes from the finding's key and value tuples, without the dict,
+    and each distinct witness once (see ``_witness_writer``).
     """
-    items = _items_writer("", ", ", "}", json.JSONEncoder(sort_keys=True).encode)
-    return lambda f: items(f.witness_keys, f.witness_values)
+    return _witness_writer(
+        _items_writer("", ", ", "}", json.JSONEncoder(sort_keys=True).encode)
+    )
 
 
 def _sort_findings(findings: list[Finding]) -> None:
@@ -1470,13 +1659,13 @@ def _collector_paused() -> Iterator[None]:
 
 
 @contextmanager
-def _ratio_texts_shared() -> Iterator[None]:
-    """Share ``_ratio``'s texts through one table, dropped on exit."""
-    token = _RATIO_TEXTS.set({})
+def _run_tables() -> Iterator[None]:
+    """Share work through new ``_RunTables``, dropped on exit."""
+    token = _RUN.set(_RunTables())
     try:
         yield
     finally:
-        _RATIO_TEXTS.reset(token)
+        _RUN.reset(token)
 
 
 def run_battery(config: AuditConfig) -> AuditReport:
@@ -1498,6 +1687,7 @@ def run_battery(config: AuditConfig) -> AuditReport:
         name for name, tags in _CHECK_CLAIMS.items() if selected.intersection(tags)
     }
     per_g = [name for name in _G_CHECKS if name in active]
+    policy = config.g_policy
     cells = [(n, m) for n in config.n_values for m in config.m_values]
     # C5 reads the cells at m = 1, which ``cells`` lacks when 1 is no m value.
     cell_keys = list(dict.fromkeys(cells + [(n, 1) for n in config.n_values]))
@@ -1528,7 +1718,7 @@ def run_battery(config: AuditConfig) -> AuditReport:
     # leave are standard-library closures (``ast.literal_eval``,
     # ``inspect``), a few hundred objects on the default battery, freed by
     # the first collection after the pause.
-    with _collector_paused(), _ratio_texts_shared():
+    with _collector_paused(), _run_tables():
         for spec in config.groups:
             G = groupspec.parse_group_spec(spec, max_order=config.max_order)
             pool = _subgroup_pool(G, config)
@@ -1546,20 +1736,20 @@ def run_battery(config: AuditConfig) -> AuditReport:
                             run(name, H, K, n, m, instance=cell)
                         if per_g:
                             gs = g_lists[n, m] = cell.g_list(
-                                _g_values(H, K, n, m, config)
+                                _g_values(H, K, n, m, policy)
                             )
                             for name in per_g:
                                 run(name, H, K, n, m, gs)
                     nested = set(H.members) <= set(K.members)
                     if "check_monotonicity" in active and nested:
                         for n, m in cells:
-                            gs = hk[n, m].g_list(_g_values(H, full, n, m, config))
+                            gs = hk[n, m].g_list(_g_values(H, full, n, m, policy))
                             run("check_monotonicity", H, K, n, m, gs)
                     if "check_c5" in active:
                         for n in config.n_values:
                             gs = g_lists.get((n, 1))
                             if gs is None:
-                                gs = hk[n, 1].g_list(_g_values(H, K, n, 1, config))
+                                gs = hk[n, 1].g_list(_g_values(H, K, n, 1, policy))
                             run("check_c5", H, K, n, gs)
             if "check_quotient" in active:
                 for N in pool:
@@ -1569,7 +1759,7 @@ def run_battery(config: AuditConfig) -> AuditReport:
                     for H in pool:
                         if set(H.members) <= set(N.members):
                             for n, m in cells:
-                                gs = _g_values(H, full, n, m, config)
+                                gs = _g_values(H, full, n, m, policy)
                                 run("check_quotient", H, N, n, m, gs, quotient)
             if active & _TABLE_CHECKS:
                 table = chartab.character_table(G, seed=config.seed)
@@ -1598,7 +1788,7 @@ def run_battery(config: AuditConfig) -> AuditReport:
                     block_x = _product_subgroup(product, A, C)
                     block_y = _product_subgroup(product, B, D)
                     for n, m in cells:
-                        gs = _g_values(block_x, block_y, n, m, config)
+                        gs = _g_values(block_x, block_y, n, m, policy)
                         run(
                             "check_multiplicativity",
                             E, F, A, B, C, D, n, m, gs, product,

@@ -209,11 +209,27 @@ def _complex_rows(table: chartab.CharacterTable) -> Iterator[list[str]]:
 
 
 def _emit_csv(header: Sequence[str], rows: Sequence[Sequence]) -> str:
+    """The CSV text of ``header`` and ``rows``, without the last newline.
+
+    A row of ints and of strings that hold no comma, quote or line break
+    is the csv module's text of it, its fields joined by commas; it is
+    joined directly, since the csv module reads every character of a
+    long label one at a time.  Any other row goes through the csv module.
+    """
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
-    writer.writerows(rows)
+    for row in rows:
+        if row and all(type(v) is int or (type(v) is str and _plain(v)) for v in row):
+            buf.write(",".join(map(str, row)) + "\n")
+        else:
+            writer.writerow(row)
     return buf.getvalue().rstrip("\n")
+
+
+def _plain(text: str) -> bool:
+    """Whether the csv module writes ``text`` as it is: no quote it needs."""
+    return text != "" and not any(c in text for c in ',"\r\n')
 
 
 def _cmd_info(args: argparse.Namespace) -> int:

@@ -249,6 +249,7 @@ def clear_caches() -> None:
     _class_algebra.cache_clear()
     final_counts.cache_clear()
     conjugacy_info.cache_clear()
+    _support_closure.cache_clear()
 
 
 def _expand(
@@ -358,7 +359,13 @@ def nested_commutator_subgroup(
 ) -> SubgroupRef:
     """The subgroup generated by the values of weight-(n + m) commutators."""
     counts = final_counts(H, K, n, m)
-    return groups.subgroup_closure(H.parent, [v for v, c in enumerate(counts) if c])
+    return _support_closure(H.parent, tuple(v for v, c in enumerate(counts) if c))
+
+
+@lru_cache(maxsize=4096)
+def _support_closure(G: GroupTable, support: tuple[int, ...]) -> SubgroupRef:
+    """The closure of one sorted support, made once for every cell that has it."""
+    return groups.subgroup_closure(G, support)
 
 
 def y_set_size(H: SubgroupRef, K: SubgroupRef, n: int) -> int:

@@ -16,7 +16,9 @@ from __future__ import annotations
 
 import math
 import operator
+import weakref
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -99,23 +101,46 @@ class PermList:
         )
 
 
+@lru_cache(maxsize=8)
+def _label_parts(degree: int) -> tuple[list[str], np.ndarray]:
+    """The text of each point in a label, and the points themselves.
+
+    The texts are ``" 1"``, ... for a point inside a cycle, then
+    ``")(1"``, ... for the point that opens one.
+    """
+    inner = [f" {i + 1}" for i in range(degree)]
+    points = np.arange(degree)
+    points.setflags(write=False)
+    return inner + [f")({i + 1}" for i in range(degree)], points
+
+
 def cycle_label(perm: Sequence[int]) -> str:
-    """1-based cycle notation; the identity renders as ``()``."""
-    seen = [False] * len(perm)
-    parts = []
-    for start in range(len(perm)):
-        if seen[start] or perm[start] == start:
-            seen[start] = True
-            continue
-        cyc = [start]
-        seen[start] = True
-        nxt = perm[start]
-        while nxt != start:
-            cyc.append(nxt)
-            seen[nxt] = True
-            nxt = perm[nxt]
-        parts.append("(" + " ".join(str(i + 1) for i in cyc) + ")")
-    return "".join(parts) or "()"
+    """1-based cycle notation; the identity renders as ``()``.
+
+    Each cycle is written from its least point, in order of that point.
+    The label is one join of the texts ``_label_parts`` keeps for the
+    degree, one per moved point, so the walk makes no string of its own;
+    the next cycle's least point is found by a search of ``seen``, in
+    which fixed points start out marked.
+    """
+    images = np.asarray(perm)
+    d = images.size
+    tokens, points = _label_parts(d)
+    seen = (images == points).tolist()
+    seen.append(False)  # ends the last search at d
+    images = images.tolist()
+    text: list[str] = []
+    add = text.append
+    start = seen.index(False)
+    while start < d:
+        add(tokens[d + start])
+        x = images[start]
+        while x != start:
+            add(tokens[x])
+            seen[x] = True
+            x = images[x]
+        start = seen.index(False, start + 1)
+    return "(" + "".join(text)[2:] + ")"
 
 
 class _LazyLabels(Sequence[str]):
@@ -270,6 +295,9 @@ class GroupTable:
         if labels is not None and not isinstance(labels, _LazyLabels):
             labels = list(labels)
         self.labels = labels
+        # The full subgroup, once made (see full_subgroup); weak, so that
+        # the table and its full subgroup form no reference cycle.
+        self._full: Optional[weakref.ref] = None
 
     def product(self, a: int, b: int) -> int:
         return int(self.mul[a, b])
@@ -384,7 +412,7 @@ def close_group(
     mul[0] = np.arange(n, dtype=_ID_DTYPE)
     for j, (i, k) in enumerate(edges[1:], start=1):
         mul[i].take(left[k], out=mul[j])
-    labels = _LazyLabels(n, lambda a: cycle_label(perms[a].tolist()))
+    labels = _LazyLabels(n, lambda a: cycle_label(perms[a]))
     return GroupTable(mul, name=name or f"perm{d}", labels=labels)
 
 
@@ -536,7 +564,7 @@ class SubgroupRef:
     construction guarantees it; normality is computed lazily and cached.
     """
 
-    __slots__ = ("parent", "members", "_member_set", "_normal", "_hash")
+    __slots__ = ("parent", "members", "_member_set", "_normal", "_hash", "__weakref__")
 
     def __init__(
         self, parent: GroupTable, members: Iterable[int], _checked: bool = False
@@ -617,7 +645,12 @@ def trivial_subgroup(G: GroupTable) -> SubgroupRef:
 
 
 def full_subgroup(G: GroupTable) -> SubgroupRef:
-    return SubgroupRef(G, range(G.order), _checked=True)
+    """G as a subgroup of itself: one object per table while any caller holds it."""
+    full = G._full() if G._full is not None else None
+    if full is None:
+        full = SubgroupRef(G, range(G.order), _checked=True)
+        G._full = weakref.ref(full)
+    return full
 
 
 def _require_same_parent(G: GroupTable, H: SubgroupRef) -> None:

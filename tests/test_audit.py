@@ -6,11 +6,12 @@ import json
 import tracemalloc
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from commdeg import audit, chartab, engine, groups, jsontext
+from commdeg import audit, chartab, engine, groups, groupspec, jsontext
 from commdeg.errors import ConfigInvalid
 
 
@@ -717,3 +718,69 @@ def test_seeded_centralizer_fault_breaks_class_formula(monkeypatch, s3):
     engine.clear_caches()
     assert finding.claim == "P3_m1"
     assert finding.verdict == audit.VIOLATED
+
+
+def _per_cell_reach(H, K, n, m):
+    """Every slot walked again for one cell: the reference for the chained reach."""
+    G = H.parent
+    reach = np.asarray(H.members, dtype=np.int32)
+    for pool in [H] * (n - 1) + [K] * m:
+        cols = np.asarray(pool.members, dtype=np.int32)
+        step = max(1, engine._CHUNK // cols.size)
+        seen = np.zeros(G.order, dtype=bool)
+        for lo in range(0, reach.size, step):
+            seen[engine._comm_block(G, reach[lo : lo + step], cols)] = True
+        reach = np.flatnonzero(seen)
+    return reach
+
+
+def test_chained_reach_matches_the_per_cell_walk():
+    config = audit.AuditConfig(groups=audit.named_group_specs(12))
+    cells = [(n, m) for n in (3, 1, 2) for m in (2, 3, 1)]
+    audit._reachable_values.cache_clear()
+    audit._x_block_values.cache_clear()
+    for spec in config.groups:
+        G = groupspec.parse_group_spec(spec)
+        pool = audit._subgroup_pool(G, config)
+        for H in pool:
+            for K in pool:
+                for n, m in cells:
+                    chained = audit._reachable_values(H, K, n, m)
+                    assert not chained.flags.writeable
+                    assert chained.tolist() == _per_cell_reach(H, K, n, m).tolist()
+
+
+def test_equal_witnesses_share_one_values_tuple(s3_d4_report):
+    findings = s3_d4_report.findings
+    by_value: dict = {}
+    for f in findings:
+        key = (f.witness_keys, json.dumps(f.witness, sort_keys=True))
+        by_value.setdefault(key, set()).add(id(f.witness_values))
+    assert all(len(ids) == 1 for ids in by_value.values())
+    assert len(by_value) < len(findings) / 10
+
+
+def test_witness_reads_are_fresh_and_private(s3_d4_report):
+    chains = [f for f in s3_d4_report.findings if f.claim == "T2_CHAIN"]
+    f, other = next(
+        (a, b)
+        for a, b in zip(chains, chains[1:])
+        if a.witness_values is b.witness_values
+    )
+    before = other.witness
+    read = f.witness
+    assert read == before and read is not f.witness
+    read["links_hold"].append("changed")
+    read["pair"] = "changed"
+    assert f.witness == other.witness == before
+
+
+def test_witness_tables_are_per_run():
+    config = audit.AuditConfig(groups=("S3",), claims=("T2_CHAIN", "T3i", "P4"))
+    first = audit.run_battery(config)
+    assert audit._RUN.get() is None
+    second = audit.run_battery(config)
+    assert _finding_json(first.findings) == _finding_json(second.findings)
+    held = {id(f.witness_values) for f in first.findings}
+    assert not held & {id(f.witness_values) for f in second.findings}
+    assert len(held) < len(first.findings)

@@ -1,4 +1,5 @@
 import argparse
+import csv
 import hashlib
 import io
 import json
@@ -742,3 +743,20 @@ def test_help_exits_zero(capsys):
     capsys.readouterr()
     assert cli.main(["prob", "--help"]) == 0
     capsys.readouterr()
+
+
+def test_emit_csv_is_the_csv_module_text():
+    header = ("id", "label", "order", "class")
+    rows = [
+        [0, "()", 1, 0],
+        [1, "(1 2)(3 4)", 2, 1],
+        [2, "((1 2),(1 3))", 3, ""],
+        [3, 'a"b', "c\rd", "e\nf"],
+        [],
+        [""],
+        [True, 1.5, None, -3],
+        ["x y", "(1 2 3)", 7, 2**70],
+    ]
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows([header, *rows])
+    assert cli._emit_csv(header, rows) == buf.getvalue().rstrip("\n")

@@ -453,3 +453,38 @@ def test_brute_counts_leaves_no_cycle_pinning_the_group():
     finally:
         if enabled:
             gc.enable()
+
+
+def test_clear_caches_empties_every_engine_cache(s3):
+    full = groups.full_subgroup(s3)
+    # The class route for S3's class functions, the pair route for <(1 2)>.
+    assert engine.nested_commutator_subgroup(full, full, 2, 1).order == 3
+    engine.final_counts(groups.subgroup_closure(s3, [2]), full, 1, 1)
+    caches = [f for f in vars(engine).values() if hasattr(f, "cache_info")]
+    assert engine._support_closure in caches
+    assert all(f.cache_info().currsize for f in caches)
+    engine.clear_caches()
+    assert [f.cache_info().currsize for f in caches] == [0] * len(caches)
+
+
+def test_nested_commutator_subgroup_closes_each_support_once(monkeypatch, s3):
+    calls = []
+    closure = groups.subgroup_closure
+
+    def counting(G, seed):
+        calls.append(tuple(seed))
+        return closure(G, seed)
+
+    engine.clear_caches()
+    monkeypatch.setattr(groups, "subgroup_closure", counting)
+    full = groups.full_subgroup(s3)
+    a3 = groups.subgroup_closure(s3, [1])
+    calls.clear()
+    try:
+        # [x, y] over S3 x S3 and over A3 x S3 both take the values of A3.
+        first = engine.nested_commutator_subgroup(full, full, 1, 1)
+        second = engine.nested_commutator_subgroup(a3, full, 1, 1)
+        assert first is second and first == a3
+        assert calls == [(0, 1, 3)]
+    finally:
+        engine.clear_caches()

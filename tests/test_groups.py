@@ -1,6 +1,8 @@
+import gc
 import hashlib
 import math
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -622,3 +624,58 @@ def test_subgroup_conjugacy_representatives(s4):
             d12, lattice.all_subgroups(d12)
         )
     ) == 16
+
+
+def _point_walk_label(perm):
+    """Cycle notation written point by point: the reference for cycle_label."""
+    seen = [False] * len(perm)
+    parts = []
+    for start in range(len(perm)):
+        if seen[start] or perm[start] == start:
+            seen[start] = True
+            continue
+        cyc = [start]
+        seen[start] = True
+        nxt = perm[start]
+        while nxt != start:
+            cyc.append(nxt)
+            seen[nxt] = True
+            nxt = perm[nxt]
+        parts.append("(" + " ".join(str(i + 1) for i in cyc) + ")")
+    return "".join(parts) or "()"
+
+
+@pytest.mark.parametrize("family, param", [("C", 12), ("D", 7), ("S", 5)])
+def test_cycle_labels_match_the_point_walk(family, param):
+    G = groups.named_group(family, param)
+    perms = oracle_closure(list(groups._FAMILIES[family].gens(param)))
+    expected = sorted(_point_walk_label(p) for p in perms)
+    assert sorted(G.label(i) for i in range(G.order)) == expected
+    assert sorted(groups.cycle_label(p) for p in perms) == expected
+
+
+def test_cycle_labels_of_c2520_match_the_point_walk():
+    # Element id r of C2520 is gen^r, which sends point i to i + r.
+    G = groupspec.parse_group_spec("C2520")
+    points = np.arange(2520)
+    for r in [0, 1, 2, 7, 360, 840, 1259, 1260, 2519, *range(3, 2520, 97)]:
+        perm = (points + r) % 2520
+        expected = _point_walk_label(perm.tolist())
+        assert G.label(r) == groups.cycle_label(perm) == expected
+
+
+def test_full_subgroup_is_kept_without_a_cycle():
+    G = groups.named_group("S", 3)
+    full = groups.full_subgroup(G)
+    assert groups.full_subgroup(G) is full
+    assert full == groups.SubgroupRef(G, range(6))
+    table, ref = weakref.ref(G), weakref.ref(full)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        del G, full
+        # Reference counting alone frees both: neither pins the other.
+        assert table() is None and ref() is None
+    finally:
+        if enabled:
+            gc.enable()
