@@ -1388,22 +1388,22 @@ def _witness_writer(
     """``items`` of a finding's witness tuples, run once per values tuple.
 
     The equal witnesses of a run share one values tuple, so the text of
-    each distinct witness is made once.  The texts are kept by the id of
-    the values tuple, next to the tuple itself, so that no id is reused
-    while its text is kept; a finding whose key tuple is not the one kept
-    with its values is written afresh.
+    each distinct witness is made once.  A values tuple is made with its
+    key tuple and shared only with that key tuple (see ``_shared``), so
+    its id alone keys the text; the tuple is kept next to the text, so
+    that no id is reused while its text is kept.
     """
-    texts: dict[int, tuple[tuple[str, ...], tuple, str]] = {}
+    texts: dict[int, tuple[tuple, str]] = {}
 
     def text(f: Finding) -> str:
-        keys, values = f.witness_keys, f.witness_values
+        values = f.witness_values
         hit = texts.get(id(values))
-        if hit is not None and hit[0] is keys:
-            return hit[2]
-        out = items(keys, values)
+        if hit is not None:
+            return hit[1]
+        out = items(f.witness_keys, values)
         if len(texts) >= _WITNESS_TEXTS_MAX:
             texts.clear()
-        texts[id(values)] = (keys, values, out)
+        texts[id(values)] = (values, out)
         return out
 
     return text

@@ -767,20 +767,32 @@ def test_witness_reads_are_fresh_and_private(s3_d4_report):
         for a, b in zip(chains, chains[1:])
         if a.witness_values is b.witness_values
     )
-    before = other.witness
+    before = json.dumps(other.witness)
     read = f.witness
-    assert read == before and read is not f.witness
+    assert json.dumps(read) == before
     read["links_hold"].append("changed")
     read["pair"] = "changed"
-    assert f.witness == other.witness == before
+    assert json.dumps(f.witness) == json.dumps(other.witness) == before
 
 
-def test_witness_tables_are_per_run():
-    config = audit.AuditConfig(groups=("S3",), claims=("T2_CHAIN", "T3i", "P4"))
-    first = audit.run_battery(config)
+def test_witness_tables_are_per_run(s3_d4_report):
     assert audit._RUN.get() is None
-    second = audit.run_battery(config)
-    assert _finding_json(first.findings) == _finding_json(second.findings)
-    held = {id(f.witness_values) for f in first.findings}
+    second = audit.run_battery(s3_d4_report.config)
+    assert audit._RUN.get() is None
+    assert _finding_json(second.findings) == _finding_json(s3_d4_report.findings)
+    held = {id(f.witness_values) for f in s3_d4_report.findings}
     assert not held & {id(f.witness_values) for f in second.findings}
-    assert len(held) < len(first.findings)
+
+
+def test_witnesses_equal_only_as_numbers_stay_apart():
+    # True == 1 == 1.0 and 0.0 == -0.0, but each is written apart.
+    values = (True, 1, 1.0, 0.0, -0.0, 1)
+    with audit._run_tables():
+        findings = [
+            audit.Finding("C4", {"group": "S3"}, audit.HOLDS, {"x": v, "y": [v]})
+            for v in values
+        ]
+    texts = [json.dumps(f.witness) for f in findings]
+    assert texts == [json.dumps({"x": v, "y": [v]}) for v in values]
+    assert findings[1].witness_values is findings[5].witness_values
+    assert len({id(f.witness_values) for f in findings}) == 5

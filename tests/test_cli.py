@@ -751,7 +751,8 @@ def test_emit_csv_is_the_csv_module_text():
         [0, "()", 1, 0],
         [1, "(1 2)(3 4)", 2, 1],
         [2, "((1 2),(1 3))", 3, ""],
-        [3, 'a"b', "c\rd", "e\nf"],
+        [3, 'a"b', 4],
+        [5, "c\rd", "e\nf"],
         [],
         [""],
         [True, 1.5, None, -3],
