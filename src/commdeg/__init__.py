@@ -1,5 +1,7 @@
 """Exact commutator-value probabilities and claim audits on finite groups."""
 
+import importlib
+
 from .engine import (
     brute_counts,
     comm_distribution,
@@ -11,8 +13,6 @@ from .engine import (
 from .errors import CommdegError
 from .groups import GroupTable, SubgroupRef, direct_product, named_group
 from .groupspec import parse_group_spec, parse_subgroup_spec
-from .chartab import CharacterTable, character_table
-from .audit import AuditConfig, AuditReport, default_config, run_battery
 
 __version__ = "0.1.0"
 
@@ -38,3 +38,24 @@ __all__ = [
     "default_config",
     "run_battery",
 ]
+
+# Exported names resolved on first access (PEP 562), so that importing
+# the package, or a command that needs neither, does not import the
+# character-table and audit modules.
+_LAZY = {
+    "CharacterTable": "chartab",
+    "character_table": "chartab",
+    "AuditConfig": "audit",
+    "AuditReport": "audit",
+    "default_config": "audit",
+    "run_battery": "audit",
+}
+
+
+def __getattr__(name: str):
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value

@@ -16,9 +16,9 @@ import json
 import os
 import sys
 from fractions import Fraction
-from typing import Iterator, Optional, Sequence, TextIO
+from typing import TYPE_CHECKING, Iterator, Optional, Sequence, TextIO
 
-from . import audit, chartab, engine, groups, groupspec, jsontext
+from . import engine, groups, groupspec, jsontext, symmetric
 from .engine import BRUTE_CAP_DEFAULT
 from .errors import (
     CommdegError,
@@ -29,6 +29,11 @@ from .errors import (
     UsageError,
 )
 from .groups import DEFAULT_MAX_ORDER, GroupTable, SubgroupRef
+
+if TYPE_CHECKING:
+    # audit and chartab are imported where they are used, so that the
+    # commands that need neither do not pay for their import.
+    from . import audit, chartab
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -168,13 +173,14 @@ def _resolve_group(args: argparse.Namespace) -> GroupTable:
     return groupspec.parse_group_spec(args.group, max_order=_resolve_max_order(args))
 
 
-def _resolve_g(G: GroupTable, text: str, flag: str = "-g") -> int:
+def _resolve_g(order: int, text: str, flag: str = "-g") -> int:
+    """The element id ``text`` names in a group of the given order."""
     try:
         g = int(text)
     except ValueError:
         raise UsageError(f"{flag} must be an element id or 'all', got {text!r}")
-    if not 0 <= g < G.order:
-        raise UsageError(f"{flag} id {g} out of range for group of order {G.order}")
+    if not 0 <= g < order:
+        raise UsageError(f"{flag} id {g} out of range for group of order {order}")
     return g
 
 
@@ -191,6 +197,8 @@ def _complex_rows(table: chartab.CharacterTable) -> Iterator[list[str]]:
     to zero, ``imi`` when its real part does, and ``re±imi`` otherwise; a
     part that rounds to -0.0 reads as 0.
     """
+    from . import chartab
+
     texts: dict[float, str] = {}
     for row in table.values:
         parts = (chartab.rounded_parts(row) + 0.0).tolist()
@@ -280,18 +288,19 @@ def _cmd_info(args: argparse.Namespace) -> int:
 
 def _prob_json(
     args: argparse.Namespace,
-    G: GroupTable,
-    H: SubgroupRef,
-    K: SubgroupRef,
+    group: str,
+    H: Sequence[int],
+    K: Sequence[int],
     g: int,
     method: str,
     value: dict,
 ) -> dict:
-    """The `prob -o json` object for one route's value of p_g."""
+    """The `prob -o json` object for one route's value of p_g; H and K are
+    the member ids of the two subgroups."""
     return {
-        "group": G.name,
-        "H": list(H.members),
-        "K": list(K.members),
+        "group": group,
+        "H": list(H),
+        "K": list(K),
         "n": args.n,
         "m": args.m,
         "g": g,
@@ -324,12 +333,15 @@ def _cmd_prob(args: argparse.Namespace) -> int:
             setattr(args, flag, default)
         elif args.g == "all" or args.method not in methods:
             raise UsageError(f"--{flag.replace('_', '-')} is not used by {route}")
+    degree = _symmetric_degree(args)
+    if degree is not None:
+        return _cmd_prob_symmetric(args, degree)
     G = _resolve_group(args)
     H = groupspec.parse_subgroup_spec(G, args.H)
     K = groupspec.parse_subgroup_spec(G, args.K)
     if args.g == "all":
         return _render_profile(args, G, H, K)
-    g = _resolve_g(G, args.g)
+    g = _resolve_g(G.order, args.g)
     if args.method == "char":
         return _cmd_prob_char(args, G, H, K, g)
 
@@ -360,10 +372,67 @@ def _cmd_prob(args: argparse.Namespace) -> int:
                     f"cross-check failed: distribution {_frac(fast)}"
                     f" != brute {_frac(check)}"
                 )
+    _print_prob(args, G.name, H.members, K.members, g, G.label(g), results)
+    return EXIT_OK
 
+
+def _symmetric_degree(args: argparse.Namespace) -> Optional[int]:
+    """N when `prob` is answered from the characters of S_N, else None.
+
+    That route answers `--method auto` for one element of `-G S<N>` with
+    `-H full -K full` when the tuple space is over `--brute-cap`, so that
+    no brute cross-check would run.  The group's order is checked here as
+    `named_group` checks it, so the route refuses what the table does.
+    """
+    if args.method != "auto" or args.g == "all":
+        return None
+    if any(spec.strip().lower() != "full" for spec in (args.H, args.K)):
+        return None
+    degree = groupspec.symmetric_degree(args.group)
+    if degree is None:
+        return None
+    order = groups.named_order("S", degree, _resolve_max_order(args))
+    if order**args.n * order**args.m <= args.brute_cap:
+        return None
+    return degree
+
+
+def _cmd_prob_symmetric(args: argparse.Namespace, degree: int) -> int:
+    """`prob` on S<degree> with H = K = the whole group, with no table.
+
+    The count comes from ``symmetric.commutator_counts`` by the cycle type
+    of g, and g's id, label and cycle type from ``groups.named_elements``,
+    the closure that gives the table its ids; the output is the table
+    route's, byte for byte.
+    """
+    perms = groups.named_elements("S", degree, _resolve_max_order(args))
+    order = len(perms)
+    g = _resolve_g(order, args.g)
+    n, m = args.n, args.m
+    count = symmetric.commutator_counts(degree, n, m)[symmetric.cycle_type(perms[g])]
+    value = Fraction(count, order**n * order**m)
+    members = range(order)
+    label = groups.cycle_label(perms[g])
+    _print_prob(
+        args, f"S{degree}", members, members, g, label, [("distribution", value)]
+    )
+    return EXIT_OK
+
+
+def _print_prob(
+    args: argparse.Namespace,
+    group: str,
+    H: Sequence[int],
+    K: Sequence[int],
+    g: int,
+    label: str,
+    results: list[tuple[str, Fraction]],
+) -> None:
+    """Print `prob`'s exact (method, value) pairs, the answer first and
+    its cross-checks after it."""
     if args.output == "json":
         payloads = [
-            _prob_json(args, G, H, K, g, method, _exact_json(value))
+            _prob_json(args, group, H, K, g, method, _exact_json(value))
             for method, value in results
         ]
         payload = payloads[0]
@@ -378,17 +447,18 @@ def _cmd_prob(args: argparse.Namespace) -> int:
         print(_emit_csv(("method", "num", "den", "float"), rows))
     else:
         print(
-            f"group {G.name}, |H|={H.order}, |K|={K.order},"
-            f" n={n}, m={m}, g={g} [{G.label(g)}]"
+            f"group {group}, |H|={len(H)}, |K|={len(K)},"
+            f" n={args.n}, m={args.m}, g={g} [{label}]"
         )
         for method, value in results:
             print(f"{method:>14}: {_frac(value)} = {float(value):.6f}")
-    return EXIT_OK
 
 
 def _cmd_prob_char(
     args: argparse.Namespace, G: GroupTable, H: SubgroupRef, K: SubgroupRef, g: int
 ) -> int:
+    from . import chartab
+
     if args.n != 1 or args.m != 1:
         raise UsageError("--method char requires -n 1 -m 1")
     if not K.is_full:
@@ -403,7 +473,9 @@ def _cmd_prob_char(
     else:
         raise UsageError("--method char requires -H full or a normal subgroup for -H")
     if args.output == "json":
-        print(jsontext.dumps(_prob_json(args, G, H, K, g, method, {"float": value})))
+        value_json = {"float": value}
+        payload = _prob_json(args, G.name, H.members, K.members, g, method, value_json)
+        print(jsontext.dumps(payload))
     elif args.output == "csv":
         print(_emit_csv(("method", "float"), [[method, value]]))
     else:
@@ -453,7 +525,7 @@ def _cmd_zeta(args: argparse.Namespace) -> int:
         H, groups.full_subgroup(G), args.n, args.m
     )
     if args.g != "all":
-        g = _resolve_g(G, args.g)
+        g = _resolve_g(G.order, args.g)
         selected = {g: counts[g]}
     else:
         selected = dict(enumerate(counts))
@@ -501,6 +573,8 @@ def _cmd_dist(args: argparse.Namespace) -> int:
 
 
 def _cmd_chartab(args: argparse.Namespace) -> int:
+    from . import chartab
+
     G = _resolve_group(args)
     table = chartab.character_table(G, seed=args.seed)
     if args.output == "json":
@@ -541,6 +615,8 @@ _AUDIT_CONFIG_FLAGS = (
 
 
 def _audit_config(args: argparse.Namespace) -> audit.AuditConfig:
+    from . import audit
+
     given = {f: getattr(args, f) for f in _AUDIT_CONFIG_FLAGS}
     given = {f: v for f, v in given.items() if v is not None}
     if args.config is not None:
@@ -566,6 +642,8 @@ def _audit_config(args: argparse.Namespace) -> audit.AuditConfig:
 
 
 def _cmd_audit(args: argparse.Namespace) -> int:
+    from . import audit
+
     config = _audit_config(args)
     report = audit.run_battery(config)
     if args.out is not None:
@@ -583,6 +661,8 @@ def _write_audit(
 
     JSON and CSV are written one finding at a time.
     """
+    from . import audit
+
     if args.output == "csv":
         # Each row ends in a newline, the last one included.
         writer = csv.writer(fp, lineterminator="\n")

@@ -225,7 +225,21 @@ def extend_by_conjugators(
         raise ForeignSubgroup("conjugator subgroup must live in the same group")
     if m < 0:
         raise ValueError("m must be >= 0")
+    if m == 1:
+        return _conjugator_step(tuple(counts), K)
     return tuple(_orbit_steps(counts, K, m))
+
+
+@lru_cache(maxsize=4096)
+def _conjugator_step(counts: tuple[int, ...], K: SubgroupRef) -> tuple[int, ...]:
+    """One orbit step over K at power 1, cached by the values of ``counts``.
+
+    It ends ``final_counts(H, K, n, 1)`` and is the whole of
+    ``class_formula_counts(H, K, n, 1)``, so the two share one step; a
+    histogram with other values, such as a seeded fault makes, is another
+    key and is stepped afresh.
+    """
+    return tuple(_orbit_steps(counts, K, 1))
 
 
 @lru_cache(maxsize=4096)
@@ -248,6 +262,7 @@ def clear_caches() -> None:
     _class_route_pays.cache_clear()
     _class_algebra.cache_clear()
     final_counts.cache_clear()
+    _conjugator_step.cache_clear()
     conjugacy_info.cache_clear()
     _support_closure.cache_clear()
 
@@ -340,11 +355,16 @@ def class_formula_counts(H: SubgroupRef, K: SubgroupRef, n: int, m: int) -> list
     An x-block value w solves g when w*g lies in the K-class of w, that
     is, g = w^-1 * u with u in w^K.  This is exact for m = 1 under the
     commutator convention used here and not a sound count for m > 1.
-    The sum is one orbit step over K at power m.
+    The sum is one orbit step over K at power m; at m = 1 that is the
+    step ``final_counts(H, K, n, 1)`` ends with, shared through
+    ``_conjugator_step``.
     """
     if H.parent is not K.parent:
         raise ForeignSubgroup("H and K must live in the same parent group")
-    return _orbit_steps(comm_distribution(H, n), K, 1, power=m)
+    counts = comm_distribution(H, n)
+    if m == 1:
+        return list(_conjugator_step(counts, K))
+    return _orbit_steps(counts, K, 1, power=m)
 
 
 def prob_class_formula(

@@ -61,7 +61,9 @@ __all__ = [
     "cycle_label",
     "close_group",
     "family_order",
+    "named_order",
     "named_group",
+    "named_elements",
     "named_group_names",
     "direct_product",
     "subgroup_closure",
@@ -344,25 +346,27 @@ class GroupTable:
         return f"<GroupTable {self.name} order {self.order}>"
 
 
-def close_group(
-    gens: PermList,
-    max_order: int = DEFAULT_MAX_ORDER,
-    name: Optional[str] = None,
-) -> GroupTable:
-    """Close permutation generators into a full multiplication table.
+class _Closure(NamedTuple):
+    """The breadth-first search of ``_close_perms``: the elements and the
+    tree that found them."""
+
+    perms: np.ndarray  # (N, degree), row j the images of element id j
+    sizes: list[int]  # elements per BFS level, the identity's level first
+    found: list[int]  # found[i * ngens + k] = id(e_i * g_k)
+    edges: list[tuple[int, int]]  # edges[j] = (i, k): e_j first found as e_i * g_k
+
+
+def _close_perms(gens: PermList, max_order: int) -> _Closure:
+    """Close permutation generators into their elements, in id order.
 
     Elements are discovered breadth-first from the identity by right
     multiplication with the generators in the order given, which pins the
     id assignment and makes runs reproducible.  The search runs one BFS
     level at a time on an array of permutations: every element of the
     level times every generator is one gather, and each candidate is
-    looked up once by its packed bytes.  Each new element e_j is found as
-    e_i * g_k for an earlier e_i, so the table is filled row by row along
-    that tree: row j is row i gathered through left multiplication by
-    g_k, one contiguous O(N) pass per row.  The elements are kept as one
-    ``(N, degree)`` array, from which the cycle labels are written on
-    demand.  ResourceLimit is raised as soon as that array passes
-    TABLE_BYTES_MAX, and for a table over it before it is allocated.
+    looked up once by its packed bytes.  ClosureTooLarge is raised past
+    ``max_order`` elements, and ResourceLimit as soon as the elements
+    pass TABLE_BYTES_MAX.
     """
     d = gens.degree
     dtype = np.int16 if d <= np.iinfo(np.int16).max else np.int32
@@ -372,9 +376,8 @@ def close_group(
     level = np.arange(d, dtype=dtype)[None, :]
     index = {level.tobytes(): 0}
     levels = [level]
-    # found[i * ngens + k] = id(e_i * g_k); edges[j] = (i, k) for the first
-    # of these products to reach e_j, with a placeholder for the identity.
     found: list[int] = []
+    # a placeholder edge for the identity
     edges = [(0, 0)]
     while len(level):
         cand = level[:, gen_idx].reshape(-1, d)
@@ -395,8 +398,28 @@ def close_group(
     del index
     perms = np.concatenate(levels)
     perms.setflags(write=False)
+    return _Closure(perms, [len(lvl) for lvl in levels], found, edges)
+
+
+def close_group(
+    gens: PermList,
+    max_order: int = DEFAULT_MAX_ORDER,
+    name: Optional[str] = None,
+) -> GroupTable:
+    """Close permutation generators into a full multiplication table.
+
+    The elements and their ids are those of ``_close_perms``.  Each new
+    element e_j is found as e_i * g_k for an earlier e_i, so the table is
+    filled row by row along that tree: row j is row i gathered through
+    left multiplication by g_k, one contiguous O(N) pass per row.  The
+    elements are kept as one ``(N, degree)`` array, from which the cycle
+    labels are written on demand.  A table over TABLE_BYTES_MAX raises
+    ResourceLimit before it is allocated.
+    """
+    perms, sizes, found, edges = _close_perms(gens, max_order)
     n = len(perms)
     _refuse_order(n)
+    ngens = len(gens.perms)
     right = np.array(found, dtype=np.intp).reshape(n, ngens).T
     parents, vias = np.array(edges, dtype=np.intp).T
     # left[k, b] = id(g_k * e_b), walked down the same tree one level at a
@@ -404,16 +427,16 @@ def close_group(
     left = np.empty((ngens, n), dtype=np.intp)
     left[:, 0] = right[:, 0]
     lo = 1
-    for lvl in levels[1:]:
-        js = slice(lo, lo + len(lvl))
+    for size in sizes[1:]:
+        js = slice(lo, lo + size)
         left[:, js] = right[vias[js], left[:, parents[js]]]
-        lo += len(lvl)
+        lo += size
     mul = np.empty((n, n), dtype=_ID_DTYPE)
     mul[0] = np.arange(n, dtype=_ID_DTYPE)
     for j, (i, k) in enumerate(edges[1:], start=1):
         mul[i].take(left[k], out=mul[j])
     labels = _LazyLabels(n, lambda a: cycle_label(perms[a]))
-    return GroupTable(mul, name=name or f"perm{d}", labels=labels)
+    return GroupTable(mul, name=name or f"perm{gens.degree}", labels=labels)
 
 
 def _cycle(n: int) -> tuple[int, ...]:
@@ -490,6 +513,27 @@ def family_order(family: str, param: int, max_order: int = DEFAULT_MAX_ORDER) ->
     return order
 
 
+def named_order(family: str, param: int, max_order: int = DEFAULT_MAX_ORDER) -> int:
+    """The order of a named family member whose table ``named_group`` builds.
+
+    Raises what ``named_group`` raises before any closure: the refusals of
+    ``family_order``, then ResourceLimit for a table that would not fit.
+    """
+    order = family_order(family, param, max_order)
+    _refuse_order(order)
+    return order
+
+
+def _named_gens(family: str, param: int) -> PermList:
+    perms = _FAMILIES[family.upper()].gens(param)
+    return PermList(len(perms[0]) if perms else param, perms)
+
+
+def _check_order(name: str, got: int, order: int) -> None:
+    if got != order:
+        raise AssertionError(f"{name}: closed to order {got}, expected {order}")
+
+
 def named_group(
     family: str, param: int, max_order: int = DEFAULT_MAX_ORDER
 ) -> GroupTable:
@@ -497,17 +541,26 @@ def named_group(
 
     An order whose table would not fit is refused before any closure.
     """
-    order = family_order(family, param, max_order)
-    _refuse_order(order)
-    letter = family.upper()
-    name = f"{letter}{param}"
-    fam = _FAMILIES[letter]
-    perms = fam.gens(param)
-    gens = PermList(len(perms[0]) if perms else param, perms)
-    g = close_group(gens, max_order=max_order, name=name)
-    if g.order != order:
-        raise AssertionError(f"{name}: closed to order {g.order}, expected {order}")
+    order = named_order(family, param, max_order)
+    name = f"{family.upper()}{param}"
+    g = close_group(_named_gens(family, param), max_order=max_order, name=name)
+    _check_order(name, g.order, order)
     return g
+
+
+def named_elements(
+    family: str, param: int, max_order: int = DEFAULT_MAX_ORDER
+) -> np.ndarray:
+    """The elements of ``named_group(family, param, max_order)`` as
+    permutations, row a the images of element id a, with no table built.
+
+    The rows come from the same closure as the table's ids, and every
+    refusal is ``named_group``'s.
+    """
+    order = named_order(family, param, max_order)
+    perms = _close_perms(_named_gens(family, param), max_order).perms
+    _check_order(f"{family.upper()}{param}", len(perms), order)
+    return perms
 
 
 def named_group_names(max_order: int = DEFAULT_MAX_ORDER) -> tuple[str, ...]:

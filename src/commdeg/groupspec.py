@@ -17,11 +17,12 @@ within ``groups.TABLE_BYTES_MAX`` a ResourceLimit.
 from __future__ import annotations
 
 import re
+from typing import Optional
 
 from . import groups
 from .errors import ClosureTooLarge, InvalidPermutation, UnknownFamily, UsageError
 
-__all__ = ["parse_group_spec", "parse_subgroup_spec"]
+__all__ = ["parse_group_spec", "parse_subgroup_spec", "symmetric_degree"]
 
 _ATOM_RE = re.compile(r"^([A-Z])([0-9]+)$")
 _PERM_RE = re.compile(r"^perm\((\d+)\)\s*:\s*(.+)$", re.DOTALL)
@@ -121,6 +122,19 @@ def parse_group_spec(
         atom = groups.named_group(letter, n, max_order=max_order)
         g = groups.direct_product(g, atom, max_order)
     return g
+
+
+def symmetric_degree(text: str) -> Optional[int]:
+    """N when ``text`` is the one atom ``S<N>``, read as ``parse_group_spec``
+    reads it; otherwise None, leaving any refusal to ``parse_group_spec``."""
+    spec = text.strip().replace(" ", "")
+    if spec.startswith("perm") or "x" in spec:
+        return None
+    try:
+        letter, n = _parse_atom(spec)
+    except (UnknownFamily, UsageError):
+        return None
+    return n if letter == "S" else None
 
 
 def parse_subgroup_spec(G: groups.GroupTable, text: str) -> groups.SubgroupRef:

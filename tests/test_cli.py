@@ -726,6 +726,92 @@ def test_cross_check_failure_exits_4(capsys, monkeypatch):
     assert "cross-check" in err
 
 
+def _no_tables(monkeypatch):
+    """Make building any group table fail, for the character route's runs."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a group table was built")
+
+    monkeypatch.setattr(groups.GroupTable, "__init__", refuse)
+
+
+@pytest.mark.parametrize("output", ["table", "json", "csv"])
+@pytest.mark.parametrize("n, m", [(1, 1), (2, 1), (1, 2)])
+def test_prob_s4_characters_match_the_table(capsys, monkeypatch, output, n, m):
+    # Over --brute-cap, `auto` on S<N> with -H and -K full is answered from
+    # the characters of S_N; --method dist always reads the table.
+    argv = ["prob", "-G", "S4", "-n", str(n), "-m", str(m), "-o", output]
+    for g in range(24):
+        table = run(capsys, *argv, "-g", str(g), "--method", "dist")
+        with monkeypatch.context() as patch:
+            _no_tables(patch)
+            characters = run(capsys, *argv, "-g", str(g), "--brute-cap", "1")
+        assert characters == table, g
+        assert table[0] == 0
+
+
+_S7_PINNED = {
+    "table": "group S7, |H|=5040, |K|=5040, n=2, m=2, g=0 [()]\n"
+    "  distribution: 927917/98784000 = 0.009393\n",
+    "csv": "method,num,den,float\n"
+    "distribution,927917,98784000,0.009393393666990605\n",
+}
+
+
+@pytest.mark.parametrize("output", ["table", "json", "csv"])
+def test_prob_s7_builds_no_table_and_its_bytes_are_pinned(
+    capsys, monkeypatch, output
+):
+    _no_tables(monkeypatch)
+    code, out, err = run(
+        capsys, "prob", "-G", "S7", "-n", "2", "-m", "2", "-g", "0", "-o", output
+    )
+    assert code == 0, err
+    if output == "json":
+        digest = hashlib.sha256(out.encode()).hexdigest()
+        assert digest == (
+            "90d34563353631588756a89414e6debae26329aeca2dcd884e69e5d9c394c56c"
+        )
+    else:
+        assert out == _S7_PINNED[output]
+
+
+@pytest.mark.parametrize(
+    "argv, code, message",
+    [
+        (
+            ["-G", "S8"],
+            4,
+            "error [closure_too_large]: order 40320 exceeds the cap 10080\n",
+        ),
+        (
+            ["-G", "S8", "--max-order", "40320"],
+            4,
+            "error [resource_limit]: the table of a group of order 40320 needs"
+            " 3251404800 bytes, over the 1073741824-byte limit\n",
+        ),
+        (
+            ["-G", "S5", "--max-order", "100"],
+            4,
+            "error [closure_too_large]: order 120 exceeds the cap 100\n",
+        ),
+        (
+            ["-G", "S3", "-g", "99"],
+            2,
+            "usage error: -g id 99 out of range for group of order 6\n",
+        ),
+    ],
+)
+def test_prob_symmetric_refusals_are_the_table_routes(capsys, argv, code, message):
+    args = ["prob", "-n", "2", "-m", "2", *argv]
+    if "-g" not in argv:
+        args += ["-g", "0"]
+    # --brute-cap 1 sends S3 to the character route too; --method dist
+    # is the same refusal where the table answers
+    for extra in ([], ["--brute-cap", "1"], ["--method", "dist"]):
+        assert run(capsys, *args, *extra) == (code, "", message), extra
+
+
 def test_env_var_order_cap(capsys, monkeypatch):
     monkeypatch.setenv("COMMDEG_MAX_ORDER", "10")
     code, _, err = run(capsys, "info", "-G", "C24")
