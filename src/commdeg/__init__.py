@@ -2,17 +2,7 @@
 
 import importlib
 
-from .engine import (
-    brute_counts,
-    comm_distribution,
-    final_counts,
-    prob_class_formula,
-    prob_fast,
-    space_size,
-)
 from .errors import CommdegError
-from .groups import GroupTable, SubgroupRef, direct_product, named_group
-from .groupspec import parse_group_spec, parse_subgroup_spec
 
 __version__ = "0.1.0"
 
@@ -40,9 +30,21 @@ __all__ = [
 ]
 
 # Exported names resolved on first access (PEP 562), so that importing
-# the package, or a command that needs neither, does not import the
-# character-table and audit modules.
+# the package, or a command that needs none of them, imports neither
+# numpy nor the modules built on it.
 _LAZY = {
+    "brute_counts": "engine",
+    "comm_distribution": "engine",
+    "final_counts": "engine",
+    "prob_class_formula": "engine",
+    "prob_fast": "engine",
+    "space_size": "engine",
+    "GroupTable": "groups",
+    "SubgroupRef": "groups",
+    "direct_product": "groups",
+    "named_group": "groups",
+    "parse_group_spec": "groupspec",
+    "parse_subgroup_spec": "groupspec",
     "CharacterTable": "chartab",
     "character_table": "chartab",
     "AuditConfig": "audit",

@@ -18,8 +18,7 @@ import sys
 from fractions import Fraction
 from typing import TYPE_CHECKING, Iterator, Optional, Sequence, TextIO
 
-from . import engine, groups, groupspec, jsontext, symmetric
-from .engine import BRUTE_CAP_DEFAULT
+from . import families, jsontext, symmetric
 from .errors import (
     CommdegError,
     ConfigInvalid,
@@ -28,12 +27,14 @@ from .errors import (
     UnknownFamily,
     UsageError,
 )
-from .groups import DEFAULT_MAX_ORDER, GroupTable, SubgroupRef
+from .families import BRUTE_CAP_DEFAULT, DEFAULT_MAX_ORDER
 
 if TYPE_CHECKING:
-    # audit and chartab are imported where they are used, so that the
-    # commands that need neither do not pay for their import.
+    # Every module that imports numpy is imported where it is used, so
+    # that a command pays only for what it needs: `prob -G S<N>` on the
+    # character route imports none of them.
     from . import audit, chartab
+    from .groups import GroupTable, SubgroupRef
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -170,6 +171,8 @@ def _resolve_max_order(args: argparse.Namespace) -> int:
 
 
 def _resolve_group(args: argparse.Namespace) -> GroupTable:
+    from . import groupspec
+
     return groupspec.parse_group_spec(args.group, max_order=_resolve_max_order(args))
 
 
@@ -241,6 +244,8 @@ def _plain(text: str) -> bool:
 
 
 def _cmd_info(args: argparse.Namespace) -> int:
+    from . import engine, groups
+
     G = _resolve_group(args)
     info = engine.conjugacy_info(groups.full_subgroup(G))
     # x is central exactly when |C_G(x)| = |G|; G is abelian exactly when
@@ -336,6 +341,8 @@ def _cmd_prob(args: argparse.Namespace) -> int:
     degree = _symmetric_degree(args)
     if degree is not None:
         return _cmd_prob_symmetric(args, degree)
+    from . import engine, groupspec
+
     G = _resolve_group(args)
     H = groupspec.parse_subgroup_spec(G, args.H)
     K = groupspec.parse_subgroup_spec(G, args.K)
@@ -388,10 +395,10 @@ def _symmetric_degree(args: argparse.Namespace) -> Optional[int]:
         return None
     if any(spec.strip().lower() != "full" for spec in (args.H, args.K)):
         return None
-    degree = groupspec.symmetric_degree(args.group)
+    degree = families.symmetric_degree(args.group)
     if degree is None:
         return None
-    order = groups.named_order("S", degree, _resolve_max_order(args))
+    order = families.named_order("S", degree, _resolve_max_order(args))
     if order**args.n * order**args.m <= args.brute_cap:
         return None
     return degree
@@ -401,18 +408,18 @@ def _cmd_prob_symmetric(args: argparse.Namespace, degree: int) -> int:
     """`prob` on S<degree> with H = K = the whole group, with no table.
 
     The count comes from ``symmetric.commutator_counts`` by the cycle type
-    of g, and g's id, label and cycle type from ``groups.named_elements``,
-    the closure that gives the table its ids; the output is the table
-    route's, byte for byte.
+    of g, and g's id, label and cycle type from ``symmetric.named_elements``,
+    which numbers the elements as the table does; the output is the table
+    route's, byte for byte, and the route imports no numpy.
     """
-    perms = groups.named_elements("S", degree, _resolve_max_order(args))
+    perms = symmetric.named_elements("S", degree, _resolve_max_order(args))
     order = len(perms)
     g = _resolve_g(order, args.g)
     n, m = args.n, args.m
     count = symmetric.commutator_counts(degree, n, m)[symmetric.cycle_type(perms[g])]
     value = Fraction(count, order**n * order**m)
     members = range(order)
-    label = groups.cycle_label(perms[g])
+    label = families.cycle_label(perms[g])
     _print_prob(
         args, f"S{degree}", members, members, g, label, [("distribution", value)]
     )
@@ -457,7 +464,7 @@ def _print_prob(
 def _cmd_prob_char(
     args: argparse.Namespace, G: GroupTable, H: SubgroupRef, K: SubgroupRef, g: int
 ) -> int:
-    from . import chartab
+    from . import chartab, groups
 
     if args.n != 1 or args.m != 1:
         raise UsageError("--method char requires -n 1 -m 1")
@@ -490,6 +497,8 @@ def _cmd_prob_char(
 def _render_profile(
     args: argparse.Namespace, G: GroupTable, H: SubgroupRef, K: SubgroupRef
 ) -> int:
+    from . import engine
+
     counts = engine.final_counts(H, K, args.n, args.m)
     size = engine.space_size(H, K, args.n, args.m)
     profile = {g: Fraction(c, size) for g, c in enumerate(counts)}
@@ -519,6 +528,8 @@ def _render_profile(
 
 
 def _cmd_zeta(args: argparse.Namespace) -> int:
+    from . import engine, groups, groupspec
+
     G = _resolve_group(args)
     H = groupspec.parse_subgroup_spec(G, args.H)
     counts = engine.final_counts(
@@ -549,6 +560,8 @@ def _cmd_zeta(args: argparse.Namespace) -> int:
 
 
 def _cmd_dist(args: argparse.Namespace) -> int:
+    from . import engine, groupspec
+
     G = _resolve_group(args)
     H = groupspec.parse_subgroup_spec(G, args.H)
     counts = engine.comm_distribution(H, args.n)

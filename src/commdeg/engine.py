@@ -31,9 +31,8 @@ import numpy as np
 
 from . import groups
 from .errors import BruteCapExceeded, EmptyTuple, ForeignSubgroup
+from .families import BRUTE_CAP_DEFAULT
 from .groups import GroupTable, SubgroupRef
-
-BRUTE_CAP_DEFAULT = 10**8
 
 _INT64_SAFE = 2**62
 _CHUNK = 1 << 22

@@ -9,16 +9,15 @@ table, and every id array cached from one, holds its ids as int16, so an
 order-N table takes N*N*2 bytes; orders past the int16 range, or tables
 past TABLE_BYTES_MAX, are refused before anything is allocated.  Element
 labels are written on demand, from the permutations closure keeps.  The
-named families are one table, ``_FAMILIES``, of orders and generators.
+named families, their orders, the limits and the labels are plain Python
+in ``families``, imported here.
 """
 
 from __future__ import annotations
 
-import math
 import operator
 import weakref
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -26,30 +25,29 @@ import numpy as np
 from .errors import (
     ClosureTooLarge,
     ForeignSubgroup,
-    InvalidPermutation,
     NotNormal,
-    ResourceLimit,
     TrivialGroup,
-    UnknownFamily,
+)
+from .families import (
+    DEFAULT_MAX_ORDER,
+    TABLE_BYTES_MAX,
+    PermList,
+    _check_order,
+    _named_gens,
+    _refuse_bytes,
+    _refuse_order,
+    cycle_label,
+    family_order,
+    named_group_names,
+    named_order,
 )
 
-DEFAULT_MAX_ORDER = 10080
 # Element ids in every table.  Signed, so that differences of ids (see
-# direct_product) stay exact.
+# direct_product) stay exact; ``families._ORDER_MAX`` is its maximum.
 _ID_DTYPE = np.dtype(np.int16)
-# Largest order a table holds: N itself must be an int16, so that no id
-# arithmetic or bound N can wrap, whatever TABLE_BYTES_MAX is.
-_ORDER_MAX = int(np.iinfo(_ID_DTYPE).max)
-# Largest multiplication table (N * N * 2 bytes of int16) that any group
-# table will hold: 1 GiB, so N <= 23170.  Larger orders raise
-# ResourceLimit before anything is allocated.
-TABLE_BYTES_MAX = 1 << 30
 # Rows (or columns) per block when validating a table: validation holds
 # O(_CHECK_BLOCK * N) scratch, never a second copy of the table.
 _CHECK_BLOCK = 128
-# Family orders are worked out exactly up to this bound (or the cap, if
-# larger) and abandoned past it, so a refusal never computes or prints n!.
-_ORDER_BOUND = 10**18
 
 __all__ = [
     "DEFAULT_MAX_ORDER",
@@ -63,7 +61,6 @@ __all__ = [
     "family_order",
     "named_order",
     "named_group",
-    "named_elements",
     "named_group_names",
     "direct_product",
     "subgroup_closure",
@@ -77,72 +74,6 @@ __all__ = [
     "quotient_group",
     "smallest_prime_divisor",
 ]
-
-
-def _as_perm(images: Sequence[int], degree: int) -> tuple[int, ...]:
-    perm = tuple(int(i) for i in images)
-    if len(perm) != degree or sorted(perm) != list(range(degree)):
-        raise InvalidPermutation(
-            f"not a permutation of 0..{degree - 1}: {images!r}"
-        )
-    return perm
-
-
-@dataclass(frozen=True)
-class PermList:
-    """Permutation generators on ``{0..degree-1}``, each as its image tuple."""
-
-    degree: int
-    perms: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self) -> None:
-        if self.degree < 1:
-            raise InvalidPermutation("degree must be >= 1")
-        object.__setattr__(
-            self, "perms", tuple(_as_perm(p, self.degree) for p in self.perms)
-        )
-
-
-@lru_cache(maxsize=8)
-def _label_parts(degree: int) -> tuple[list[str], np.ndarray]:
-    """The text of each point in a label, and the points themselves.
-
-    The texts are ``" 1"``, ... for a point inside a cycle, then
-    ``")(1"``, ... for the point that opens one.
-    """
-    inner = [f" {i + 1}" for i in range(degree)]
-    points = np.arange(degree)
-    points.setflags(write=False)
-    return inner + [f")({i + 1}" for i in range(degree)], points
-
-
-def cycle_label(perm: Sequence[int]) -> str:
-    """1-based cycle notation; the identity renders as ``()``.
-
-    Each cycle is written from its least point, in order of that point.
-    The label is one join of the texts ``_label_parts`` keeps for the
-    degree, one per moved point, so the walk makes no string of its own;
-    the next cycle's least point is found by a search of ``seen``, in
-    which fixed points start out marked.
-    """
-    images = np.asarray(perm)
-    d = images.size
-    tokens, points = _label_parts(d)
-    seen = (images == points).tolist()
-    seen.append(False)  # ends the last search at d
-    images = images.tolist()
-    text: list[str] = []
-    add = text.append
-    start = seen.index(False)
-    while start < d:
-        add(tokens[d + start])
-        x = images[start]
-        while x != start:
-            add(tokens[x])
-            seen[x] = True
-            x = images[x]
-        start = seen.index(False, start + 1)
-    return "(" + "".join(text)[2:] + ")"
 
 
 class _LazyLabels(Sequence[str]):
@@ -169,23 +100,6 @@ class _LazyLabels(Sequence[str]):
 def _label_of(G: "GroupTable") -> Callable[[int], str]:
     """G.label without holding on to G's table."""
     return str if G.labels is None else G.labels.__getitem__
-
-
-def _refuse_bytes(size: int, what: str) -> None:
-    """Raise ResourceLimit if ``what`` needs ``size`` > TABLE_BYTES_MAX bytes."""
-    if size > TABLE_BYTES_MAX:
-        raise ResourceLimit(
-            f"{what} needs {size} bytes, over the {TABLE_BYTES_MAX}-byte limit"
-        )
-
-
-def _refuse_order(n: int) -> None:
-    """Raise ResourceLimit unless an order-n table fits TABLE_BYTES_MAX and int16."""
-    _refuse_bytes(n * n * _ID_DTYPE.itemsize, f"the table of a group of order {n}")
-    if n > _ORDER_MAX:
-        raise ResourceLimit(
-            f"a group of order {n} is past the {_ORDER_MAX} elements a table holds"
-        )
 
 
 def _as_ids(a, n: int, message: str) -> np.ndarray:
@@ -439,101 +353,6 @@ def close_group(
     return GroupTable(mul, name=name or f"perm{gens.degree}", labels=labels)
 
 
-def _cycle(n: int) -> tuple[int, ...]:
-    """The n-cycle (1 2 ... n) as an image tuple."""
-    return tuple((i + 1) % n for i in range(n))
-
-
-def _dihedral(n: int) -> tuple[tuple[int, ...], ...]:
-    if n <= 2:  # D1 on 2 points, D2 (the Klein group) on 4
-        return (((1, 0),), ((1, 0, 2, 3), (0, 1, 3, 2)))[n - 1]
-    return (_cycle(n), tuple((n - i) % n for i in range(n)))
-
-
-def _symmetric(n: int) -> tuple[tuple[int, ...], ...]:
-    if n <= 2:
-        return ((1, 0),) if n == 2 else ()
-    return (_cycle(n), (1, 0) + tuple(range(2, n)))
-
-
-def _alternating(n: int) -> tuple[tuple[int, ...], ...]:
-    if n <= 3:
-        return ((1, 2, 0),) if n == 3 else ()
-    big = _cycle(n) if n % 2 else (0,) + tuple(range(2, n)) + (1,)
-    return ((1, 2, 0) + tuple(range(3, n)), big)
-
-
-class _Family(NamedTuple):
-    """Members n = first..last, of order ``prod(factors(n))`` (never falling in n)."""
-
-    first: int
-    last: float
-    factors: Callable[[int], Iterable[int]]
-    gens: Callable[[int], tuple[tuple[int, ...], ...]]  # on n points if empty
-
-
-_QUATERNION = ((2, 3, 1, 0, 6, 7, 5, 4), (4, 5, 7, 6, 1, 0, 2, 3))
-# Family letter -> family, in the order named_group_names lists them.
-_FAMILIES = {
-    "C": _Family(1, math.inf, lambda n: (n,), lambda n: (_cycle(n),) if n > 1 else ()),
-    "D": _Family(1, math.inf, lambda n: (2, n), _dihedral),
-    "S": _Family(1, math.inf, lambda n: range(2, n + 1), _symmetric),
-    "A": _Family(1, math.inf, lambda n: range(3, n + 1), _alternating),
-    "Q": _Family(8, 8, lambda n: (8,), lambda n: _QUATERNION),
-}
-
-
-def _bounded_product(factors: Iterable[int], bound: int) -> Optional[int]:
-    """The product of ``factors``, or None once it passes ``bound``."""
-    out = 1
-    for f in factors:
-        out *= f
-        if out > bound:
-            return None
-    return out
-
-
-def family_order(family: str, param: int, max_order: int = DEFAULT_MAX_ORDER) -> int:
-    """The order of a named family member, from the family table alone.
-
-    Raises UnknownFamily for a letter or member the table lacks, and
-    ClosureTooLarge for an order over ``max_order``; the order is worked
-    out exactly only up to max(max_order, 10**18).
-    """
-    letter = family.upper()
-    name = f"{letter}{param}"
-    fam = _FAMILIES.get(letter)
-    if fam is None or not fam.first <= param <= fam.last:
-        raise UnknownFamily(f"unrecognized group spec {name!r}")
-    bound = max(max_order, _ORDER_BOUND)
-    order = _bounded_product(fam.factors(param), bound)
-    if order is None or order > max_order:
-        shown = f"over {bound}" if order is None else order
-        raise ClosureTooLarge(f"order {shown} exceeds the cap {max_order}")
-    return order
-
-
-def named_order(family: str, param: int, max_order: int = DEFAULT_MAX_ORDER) -> int:
-    """The order of a named family member whose table ``named_group`` builds.
-
-    Raises what ``named_group`` raises before any closure: the refusals of
-    ``family_order``, then ResourceLimit for a table that would not fit.
-    """
-    order = family_order(family, param, max_order)
-    _refuse_order(order)
-    return order
-
-
-def _named_gens(family: str, param: int) -> PermList:
-    perms = _FAMILIES[family.upper()].gens(param)
-    return PermList(len(perms[0]) if perms else param, perms)
-
-
-def _check_order(name: str, got: int, order: int) -> None:
-    if got != order:
-        raise AssertionError(f"{name}: closed to order {got}, expected {order}")
-
-
 def named_group(
     family: str, param: int, max_order: int = DEFAULT_MAX_ORDER
 ) -> GroupTable:
@@ -546,32 +365,6 @@ def named_group(
     g = close_group(_named_gens(family, param), max_order=max_order, name=name)
     _check_order(name, g.order, order)
     return g
-
-
-def named_elements(
-    family: str, param: int, max_order: int = DEFAULT_MAX_ORDER
-) -> np.ndarray:
-    """The elements of ``named_group(family, param, max_order)`` as
-    permutations, row a the images of element id a, with no table built.
-
-    The rows come from the same closure as the table's ids, and every
-    refusal is ``named_group``'s.
-    """
-    order = named_order(family, param, max_order)
-    perms = _close_perms(_named_gens(family, param), max_order).perms
-    _check_order(f"{family.upper()}{param}", len(perms), order)
-    return perms
-
-
-def named_group_names(max_order: int = DEFAULT_MAX_ORDER) -> tuple[str, ...]:
-    """Names of the named-family members of order at most ``max_order``."""
-    names = []
-    for letter, fam in _FAMILIES.items():
-        n = fam.first
-        while n <= fam.last and _bounded_product(fam.factors(n), max_order):
-            names.append(f"{letter}{n}")
-            n += 1
-    return tuple(names)
 
 
 def direct_product(

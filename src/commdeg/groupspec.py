@@ -5,49 +5,40 @@ combine named atoms with infix ``x`` (``S3xC2``), or give raw generators:
 
     perm(<degree>): (<cycle>)(<cycle>); (<cycle>)
 
-Named atoms are a letter and a number, looked up by ``groups.named_group``.
-Cycles use 1-based entries separated by spaces or commas; several cycles
-inside one generator are applied left to right.  Raw ``perm`` specs stand
-alone (no ``x`` products).  Subgroup specs are ``triv``, ``full``,
-``center``, or ``gen[<id>,<id>,...]`` with element ids of the parent.  A
-number ``int`` cannot read is a UsageError, and a degree too large to parse
-within ``groups.TABLE_BYTES_MAX`` a ResourceLimit.
+Named atoms are a letter and a number, read by ``families._parse_atom``
+and built by ``groups.named_group``.  Cycles use 1-based entries
+separated by spaces or commas; several cycles inside one generator are
+applied left to right.  Raw ``perm`` specs stand alone (no ``x``
+products).  Subgroup specs are ``triv``, ``full``, ``center``, or
+``gen[<id>,<id>,...]`` with element ids of the parent.  A number ``int``
+cannot read is a UsageError, and a degree too large to parse within
+``families.TABLE_BYTES_MAX`` a ResourceLimit.
 """
 
 from __future__ import annotations
 
 import re
-from typing import Optional
 
 from . import groups
-from .errors import ClosureTooLarge, InvalidPermutation, UnknownFamily, UsageError
+from .errors import ClosureTooLarge, InvalidPermutation, UsageError
+from .families import (
+    DEFAULT_MAX_ORDER,
+    PermList,
+    _int,
+    _parse_atom,
+    _refuse_bytes,
+    family_order,
+    symmetric_degree,
+)
 
 __all__ = ["parse_group_spec", "parse_subgroup_spec", "symmetric_degree"]
 
-_ATOM_RE = re.compile(r"^([A-Z])([0-9]+)$")
 _PERM_RE = re.compile(r"^perm\((\d+)\)\s*:\s*(.+)$", re.DOTALL)
 _CYCLE_RE = re.compile(r"\(([^()]*)\)")
 _GEN_RE = re.compile(r"^gen\[([0-9,\s]*)\]$")
 # Parse memory per point of each generator, and of one more in flight
 # (one generator of degree 10**6 peaks at about 96 MB under tracemalloc).
 _PARSE_POINT_BYTES = 64
-
-
-def _int(text: str, what: str) -> int:
-    """``int(text)``, with a UsageError for text ``int`` cannot read."""
-    try:
-        return int(text)
-    except ValueError:
-        shown = f"{text[:20]}... ({len(text)} chars)" if len(text) > 40 else text
-        raise UsageError(f"{what} must be a readable integer, got {shown!r}") from None
-
-
-def _parse_atom(atom: str) -> tuple[str, int]:
-    """The family letter and parameter of a named atom such as ``S4``."""
-    m = _ATOM_RE.match(atom.upper())
-    if m is None:
-        raise UnknownFamily(f"unrecognized group spec {atom!r}")
-    return m.group(1), _int(m.group(2), "a family parameter")
 
 
 def _parse_cycles(text: str, degree: int) -> tuple[int, ...]:
@@ -89,14 +80,14 @@ def _parse_perm_spec(spec: str, max_order: int) -> groups.GroupTable:
         raise UsageError("perm degree must be >= 1")
     chunks = [chunk for chunk in m.group(2).split(";") if chunk.strip()]
     need = (len(chunks) + 1) * degree * _PARSE_POINT_BYTES
-    groups._refuse_bytes(need, f"parsing perm({degree})")
+    _refuse_bytes(need, f"parsing perm({degree})")
     perms = [_parse_cycles(chunk, degree) for chunk in chunks]
-    gens = groups.PermList(degree, tuple(perms))
+    gens = PermList(degree, tuple(perms))
     return groups.close_group(gens, max_order=max_order, name=spec.strip())
 
 
 def parse_group_spec(
-    text: str, max_order: int = groups.DEFAULT_MAX_ORDER
+    text: str, max_order: int = DEFAULT_MAX_ORDER
 ) -> groups.GroupTable:
     """Build the group a spec string describes."""
     spec = text.strip()
@@ -113,7 +104,7 @@ def parse_group_spec(
     order = 1
     for part in parts:
         letter, n = _parse_atom(part)
-        order *= groups.family_order(letter, n, max_order)
+        order *= family_order(letter, n, max_order)
         if order > max_order:
             raise ClosureTooLarge(f"order {order} exceeds the cap {max_order}")
         atoms.append((letter, n))
@@ -122,19 +113,6 @@ def parse_group_spec(
         atom = groups.named_group(letter, n, max_order=max_order)
         g = groups.direct_product(g, atom, max_order)
     return g
-
-
-def symmetric_degree(text: str) -> Optional[int]:
-    """N when ``text`` is the one atom ``S<N>``, read as ``parse_group_spec``
-    reads it; otherwise None, leaving any refusal to ``parse_group_spec``."""
-    spec = text.strip().replace(" ", "")
-    if spec.startswith("perm") or "x" in spec:
-        return None
-    try:
-        letter, n = _parse_atom(spec)
-    except (UnknownFamily, UsageError):
-        return None
-    return n if letter == "S" else None
 
 
 def parse_subgroup_spec(G: groups.GroupTable, text: str) -> groups.SubgroupRef:

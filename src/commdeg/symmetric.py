@@ -17,16 +17,22 @@ the step is the k x k matrix
 with k = p(N), and since the characters of S_N are integers (the
 Murnaghan-Nakayama rule), T is exact in Python ints.  Starting from one
 tuple per element, n - 1 + m steps give every count.  Classes are
-indexed by partitions of N in the order of ``partitions``.
+indexed by partitions of N in the order of ``partitions``.  The element
+ids, as the table would number them, come from ``named_elements``; the
+module needs no numpy.
 """
 
 from __future__ import annotations
 
+import operator
 from functools import lru_cache
 from math import factorial
 from typing import Sequence
 
+from .families import DEFAULT_MAX_ORDER, _check_order, _named_gens, named_order
+
 __all__ = [
+    "named_elements",
     "partitions",
     "centralizer_order",
     "characters",
@@ -36,6 +42,36 @@ __all__ = [
 ]
 
 Partition = tuple[int, ...]
+
+
+def named_elements(
+    family: str, param: int, max_order: int = DEFAULT_MAX_ORDER
+) -> list[tuple[int, ...]]:
+    """The elements of ``groups.named_group(family, param, max_order)`` as
+    image tuples, entry a the images of element id a, with no table built.
+
+    A queue walk from the identity multiplies each element, in id order,
+    by each generator in turn, and numbers each new permutation as it is
+    first met: the breadth-first order of ``groups._close_perms``, whose
+    candidate ``level[:, g]`` is ``itemgetter(*g)`` of each row.  Every
+    refusal is ``named_group``'s.
+    """
+    order = named_order(family, param, max_order)
+    gens = _named_gens(family, param)
+    identity = tuple(range(gens.degree))
+    perms = [identity]  # element id -> images, grown as the walk finds them
+    seen = {identity}
+    # The one permutation of a single point is the identity, and
+    # itemgetter of one index would return a scalar.
+    steps = [operator.itemgetter(*g) for g in gens.perms] if gens.degree > 1 else []
+    for perm in perms:
+        for step in steps:
+            image = step(perm)
+            if image not in seen:
+                seen.add(image)
+                perms.append(image)
+    _check_order(f"{family.upper()}{param}", len(perms), order)
+    return perms
 
 
 @lru_cache(maxsize=16)

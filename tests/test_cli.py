@@ -812,6 +812,67 @@ def test_prob_symmetric_refusals_are_the_table_routes(capsys, argv, code, messag
         assert run(capsys, *args, *extra) == (code, "", message), extra
 
 
+# Runs `cli.main` on each argv of a JSON list in one child, numpy blocked
+# when asked, and prints each (exit code, stdout, stderr), then whether
+# numpy was imported.
+_CHILD_MAIN = """
+import contextlib, io, json, sys
+if sys.argv[1] == "block":
+    sys.modules["numpy"] = None
+from commdeg import cli
+results = []
+for argv in json.loads(sys.argv[2]):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    results.append([code, out.getvalue(), err.getvalue()])
+imported = sys.modules.get("numpy") is not None
+print(json.dumps({"results": results, "numpy_imported": imported}))
+"""
+
+
+def _child_main(mode, argvs):
+    src = str(Path(commdeg.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", _CHILD_MAIN, mode, json.dumps(argvs)],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+def test_prob_symmetric_runs_with_numpy_blocked(capsys):
+    argvs = [
+        ["prob", "-G", "S7", "-n", "2", "-m", "2", "-g", g, "-o", output]
+        for g in ("0", "1", "5039")
+        for output in ("json", "table")
+    ]
+    argvs.append(["prob", "-G", "S3", "-n", "6", "-m", "5", "-g", "2"])
+    refusal = ["prob", "-G", "S8", "-n", "2", "-m", "2", "-g", "0"]
+    blocked = _child_main("block", [*argvs, refusal, ["--help"]])
+    assert not blocked["numpy_imported"]
+    *answers, refused, helped = blocked["results"]
+    for argv, answer in zip(argvs, answers):
+        # the table route, in this process, with numpy
+        assert answer == list(run(capsys, *argv, "--method", "dist")), argv
+        assert answer[0] == 0 and answer[2] == "", argv
+    assert refused == list(run(capsys, *refusal))
+    assert refused[:2] == [4, ""]
+    assert helped[0] == 0 and helped[1].startswith("usage: commdeg")
+
+
+def test_prob_symmetric_imports_no_numpy():
+    argv = ["prob", "-G", "S7", "-n", "2", "-m", "2", "-g", "0"]
+    child = _child_main("plain", [argv])
+    assert child["results"][0][:2] == [0, _S7_PINNED["table"]]
+    assert not child["numpy_imported"]
+
+
 def test_env_var_order_cap(capsys, monkeypatch):
     monkeypatch.setenv("COMMDEG_MAX_ORDER", "10")
     code, _, err = run(capsys, "info", "-G", "C24")

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from commdeg import audit, groups, groupspec, lattice
+from commdeg import audit, families, groups, groupspec, lattice
 from commdeg.errors import (
     ClosureTooLarge,
     ForeignSubgroup,
@@ -307,7 +307,7 @@ def test_narrowing_never_wraps_an_id_onto_a_valid_one(s6):
 
 
 def test_order_past_int16_ids_is_refused_whatever_the_byte_limit(monkeypatch):
-    monkeypatch.setattr(groups, "TABLE_BYTES_MAX", 1 << 40)
+    monkeypatch.setattr(families, "TABLE_BYTES_MAX", 1 << 40)
     c128, c256 = groups.named_group("C", 128), groups.named_group("C", 256)
     with pytest.raises(ResourceLimit, match="order 32768 is past"):
         groups.direct_product(c128, c256, max_order=40000)
@@ -373,10 +373,10 @@ def test_closure_refuses_a_permutation_array_over_the_limit(monkeypatch):
     # its (100, 1000) int16 permutation array 200,000.
     cycle = tuple(range(1, 100)) + (0,) + tuple(range(100, 1000))
     gens = groups.PermList(1000, (cycle,))
-    monkeypatch.setattr(groups, "TABLE_BYTES_MAX", 100 * 100 * 4)
+    monkeypatch.setattr(families, "TABLE_BYTES_MAX", 100 * 100 * 4)
     with pytest.raises(ResourceLimit, match="closure of degree 1000"):
         groups.close_group(gens)
-    monkeypatch.setattr(groups, "TABLE_BYTES_MAX", 100 * 1000 * 2)
+    monkeypatch.setattr(families, "TABLE_BYTES_MAX", 100 * 1000 * 2)
     assert groups.close_group(gens).order == 100
 
 
@@ -648,7 +648,7 @@ def _point_walk_label(perm):
 @pytest.mark.parametrize("family, param", [("C", 12), ("D", 7), ("S", 5)])
 def test_cycle_labels_match_the_point_walk(family, param):
     G = groups.named_group(family, param)
-    perms = oracle_closure(list(groups._FAMILIES[family].gens(param)))
+    perms = oracle_closure(list(families._FAMILIES[family].gens(param)))
     expected = sorted(_point_walk_label(p) for p in perms)
     assert sorted(G.label(i) for i in range(G.order)) == expected
     assert sorted(groups.cycle_label(p) for p in perms) == expected
@@ -662,6 +662,20 @@ def test_cycle_labels_of_c2520_match_the_point_walk():
         perm = (points + r) % 2520
         expected = _point_walk_label(perm.tolist())
         assert G.label(r) == groups.cycle_label(perm) == expected
+
+
+def test_cycle_label_reads_tuples_lists_and_id_rows_alike():
+    # (1 3 5)(2 6), with 4 and 7 fixed
+    images = (2, 5, 4, 3, 0, 1, 6)
+    row = np.array(images, dtype=np.int16)
+    labels = {families.cycle_label(p) for p in (images, list(images), row)}
+    assert labels == {"(1 3 5)(2 6)"}
+    assert families.cycle_label(np.arange(4, dtype=np.int16)) == "()"
+
+
+def test_plain_limits_match_the_id_dtype():
+    assert families._ORDER_MAX == np.iinfo(groups._ID_DTYPE).max
+    assert families._ID_BYTES == groups._ID_DTYPE.itemsize
 
 
 def test_full_subgroup_is_kept_without_a_cycle():

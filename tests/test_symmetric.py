@@ -2,7 +2,8 @@
 
 The route is checked against the table: its characters against
 ``chartab.character_table``, its counts against ``engine.final_counts``
-and the brute-force oracle, and its element ids against ``named_group``.
+and the brute-force oracle, and its element ids against ``named_group``
+and the closure ``groups._close_perms``.
 """
 
 import itertools
@@ -11,7 +12,7 @@ from math import factorial
 import numpy as np
 import pytest
 
-from commdeg import chartab, engine, groups, groupspec, symmetric
+from commdeg import chartab, engine, families, groups, groupspec, symmetric
 from commdeg.errors import CommdegError
 
 # p(N), the number of partitions of N
@@ -21,7 +22,7 @@ PARTITION_COUNTS = (1, 1, 2, 3, 5, 7, 11, 15, 22)
 def element_types(N):
     """The named S_N table and the cycle type of each of its element ids."""
     G = groups.named_group("S", N)
-    perms = groups.named_elements("S", N)
+    perms = symmetric.named_elements("S", N)
     return G, [symmetric.cycle_type(p) for p in perms]
 
 
@@ -124,13 +125,17 @@ def test_float_character_table_matches_the_integer_one(N):
     assert sorted(matched) == list(range(len(parts)))
 
 
-@pytest.mark.parametrize("spec", ["S1", "S5", "A5", "D6", "C7", "Q8", "D2"])
+@pytest.mark.parametrize(
+    "spec", ["S1", "S2", "S3", "S4", "S5", "S6", "S7", "A5", "D6", "C7", "Q8", "D2"]
+)
 def test_named_elements_are_the_table_ids(spec):
-    letter, n = groupspec._parse_atom(spec)
+    letter, n = families._parse_atom(spec)
+    perms = symmetric.named_elements(letter, n)
+    closure = groups._close_perms(families._named_gens(letter, n), 10080)
+    assert [list(p) for p in perms] == closure.perms.tolist()
     G = groups.named_group(letter, n)
-    perms = groups.named_elements(letter, n)
     assert len(perms) == G.order
-    assert [groups.cycle_label(p) for p in perms] == [
+    assert [families.cycle_label(p) for p in perms] == [
         G.label(a) for a in range(G.order)
     ]
 
@@ -140,7 +145,7 @@ def test_named_elements_refuse_as_named_group():
         with pytest.raises(CommdegError) as table:
             groups.named_group(*args)
         with pytest.raises(type(table.value)) as elements:
-            groups.named_elements(*args)
+            symmetric.named_elements(*args)
         assert str(elements.value) == str(table.value)
 
 
