@@ -26,24 +26,25 @@ then P1 per product pair, blocks and (n, m), with the g list of the
 product blocks.  A check that receives a g list decides every g in it from
 the cached count vectors, returning its findings in g order.
 
-The checks on one cell ``{group, H, K, n, m}`` report shared instance
-dicts: R1, P3, C4 and C6 the cell itself (a ``_Cell``), and P2,
-T2_CHAIN, T3 and C5 one ``_GInstance`` per g, which the cell's g list
-(``_CellGs``) carries to each of them; P4's instances lie over the same
-cell.  A ``_GInstance`` points at its ``_Cell``, which holds, once per
-style (the sort key and CSV cell, and depth 3 of the report), its own
-text and the text of its g instances cut around the digits of g
-(``_template``).  ``_cell_writer`` writes a cell from its kept text,
-joins head, g and tail for a g instance, and writes every other dict
-with ``_dict_writer``.
+A check takes its instance from ``_cell(n, m, **blocks)``, the dict
+``{group, **blocks, n, m}`` with each block written as its member list:
+R1, P3, C4 and C6 report that ``_Cell``, and P2, T2_CHAIN, T3, C5 and P4
+report ``cell.at(g)``, the cell's one ``_GInstance`` for g; P5's cells
+have the blocks H and N.  A ``_GInstance`` points at its ``_Cell``,
+which holds, once per style (the sort key and CSV cell, and depth 3 of
+the report), its own text and the text of its g instances cut around
+the digits of g (``_template``).  ``_cell_writer`` writes a cell from
+its kept text, joins head, g and tail for a g instance, and writes every
+other dict with ``_dict_writer``.
 
 A ``Finding`` is a slotted record that keeps its witness as a key tuple,
 shared by every witness of that layout, and a tuple of values; the
 report and CSV writers read the two tuples, not a dict.  One
-``run_battery`` call shares its work through one ``_RunTables``: each
-distinct fraction text is made once, every equal witness holds one
-values tuple, and a check makes each witness once for the numbers it is
-made from; the writers then write each distinct witness once.
+``run_battery`` call shares its work through one ``_RunTables``, keyed
+by what each piece is made from: one cell per blocks and exponents, one
+text per fraction, one values tuple per equal witness, and one per-g
+witness per layout function and numbers (``_witness``); the writers
+then write each distinct witness once.
 """
 
 from __future__ import annotations
@@ -165,16 +166,18 @@ class _RunTables:
     the first values tuple seen with them, which every equal witness of
     the run then holds; the ``repr`` tells ``True`` from ``1`` and
     ``0.0`` from ``-0.0``, which compare equal but are written apart.
-    ``memo`` maps a tag and the numbers a check makes one witness from to
-    that ``_Witness`` (see ``_witness_memo``).
+    ``memo`` maps a witness layout function and the numbers it is given to
+    the ``_Witness`` it made (see ``_witness``), and ``cells`` maps the
+    blocks and exponents of a cell to that ``_Cell`` (see ``_cell``).
     """
 
-    __slots__ = ("ratios", "witnesses", "memo")
+    __slots__ = ("ratios", "witnesses", "memo", "cells")
 
     def __init__(self) -> None:
         self.ratios: dict[tuple[int, int], str] = {}
         self.witnesses: dict[tuple[tuple[str, ...], str], tuple] = {}
         self.memo: dict[tuple, _Witness] = {}
+        self.cells: dict[tuple, _Cell] = {}
 
 
 # The tables of the run_battery call in progress; None outside one.
@@ -220,16 +223,21 @@ class _Witness(Mapping):
         return len(self.key_tuple)
 
 
-def _witness_memo() -> dict:
-    """The run's witnesses by the numbers they are made from.
+def _witness(make: Callable[..., dict], *numbers) -> _Witness:
+    """The witness ``make(*numbers)``, made once per run for each ``numbers``.
 
-    A check keys each witness it makes by a tag of its layout and every
-    number the witness is made from, and looks the key up before it
-    makes one, so each distinct witness of a run is made once.  Outside
-    a run the table is a new one, shared by one check call only.
+    ``make`` is a layout function of the numbers its witness shows, so
+    ``(make, *numbers)`` keys the witness.  Outside a run each call makes
+    a new one.
     """
     tables = _RUN.get()
-    return {} if tables is None else tables.memo
+    if tables is None:
+        return _Witness(make(*numbers))
+    key = (make, *numbers)
+    witness = tables.memo.get(key)
+    if witness is None:
+        witness = tables.memo[key] = _Witness(make(*numbers))
+    return witness
 
 
 @dataclass(slots=True, init=False)
@@ -334,10 +342,11 @@ class _Cell(dict):
     (``_indented_writer``).  ``compact`` and ``indented`` hold the head and
     the tail around the digits of g in the text of any of the cell's g
     instances, ``compact_text`` and ``indented_text`` the text of the cell
-    itself.  See ``_cell_writer``.
+    itself.  See ``_cell_writer``.  ``by_g`` indexes the g instances made
+    by ``at``; ``_run_tables`` drops it when its run ends.
     """
 
-    __slots__ = ("compact", "indented", "compact_text", "indented_text")
+    __slots__ = ("compact", "indented", "compact_text", "indented_text", "by_g")
 
     def __init__(self, base: dict) -> None:
         super().__init__(base)
@@ -345,17 +354,18 @@ class _Cell(dict):
         self.indented: Optional[tuple[str, str]] = None
         self.compact_text: Optional[str] = None
         self.indented_text: Optional[str] = None
+        self.by_g: Optional[dict[int, _GInstance]] = None
 
-    def g_list(self, gs: Sequence[int]) -> _CellGs:
-        """``gs`` as a list that carries the cell's instance of each g."""
-        insts = []
-        for g in gs:
-            inst = _GInstance(self, g=g)
+    def at(self, g: int) -> _GInstance:
+        """The cell's one instance ``{**cell, "g": g}``."""
+        by_g = self.by_g
+        if by_g is None:
+            by_g = self.by_g = {}
+        inst = by_g.get(g)
+        if inst is None:
+            inst = by_g[g] = _GInstance(self, g=g)
             inst.cell = self
-            insts.append(inst)
-        out = _CellGs(gs)
-        out.insts = insts
-        return out
+        return inst
 
 
 class _GInstance(dict):
@@ -364,29 +374,32 @@ class _GInstance(dict):
     __slots__ = ("cell",)
 
 
-class _CellGs(list):
-    """A g list that carries its cell's instance of each of its g."""
+def _cell(n: int, m: int, **blocks: SubgroupRef) -> _Cell:
+    """The cell ``{group, **blocks, n, m}``, each block as its member list.
 
-    __slots__ = ("insts",)
-
-
-def _g_insts(
-    G: GroupTable, n: int, m: int, gs: Sequence[int], **blocks
-) -> list[dict]:
-    """The instance of each g in ``gs``: group, ``blocks``, n, m and g.
-
-    A g list built by ``_Cell.g_list`` (as ``run_battery`` builds them)
-    carries its instances, so the checks it is handed to share them; any
-    other list gets instances over a new cell.
+    Inside a run there is one cell per blocks and exponents; outside one,
+    each call makes a new cell.
     """
-    if isinstance(gs, _CellGs):
-        return gs.insts
-    return _Cell({"group": G.name, **blocks, "n": n, "m": m}).g_list(gs).insts
+    tables = _RUN.get()
+    key = (n, m, *blocks.items())
+    cell = None if tables is None else tables.cells.get(key)
+    if cell is None:
+        G = next(iter(blocks.values())).parent
+        members = {name: _mem(S) for name, S in blocks.items()}
+        cell = _Cell(_inst(G, **members, n=n, m=m))
+        if tables is not None:
+            tables.cells[key] = cell
+    return cell
 
 
 @lru_cache(maxsize=4096)
 def _mutual_centralizer(H: SubgroupRef, K: SubgroupRef) -> SubgroupRef:
     return groups.centralizer_of_subgroup(H, K)
+
+
+@lru_cache(maxsize=64)
+def _center(G: GroupTable) -> SubgroupRef:
+    return groups.center(G)
 
 
 def _product_subgroup(
@@ -460,6 +473,30 @@ def check_multiplicativity(
     return findings
 
 
+def _p2a_witness(
+    lhs: int, size: int, as_written: int, swapped_size: int, exp_swapped: int
+) -> dict:
+    return {
+        "lhs": _ratio(lhs, size),
+        "swapped_same_exponents": _ratio(as_written, swapped_size),
+        "swapped_exponents_too": _ratio(exp_swapped, size),
+        "exponent_swapped_equal": lhs == exp_swapped,
+    }
+
+
+def _p2b_witness(
+    h_normal: bool, k_normal: bool, lhs: int, size: int,
+    swapped: int, swapped_size: int, inverted: int,
+) -> dict:
+    return {
+        "H_normal": h_normal,
+        "K_normal": k_normal,
+        "lhs": _ratio(lhs, size),
+        "swapped_subgroups": _ratio(swapped, swapped_size),
+        "inverted_element": _ratio(inverted, size),
+    }
+
+
 def check_symmetry(
     H: SubgroupRef, K: SubgroupRef, n: int, m: int, gs: Sequence[int]
 ) -> list[Finding]:
@@ -480,51 +517,28 @@ def check_symmetry(
     swapped_size = engine.space_size(K, H, n, m)
     h_normal = groups.is_normal(G, H)
     k_normal = groups.is_normal(G, K)
-    memo = _witness_memo()
     vacuous = _Witness({"H_normal": h_normal, "K_normal": k_normal})
+    cell = _cell(n, m, H=H, K=K)
     findings = []
-    for g, inst in zip(gs, _g_insts(G, n, m, gs, H=_mem(H), K=_mem(K))):
+    for g in gs:
+        inst = cell.at(g)
         ginv = int(inv[g])
         lhs = counts[g]
         as_written = swapped_counts[ginv]
-        exp_swapped = exp_swapped_counts[ginv]
-        key = ("P2a", lhs, size, as_written, swapped_size, exp_swapped)
-        witness = memo.get(key)
-        if witness is None:
-            witness = memo[key] = _Witness(
-                {
-                    "lhs": _ratio(lhs, size),
-                    "swapped_same_exponents": _ratio(as_written, swapped_size),
-                    "swapped_exponents_too": _ratio(exp_swapped, size),
-                    "exponent_swapped_equal": lhs == exp_swapped,
-                }
-            )
-        findings.append(
-            Finding(
-                "P2a",
-                inst,
-                HOLDS if lhs * swapped_size == as_written * size else VIOLATED,
-                witness,
-            )
+        witness = _witness(
+            _p2a_witness, lhs, size, as_written, swapped_size, exp_swapped_counts[ginv]
         )
+        verdict = HOLDS if lhs * swapped_size == as_written * size else VIOLATED
+        findings.append(Finding("P2a", inst, verdict, witness))
         if not (h_normal or k_normal):
             findings.append(Finding("P2b", inst, VACUOUS, vacuous))
             continue
         swapped = swapped_counts[g]
         inverted = counts[ginv]
         ok = lhs * swapped_size == swapped * size and lhs == inverted
-        key = ("P2b", h_normal, k_normal, lhs, size, swapped, swapped_size, inverted)
-        witness = memo.get(key)
-        if witness is None:
-            witness = memo[key] = _Witness(
-                {
-                    "H_normal": h_normal,
-                    "K_normal": k_normal,
-                    "lhs": _ratio(lhs, size),
-                    "swapped_subgroups": _ratio(swapped, swapped_size),
-                    "inverted_element": _ratio(inverted, size),
-                }
-            )
+        witness = _witness(
+            _p2b_witness, h_normal, k_normal, lhs, size, swapped, swapped_size, inverted
+        )
         findings.append(Finding("P2b", inst, HOLDS if ok else VIOLATED, witness))
     return findings
 
@@ -561,7 +575,7 @@ def check_class_formula(H: SubgroupRef, K: SubgroupRef, n: int, m: int) -> Findi
         ),
         None,
     )
-    inst = _inst(G, H=_mem(H), K=_mem(K), n=n, m=m)
+    inst = _cell(n, m, H=H, K=K)
     witness = {
         "predicate": "derived",
         "elements_checked": G.order,
@@ -592,11 +606,10 @@ def check_c4(H: SubgroupRef, K: SubgroupRef, n: int, m: int) -> Finding:
     vacuous.  Over the space size |H|^n |K|^m the closed form is
     |K|^m + |H|^n - 1.
     """
-    G = H.parent
     counts = engine.comm_distribution(H, n)
     info = engine.conjugacy_info(K)
     nontrivial = [w for w, c in enumerate(counts) if c and w != 0]
-    inst = _inst(G, H=_mem(H), K=_mem(K), n=n, m=m)
+    inst = _cell(n, m, H=H, K=K)
     hypothesis = bool(nontrivial) and all(
         int(info.centralizer_order[w]) == 1 for w in nontrivial
     )
@@ -618,6 +631,19 @@ def check_c4(H: SubgroupRef, K: SubgroupRef, n: int, m: int) -> Finding:
     )
 
 
+def _p4_witness(
+    smaller: int, smaller_size: int,
+    larger: int, larger_size: int, match: Optional[bool],
+) -> dict:
+    fields = {
+        "smaller_subgroup_prob": _ratio(smaller, smaller_size),
+        "larger_subgroup_prob": _ratio(larger, larger_size),
+    }
+    if match is not None:
+        fields["class_partitions_match"] = match
+    return fields
+
+
 def check_monotonicity(
     H: SubgroupRef, K: SubgroupRef, n: int, m: int, gs: Sequence[int]
 ) -> list[Finding]:
@@ -629,23 +655,18 @@ def check_monotonicity(
     two partitions are equal exactly when their ``class_of`` arrays are.
     """
     G = H.parent
-    insts = _g_insts(G, n, m, gs, H=_mem(H), K=_mem(K))
+    cell = _cell(n, m, H=H, K=K)
     if not set(H.members) <= set(K.members):
-        return [
-            Finding(
-                "P4", inst, PRECONDITION_FAILED, {"reason": "H is not contained in K"}
-            )
-            for inst in insts
-        ]
+        reason = {"reason": "H is not contained in K"}
+        return [Finding("P4", cell.at(g), PRECONDITION_FAILED, reason) for g in gs]
     full = groups.full_subgroup(G)
     smaller = engine.final_counts(H, full, n, m)
     larger = engine.final_counts(K, full, n, m)
     smaller_size = engine.space_size(H, full, n, m)
     larger_size = engine.space_size(K, full, n, m)
     same: Optional[bool] = None
-    memo = _witness_memo()
     findings = []
-    for g, inst in zip(gs, insts):
+    for g in gs:
         lhs = smaller[g] * larger_size
         rhs = larger[g] * smaller_size
         if lhs == rhs and same is None:
@@ -653,18 +674,24 @@ def check_monotonicity(
                 engine.conjugacy_info(H).class_of, engine.conjugacy_info(K).class_of
             )
         match = same if lhs == rhs else None
-        key = ("P4", smaller[g], smaller_size, larger[g], larger_size, match)
-        witness = memo.get(key)
-        if witness is None:
-            fields = {
-                "smaller_subgroup_prob": _ratio(smaller[g], smaller_size),
-                "larger_subgroup_prob": _ratio(larger[g], larger_size),
-            }
-            if match is not None:
-                fields["class_partitions_match"] = match
-            witness = memo[key] = _Witness(fields)
-        findings.append(Finding("P4", inst, HOLDS if lhs >= rhs else VIOLATED, witness))
+        witness = _witness(
+            _p4_witness, smaller[g], smaller_size, larger[g], larger_size, match
+        )
+        verdict = HOLDS if lhs >= rhs else VIOLATED
+        findings.append(Finding("P4", cell.at(g), verdict, witness))
     return findings
+
+
+def _p5_witness(
+    sub: int, sub_size: int, quo: int, quo_size: int,
+    intersection_order: int, equality_required: bool,
+) -> dict:
+    return {
+        "subgroup_prob": _ratio(sub, sub_size),
+        "quotient_prob": _ratio(quo, quo_size),
+        "intersection_order": intersection_order,
+        "equality_required": equality_required,
+    }
 
 
 def check_quotient(
@@ -681,7 +708,7 @@ def check_quotient(
     required as well; a strict inequality there counts as a violation.
     """
     G = H.parent
-    insts = _g_insts(G, n, m, gs, H=_mem(H), N=_mem(N))
+    cell = _cell(n, m, H=H, N=N)
     reason = None
     if not groups.is_normal(G, N):
         reason = "N is not normal"
@@ -689,8 +716,8 @@ def check_quotient(
         reason = "H is not contained in N"
     if reason is not None:
         return [
-            Finding("P5", inst, PRECONDITION_FAILED, {"reason": reason})
-            for inst in insts
+            Finding("P5", cell.at(g), PRECONDITION_FAILED, {"reason": reason})
+            for g in gs
         ]
     Q, proj = quotient if quotient is not None else groups.quotient_group(G, N)
     full = groups.full_subgroup(G)
@@ -704,34 +731,37 @@ def check_quotient(
     nested = engine.nested_commutator_subgroup(H, full, n, m)
     intersection = sorted(set(N.members) & set(nested.members))
     equality_required = intersection == [0]
-    memo = _witness_memo()
     findings = []
-    for g, inst in zip(gs, insts):
+    for g in gs:
         coset = int(proj[g])
         lhs = sub[g] * quo_size
         rhs = quo[coset] * sub_size
         ok = lhs <= rhs and (not equality_required or lhs == rhs)
-        key = (
-            "P5",
-            sub[g],
-            sub_size,
-            quo[coset],
-            quo_size,
-            len(intersection),
-            equality_required,
+        witness = _witness(
+            _p5_witness, sub[g], sub_size, quo[coset], quo_size,
+            len(intersection), equality_required,
         )
-        witness = memo.get(key)
-        if witness is None:
-            witness = memo[key] = _Witness(
-                {
-                    "subgroup_prob": _ratio(sub[g], sub_size),
-                    "quotient_prob": _ratio(quo[coset], quo_size),
-                    "intersection_order": len(intersection),
-                    "equality_required": equality_required,
-                }
-            )
-        findings.append(Finding("P5", inst, HOLDS if ok else VIOLATED, witness))
+        findings.append(Finding("P5", cell.at(g), HOLDS if ok else VIOLATED, witness))
     return findings
+
+
+def _chain_witness(
+    whole: int, whole_size: int, pair: int, pair_size: int, pair_id: int,
+    ambient_id: int, ambient_size: int, self_id: int, self_size: int,
+) -> dict:
+    return {
+        "whole_group": _ratio(whole, whole_size),
+        "pair": _ratio(pair, pair_size),
+        "pair_identity": _ratio(pair_id, pair_size),
+        "ambient_identity": _ratio(ambient_id, ambient_size),
+        "self_identity": _ratio(self_id, self_size),
+        "links_hold": [
+            whole * pair_size <= pair * whole_size,
+            pair <= pair_id,
+            pair_id * ambient_size <= ambient_id * pair_size,
+            ambient_id * self_size <= self_id * ambient_size,
+        ],
+    }
 
 
 def check_chain(
@@ -739,8 +769,7 @@ def check_chain(
 ) -> list[Finding]:
     """The four-link probability chain, each link witnessed separately.
 
-    The last two links, between identity probabilities, are the same for
-    every g of the cell.
+    The verdict reads the links from the witness.
     """
     G = H.parent
     full = groups.full_subgroup(G)
@@ -753,41 +782,30 @@ def check_chain(
     pair_size = engine.space_size(H, K, n, m)
     ambient_size = engine.space_size(H, full, n, m)
     self_size = engine.space_size(H, H, n, m)
-    identity_links = [
-        pair_id * ambient_size <= ambient_id * pair_size,
-        ambient_id * self_size <= self_id * ambient_size,
-    ]
-    pair_id_text = _ratio(pair_id, pair_size)
-    ambient_id_text = _ratio(ambient_id, ambient_size)
-    self_id_text = _ratio(self_id, self_size)
-    # Every number the witness is made from but whole[g] and pair[g].
-    cell_key = (
-        whole_size, pair_size, pair_id, ambient_id, ambient_size, self_id, self_size
-    )
-    memo = _witness_memo()
+    cell = _cell(n, m, H=H, K=K)
     findings = []
-    for g, inst in zip(gs, _g_insts(G, n, m, gs, H=_mem(H), K=_mem(K))):
-        links = [
-            whole[g] * pair_size <= pair[g] * whole_size,
-            pair[g] <= pair_id,
-            *identity_links,
-        ]
-        key = ("T2_CHAIN", whole[g], pair[g], cell_key)
-        witness = memo.get(key)
-        if witness is None:
-            witness = memo[key] = _Witness(
-                {
-                    "whole_group": _ratio(whole[g], whole_size),
-                    "pair": _ratio(pair[g], pair_size),
-                    "pair_identity": pair_id_text,
-                    "ambient_identity": ambient_id_text,
-                    "self_identity": self_id_text,
-                    "links_hold": links,
-                }
-            )
-        verdict = HOLDS if all(links) else VIOLATED
-        findings.append(Finding("T2_CHAIN", inst, verdict, witness))
+    for g in gs:
+        witness = _witness(
+            _chain_witness, whole[g], whole_size, pair[g], pair_size,
+            pair_id, ambient_id, ambient_size, self_id, self_size,
+        )
+        verdict = HOLDS if all(witness["links_hold"]) else VIOLATED
+        findings.append(Finding("T2_CHAIN", cell.at(g), verdict, witness))
     return findings
+
+
+def _c5_witness(
+    count: int, size: int, n: int, center_order: int, subgroup_center_order: int
+) -> dict:
+    fields = {
+        "lhs": _ratio(count, size),
+        "bound": _ratio(2**n - 1, 2**n),
+        "center_order": center_order,
+        "subgroup_center_order": subgroup_center_order,
+    }
+    if subgroup_center_order == 1:
+        fields["variant_subgroup_center_holds"] = count * 2**n <= (2**n - 1) * size
+    return fields
 
 
 def check_c5(
@@ -799,36 +817,36 @@ def check_c5(
     also evaluates the variant hypothesis Z(H) = 1, which the surrounding
     results suggest, without letting it influence the verdict.
     """
-    G = H.parent
-    full = groups.full_subgroup(G)
-    z_g = _mutual_centralizer(full, full)
-    z_h = _mutual_centralizer(H, H)
+    center_order = _center(H.parent).order
+    z_h_order = _mutual_centralizer(H, H).order
     counts = engine.final_counts(H, K, n, 1)
     size = engine.space_size(H, K, n, 1)
-    bound_num, bound_den = 2**n - 1, 2**n
-    bound = _ratio(bound_num, bound_den)
-    memo = _witness_memo()
+    cell = _cell(n, 1, H=H, K=K)
     findings = []
-    for g, inst in zip(gs, _g_insts(G, n, 1, gs, H=_mem(H), K=_mem(K))):
-        below = counts[g] * bound_den <= bound_num * size
-        key = ("C5", counts[g], size, bound_num, z_g.order, z_h.order)
-        witness = memo.get(key)
-        if witness is None:
-            fields = {
-                "lhs": _ratio(counts[g], size),
-                "bound": bound,
-                "center_order": z_g.order,
-                "subgroup_center_order": z_h.order,
-            }
-            if z_h.is_trivial:
-                fields["variant_subgroup_center_holds"] = below
-            witness = memo[key] = _Witness(fields)
-        if not z_g.is_trivial:
+    for g in gs:
+        witness = _witness(_c5_witness, counts[g], size, n, center_order, z_h_order)
+        if center_order != 1:
             verdict = VACUOUS
+        elif counts[g] * 2**n <= (2**n - 1) * size:
+            verdict = HOLDS
         else:
-            verdict = HOLDS if below else VIOLATED
-        findings.append(Finding("C5", inst, verdict, witness))
+            verdict = VIOLATED
+        findings.append(Finding("C5", cell.at(g), verdict, witness))
     return findings
+
+
+def _t3i_witness(lhs: int, size: int, upper_num: int, upper_den: int, p: int) -> dict:
+    return {"lhs": _ratio(lhs, size), "bound": _ratio(upper_num, upper_den), "prime": p}
+
+
+def _t3ii_witness(lhs: int, size: int, lower_num: int, p: int, y: int, c: int) -> dict:
+    return {
+        "lhs": _ratio(lhs, size),
+        "bound": _ratio(lower_num, size),
+        "prime": p,
+        "y_tuple_count": y,
+        "mutual_centralizer_order": c,
+    }
 
 
 def check_t3(
@@ -840,58 +858,31 @@ def check_t3(
     it is compared with the count directly.
     """
     G = H.parent
-    insts = _g_insts(G, n, m, gs, H=_mem(H), K=_mem(K))
+    cell = _cell(n, m, H=H, K=K)
     if G.order == 1:
         reason = "no prime divides the trivial group order"
         return [
-            Finding(tag, inst, PRECONDITION_FAILED, {"reason": reason})
-            for inst in insts
+            Finding(tag, cell.at(g), PRECONDITION_FAILED, {"reason": reason})
+            for g in gs
             for tag in ("T3i", "T3ii")
         ]
     p = groups.smallest_prime_divisor(G)
     counts = engine.final_counts(H, K, n, m)
     size = engine.space_size(H, K, n, m)
     upper_num, upper_den = 2 * p**n + p - 2, p ** (m + n)
-    upper = _ratio(upper_num, upper_den)
     y = engine.y_set_size(H, K, n)
     c = _mutual_centralizer(H, K).order
     lower_num = (1 - p) * y + p * H.order**n - (K.order + p) * c**n
-    lower = _ratio(lower_num, size)
-    memo = _witness_memo()
     findings = []
-    for g, inst in zip(gs, insts):
+    for g in gs:
+        inst = cell.at(g)
         lhs = counts[g]
-        key = ("T3i", lhs, size, upper_num, upper_den, p)
-        upper_witness = memo.get(key)
-        if upper_witness is None:
-            upper_witness = memo[key] = _Witness(
-                {"lhs": _ratio(lhs, size), "bound": upper, "prime": p}
-            )
-        findings.append(
-            Finding(
-                "T3i",
-                inst,
-                HOLDS if lhs * upper_den <= upper_num * size else VIOLATED,
-                upper_witness,
-            )
-        )
-        key = ("T3ii", lhs, size, lower_num, p, y, c)
-        lower_witness = memo.get(key)
-        if lower_witness is None:
-            lower_witness = memo[key] = _Witness(
-                {
-                    "lhs": _ratio(lhs, size),
-                    "bound": lower,
-                    "prime": p,
-                    "y_tuple_count": y,
-                    "mutual_centralizer_order": c,
-                }
-            )
-        findings.append(
-            Finding(
-                "T3ii", inst, HOLDS if lhs >= lower_num else VIOLATED, lower_witness
-            )
-        )
+        witness = _witness(_t3i_witness, lhs, size, upper_num, upper_den, p)
+        verdict = HOLDS if lhs * upper_den <= upper_num * size else VIOLATED
+        findings.append(Finding("T3i", inst, verdict, witness))
+        witness = _witness(_t3ii_witness, lhs, size, lower_num, p, y, c)
+        verdict = HOLDS if lhs >= lower_num else VIOLATED
+        findings.append(Finding("T3ii", inst, verdict, witness))
     return findings
 
 
@@ -903,7 +894,7 @@ def check_c6(H: SubgroupRef, K: SubgroupRef, n: int, m: int) -> Finding:
     negative, in which case equality instances can only violate).
     """
     G = H.parent
-    inst = _inst(G, H=_mem(H), K=_mem(K), n=n, m=m)
+    inst = _cell(n, m, H=H, K=K)
     if G.order == 1:
         return Finding(
             "C6",
@@ -1004,11 +995,10 @@ def check_remark_r1(
     blocks as the brute oracle forms them, no counting), so the comparison
     does not share the histogram recurrence with the side being tested.
     """
-    G = H.parent
     counts = engine.final_counts(H, K, n, m)
     support = {g for g, c in enumerate(counts) if c}
     reach = set(_reachable_values(H, K, n, m).tolist())
-    inst = _inst(G, H=_mem(H), K=_mem(K), n=n, m=m)
+    inst = _cell(n, m, H=H, K=K)
     f_support = Finding(
         "R1a",
         inst,
@@ -1660,12 +1650,15 @@ def _collector_paused() -> Iterator[None]:
 
 @contextmanager
 def _run_tables() -> Iterator[None]:
-    """Share work through new ``_RunTables``, dropped on exit."""
-    token = _RUN.set(_RunTables())
+    """Share work through new ``_RunTables``; drop them and the g indexes on exit."""
+    tables = _RunTables()
+    token = _RUN.set(tables)
     try:
         yield
     finally:
         _RUN.reset(token)
+        for cell in tables.cells.values():
+            cell.by_g = None
 
 
 def run_battery(config: AuditConfig) -> AuditReport:
@@ -1673,10 +1666,8 @@ def run_battery(config: AuditConfig) -> AuditReport:
 
     Each instance shape of a group is walked once, calling every selected
     check of that shape (see the module docstring).  The checks on one
-    (H, K, n, m) cell report one instance dict: R1, P3, C4 and C6 the
-    ``_Cell`` itself, and P2, T2_CHAIN, T3 and C5 the instances that the
-    cell's g list carries, one per g; P4 gets a g list of its own over the
-    same cell.  Instance generation is fully deterministic (ordering comes
+    (H, K, n, m) cell share its instances through the run's tables (see
+    ``_cell``).  Instance generation is fully deterministic (ordering comes
     from the config and from element ids), so a fixed config yields a
     byte-identical serialized report; per-finding timings are measured but
     excluded from serialization unless explicitly requested.
@@ -1689,11 +1680,9 @@ def run_battery(config: AuditConfig) -> AuditReport:
     per_g = [name for name in _G_CHECKS if name in active]
     policy = config.g_policy
     cells = [(n, m) for n in config.n_values for m in config.m_values]
-    # C5 reads the cells at m = 1, which ``cells`` lacks when 1 is no m value.
-    cell_keys = list(dict.fromkeys(cells + [(n, 1) for n in config.n_values]))
     findings: list[Finding] = []
 
-    def run(name: str, *args, instance: Optional[dict] = None) -> None:
+    def run(name: str, *args) -> None:
         if name not in active:
             return
         # Looked up on the module at each call, so a check replaced there
@@ -1706,9 +1695,6 @@ def run_battery(config: AuditConfig) -> AuditReport:
         share = elapsed / len(batch)
         for f in batch:
             f.runtime_ms = share
-            if instance is not None and f.instance == instance:
-                # The check built its own copy of the cell's dict.
-                f.instance = instance
             if f.claim in selected:
                 findings.append(f)
 
@@ -1718,82 +1704,76 @@ def run_battery(config: AuditConfig) -> AuditReport:
     # leave are standard-library closures (``ast.literal_eval``,
     # ``inspect``), a few hundred objects on the default battery, freed by
     # the first collection after the pause.
-    with _collector_paused(), _run_tables():
-        for spec in config.groups:
-            G = groupspec.parse_group_spec(spec, max_order=config.max_order)
-            pool = _subgroup_pool(G, config)
-            full = groups.full_subgroup(G)
-            for H in pool:
-                for K in pool:
-                    hk = {
-                        (n, m): _Cell(_inst(G, H=_mem(H), K=_mem(K), n=n, m=m))
-                        for n, m in cell_keys
-                    }
-                    g_lists: dict[tuple[int, int], _CellGs] = {}
-                    for n, m in cells:
-                        cell = hk[n, m]
-                        for name in _CELL_CHECKS:
-                            run(name, H, K, n, m, instance=cell)
-                        if per_g:
-                            gs = g_lists[n, m] = cell.g_list(
-                                _g_values(H, K, n, m, policy)
-                            )
-                            for name in per_g:
-                                run(name, H, K, n, m, gs)
-                    nested = set(H.members) <= set(K.members)
-                    if "check_monotonicity" in active and nested:
+    # The cells' g indexes and the run's tables are dropped before the
+    # sort, which then holds one instance text per finding of a claim.
+    with _collector_paused():
+        with _run_tables():
+            for spec in config.groups:
+                G = groupspec.parse_group_spec(spec, max_order=config.max_order)
+                pool = _subgroup_pool(G, config)
+                full = groups.full_subgroup(G)
+                for H in pool:
+                    for K in pool:
                         for n, m in cells:
-                            gs = hk[n, m].g_list(_g_values(H, full, n, m, policy))
-                            run("check_monotonicity", H, K, n, m, gs)
-                    if "check_c5" in active:
-                        for n in config.n_values:
-                            gs = g_lists.get((n, 1))
-                            if gs is None:
-                                gs = hk[n, 1].g_list(_g_values(H, K, n, 1, policy))
-                            run("check_c5", H, K, n, gs)
-            if "check_quotient" in active:
-                for N in pool:
-                    if not groups.is_normal(G, N):
-                        continue
-                    quotient = groups.quotient_group(G, N)
-                    for H in pool:
-                        if set(H.members) <= set(N.members):
+                            for name in _CELL_CHECKS:
+                                run(name, H, K, n, m)
+                            if per_g:
+                                gs = _g_values(H, K, n, m, policy)
+                                for name in per_g:
+                                    run(name, H, K, n, m, gs)
+                        nested = set(H.members) <= set(K.members)
+                        if "check_monotonicity" in active and nested:
                             for n, m in cells:
                                 gs = _g_values(H, full, n, m, policy)
-                                run("check_quotient", H, N, n, m, gs, quotient)
-            if active & _TABLE_CHECKS:
-                table = chartab.character_table(G, seed=config.seed)
-                for H in pool:
-                    run("check_frob_bound", H, table)
-                    for n, m in cells:
-                        run("check_zeta_character", H, n, m, table)
-                    if groups.is_normal(G, H):
-                        run("check_eq7", H, table)
-                for name in _GROUP_CHECKS:
-                    run(name, table)
+                                run("check_monotonicity", H, K, n, m, gs)
+                        if "check_c5" in active:
+                            for n in config.n_values:
+                                gs = _g_values(H, K, n, 1, policy)
+                                run("check_c5", H, K, n, gs)
+                if "check_quotient" in active:
+                    for N in pool:
+                        if not groups.is_normal(G, N):
+                            continue
+                        quotient = groups.quotient_group(G, N)
+                        for H in pool:
+                            if set(H.members) <= set(N.members):
+                                for n, m in cells:
+                                    gs = _g_values(H, full, n, m, policy)
+                                    run("check_quotient", H, N, n, m, gs, quotient)
+                if active & _TABLE_CHECKS:
+                    table = chartab.character_table(G, seed=config.seed)
+                    for H in pool:
+                        run("check_frob_bound", H, table)
+                        for n, m in cells:
+                            run("check_zeta_character", H, n, m, table)
+                        if groups.is_normal(G, H):
+                            run("check_eq7", H, table)
+                    for name in _GROUP_CHECKS:
+                        run(name, table)
 
-        if "check_multiplicativity" in active:
-            for left_spec, right_spec in config.product_pairs:
-                E = groupspec.parse_group_spec(left_spec, max_order=config.max_order)
-                F = groupspec.parse_group_spec(right_spec, max_order=config.max_order)
-                product = groups.direct_product(E, F, max_order=config.max_order)
-                full_e, full_f = groups.full_subgroup(E), groups.full_subgroup(F)
-                combos = [(full_e, full_e, full_f, full_f)]
-                prop_e, prop_f = _first_proper(E), _first_proper(F)
-                if prop_e is not None or prop_f is not None:
-                    combos.append(
-                        (prop_e or full_e, full_e, full_f, prop_f or full_f)
+            if "check_multiplicativity" in active:
+                for left_spec, right_spec in config.product_pairs:
+                    E, F = (
+                        groupspec.parse_group_spec(spec, max_order=config.max_order)
+                        for spec in (left_spec, right_spec)
                     )
-                for A, B, C, D in combos:
-                    block_x = _product_subgroup(product, A, C)
-                    block_y = _product_subgroup(product, B, D)
-                    for n, m in cells:
-                        gs = _g_values(block_x, block_y, n, m, policy)
-                        run(
-                            "check_multiplicativity",
-                            E, F, A, B, C, D, n, m, gs, product,
+                    product = groups.direct_product(E, F, max_order=config.max_order)
+                    full_e, full_f = groups.full_subgroup(E), groups.full_subgroup(F)
+                    combos = [(full_e, full_e, full_f, full_f)]
+                    prop_e, prop_f = _first_proper(E), _first_proper(F)
+                    if prop_e is not None or prop_f is not None:
+                        combos.append(
+                            (prop_e or full_e, full_e, full_f, prop_f or full_f)
                         )
-
+                    for A, B, C, D in combos:
+                        block_x = _product_subgroup(product, A, C)
+                        block_y = _product_subgroup(product, B, D)
+                        for n, m in cells:
+                            gs = _g_values(block_x, block_y, n, m, policy)
+                            run(
+                                "check_multiplicativity",
+                                E, F, A, B, C, D, n, m, gs, product,
+                            )
         _sort_findings(findings)
     summary: dict[str, dict[str, int]] = {}
     for f in findings:

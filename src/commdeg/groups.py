@@ -509,6 +509,8 @@ def _require_same_parent(G: GroupTable, H: SubgroupRef) -> None:
 def is_normal(G: GroupTable, H: SubgroupRef) -> bool:
     """Whether g*h*g^-1 stays in H for every g in G; cached on H."""
     _require_same_parent(G, H)
+    if H.order in (1, G.order):
+        return True
     if H._normal is None:
         arr = np.asarray(H.members, dtype=np.int32)
         ok = True
@@ -532,14 +534,21 @@ def centralizer_of_element(G: GroupTable, K: SubgroupRef, w: int) -> SubgroupRef
 
 
 def centralizer_of_subgroup(H: SubgroupRef, K: SubgroupRef) -> SubgroupRef:
-    """C_H(K): the members of H commuting with every member of K."""
+    """C_H(K): the members of H commuting with every member of K.
+
+    The members of H still left are compared with _CHECK_BLOCK members of
+    K at a time, so the scratch is O(_CHECK_BLOCK * |H|), never |H| x |K|.
+    """
     if H.parent is not K.parent:
         raise ForeignSubgroup("H and K must share a parent group")
     G = H.parent
     harr = np.asarray(H.members, dtype=np.int32)
     karr = np.asarray(K.members, dtype=np.int32)
-    block = G.mul[np.ix_(harr, karr)] == G.mul[np.ix_(karr, harr)].T
-    return SubgroupRef(G, harr[block.all(axis=1)], _checked=True)
+    for lo in range(0, karr.size, _CHECK_BLOCK):
+        cols = karr[lo : lo + _CHECK_BLOCK]
+        block = G.mul[np.ix_(harr, cols)] == G.mul[np.ix_(cols, harr)].T
+        harr = harr[block.all(axis=1)]
+    return SubgroupRef(G, harr, _checked=True)
 
 
 @dataclass(frozen=True)

@@ -8,6 +8,8 @@ the audit battery walks (a couple dozen elements).
 
 from __future__ import annotations
 
+import numpy as np
+
 from . import groups
 from .errors import ClosureTooLarge
 from .groups import GroupTable, SubgroupRef
@@ -52,21 +54,26 @@ def subgroup_conjugacy_representatives(
 
     The representative is the class member with the lexicographically
     least member tuple; output order follows the input order of first
-    appearance of each class.
+    appearance of each class.  The class of a subgroup is one gather of
+    ``t^-1 h t`` over every t and member h, its rows sorted and made
+    unique; the trivial group and G are their own class.
     """
     by_members = {h.members: h for h in subs}
     assigned: set[tuple[int, ...]] = set()
     reps = []
+    ts = np.arange(G.order)[:, None]
     for h in subs:
         if h.members in assigned:
             continue
-        orbit = set()
-        for t in range(G.order):
-            conj = tuple(sorted(int(G.conjugate(x, t)) for x in h.members))
-            orbit.add(conj)
-        rep_members = min(orbit)
-        for mem in orbit:
-            assigned.add(mem)
+        if h.order in (1, G.order):
+            orbit = [h.members]
+        else:
+            conj = G.mul[G.mul[G.inv[ts], h.members], ts]
+            conj.sort(axis=1)
+            orbit = [tuple(row) for row in np.unique(conj, axis=0).tolist()]
+        # np.unique sorts the rows, so the least member tuple comes first.
+        rep_members = orbit[0]
+        assigned.update(orbit)
         if rep_members in by_members:
             reps.append(by_members[rep_members])
         else:

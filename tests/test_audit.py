@@ -796,3 +796,66 @@ def test_witnesses_equal_only_as_numbers_stay_apart():
     assert texts == [json.dumps({"x": v, "y": [v]}) for v in values]
     assert findings[1].witness_values is findings[5].witness_values
     assert len({id(f.witness_values) for f in findings}) == 5
+
+
+# Each per-g check, the claims it reports and the blocks of its instances.
+_PER_G_CHECKS = {
+    "check_symmetry": (("P2a", "P2b"), ("H", "K")),
+    "check_monotonicity": (("P4",), ("H", "K")),
+    "check_quotient": (("P5",), ("H", "N")),
+    "check_chain": (("T2_CHAIN",), ("H", "K")),
+    "check_c5": (("C5",), ("H", "K")),
+    "check_t3": (("T3i", "T3ii"), ("H", "K")),
+}
+
+
+def test_run_witnesses_equal_those_of_lone_calls():
+    config = audit.AuditConfig(groups=("S3", "D4", "Q8"), product_pairs=())
+    report = audit.run_battery(config)
+    check_of = {
+        claim: (name, blocks)
+        for name, (claims, blocks) in _PER_G_CHECKS.items()
+        for claim in claims
+    }
+    calls: dict = {}
+    cells_of_values: dict = {}
+    for f in report.findings:
+        if f.claim not in check_of:
+            continue
+        name, blocks = check_of[f.claim]
+        inst = f.instance
+        assert inst.cell.by_g is None
+        cell = (inst["group"], *(tuple(inst[b]) for b in blocks), inst["n"], inst["m"])
+        witness = json.dumps(f.witness, sort_keys=True)
+        calls.setdefault((name, cell), {})[f.claim, inst["g"]] = witness
+        cells_of_values.setdefault(id(f.witness_values), set()).add(cell)
+    assert {claim for (name, _), found in calls.items() for claim, _ in found} == set(
+        check_of
+    )
+    # The run's memo was warmed by other cells: some witnesses serve several.
+    assert any(len(cells) > 1 for cells in cells_of_values.values())
+    for (name, (spec, x, y, n, m)), expected in calls.items():
+        G = groupspec.parse_group_spec(spec)
+        H, K = groups.SubgroupRef(G, x), groups.SubgroupRef(G, y)
+        gs = sorted({g for _, g in expected})
+        check = getattr(audit, name)
+        lone = check(H, K, n, gs) if name == "check_c5" else check(H, K, n, m, gs)
+        got = {
+            (f.claim, f.instance["g"]): json.dumps(f.witness, sort_keys=True)
+            for f in lone
+        }
+        assert got == expected, (name, spec, x, y, n, m)
+
+
+def test_run_instances_are_shared_by_what_they_are_made_of():
+    report = audit.run_battery(audit.AuditConfig(groups=("D4",), product_pairs=()))
+    # Every instance over two blocks; FROB_BOUND, ZETA_CHAR and EQ7 have one.
+    by_text: dict = {}
+    for f in report.findings:
+        if "K" in f.instance or "N" in f.instance:
+            text = json.dumps(f.instance, sort_keys=True)
+            by_text.setdefault(text, set()).add(id(f.instance))
+    assert len(by_text) > 100
+    assert all(len(ids) == 1 for ids in by_text.values())
+    p4 = [f for f in report.findings if f.claim == "P4"]
+    assert p4 and all(type(f.instance) is audit._GInstance for f in p4)

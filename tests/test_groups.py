@@ -626,6 +626,107 @@ def test_subgroup_conjugacy_representatives(s4):
     ) == 16
 
 
+
+def _reference_representatives(G, subs):
+    """Every conjugate walked element by element: the reference for the gather."""
+    by_members = {h.members: h for h in subs}
+    assigned = set()
+    reps = []
+    for h in subs:
+        if h.members in assigned:
+            continue
+        orbit = {
+            tuple(sorted(G.conjugate(x, t) for x in h.members))
+            for t in range(G.order)
+        }
+        assigned |= orbit
+        rep = min(orbit)
+        reps.append(by_members.get(rep) or groups.SubgroupRef(G, rep))
+    return reps
+
+
+@pytest.mark.parametrize("spec", [*audit.named_group_specs(24), "A5", "S5"])
+def test_representatives_match_the_element_walk(spec):
+    G = groupspec.parse_group_spec(spec)
+    subs = lattice.all_subgroups(G, cap=G.order)
+    reps = lattice.subgroup_conjugacy_representatives(G, subs)
+    expected = _reference_representatives(G, subs)
+    assert [r.members for r in reps] == [r.members for r in expected]
+    if spec == "S5":
+        assert (len(subs), len(reps)) == (156, 19)
+
+
+@pytest.mark.parametrize("spec", ["S7", "S7xC2"])
+def test_landmark_pool_representatives_conjugate_no_element(monkeypatch, spec):
+    G = groupspec.parse_group_spec(spec)
+    pool = audit._subgroup_pool(G, audit.AuditConfig(groups=(spec,), pair_policy="all"))
+
+    def refuse(self, a, b):
+        raise AssertionError("conjugated one element")
+
+    monkeypatch.setattr(groups.GroupTable, "conjugate", refuse)
+    reps = lattice.subgroup_conjugacy_representatives(G, pool)
+    assert [r.order for r in pool] == ([1, 5040] if spec == "S7" else [1, 2, 10080])
+    assert len(reps) == len(pool)
+    assert all(r is h for r, h in zip(reps, pool))
+
+
+def _reference_centralizer(H, K):
+    """C_H(K) from one |H| x |K| compare: the reference for the blocked one."""
+    G = H.parent
+    harr = np.asarray(H.members)
+    karr = np.asarray(K.members)
+    block = G.mul[np.ix_(harr, karr)] == G.mul[np.ix_(karr, harr)].T
+    return tuple(harr[block.all(axis=1)].tolist())
+
+
+@pytest.mark.parametrize("spec", ["D4", "Q8", "S4xC2", "S7"])
+def test_centralizer_of_the_whole_group_is_the_center(spec):
+    G = groupspec.parse_group_spec(spec)
+    full = groups.full_subgroup(G)
+    assert groups.centralizer_of_subgroup(full, full) == groups.center(G)
+
+
+def test_centralizer_past_one_block_matches_the_whole_compare():
+    G = groups.named_group("S", 6)
+    full = groups.full_subgroup(G)
+    assert full.order > groups._CHECK_BLOCK
+    ks = [groups.subgroup_closure(G, seed) for seed in ([7], [1, 100], [3, 200])]
+    # Orders 6, 120 and 360: A6 spans three blocks of K.
+    assert [K.order for K in ks] == [6, 120, 360]
+    for K in [*ks, full]:
+        for H in (full, K):
+            got = groups.centralizer_of_subgroup(H, K)
+            assert got.members == _reference_centralizer(H, K)
+
+
+def test_centralizer_scratch_stays_below_one_square_block():
+    G = groups.named_group("S", 7)
+    full = groups.full_subgroup(G)
+    tracemalloc.start()
+    try:
+        center = groups.centralizer_of_subgroup(full, full)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert center.members == (0,)
+    # One |G| x |G| compare would hold |G|^2 bools and two |G|^2 id blocks.
+    assert peak < G.order**2 // 4
+
+
+def test_trivial_and_whole_group_are_normal_at_once(monkeypatch):
+    G = groups.named_group("S", 5)
+    full, trivial = groups.full_subgroup(G), groups.trivial_subgroup(G)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("tested members")
+
+    monkeypatch.setattr(np, "isin", refuse)
+    assert groups.is_normal(G, full) and groups.is_normal(G, trivial)
+    with pytest.raises(AssertionError):
+        groups.is_normal(G, groups.subgroup_closure(G, [1]))
+
+
 def _point_walk_label(perm):
     """Cycle notation written point by point: the reference for cycle_label."""
     seen = [False] * len(perm)
