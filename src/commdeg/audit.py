@@ -26,25 +26,27 @@ then P1 per product pair, blocks and (n, m), with the g list of the
 product blocks.  A check that receives a g list decides every g in it from
 the cached count vectors, returning its findings in g order.
 
-A check takes its instance from ``_cell(n, m, **blocks)``, the dict
+A ``Finding`` names its instance by a cell and, for the per-g claims, a
+g.  A cell is what ``_cell(n, m, **blocks)`` gives, the dict
 ``{group, **blocks, n, m}`` with each block written as its member list:
-R1, P3, C4 and C6 report that ``_Cell``, and P2, T2_CHAIN, T3, C5 and P4
-report ``cell.at(g)``, the cell's one ``_GInstance`` for g; P5's cells
-have the blocks H and N.  A ``_GInstance`` points at its ``_Cell``,
-which holds, once per style (the sort key and CSV cell, and depth 3 of
-the report), its own text and the text of its g instances cut around
-the digits of g (``_template``).  ``_cell_writer`` writes a cell from
-its kept text, joins head, g and tail for a g instance, and writes every
-other dict with ``_dict_writer``.
+R1, P3, C4 and C6 report a cell, and P2, T2_CHAIN, T3, C5, P4 and P5
+report a cell and g, whose instance is ``{**cell, "g": g}``; P5's cells
+have the blocks H and N.  Only ``Finding.instance`` builds that dict.  A ``_Cell``
+keeps, once per style (the sort key and CSV cell, and depth 3 of the
+report), its own text and the text of its g instances cut around the
+digits of g (``_template``); ``_cell_writer`` writes a finding over a
+cell from that kept text, and any other instance with ``_dict_writer``.
+The sort keys a finding over a cell and g by the cell's head and the
+short rest, so it holds one head per cell, not one text per finding.
 
-A ``Finding`` is a slotted record that keeps its witness as a key tuple,
-shared by every witness of that layout, and a tuple of values; the
-report and CSV writers read the two tuples, not a dict.  One
-``run_battery`` call shares its work through one ``_RunTables``, keyed
-by what each piece is made from: one cell per blocks and exponents, one
-text per fraction, one values tuple per equal witness, and one per-g
-witness per layout function and numbers (``_witness``); the writers
-then write each distinct witness once.
+A ``Finding`` keeps its witness as a key tuple, shared by every witness
+of that layout, and a tuple of values; the report and CSV writers read
+the two tuples, not a dict.  One ``run_battery`` call shares its work
+through one memo, ``_per_run``, keyed by a function and its arguments:
+one cell per blocks and exponents, one text per fraction and one per-g
+witness per layout function and numbers.  Equal witnesses of a run also
+share one values tuple (``_shared``), and the writers write each
+distinct witness once.
 """
 
 from __future__ import annotations
@@ -161,27 +163,38 @@ _WITNESS_KEYS: dict[tuple[str, ...], tuple[str, ...]] = {}
 class _RunTables:
     """What one ``run_battery`` call shares between its findings.
 
-    ``ratios`` maps ``(c, s)`` to the text ``_ratio`` wrote for it.
-    ``witnesses`` maps a key tuple and the ``repr`` of a values tuple to
-    the first values tuple seen with them, which every equal witness of
-    the run then holds; the ``repr`` tells ``True`` from ``1`` and
-    ``0.0`` from ``-0.0``, which compare equal but are written apart.
-    ``memo`` maps a witness layout function and the numbers it is given to
-    the ``_Witness`` it made (see ``_witness``), and ``cells`` maps the
-    blocks and exponents of a cell to that ``_Cell`` (see ``_cell``).
+    ``memo`` maps a function and its arguments to what ``_per_run`` made
+    of them.  ``witnesses`` maps a key tuple and the ``repr`` of a values
+    tuple to the first values tuple seen with them, which every equal
+    witness of the run then holds; the ``repr`` tells ``True`` from ``1``
+    and ``0.0`` from ``-0.0``, which compare equal but are written apart.
     """
 
-    __slots__ = ("ratios", "witnesses", "memo", "cells")
+    __slots__ = ("memo", "witnesses")
 
     def __init__(self) -> None:
-        self.ratios: dict[tuple[int, int], str] = {}
+        self.memo: dict[tuple, object] = {}
         self.witnesses: dict[tuple[tuple[str, ...], str], tuple] = {}
-        self.memo: dict[tuple, _Witness] = {}
-        self.cells: dict[tuple, _Cell] = {}
 
 
 # The tables of the run_battery call in progress; None outside one.
 _RUN: ContextVar[Optional[_RunTables]] = ContextVar("_RUN", default=None)
+
+
+def _per_run(make: Callable, *args):
+    """``make(*args)``, made once per run for each ``make`` and ``args``.
+
+    ``make`` is a function of its arguments alone, none of which it
+    returns ``None`` for.  Outside a run each call makes a new value.
+    """
+    tables = _RUN.get()
+    if tables is None:
+        return make(*args)
+    key = (make, *args)
+    value = tables.memo.get(key)
+    if value is None:
+        value = tables.memo[key] = make(*args)
+    return value
 
 
 def _shared(keys: tuple[str, ...], values: tuple) -> tuple[tuple[str, ...], tuple]:
@@ -199,8 +212,9 @@ def _shared(keys: tuple[str, ...], values: tuple) -> tuple[tuple[str, ...], tupl
 class _Witness(Mapping):
     """A witness held as its shared key tuple and values tuple.
 
-    What a check hands to ``Finding``: a read-only mapping, which the
-    finding takes its two tuples from as they are.
+    What a per-g witness layout function returns and hands to ``Finding``:
+    a read-only mapping, which the finding takes its two tuples from as
+    they are.
     """
 
     __slots__ = ("key_tuple", "value_tuple")
@@ -223,41 +237,28 @@ class _Witness(Mapping):
         return len(self.key_tuple)
 
 
-def _witness(make: Callable[..., dict], *numbers) -> _Witness:
-    """The witness ``make(*numbers)``, made once per run for each ``numbers``.
-
-    ``make`` is a layout function of the numbers its witness shows, so
-    ``(make, *numbers)`` keys the witness.  Outside a run each call makes
-    a new one.
-    """
-    tables = _RUN.get()
-    if tables is None:
-        return _Witness(make(*numbers))
-    key = (make, *numbers)
-    witness = tables.memo.get(key)
-    if witness is None:
-        witness = tables.memo[key] = _Witness(make(*numbers))
-    return witness
-
-
 @dataclass(slots=True, init=False)
 class Finding:
     """One checked instance: what was tested, the verdict, and the numbers.
 
-    A slotted record that holds its witness as two tuples: the keys, one
-    tuple shared by every witness with the same keys in the same order,
-    and the values in that order, one tuple shared by every equal
-    witness of a ``run_battery`` call.  ``witness`` is a fresh dict made
-    from them on each read, with fresh copies of its lists, so changing
-    it changes nothing in any finding.
+    A slotted record that names its instance by ``cell``, a ``_Cell`` or
+    plain dict kept as given, and ``g``: the instance is the cell itself
+    when ``g`` is ``None``, else a fresh ``{**cell, "g": g}`` on each
+    read.  It holds its witness as two tuples: the keys, one tuple shared
+    by every witness with the same keys in the same order, and the values
+    in that order, one tuple shared by every equal witness of a
+    ``run_battery`` call.  ``witness`` is a fresh dict made from them on
+    each read, with fresh copies of its lists, so changing it changes
+    nothing in any finding.
     """
 
     claim: str
-    instance: dict
+    cell: dict
     verdict: str
     witness_keys: tuple[str, ...]
     witness_values: tuple
     runtime_ms: float
+    g: Optional[int]
 
     def __init__(
         self,
@@ -266,9 +267,11 @@ class Finding:
         verdict: str,
         witness: Mapping,
         runtime_ms: float = 0.0,
+        *,
+        g: Optional[int] = None,
     ) -> None:
         self.claim = claim
-        self.instance = instance
+        self.cell = instance
         self.verdict = verdict
         if type(witness) is _Witness:
             self.witness_keys = witness.key_tuple
@@ -278,6 +281,11 @@ class Finding:
                 tuple(witness), tuple(witness.values())
             )
         self.runtime_ms = runtime_ms
+        self.g = g
+
+    @property
+    def instance(self) -> dict:
+        return self.cell if self.g is None else {**self.cell, "g": self.g}
 
     @property
     def witness(self) -> dict:
@@ -303,15 +311,12 @@ def _ratio(c: int, s: int) -> str:
 
     Within a run each ``(c, s)`` is written once.
     """
-    tables = _RUN.get()
-    if tables is None:
-        d = math.gcd(c, s)
-        return f"{c // d}/{s // d}"
-    text = tables.ratios.get((c, s))
-    if text is None:
-        d = math.gcd(c, s)
-        text = tables.ratios[c, s] = f"{c // d}/{s // d}"
-    return text
+    return _per_run(_lowest_terms, c, s)
+
+
+def _lowest_terms(c: int, s: int) -> str:
+    d = math.gcd(c, s)
+    return f"{c // d}/{s // d}"
 
 
 def _mem(S: SubgroupRef) -> list[int]:
@@ -342,11 +347,10 @@ class _Cell(dict):
     (``_indented_writer``).  ``compact`` and ``indented`` hold the head and
     the tail around the digits of g in the text of any of the cell's g
     instances, ``compact_text`` and ``indented_text`` the text of the cell
-    itself.  See ``_cell_writer``.  ``by_g`` indexes the g instances made
-    by ``at``; ``_run_tables`` drops it when its run ends.
+    itself.  See ``_cell_writer``.
     """
 
-    __slots__ = ("compact", "indented", "compact_text", "indented_text", "by_g")
+    __slots__ = ("compact", "indented", "compact_text", "indented_text")
 
     def __init__(self, base: dict) -> None:
         super().__init__(base)
@@ -354,42 +358,27 @@ class _Cell(dict):
         self.indented: Optional[tuple[str, str]] = None
         self.compact_text: Optional[str] = None
         self.indented_text: Optional[str] = None
-        self.by_g: Optional[dict[int, _GInstance]] = None
 
-    def at(self, g: int) -> _GInstance:
-        """The cell's one instance ``{**cell, "g": g}``."""
-        by_g = self.by_g
-        if by_g is None:
-            by_g = self.by_g = {}
-        inst = by_g.get(g)
-        if inst is None:
-            inst = by_g[g] = _GInstance(self, g=g)
-            inst.cell = self
-        return inst
-
-
-class _GInstance(dict):
-    """The instance ``{**cell, "g": g}``, a plain dict to every reader."""
-
-    __slots__ = ("cell",)
+    def cut(self, write: Callable[[dict], str], style: str) -> tuple[str, str]:
+        """The head and tail of ``write`` around g, kept in the ``style`` slot."""
+        cut = getattr(self, style)
+        if cut is None:
+            cut = _template(write, self)
+            setattr(self, style, cut)
+        return cut
 
 
 def _cell(n: int, m: int, **blocks: SubgroupRef) -> _Cell:
     """The cell ``{group, **blocks, n, m}``, each block as its member list.
 
-    Inside a run there is one cell per blocks and exponents; outside one,
-    each call makes a new cell.
+    Inside a run there is one cell per blocks and exponents.
     """
-    tables = _RUN.get()
-    key = (n, m, *blocks.items())
-    cell = None if tables is None else tables.cells.get(key)
-    if cell is None:
-        G = next(iter(blocks.values())).parent
-        members = {name: _mem(S) for name, S in blocks.items()}
-        cell = _Cell(_inst(G, **members, n=n, m=m))
-        if tables is not None:
-            tables.cells[key] = cell
-    return cell
+    return _per_run(_new_cell, n, m, *blocks.items())
+
+
+def _new_cell(n: int, m: int, *blocks: tuple[str, SubgroupRef]) -> _Cell:
+    G = blocks[0][1].parent
+    return _Cell(_inst(G, **{name: _mem(S) for name, S in blocks}, n=n, m=m))
 
 
 @lru_cache(maxsize=4096)
@@ -475,26 +464,26 @@ def check_multiplicativity(
 
 def _p2a_witness(
     lhs: int, size: int, as_written: int, swapped_size: int, exp_swapped: int
-) -> dict:
-    return {
+) -> _Witness:
+    return _Witness({
         "lhs": _ratio(lhs, size),
         "swapped_same_exponents": _ratio(as_written, swapped_size),
         "swapped_exponents_too": _ratio(exp_swapped, size),
         "exponent_swapped_equal": lhs == exp_swapped,
-    }
+    })
 
 
 def _p2b_witness(
     h_normal: bool, k_normal: bool, lhs: int, size: int,
     swapped: int, swapped_size: int, inverted: int,
-) -> dict:
-    return {
+) -> _Witness:
+    return _Witness({
         "H_normal": h_normal,
         "K_normal": k_normal,
         "lhs": _ratio(lhs, size),
         "swapped_subgroups": _ratio(swapped, swapped_size),
         "inverted_element": _ratio(inverted, size),
-    }
+    })
 
 
 def check_symmetry(
@@ -521,25 +510,24 @@ def check_symmetry(
     cell = _cell(n, m, H=H, K=K)
     findings = []
     for g in gs:
-        inst = cell.at(g)
         ginv = int(inv[g])
         lhs = counts[g]
         as_written = swapped_counts[ginv]
-        witness = _witness(
+        witness = _per_run(
             _p2a_witness, lhs, size, as_written, swapped_size, exp_swapped_counts[ginv]
         )
         verdict = HOLDS if lhs * swapped_size == as_written * size else VIOLATED
-        findings.append(Finding("P2a", inst, verdict, witness))
+        findings.append(Finding("P2a", cell, verdict, witness, g=g))
         if not (h_normal or k_normal):
-            findings.append(Finding("P2b", inst, VACUOUS, vacuous))
+            findings.append(Finding("P2b", cell, VACUOUS, vacuous, g=g))
             continue
         swapped = swapped_counts[g]
         inverted = counts[ginv]
         ok = lhs * swapped_size == swapped * size and lhs == inverted
-        witness = _witness(
+        witness = _per_run(
             _p2b_witness, h_normal, k_normal, lhs, size, swapped, swapped_size, inverted
         )
-        findings.append(Finding("P2b", inst, HOLDS if ok else VIOLATED, witness))
+        findings.append(Finding("P2b", cell, HOLDS if ok else VIOLATED, witness, g=g))
     return findings
 
 
@@ -634,14 +622,14 @@ def check_c4(H: SubgroupRef, K: SubgroupRef, n: int, m: int) -> Finding:
 def _p4_witness(
     smaller: int, smaller_size: int,
     larger: int, larger_size: int, match: Optional[bool],
-) -> dict:
+) -> _Witness:
     fields = {
         "smaller_subgroup_prob": _ratio(smaller, smaller_size),
         "larger_subgroup_prob": _ratio(larger, larger_size),
     }
     if match is not None:
         fields["class_partitions_match"] = match
-    return fields
+    return _Witness(fields)
 
 
 def check_monotonicity(
@@ -658,7 +646,7 @@ def check_monotonicity(
     cell = _cell(n, m, H=H, K=K)
     if not set(H.members) <= set(K.members):
         reason = {"reason": "H is not contained in K"}
-        return [Finding("P4", cell.at(g), PRECONDITION_FAILED, reason) for g in gs]
+        return [Finding("P4", cell, PRECONDITION_FAILED, reason, g=g) for g in gs]
     full = groups.full_subgroup(G)
     smaller = engine.final_counts(H, full, n, m)
     larger = engine.final_counts(K, full, n, m)
@@ -674,24 +662,24 @@ def check_monotonicity(
                 engine.conjugacy_info(H).class_of, engine.conjugacy_info(K).class_of
             )
         match = same if lhs == rhs else None
-        witness = _witness(
+        witness = _per_run(
             _p4_witness, smaller[g], smaller_size, larger[g], larger_size, match
         )
         verdict = HOLDS if lhs >= rhs else VIOLATED
-        findings.append(Finding("P4", cell.at(g), verdict, witness))
+        findings.append(Finding("P4", cell, verdict, witness, g=g))
     return findings
 
 
 def _p5_witness(
     sub: int, sub_size: int, quo: int, quo_size: int,
     intersection_order: int, equality_required: bool,
-) -> dict:
-    return {
+) -> _Witness:
+    return _Witness({
         "subgroup_prob": _ratio(sub, sub_size),
         "quotient_prob": _ratio(quo, quo_size),
         "intersection_order": intersection_order,
         "equality_required": equality_required,
-    }
+    })
 
 
 def check_quotient(
@@ -716,7 +704,7 @@ def check_quotient(
         reason = "H is not contained in N"
     if reason is not None:
         return [
-            Finding("P5", cell.at(g), PRECONDITION_FAILED, {"reason": reason})
+            Finding("P5", cell, PRECONDITION_FAILED, {"reason": reason}, g=g)
             for g in gs
         ]
     Q, proj = quotient if quotient is not None else groups.quotient_group(G, N)
@@ -737,19 +725,20 @@ def check_quotient(
         lhs = sub[g] * quo_size
         rhs = quo[coset] * sub_size
         ok = lhs <= rhs and (not equality_required or lhs == rhs)
-        witness = _witness(
+        witness = _per_run(
             _p5_witness, sub[g], sub_size, quo[coset], quo_size,
             len(intersection), equality_required,
         )
-        findings.append(Finding("P5", cell.at(g), HOLDS if ok else VIOLATED, witness))
+        verdict = HOLDS if ok else VIOLATED
+        findings.append(Finding("P5", cell, verdict, witness, g=g))
     return findings
 
 
 def _chain_witness(
     whole: int, whole_size: int, pair: int, pair_size: int, pair_id: int,
     ambient_id: int, ambient_size: int, self_id: int, self_size: int,
-) -> dict:
-    return {
+) -> _Witness:
+    return _Witness({
         "whole_group": _ratio(whole, whole_size),
         "pair": _ratio(pair, pair_size),
         "pair_identity": _ratio(pair_id, pair_size),
@@ -761,7 +750,7 @@ def _chain_witness(
             pair_id * ambient_size <= ambient_id * pair_size,
             ambient_id * self_size <= self_id * ambient_size,
         ],
-    }
+    })
 
 
 def check_chain(
@@ -785,18 +774,18 @@ def check_chain(
     cell = _cell(n, m, H=H, K=K)
     findings = []
     for g in gs:
-        witness = _witness(
+        witness = _per_run(
             _chain_witness, whole[g], whole_size, pair[g], pair_size,
             pair_id, ambient_id, ambient_size, self_id, self_size,
         )
         verdict = HOLDS if all(witness["links_hold"]) else VIOLATED
-        findings.append(Finding("T2_CHAIN", cell.at(g), verdict, witness))
+        findings.append(Finding("T2_CHAIN", cell, verdict, witness, g=g))
     return findings
 
 
 def _c5_witness(
     count: int, size: int, n: int, center_order: int, subgroup_center_order: int
-) -> dict:
+) -> _Witness:
     fields = {
         "lhs": _ratio(count, size),
         "bound": _ratio(2**n - 1, 2**n),
@@ -805,7 +794,7 @@ def _c5_witness(
     }
     if subgroup_center_order == 1:
         fields["variant_subgroup_center_holds"] = count * 2**n <= (2**n - 1) * size
-    return fields
+    return _Witness(fields)
 
 
 def check_c5(
@@ -824,29 +813,35 @@ def check_c5(
     cell = _cell(n, 1, H=H, K=K)
     findings = []
     for g in gs:
-        witness = _witness(_c5_witness, counts[g], size, n, center_order, z_h_order)
+        witness = _per_run(_c5_witness, counts[g], size, n, center_order, z_h_order)
         if center_order != 1:
             verdict = VACUOUS
         elif counts[g] * 2**n <= (2**n - 1) * size:
             verdict = HOLDS
         else:
             verdict = VIOLATED
-        findings.append(Finding("C5", cell.at(g), verdict, witness))
+        findings.append(Finding("C5", cell, verdict, witness, g=g))
     return findings
 
 
-def _t3i_witness(lhs: int, size: int, upper_num: int, upper_den: int, p: int) -> dict:
-    return {"lhs": _ratio(lhs, size), "bound": _ratio(upper_num, upper_den), "prime": p}
+def _t3i_witness(
+    lhs: int, size: int, upper_num: int, upper_den: int, p: int
+) -> _Witness:
+    return _Witness(
+        {"lhs": _ratio(lhs, size), "bound": _ratio(upper_num, upper_den), "prime": p}
+    )
 
 
-def _t3ii_witness(lhs: int, size: int, lower_num: int, p: int, y: int, c: int) -> dict:
-    return {
+def _t3ii_witness(
+    lhs: int, size: int, lower_num: int, p: int, y: int, c: int
+) -> _Witness:
+    return _Witness({
         "lhs": _ratio(lhs, size),
         "bound": _ratio(lower_num, size),
         "prime": p,
         "y_tuple_count": y,
         "mutual_centralizer_order": c,
-    }
+    })
 
 
 def check_t3(
@@ -862,7 +857,7 @@ def check_t3(
     if G.order == 1:
         reason = "no prime divides the trivial group order"
         return [
-            Finding(tag, cell.at(g), PRECONDITION_FAILED, {"reason": reason})
+            Finding(tag, cell, PRECONDITION_FAILED, {"reason": reason}, g=g)
             for g in gs
             for tag in ("T3i", "T3ii")
         ]
@@ -875,14 +870,13 @@ def check_t3(
     lower_num = (1 - p) * y + p * H.order**n - (K.order + p) * c**n
     findings = []
     for g in gs:
-        inst = cell.at(g)
         lhs = counts[g]
-        witness = _witness(_t3i_witness, lhs, size, upper_num, upper_den, p)
+        witness = _per_run(_t3i_witness, lhs, size, upper_num, upper_den, p)
         verdict = HOLDS if lhs * upper_den <= upper_num * size else VIOLATED
-        findings.append(Finding("T3i", inst, verdict, witness))
-        witness = _witness(_t3ii_witness, lhs, size, lower_num, p, y, c)
+        findings.append(Finding("T3i", cell, verdict, witness, g=g))
+        witness = _per_run(_t3ii_witness, lhs, size, lower_num, p, y, c)
         verdict = HOLDS if lhs >= lower_num else VIOLATED
-        findings.append(Finding("T3ii", inst, verdict, witness))
+        findings.append(Finding("T3ii", cell, verdict, witness, g=g))
     return findings
 
 
@@ -1362,7 +1356,7 @@ def _finding_texts(
         claim = quoted.get(f.claim) or quote(f.claim)
         verdict = quoted.get(f.verdict) or quote(f.verdict)
         yield (
-            f'{{\n   "claim": {claim},\n   "instance": {instance_text(f.instance)}'
+            f'{{\n   "claim": {claim},\n   "instance": {instance_text(f)}'
             f'{runtime},\n   "verdict": {verdict},\n   "witness": {witness_text(f)}'
             "\n  }"
         )
@@ -1417,34 +1411,33 @@ def _indented_writer() -> Callable[[dict], str]:
     )
 
 
-def _cell_writer(write: Callable[[dict], str], style: str) -> Callable[[dict], str]:
-    """``write`` for instances, writing each cell's instances once or from a template.
+def _cell_writer(
+    write: Callable[[dict], str], style: str
+) -> Callable[[Finding], str]:
+    """``write`` of a finding's instance, from its cell's kept text where it has one.
 
-    The text of a cell is made once by ``write`` and kept in the cell's
-    ``<style>_text`` slot.  The instance of one g of a cell is the head
-    and the tail ``_template`` cuts from ``write`` once per cell, kept in
-    the cell's ``style`` slot, with the digits of g in between.  Any other
-    instance goes through ``write``.
+    The text of a ``_Cell`` is made once by ``write`` and kept in its
+    ``<style>_text`` slot.  A finding over a ``_Cell`` and g is written as
+    the head and the tail ``_template`` cuts from ``write`` once per cell
+    (``_Cell.cut``), with the digits of g in between.  Any other instance
+    goes through ``write``.
     """
     own = style + "_text"
 
-    def text(inst: dict) -> str:
-        kind = type(inst)
-        if kind is _GInstance:
-            cell = inst.cell
-            cut = getattr(cell, style)
-            if cut is None:
-                cut = _template(write, cell)
-                setattr(cell, style, cut)
-            # One f-string makes one string; g is an int, written as repr.
-            return f"{cut[0]}{inst['g']}{cut[1]}"
-        if kind is _Cell:
-            whole = getattr(inst, own)
+    def text(f: Finding) -> str:
+        cell = f.cell
+        if type(cell) is not _Cell:
+            return write(f.instance)
+        g = f.g
+        if g is None:
+            whole = getattr(cell, own)
             if whole is None:
-                whole = write(inst)
-                setattr(inst, own, whole)
+                whole = write(cell)
+                setattr(cell, own, whole)
             return whole
-        return write(inst)
+        head, tail = cell.cut(write, style)
+        # One f-string makes one string; g is an int, written as repr.
+        return f"{head}{g}{tail}"
 
     return text
 
@@ -1596,8 +1589,8 @@ _TABLE_CHECKS = {
     "check_frob_bound", "check_zeta_character", "check_eq7", *_GROUP_CHECKS
 }
 
-def instance_json_writer() -> Callable[[dict], str]:
-    """A writer of ``json.dumps(instance, sort_keys=True)`` for instances."""
+def instance_json_writer() -> Callable[[Finding], str]:
+    """A writer of ``json.dumps(f.instance, sort_keys=True)`` for findings f."""
     return _cell_writer(_compact_writer(), "compact")
 
 
@@ -1615,14 +1608,25 @@ def witness_json_writer() -> Callable[[Finding], str]:
 def _sort_findings(findings: list[Finding]) -> None:
     """Sort by claim, then by the text of ``json.dumps(instance, sort_keys=True)``.
 
-    The findings go into one list per claim, and each list is sorted by
-    its instance texts alone, as ``instance_json_writer`` writes them.
-    The texts are made one claim at a time, and each claim's are dropped
-    before the next claim's are made.  A cell keeps its own text (see
-    ``_cell_writer``), so it is written once however many claims report
-    it; a g instance's text is joined from its cell's template.
+    The findings go into one list per claim, each sorted one claim at a
+    time by its instance texts cut in two: a finding over a ``_Cell`` and
+    g by the cell's head, kept once per cell, and ``f"{g}{tail}"``; any
+    other by its text cut after its first ``"g": ``, or whole.  A cell's
+    head ends at the one ``"g": `` of its text too, and a whole text is a
+    whole object, so no head is a proper prefix of another, and the pairs
+    sort as the whole texts do.
     """
-    instance_text = instance_json_writer()
+    write = _compact_writer()
+    instance_text = _cell_writer(write, "compact")
+
+    def key(f: Finding) -> tuple[str, str]:
+        cell, g = f.cell, f.g
+        if g is not None and type(cell) is _Cell:
+            head, tail = cell.cut(write, "compact")
+            return head, f"{g}{tail}"
+        head, sep, tail = instance_text(f).partition('"g": ')
+        return head + sep, tail
+
     by_claim: dict[str, list[Finding]] = {}
     for f in findings:
         bucket = by_claim.get(f.claim)
@@ -1632,7 +1636,7 @@ def _sort_findings(findings: list[Finding]) -> None:
     findings.clear()
     for claim in sorted(by_claim):
         bucket = by_claim.pop(claim)
-        bucket.sort(key=lambda f: instance_text(f.instance))
+        bucket.sort(key=key)
         findings.extend(bucket)
 
 
@@ -1650,15 +1654,12 @@ def _collector_paused() -> Iterator[None]:
 
 @contextmanager
 def _run_tables() -> Iterator[None]:
-    """Share work through new ``_RunTables``; drop them and the g indexes on exit."""
-    tables = _RunTables()
-    token = _RUN.set(tables)
+    """Share work through new ``_RunTables``; drop them on exit."""
+    token = _RUN.set(_RunTables())
     try:
         yield
     finally:
         _RUN.reset(token)
-        for cell in tables.cells.values():
-            cell.by_g = None
 
 
 def run_battery(config: AuditConfig) -> AuditReport:
@@ -1666,7 +1667,7 @@ def run_battery(config: AuditConfig) -> AuditReport:
 
     Each instance shape of a group is walked once, calling every selected
     check of that shape (see the module docstring).  The checks on one
-    (H, K, n, m) cell share its instances through the run's tables (see
+    (H, K, n, m) cell report one shared cell through the run's memo (see
     ``_cell``).  Instance generation is fully deterministic (ordering comes
     from the config and from element ids), so a fixed config yields a
     byte-identical serialized report; per-finding timings are measured but
@@ -1704,8 +1705,8 @@ def run_battery(config: AuditConfig) -> AuditReport:
     # leave are standard-library closures (``ast.literal_eval``,
     # ``inspect``), a few hundred objects on the default battery, freed by
     # the first collection after the pause.
-    # The cells' g indexes and the run's tables are dropped before the
-    # sort, which then holds one instance text per finding of a claim.
+    # The run's tables are dropped before the sort, which holds one head
+    # per cell and a short key per finding of a claim.
     with _collector_paused():
         with _run_tables():
             for spec in config.groups:

@@ -133,7 +133,7 @@ class OrthogonalityReport:
 
 def _class_layout(G: GroupTable) -> tuple[list[int], list[int], np.ndarray]:
     """Conjugacy classes ordered by (size, least member id)."""
-    info = groups.conjugacy(G, groups.full_subgroup(G))
+    info = engine.conjugacy_info(groups.full_subgroup(G))
     order = sorted(
         range(len(info.classes)),
         key=lambda i: (len(info.classes[i]), info.classes[i][0]),

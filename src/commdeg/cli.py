@@ -687,7 +687,7 @@ def _write_audit(
         witness_text = audit.witness_json_writer()
         for f in report.findings:
             writer.writerow(
-                [f.claim, f.verdict, instance_text(f.instance), witness_text(f)]
+                [f.claim, f.verdict, instance_text(f), witness_text(f)]
                 + ([round(f.runtime_ms, 3)] if args.timings else [])
             )
     elif args.output == "table":

@@ -3,6 +3,7 @@ import gc
 import hashlib
 import io
 import json
+import random
 import tracemalloc
 from fractions import Fraction
 
@@ -497,8 +498,8 @@ def test_finding_witness_is_the_dict_the_check_built(monkeypatch, s3, a3_in_s3):
     class Recording(audit.Finding):
         __slots__ = ()
 
-        def __init__(self, claim, instance, verdict, witness, runtime_ms=0.0):
-            super().__init__(claim, instance, verdict, witness, runtime_ms)
+        def __init__(self, claim, instance, verdict, witness, runtime_ms=0.0, **kw):
+            super().__init__(claim, instance, verdict, witness, runtime_ms, **kw)
             built.append((self, dict(witness)))
 
     monkeypatch.setattr(audit, "Finding", Recording)
@@ -576,21 +577,71 @@ def test_cell_template_is_the_encoder_text(name, blocks, n, m):
             assert head + str(g) + tail == writer(inst) == reference(inst)
 
 
+def test_sort_orders_findings_as_their_instance_texts():
+    # Member lists whose texts share prefixes, g whose digits do, and every
+    # way a finding can name its instance: a cell, a cell and g, a plain
+    # dict and g, and a plain dict with its own "g" key.
+    lists = ([0, 1], [0, 1, 2], [0, 10])
+    findings = []
+    for name in _TEMPLATE_NAMES:
+        findings.append(audit.Finding("T3i", {"group": name}, audit.HOLDS, {}))
+        for x, y, blocks, n in [
+            (x, y, blocks, n)
+            for x in lists
+            for y in lists
+            for blocks in (("H", "K"), ("H", "N"))
+            for n in (1, 12)
+        ]:
+            base = {"group": name, blocks[0]: x, blocks[1]: y, "n": n, "m": 2}
+            cell = audit._Cell(base)
+            for claim in ("C4", "T3i"):
+                findings.append(audit.Finding(claim, cell, audit.HOLDS, {}))
+                for g in (0, 9, 10, 99, 100, 12345):
+                    findings += [
+                        audit.Finding(claim, cell, audit.HOLDS, {}, g=g),
+                        audit.Finding(claim, dict(base), audit.HOLDS, {}, g=g),
+                        audit.Finding(claim, {**base, "g": g}, audit.HOLDS, {}),
+                    ]
+    random.Random(0).shuffle(findings)
+    expected = sorted(
+        findings, key=lambda f: (f.claim, json.dumps(f.instance, sort_keys=True))
+    )
+    audit._sort_findings(findings)
+    assert [id(f) for f in findings] == [id(f) for f in expected]
+
+
+def test_sort_holds_one_head_per_cell():
+    # One text per finding would hold 1,000 copies of the two lists.
+    members = list(range(2000))
+    cell = audit._Cell({"group": "C2000", "H": members, "K": members, "n": 1, "m": 1})
+    findings = [audit.Finding("C5", cell, audit.VACUOUS, {}, g=g) for g in range(1000)]
+    random.Random(0).shuffle(findings)
+    tracemalloc.start()
+    try:
+        audit._sort_findings(findings)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert [f.g for f in findings] == sorted(range(1000), key=lambda g: f"{g},")
+    assert peak < 2 * 2**20
+
+
 def test_battery_templates_are_the_encoder_text():
     config = audit.AuditConfig(groups=("S3", "D4", "Q8", "C6"), product_pairs=())
     report = audit.run_battery(config)
     report.write(_Discard())
     per_g = [
-        f.instance
+        f
         for f in report.findings
-        if isinstance(f.instance, audit._GInstance)
+        if f.g is not None and type(f.cell) is audit._Cell
     ]
     assert len(per_g) > len(report.findings) / 2
-    for inst in per_g:
-        g = str(inst["g"])
-        head, tail = inst.cell.compact
+    for f in per_g:
+        inst, g = f.instance, str(f.g)
+        assert "g" not in f.cell and inst == {**f.cell, "g": f.g}
+        head, tail = f.cell.compact
         assert head + g + tail == json.dumps(inst, sort_keys=True)
-        head, tail = inst.cell.indented
+        head, tail = f.cell.indented
         assert head + g + tail == jsontext.encode(inst, "\n   ")
 
 
@@ -610,7 +661,7 @@ def test_checks_of_one_cell_share_its_instances():
         assert by_text
         for text, found in by_text.items():
             assert len(found) == counts[json.loads(text)["m"]], text
-            assert all(f.instance is found[0].instance for f in found), text
+            assert all(f.cell is found[0].cell for f in found), text
 
 
 def test_lone_check_builds_its_own_plain_equal_instances(s3, a3_in_s3):
@@ -625,8 +676,11 @@ def test_lone_check_builds_its_own_plain_equal_instances(s3, a3_in_s3):
     ]
     assert [f.instance for f in findings] == plain
     assert [json.dumps(f.instance) for f in findings] == [json.dumps(d) for d in plain]
+    assert [f.g for f in findings] == [g for g in gs for _ in ("T3i", "T3ii")]
+    # Outside a run each call makes its own cell.
     again = audit.check_t3(a3_in_s3, full, 2, 1, gs)
-    assert again[0].instance is not findings[0].instance
+    assert again[0].cell is not findings[0].cell
+    assert all(f.cell is findings[0].cell for f in findings)
 
 
 def test_report_dumps_peak_memory(s3_d4_report):
@@ -823,11 +877,11 @@ def test_run_witnesses_equal_those_of_lone_calls():
         if f.claim not in check_of:
             continue
         name, blocks = check_of[f.claim]
-        inst = f.instance
-        assert inst.cell.by_g is None
+        inst = f.cell
+        assert type(inst) is audit._Cell and "g" not in inst
         cell = (inst["group"], *(tuple(inst[b]) for b in blocks), inst["n"], inst["m"])
         witness = json.dumps(f.witness, sort_keys=True)
-        calls.setdefault((name, cell), {})[f.claim, inst["g"]] = witness
+        calls.setdefault((name, cell), {})[f.claim, f.g] = witness
         cells_of_values.setdefault(id(f.witness_values), set()).add(cell)
     assert {claim for (name, _), found in calls.items() for claim, _ in found} == set(
         check_of
@@ -840,10 +894,7 @@ def test_run_witnesses_equal_those_of_lone_calls():
         gs = sorted({g for _, g in expected})
         check = getattr(audit, name)
         lone = check(H, K, n, gs) if name == "check_c5" else check(H, K, n, m, gs)
-        got = {
-            (f.claim, f.instance["g"]): json.dumps(f.witness, sort_keys=True)
-            for f in lone
-        }
+        got = {(f.claim, f.g): json.dumps(f.witness, sort_keys=True) for f in lone}
         assert got == expected, (name, spec, x, y, n, m)
 
 
@@ -852,10 +903,10 @@ def test_run_instances_are_shared_by_what_they_are_made_of():
     # Every instance over two blocks; FROB_BOUND, ZETA_CHAR and EQ7 have one.
     by_text: dict = {}
     for f in report.findings:
-        if "K" in f.instance or "N" in f.instance:
-            text = json.dumps(f.instance, sort_keys=True)
-            by_text.setdefault(text, set()).add(id(f.instance))
+        if "K" in f.cell or "N" in f.cell:
+            text = json.dumps(f.cell, sort_keys=True)
+            by_text.setdefault(text, set()).add(id(f.cell))
     assert len(by_text) > 100
     assert all(len(ids) == 1 for ids in by_text.values())
     p4 = [f for f in report.findings if f.claim == "P4"]
-    assert p4 and all(type(f.instance) is audit._GInstance for f in p4)
+    assert p4 and all(type(f.cell) is audit._Cell and f.g is not None for f in p4)
