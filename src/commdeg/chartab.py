@@ -15,8 +15,18 @@ WORKING_SET_BYTES_MAX (512 MiB at WORKING_SET_BYTES_PER_ENTRY bytes per
 class pair, so k <= 1024) raise ResourceLimit before any k x k array is
 allocated.  ``table_to_json`` writes the JSON one irreducible at a time,
 so the rows no longer hold the whole text: C1024, at the limit, takes
-about 9 s and peaks at 217 MB RSS as ``chartab -o json`` on a 2-core
-x86-64 machine (16 s and 443 MB when the rows were built whole).
+6.7-8.4 s of wall time, and as much CPU time, and peaks at 215 MB RSS as
+``chartab -o json`` on a 2-core x86-64 machine (16 s and 443 MB when the
+rows were built whole).
+
+BLAS threads: the k x k products and the eigensolve here are too small
+to share, so the CLI runs with one OpenBLAS thread unless its caller set
+OPENBLAS_NUM_THREADS, GOTO_NUM_THREADS or OMP_NUM_THREADS (see
+``cli.main``); with a thread per core the extra threads busy-wait
+between calls and about double the CPU time.  Importing this module
+leaves numpy's pool as it is.  The thread count can change the last
+bits of the eigenvectors, so a count other than one can change the last
+bits of ``table_to_json`` for k >= 256.
 """
 
 from __future__ import annotations

@@ -5,6 +5,10 @@ Exit codes: 0 success, 2 usage error, 3 hard-guarantee audit violation,
 Element ids everywhere are the dense ids assigned at group construction;
 `info` prints the id-to-permutation table so ids can be chosen
 meaningfully.
+
+Run as a program (``python -m commdeg.cli`` or the ``commdeg`` script),
+the command uses one BLAS thread unless its caller chose a count; see
+`main`.
 """
 
 from __future__ import annotations
@@ -43,6 +47,8 @@ EXIT_COMPUTE = 4
 EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, as a shell reports a piped-to process
 
 _ENV_MAX_ORDER = "COMMDEG_MAX_ORDER"
+# The variables OpenBLAS reads its thread count from.
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
 
 
 def _positive_int(text: str) -> int:
@@ -719,6 +725,20 @@ _HANDLERS = {
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
+    """Run one command; ``argv`` None means the process's own arguments.
+
+    With ``argv`` None the process is the CLI, and numpy is not loaded
+    yet, so the BLAS thread count is still open: unless the caller set
+    one of `_BLAS_THREAD_VARS` to a non-empty value, it is set to one
+    thread.  commdeg's only
+    BLAS work is chartab's k x k calls (k <= 1024), each too small to
+    share, where a second thread busy-waits between calls: it adds CPU
+    time, saves no wall time, and changes the last bits of large tables'
+    full-precision JSON with the core count.  A call with a list of
+    arguments leaves the environment as it is.
+    """
+    if argv is None and not any(os.environ.get(var) for var in _BLAS_THREAD_VARS):
+        os.environ["OPENBLAS_NUM_THREADS"] = "1"
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

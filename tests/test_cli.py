@@ -352,20 +352,25 @@ def test_chartab_table(capsys):
     assert "3 classes" in out
 
 
+def _child_env():
+    """This process's environment, with the package's ``src`` on PYTHONPATH."""
+    src = str(Path(commdeg.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
 def _run_capped(limit, *argv):
     """Run the CLI in a child with its address space capped at ``limit``.
 
     An allocation past the cap ends in MemoryError (exit 1), not in the
     typed error, so the tests below see whether a refusal came first.
     """
-    src = str(Path(commdeg.__file__).resolve().parent.parent)
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     return subprocess.run(
         [sys.executable, "-m", "commdeg.cli", *argv],
         capture_output=True,
         text=True,
-        env=env,
+        env=_child_env(),
         timeout=60,
         preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
     )
@@ -472,14 +477,11 @@ def test_product_over_the_cap_exits_4_before_building_its_atoms(spec, order):
     "argv", [("chartab", "-G", "C200", "-o", "json"), ("info", "-G", "C500")]
 )
 def test_closed_stdout_exits_141_without_a_traceback(argv):
-    src = str(Path(commdeg.__file__).resolve().parent.parent)
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     proc = subprocess.Popen(
         [sys.executable, "-m", "commdeg.cli", *argv],
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
-        env=env,
+        env=_child_env(),
     )
     # Both outputs are far larger than a pipe's buffer, so the child is
     # still writing when the pipe closes.
@@ -832,14 +834,11 @@ print(json.dumps({"results": results, "numpy_imported": imported}))
 
 
 def _child_main(mode, argvs):
-    src = str(Path(commdeg.__file__).resolve().parent.parent)
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-c", _CHILD_MAIN, mode, json.dumps(argvs)],
         capture_output=True,
         text=True,
-        env=env,
+        env=_child_env(),
         timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
@@ -871,6 +870,107 @@ def test_prob_symmetric_imports_no_numpy():
     child = _child_main("plain", [argv])
     assert child["results"][0][:2] == [0, _S7_PINNED["table"]]
     assert not child["numpy_imported"]
+
+
+# In one child: imports commdeg, then commdeg.cli, then runs `chartab -G S3`
+# as the CLI does (`main()` reading sys.argv) or in-process (`main(argv)`).
+# Prints the exit code, the variables each step added, changed (to their
+# new value) or removed (to null), the BLAS thread variables at the end,
+# and whether numpy was loaded before and after the call.
+_CHILD_ENVIRON = """
+import contextlib, io, json, os, sys
+def step(name):
+    now = dict(os.environ)
+    steps[name] = {k: now.get(k) for k in {*last, *now} if last.get(k) != now.get(k)}
+    last.clear()
+    last.update(now)
+steps, last = {}, dict(os.environ)
+import commdeg
+step("import commdeg")
+from commdeg import cli
+step("import commdeg.cli")
+argv = ["chartab", "-G", "S3"]
+loaded = ["numpy" in sys.modules]
+with contextlib.redirect_stdout(io.StringIO()):
+    if sys.argv[1] == "entry":
+        sys.argv[1:] = argv
+        code = cli.main()
+    else:
+        code = cli.main(argv)
+loaded.append("numpy" in sys.modules)
+step("main")
+blas = {var: os.environ.get(var) for var in cli._BLAS_THREAD_VARS}
+print(json.dumps({"code": code, "steps": steps, "blas": blas, "numpy": loaded}))
+"""
+
+
+def _blas_env(**chosen):
+    """`_child_env` with no BLAS thread variable set but those ``chosen``."""
+    env = _child_env()
+    for var in cli._BLAS_THREAD_VARS:
+        env.pop(var, None)
+    env.update(chosen)
+    return env
+
+
+def _child_environ(how, env):
+    proc = subprocess.run(
+        [sys.executable, "-c", _CHILD_ENVIRON, how],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+# An empty value is no choice: OpenBLAS reads it as unset.
+@pytest.mark.parametrize("chosen", [{}, {"OMP_NUM_THREADS": ""}])
+def test_cli_entry_sets_one_blas_thread_before_numpy_loads(chosen):
+    child = _child_environ("entry", _blas_env(**chosen))
+    assert child["code"] == 0
+    assert child["steps"] == {
+        "import commdeg": {},
+        "import commdeg.cli": {},
+        "main": {"OPENBLAS_NUM_THREADS": "1"},
+    }
+    assert child["numpy"] == [False, True]
+
+
+@pytest.mark.parametrize(
+    "chosen",
+    [
+        {"OPENBLAS_NUM_THREADS": "3"},
+        {"OMP_NUM_THREADS": "2"},
+        {"GOTO_NUM_THREADS": "2"},
+    ],
+)
+def test_cli_entry_keeps_the_callers_blas_thread_count(chosen):
+    child = _child_environ("entry", _blas_env(**chosen))
+    assert child["code"] == 0
+    assert child["steps"] == {"import commdeg": {}, "import commdeg.cli": {}, "main": {}}
+    assert child["blas"] == {var: chosen.get(var) for var in cli._BLAS_THREAD_VARS}
+
+
+def test_in_process_main_leaves_the_environment_alone():
+    child = _child_environ("list", _blas_env())
+    assert child["code"] == 0
+    assert child["steps"] == {"import commdeg": {}, "import commdeg.cli": {}, "main": {}}
+    assert child["blas"] == dict.fromkeys(cli._BLAS_THREAD_VARS)
+    assert child["numpy"] == [False, True]
+
+
+def test_chartab_json_is_the_one_thread_text_unless_a_count_is_chosen():
+    # With the pool left at its default of one thread per core, the last
+    # bits of C256's values changed with the machine's core count.
+    argv = [sys.executable, "-m", "commdeg.cli", "chartab", "-G", "C256", "-o", "json"]
+    texts = [
+        subprocess.run(argv, capture_output=True, env=env, timeout=60, check=True).stdout
+        for env in (_blas_env(), _blas_env(OPENBLAS_NUM_THREADS="1"))
+    ]
+    assert texts[0] == texts[1]
+    assert json.loads(texts[0])["order"] == 256
 
 
 def test_env_var_order_cap(capsys, monkeypatch):
