@@ -1,12 +1,13 @@
 """Empirical checks of commutator-probability claims on group batteries.
 
 Each check evaluates one stated identity, bound, or implication on a
-concrete instance and returns a Finding with an exact (or tolerance-gated)
-witness.  Verdicts are per-instance and never extrapolated: a claim that
-fails somewhere is recorded with its counterexample, and a claim whose
-hypothesis is not met is recorded as vacuous rather than skipped.  A small
-set of claims (HARD_CLAIMS) is machine-verifiable and must never be
-violated; the audit command's exit code keys off those.
+concrete instance and returns its findings, each with an exact (or
+tolerance-gated) witness.  Verdicts are per-instance and never
+extrapolated: a claim that fails somewhere is recorded with its
+counterexample, and a claim whose hypothesis is not met is recorded as
+vacuous rather than skipped.  A small set of claims (HARD_CLAIMS) is
+machine-verifiable and must never be violated; the audit command's exit
+code keys off those.
 
 A claim is registered in ``_CHECK_CLAIMS``, which maps each ``check_*``
 function to the claim tags its findings carry.  ``run_battery`` walks each
@@ -24,43 +25,41 @@ shape once per instance:
 
 then P1 per product pair, blocks and (n, m), with the g list of the
 product blocks.  A check that receives a g list decides every g in it from
-the cached count vectors, returning its findings in g order.
+the cached count vectors.
 
-A ``Finding`` names its instance by a cell and, for the per-g claims, a
-g.  A cell is what ``_cell(n, m, **blocks)`` gives, the dict
-``{group, **blocks, n, m}`` with each block written as its member list:
-R1, P3, C4 and C6 report a cell, and P2, T2_CHAIN, T3, C5, P4 and P5
-report a cell and g, whose instance is ``{**cell, "g": g}``; P5's cells
-have the blocks H and N.  Only ``Finding.instance`` builds that dict.  A ``_Cell``
-keeps, once per style (the sort key and CSV cell, and depth 3 of the
-report), its own text and the text of its g instances cut around the
-digits of g (``_template``); ``_cell_writer`` writes a finding over a
-cell from that kept text, and any other instance with ``_dict_writer``.
-The sort keys a finding over a cell and g by the cell's head and the
-short rest, so it holds one head per cell, not one text per finding.
+Findings are held as batches (``_Batch``), one per claim and cell: the
+cell, a g column (none for a per-cell claim), verdict codes and witness
+ids into the run's table, which holds each distinct witness once.  A cell
+is what ``_cell(n, m, **blocks)`` gives, ``{group, **blocks, n, m}`` with
+each block as its member list; a row's instance is the cell, or
+``{**cell, "g": g}``.  Every check returns ``Findings``, which makes each
+``Finding`` only when it is read; the report writers read the batches.
 
-A ``Finding`` keeps its witness as a key tuple, shared by every witness
-of that layout, and a tuple of values; the report and CSV writers read
-the two tuples, not a dict.  One ``run_battery`` call shares its work
-through one memo, ``_per_run``, keyed by a function and its arguments:
-one cell per blocks and exponents, one text per fraction and one per-g
-witness per layout function and numbers.  Equal witnesses of a run also
-share one values tuple (``_shared``), and the writers write each
-distinct witness once.
+Each group's walk is one call (``_walk_group``, ``_walk_pair``), and the
+caches keyed by its subgroups are emptied when it ends (``_forget_walk``),
+so what stays of a group is the member lists and name in its cells, and
+an audit peaks at its largest group's working set plus its findings, not
+at the sum over its groups:
+``audit --groups S7,S7xC2 --claims EQ4,C5,T3i -o table`` peaks at about
+291 MB RSS, against 279 MB for S7xC2 alone (342 MB before the caches
+were emptied per walk).
 """
 
 from __future__ import annotations
 
+import functools
 import gc
+import itertools
 import json
 import math
+import operator
 import time
-from collections.abc import Mapping
+from collections.abc import Mapping, Sequence
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Iterator, Optional, Sequence, TextIO
+from typing import Callable, Iterator, Optional, TextIO
 
 import numpy as np
 
@@ -127,11 +126,10 @@ __all__ = [
     "VACUOUS",
     "PRECONDITION_FAILED",
     "Finding",
+    "Findings",
     "AuditConfig",
     "AuditReport",
     "named_group_specs",
-    "instance_json_writer",
-    "witness_json_writer",
     "default_config",
     "config_from_json",
     "run_battery",
@@ -155,29 +153,33 @@ __all__ = [
 ]
 
 
-# One key tuple per distinct witness layout, shared by every Finding whose
-# witness has that layout; the checks make a few dozen layouts in all.
+# One key tuple per distinct witness layout, shared by every witness entry
+# with that layout; the checks make a few dozen layouts in all.
 _WITNESS_KEYS: dict[tuple[str, ...], tuple[str, ...]] = {}
 
 
 class _RunTables:
-    """What one ``run_battery`` call shares between its findings.
+    """What one ``run_battery`` call, or one check called alone, shares.
 
     ``memo`` maps a function and its arguments to what ``_per_run`` made
-    of them.  ``witnesses`` maps a key tuple and the ``repr`` of a values
-    tuple to the first values tuple seen with them, which every equal
-    witness of the run then holds; the ``repr`` tells ``True`` from ``1``
-    and ``0.0`` from ``-0.0``, which compare equal but are written apart.
+    of them.  ``witnesses`` is the witness table: entry i, the witness of
+    id i, is its key tuple followed by its values.  ``ids`` maps each
+    entry's ``repr`` to its id, so equal witnesses share an entry and
+    those written apart (``True`` and ``1``, ``0.0`` and ``-0.0``), which
+    ``==`` would not tell apart, do not.  ``cells`` holds the cells of the
+    walk in progress.
     """
 
-    __slots__ = ("memo", "witnesses")
+    __slots__ = ("memo", "witnesses", "ids", "cells")
 
     def __init__(self) -> None:
         self.memo: dict[tuple, object] = {}
-        self.witnesses: dict[tuple[tuple[str, ...], str], tuple] = {}
+        self.witnesses: list[tuple] = []
+        self.ids: dict[str, int] = {}
+        self.cells: dict[tuple, dict] = {}
 
 
-# The tables of the run_battery call in progress; None outside one.
+# The tables of the run_battery call or lone check in progress; None outside one.
 _RUN: ContextVar[Optional[_RunTables]] = ContextVar("_RUN", default=None)
 
 
@@ -197,66 +199,81 @@ def _per_run(make: Callable, *args):
     return value
 
 
-def _shared(keys: tuple[str, ...], values: tuple) -> tuple[tuple[str, ...], tuple]:
-    """``keys`` and ``values`` as the tuples every equal witness holds.
-
-    Key tuples are shared for good; values tuples within one run.
-    """
-    keys = _WITNESS_KEYS.setdefault(keys, keys)
+def _witness(fields: dict) -> int:
+    """The id of ``fields`` in the witness table, entered if it is new."""
     tables = _RUN.get()
-    if tables is not None:
-        values = tables.witnesses.setdefault((keys, repr(values)), values)
-    return keys, values
+    keys = tuple(fields)
+    entry = (_WITNESS_KEYS.setdefault(keys, keys), *fields.values())
+    text = repr(entry)
+    w = tables.ids.get(text)
+    if w is None:
+        w = tables.ids[text] = len(tables.witnesses)
+        tables.witnesses.append(entry)
+    return w
 
 
-class _Witness(Mapping):
-    """A witness held as its shared key tuple and values tuple.
+# A batch holds each verdict as its index in VERDICTS.
+_CODE = {verdict: code for code, verdict in enumerate(VERDICTS)}
 
-    What a per-g witness layout function returns and hands to ``Finding``:
-    a read-only mapping, which the finding takes its two tuples from as
-    they are.
+
+class _Batch:
+    """The findings of one claim on one cell, as columns.
+
+    ``gs`` holds the g of each row, or is ``None`` for a per-cell claim,
+    whose batch has one row whose instance is the cell itself.  ``codes``
+    holds each row's verdict as its index in ``VERDICTS``, one string per
+    run for each pattern; ``witnesses`` each row's witness id;
+    ``runtime_ms`` is each row's share of its check call's time.  A batch
+    is made from ``rows``, one ``(verdict, witness id)`` pair per row.
     """
 
-    __slots__ = ("key_tuple", "value_tuple")
+    __slots__ = ("claim", "cell", "gs", "codes", "witnesses", "runtime_ms")
 
-    def __init__(self, fields: dict) -> None:
-        self.key_tuple, self.value_tuple = _shared(
-            tuple(fields), tuple(fields.values())
-        )
-
-    def __getitem__(self, key: str):
-        try:
-            return self.value_tuple[self.key_tuple.index(key)]
-        except ValueError:
-            raise KeyError(key) from None
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(self.key_tuple)
+    def __init__(
+        self, claim: str, cell: dict, gs: Optional[Sequence[int]], rows: list
+    ) -> None:
+        self.claim = claim
+        self.cell = cell
+        self.gs = None if gs is None else tuple(gs)
+        # The run's memo also keeps one of each column: no memo key, which
+        # starts with a function, equals a column.
+        memo = _RUN.get().memo
+        codes = bytes([_CODE[v] for v, _ in rows])
+        witnesses = tuple([w for _, w in rows])
+        self.codes = memo.setdefault(codes, codes)
+        self.witnesses = memo.setdefault(witnesses, witnesses)
+        self.runtime_ms = 0.0
 
     def __len__(self) -> int:
-        return len(self.key_tuple)
+        return len(self.codes)
+
+    def rows(self, tag: object = None) -> Iterator[tuple]:
+        """(tag, g, verdict code, witness id) per row; g is "" for a per-cell claim."""
+        gs = ("",) if self.gs is None else self.gs
+        return zip(itertools.repeat(tag), gs, self.codes, self.witnesses)
+
+
+def _one(claim: str, cell: dict, verdict: str, witness: dict) -> _Batch:
+    """The batch of one per-cell finding."""
+    return _Batch(claim, cell, None, [(verdict, _witness(witness))])
 
 
 @dataclass(slots=True, init=False)
 class Finding:
     """One checked instance: what was tested, the verdict, and the numbers.
 
-    A slotted record that names its instance by ``cell``, a ``_Cell`` or
-    plain dict kept as given, and ``g``: the instance is the cell itself
-    when ``g`` is ``None``, else a fresh ``{**cell, "g": g}`` on each
-    read.  It holds its witness as two tuples: the keys, one tuple shared
-    by every witness with the same keys in the same order, and the values
-    in that order, one tuple shared by every equal witness of a
-    ``run_battery`` call.  ``witness`` is a fresh dict made from them on
-    each read, with fresh copies of its lists, so changing it changes
-    nothing in any finding.
+    ``Findings`` makes one when it is read.  It names its instance by
+    ``cell``, kept as given, and ``g``: the instance is the cell itself
+    when ``g`` is ``None``, else a fresh ``{**cell, "g": g}`` on each read.
+    It keeps its witness's items; ``witness`` is a fresh dict made from
+    them on each read, with fresh copies of its lists, so changing it
+    changes nothing in any finding.
     """
 
     claim: str
     cell: dict
     verdict: str
-    witness_keys: tuple[str, ...]
-    witness_values: tuple
+    witness_items: tuple[tuple[str, object], ...]
     runtime_ms: float
     g: Optional[int]
 
@@ -273,13 +290,7 @@ class Finding:
         self.claim = claim
         self.cell = instance
         self.verdict = verdict
-        if type(witness) is _Witness:
-            self.witness_keys = witness.key_tuple
-            self.witness_values = witness.value_tuple
-        else:
-            self.witness_keys, self.witness_values = _shared(
-                tuple(witness), tuple(witness.values())
-            )
+        self.witness_items = tuple(witness.items())
         self.runtime_ms = runtime_ms
         self.g = g
 
@@ -289,10 +300,7 @@ class Finding:
 
     @property
     def witness(self) -> dict:
-        return {
-            k: list(v) if type(v) is list else v
-            for k, v in zip(self.witness_keys, self.witness_values)
-        }
+        return {k: list(v) if type(v) is list else v for k, v in self.witness_items}
 
     def to_json(self, include_runtime: bool = False) -> dict:
         out = {
@@ -304,6 +312,106 @@ class Finding:
         if include_runtime:
             out["runtime_ms"] = round(self.runtime_ms, 3)
         return out
+
+
+class Findings(Sequence):
+    """The findings of a list of batches, in order, each read as a ``Finding``.
+
+    ``witnesses`` is the table the batches' witness ids index.  A batch
+    whose ``joins`` byte is 1 merges its rows with those of the batches
+    before it by g's text (``_sorted_batches``).  A ``Finding`` is made
+    only when it is read.  Equal to a list or tuple of equal findings.
+    """
+
+    def __init__(
+        self, batches: list[_Batch], witnesses: list[tuple], joins: bytes = b""
+    ) -> None:
+        self.batches = batches
+        self.witnesses = witnesses
+        self.joins = joins
+        self._len: Optional[int] = None
+        self._index: Optional[list[tuple]] = None
+        self._made: dict[bool, tuple] = {}
+
+    def __len__(self) -> int:
+        if self._len is None:
+            self._len = sum(map(len, self.batches))
+        return self._len
+
+    def __iter__(self) -> Iterator[Finding]:
+        for row in self.rows():
+            yield self._finding(*row)
+
+    def __getitem__(self, index):
+        if self._index is None:
+            self._index = list(self.rows())
+        if isinstance(index, slice):
+            return [self._finding(*row) for row in self._index[index]]
+        return self._finding(*self._index[index])
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, (Findings, list, tuple)):
+            return NotImplemented
+        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
+
+    def rows(self, prepare: Callable[[_Batch], object] = lambda b: b) -> Iterator:
+        """``_Batch.rows(prepare(batch))`` of every row, in order; ``prepare``
+        runs once per batch, before its first row."""
+        run: list[_Batch] = []
+        for batch, joins in zip(self.batches, self.joins or bytes(len(self.batches))):
+            if run and not joins:
+                yield from _merged(run, prepare)
+                run = []
+            run.append(batch)
+        if run:
+            yield from _merged(run, prepare)
+
+    def _writers(self, indented: bool) -> tuple[Callable, Callable]:
+        """The instance cut and the witness writer of one style (depth 3 of
+        the report, or compact), kept with their texts for later writes."""
+        made = self._made.get(indented)
+        if made is None:
+            write, items = (
+                (_indented_writer(), _indented_witness)
+                if indented
+                else (_compact_writer(), _compact_witness)
+            )
+            made = (_instance_cut(write), _witness_writer(self.witnesses, items))
+            self._made[indented] = made
+        return made
+
+    def _finding(self, b: _Batch, g, code: int, w: int) -> Finding:
+        keys, *values = self.witnesses[w]
+        witness = dict(zip(keys, values))
+        g = None if b.gs is None else g
+        return Finding(b.claim, b.cell, VERDICTS[code], witness, b.runtime_ms, g=g)
+
+
+def _merged(run: list[_Batch], prepare: Callable[[_Batch], object]) -> Iterator[tuple]:
+    """The rows of ``run`` stably sorted by g's text (round robin on one gs)."""
+    if len(run) == 1:
+        return run[0].rows(prepare(run[0]))
+    streams = [batch.rows(prepare(batch)) for batch in run]
+    if all(batch.gs == run[0].gs for batch in run):
+        return itertools.chain.from_iterable(zip(*streams))
+    rows = [row for stream in streams for row in stream]
+    rows.sort(key=lambda row: str(row[1]))
+    return iter(rows)
+
+
+def _check(body: Callable[..., list[_Batch]]) -> Callable[..., Findings]:
+    """A check: the ``Findings`` of the batches ``body`` returns, with their
+    witnesses in the run's table, or outside a run in tables of its own."""
+
+    @functools.wraps(body)
+    def check(*args, **kwargs) -> Findings:
+        tables = _RUN.get()
+        if tables is not None:
+            return Findings(body(*args, **kwargs), tables.witnesses)
+        with _run_tables() as tables:
+            return Findings(body(*args, **kwargs), tables.witnesses)
+
+    return check
 
 
 def _ratio(c: int, s: int) -> str:
@@ -332,53 +440,19 @@ def _member_list(members: tuple[int, ...]) -> list[int]:
     return list(members)
 
 
-def _inst(G: GroupTable, **kw) -> dict:
-    base: dict = {"group": G.name}
-    base.update(kw)
-    return base
-
-
-class _Cell(dict):
-    """One cell ``{group, blocks, n, m}``: the instance the per-cell checks report.
-
-    A plain dict to every reader, which also keeps the text of its
-    instances once made, one slot per style: as the sort key and CSV cell
-    (``_compact_writer``) and at depth 3 of the report
-    (``_indented_writer``).  ``compact`` and ``indented`` hold the head and
-    the tail around the digits of g in the text of any of the cell's g
-    instances, ``compact_text`` and ``indented_text`` the text of the cell
-    itself.  See ``_cell_writer``.
-    """
-
-    __slots__ = ("compact", "indented", "compact_text", "indented_text")
-
-    def __init__(self, base: dict) -> None:
-        super().__init__(base)
-        self.compact: Optional[tuple[str, str]] = None
-        self.indented: Optional[tuple[str, str]] = None
-        self.compact_text: Optional[str] = None
-        self.indented_text: Optional[str] = None
-
-    def cut(self, write: Callable[[dict], str], style: str) -> tuple[str, str]:
-        """The head and tail of ``write`` around g, kept in the ``style`` slot."""
-        cut = getattr(self, style)
-        if cut is None:
-            cut = _template(write, self)
-            setattr(self, style, cut)
-        return cut
-
-
-def _cell(n: int, m: int, **blocks: SubgroupRef) -> _Cell:
+def _cell(n: int, m: int, **blocks: SubgroupRef) -> dict:
     """The cell ``{group, **blocks, n, m}``, each block as its member list.
 
-    Inside a run there is one cell per blocks and exponents.
+    There is one cell per blocks and exponents in a walk (``_RunTables``).
     """
-    return _per_run(_new_cell, n, m, *blocks.items())
-
-
-def _new_cell(n: int, m: int, *blocks: tuple[str, SubgroupRef]) -> _Cell:
-    G = blocks[0][1].parent
-    return _Cell(_inst(G, **{name: _mem(S) for name, S in blocks}, n=n, m=m))
+    cells = _RUN.get().cells
+    key = (n, m, *blocks.items())
+    cell = cells.get(key)
+    if cell is None:
+        group = next(iter(blocks.values())).parent.name
+        members = {name: _mem(S) for name, S in blocks.items()}
+        cell = cells[key] = {"group": group, **members, "n": n, "m": m}
+    return cell
 
 
 @lru_cache(maxsize=4096)
@@ -404,9 +478,12 @@ def _product_subgroup(
 # one call.  A probability p_g(H, K) is the count final_counts(H, K, n, m)[g]
 # over the space size |H|^n |K|^m, so every equality and bound between
 # probabilities is an integer cross-multiplication of counts and sizes, and
-# each witness fraction is written by ``_ratio``.
+# each witness fraction is written by ``_ratio``.  A per-g claim's verdict
+# and witness are a function of the numbers its witness shows, so its
+# ``_*_row`` function makes both, once per run for each such numbers.
 
 
+@_check
 def check_multiplicativity(
     E: GroupTable,
     F: GroupTable,
@@ -418,13 +495,13 @@ def check_multiplicativity(
     m: int,
     gs: Sequence[int],
     product: Optional[GroupTable] = None,
-) -> list[Finding]:
+) -> list[_Batch]:
     """p_(e,f)(A x C, B x D) on E x F against p_e(A, B) * p_f(C, D).
 
     A and B live in E, C and D in F (the x-block is A x C, the y-block
     B x D); (e, f) has id e*|F| + f in the product, and ``gs`` lists such
     ids.  The product space is the product of the factor spaces, so the
-    equality is one of counts.
+    equality is one of counts.  Each (e, f) instance is a cell of its own.
     """
     if product is None:
         product = groups.direct_product(E, F)
@@ -437,7 +514,7 @@ def check_multiplicativity(
     right_size = engine.space_size(C, D, n, m)
     size = left_size * right_size
     members = {"A": _mem(A), "B": _mem(B), "C": _mem(C), "D": _mem(D)}
-    findings = []
+    batches = []
     for g in gs:
         e, f = divmod(g, F.order)
         lhs, left, right = product_counts[g], left_counts[e], right_counts[f]
@@ -458,14 +535,15 @@ def check_multiplicativity(
             "factor_product": _ratio(left * right, size),
         }
         verdict = HOLDS if lhs == left * right else VIOLATED
-        findings.append(Finding("P1", inst, verdict, witness))
-    return findings
+        batches.append(_one("P1", inst, verdict, witness))
+    return batches
 
 
-def _p2a_witness(
+def _p2a_row(
     lhs: int, size: int, as_written: int, swapped_size: int, exp_swapped: int
-) -> _Witness:
-    return _Witness({
+) -> tuple[str, int]:
+    verdict = HOLDS if lhs * swapped_size == as_written * size else VIOLATED
+    return verdict, _witness({
         "lhs": _ratio(lhs, size),
         "swapped_same_exponents": _ratio(as_written, swapped_size),
         "swapped_exponents_too": _ratio(exp_swapped, size),
@@ -473,11 +551,14 @@ def _p2a_witness(
     })
 
 
-def _p2b_witness(
-    h_normal: bool, k_normal: bool, lhs: int, size: int,
-    swapped: int, swapped_size: int, inverted: int,
-) -> _Witness:
-    return _Witness({
+def _p2b_row(
+    h_normal: bool, k_normal: bool, lhs: int = 0, size: int = 0,
+    swapped: int = 0, swapped_size: int = 0, inverted: int = 0,
+) -> tuple[str, int]:
+    if not (h_normal or k_normal):
+        return VACUOUS, _witness({"H_normal": h_normal, "K_normal": k_normal})
+    ok = lhs * swapped_size == swapped * size and lhs == inverted
+    return HOLDS if ok else VIOLATED, _witness({
         "H_normal": h_normal,
         "K_normal": k_normal,
         "lhs": _ratio(lhs, size),
@@ -486,15 +567,16 @@ def _p2b_witness(
     })
 
 
+@_check
 def check_symmetry(
     H: SubgroupRef, K: SubgroupRef, n: int, m: int, gs: Sequence[int]
-) -> list[Finding]:
+) -> list[_Batch]:
     """Swap symmetry, plus the extra equalities when H or K is normal.
 
     The headline verdict keeps the block lengths as written (n stays with
     the x-block after the swap); the reading that also swaps the exponents
     is evaluated into the witness since the two differ for n != m.  Two
-    findings per g, P2a then P2b, sharing one instance.
+    batches over one cell, P2a then P2b.
     """
     G = H.parent
     inv = G.inv
@@ -506,32 +588,28 @@ def check_symmetry(
     swapped_size = engine.space_size(K, H, n, m)
     h_normal = groups.is_normal(G, H)
     k_normal = groups.is_normal(G, K)
-    vacuous = _Witness({"H_normal": h_normal, "K_normal": k_normal})
-    cell = _cell(n, m, H=H, K=K)
-    findings = []
+    normal = h_normal or k_normal
+    rows_a, rows_b = [], []
     for g in gs:
         ginv = int(inv[g])
         lhs = counts[g]
-        as_written = swapped_counts[ginv]
-        witness = _per_run(
-            _p2a_witness, lhs, size, as_written, swapped_size, exp_swapped_counts[ginv]
+        rows_a.append(_per_run(
+            _p2a_row, lhs, size, swapped_counts[ginv], swapped_size,
+            exp_swapped_counts[ginv],
+        ))
+        # Without a normal block the witness shows no numbers.
+        numbers = (
+            (lhs, size, swapped_counts[g], swapped_size, counts[ginv]) if normal else ()
         )
-        verdict = HOLDS if lhs * swapped_size == as_written * size else VIOLATED
-        findings.append(Finding("P2a", cell, verdict, witness, g=g))
-        if not (h_normal or k_normal):
-            findings.append(Finding("P2b", cell, VACUOUS, vacuous, g=g))
-            continue
-        swapped = swapped_counts[g]
-        inverted = counts[ginv]
-        ok = lhs * swapped_size == swapped * size and lhs == inverted
-        witness = _per_run(
-            _p2b_witness, h_normal, k_normal, lhs, size, swapped, swapped_size, inverted
-        )
-        findings.append(Finding("P2b", cell, HOLDS if ok else VIOLATED, witness, g=g))
-    return findings
+        rows_b.append(_per_run(_p2b_row, h_normal, k_normal, *numbers))
+    cell = _cell(n, m, H=H, K=K)
+    return [_Batch("P2a", cell, gs, rows_a), _Batch("P2b", cell, gs, rows_b)]
 
 
-def check_class_formula(H: SubgroupRef, K: SubgroupRef, n: int, m: int) -> Finding:
+@_check
+def check_class_formula(
+    H: SubgroupRef, K: SubgroupRef, n: int, m: int
+) -> list[_Batch]:
     """Class-sum evaluation against exact counts for every g.
 
     Tagged P3_m1 when m = 1 (a hard guarantee with the derived predicate)
@@ -572,7 +650,7 @@ def check_class_formula(H: SubgroupRef, K: SubgroupRef, n: int, m: int) -> Findi
         ),
     }
     if g is None:
-        return Finding(tag, inst, HOLDS, witness)
+        return [_one(tag, inst, HOLDS, witness)]
     witness.update(
         {
             "g": g,
@@ -582,10 +660,11 @@ def check_class_formula(H: SubgroupRef, K: SubgroupRef, n: int, m: int) -> Findi
     )
     if counts[g] != exact_counts[g]:
         witness["histogram_value"] = _ratio(counts[g], size)
-    return Finding(tag, inst, VIOLATED, witness)
+    return [_one(tag, inst, VIOLATED, witness)]
 
 
-def check_c4(H: SubgroupRef, K: SubgroupRef, n: int, m: int) -> Finding:
+@_check
+def check_c4(H: SubgroupRef, K: SubgroupRef, n: int, m: int) -> list[_Batch]:
     """Closed form for the identity probability under trivial centralizers.
 
     Hypothesis reading: the x-block support contains at least one
@@ -602,39 +681,33 @@ def check_c4(H: SubgroupRef, K: SubgroupRef, n: int, m: int) -> Finding:
         int(info.centralizer_order[w]) == 1 for w in nontrivial
     )
     if not hypothesis:
-        return Finding(
-            "C4",
-            inst,
-            VACUOUS,
-            {"hypothesis": False, "nonidentity_support_count": len(nontrivial)},
-        )
+        witness = {"hypothesis": False, "nonidentity_support_count": len(nontrivial)}
+        return [_one("C4", inst, VACUOUS, witness)]
     lhs = engine.final_counts(H, K, n, m)[0]
     rhs = H.order**n + K.order**m - 1
     size = engine.space_size(H, K, n, m)
-    return Finding(
-        "C4",
-        inst,
-        HOLDS if lhs == rhs else VIOLATED,
-        {"hypothesis": True, "lhs": _ratio(lhs, size), "rhs": _ratio(rhs, size)},
-    )
+    witness = {"hypothesis": True, "lhs": _ratio(lhs, size), "rhs": _ratio(rhs, size)}
+    return [_one("C4", inst, HOLDS if lhs == rhs else VIOLATED, witness)]
 
 
-def _p4_witness(
+def _p4_row(
     smaller: int, smaller_size: int,
     larger: int, larger_size: int, match: Optional[bool],
-) -> _Witness:
+) -> tuple[str, int]:
     fields = {
         "smaller_subgroup_prob": _ratio(smaller, smaller_size),
         "larger_subgroup_prob": _ratio(larger, larger_size),
     }
     if match is not None:
         fields["class_partitions_match"] = match
-    return _Witness(fields)
+    holds = smaller * larger_size >= larger * smaller_size
+    return HOLDS if holds else VIOLATED, _witness(fields)
 
 
+@_check
 def check_monotonicity(
     H: SubgroupRef, K: SubgroupRef, n: int, m: int, gs: Sequence[int]
-) -> list[Finding]:
+) -> list[_Batch]:
     """p_g(H, G) >= p_g(K, G) for H <= K, with the equality condition.
 
     On equality instances the witness records whether H- and K-conjugation
@@ -645,36 +718,35 @@ def check_monotonicity(
     G = H.parent
     cell = _cell(n, m, H=H, K=K)
     if not set(H.members) <= set(K.members):
-        reason = {"reason": "H is not contained in K"}
-        return [Finding("P4", cell, PRECONDITION_FAILED, reason, g=g) for g in gs]
+        reason = _witness({"reason": "H is not contained in K"})
+        return [_Batch("P4", cell, gs, [(PRECONDITION_FAILED, reason)] * len(gs))]
     full = groups.full_subgroup(G)
     smaller = engine.final_counts(H, full, n, m)
     larger = engine.final_counts(K, full, n, m)
     smaller_size = engine.space_size(H, full, n, m)
     larger_size = engine.space_size(K, full, n, m)
     same: Optional[bool] = None
-    findings = []
+    rows = []
     for g in gs:
-        lhs = smaller[g] * larger_size
-        rhs = larger[g] * smaller_size
-        if lhs == rhs and same is None:
+        equal = smaller[g] * larger_size == larger[g] * smaller_size
+        if equal and same is None:
             same = np.array_equal(
                 engine.conjugacy_info(H).class_of, engine.conjugacy_info(K).class_of
             )
-        match = same if lhs == rhs else None
-        witness = _per_run(
-            _p4_witness, smaller[g], smaller_size, larger[g], larger_size, match
-        )
-        verdict = HOLDS if lhs >= rhs else VIOLATED
-        findings.append(Finding("P4", cell, verdict, witness, g=g))
-    return findings
+        rows.append(_per_run(
+            _p4_row, smaller[g], smaller_size, larger[g], larger_size,
+            same if equal else None,
+        ))
+    return [_Batch("P4", cell, gs, rows)]
 
 
-def _p5_witness(
+def _p5_row(
     sub: int, sub_size: int, quo: int, quo_size: int,
     intersection_order: int, equality_required: bool,
-) -> _Witness:
-    return _Witness({
+) -> tuple[str, int]:
+    lhs, rhs = sub * quo_size, quo * sub_size
+    ok = lhs <= rhs and (not equality_required or lhs == rhs)
+    return HOLDS if ok else VIOLATED, _witness({
         "subgroup_prob": _ratio(sub, sub_size),
         "quotient_prob": _ratio(quo, quo_size),
         "intersection_order": intersection_order,
@@ -682,6 +754,7 @@ def _p5_witness(
     })
 
 
+@_check
 def check_quotient(
     H: SubgroupRef,
     N: SubgroupRef,
@@ -689,7 +762,7 @@ def check_quotient(
     m: int,
     gs: Sequence[int],
     quotient: Optional[tuple[GroupTable, np.ndarray]] = None,
-) -> list[Finding]:
+) -> list[_Batch]:
     """p_g(H, G) <= p at the image (g to its coset, H to its projection).
 
     When N meets the nested commutator subgroup trivially, equality is
@@ -703,10 +776,8 @@ def check_quotient(
     elif not set(H.members) <= set(N.members):
         reason = "H is not contained in N"
     if reason is not None:
-        return [
-            Finding("P5", cell, PRECONDITION_FAILED, {"reason": reason}, g=g)
-            for g in gs
-        ]
+        rows = [(PRECONDITION_FAILED, _witness({"reason": reason}))] * len(gs)
+        return [_Batch("P5", cell, gs, rows)]
     Q, proj = quotient if quotient is not None else groups.quotient_group(G, N)
     full = groups.full_subgroup(G)
     # The image of a subgroup under the projection is a subgroup.
@@ -719,46 +790,43 @@ def check_quotient(
     nested = engine.nested_commutator_subgroup(H, full, n, m)
     intersection = sorted(set(N.members) & set(nested.members))
     equality_required = intersection == [0]
-    findings = []
-    for g in gs:
-        coset = int(proj[g])
-        lhs = sub[g] * quo_size
-        rhs = quo[coset] * sub_size
-        ok = lhs <= rhs and (not equality_required or lhs == rhs)
-        witness = _per_run(
-            _p5_witness, sub[g], sub_size, quo[coset], quo_size,
+    rows = [
+        _per_run(
+            _p5_row, sub[g], sub_size, quo[int(proj[g])], quo_size,
             len(intersection), equality_required,
         )
-        verdict = HOLDS if ok else VIOLATED
-        findings.append(Finding("P5", cell, verdict, witness, g=g))
-    return findings
+        for g in gs
+    ]
+    return [_Batch("P5", cell, gs, rows)]
 
 
-def _chain_witness(
+def _chain_row(
     whole: int, whole_size: int, pair: int, pair_size: int, pair_id: int,
     ambient_id: int, ambient_size: int, self_id: int, self_size: int,
-) -> _Witness:
-    return _Witness({
+) -> tuple[str, int]:
+    links = [
+        whole * pair_size <= pair * whole_size,
+        pair <= pair_id,
+        pair_id * ambient_size <= ambient_id * pair_size,
+        ambient_id * self_size <= self_id * ambient_size,
+    ]
+    return HOLDS if all(links) else VIOLATED, _witness({
         "whole_group": _ratio(whole, whole_size),
         "pair": _ratio(pair, pair_size),
         "pair_identity": _ratio(pair_id, pair_size),
         "ambient_identity": _ratio(ambient_id, ambient_size),
         "self_identity": _ratio(self_id, self_size),
-        "links_hold": [
-            whole * pair_size <= pair * whole_size,
-            pair <= pair_id,
-            pair_id * ambient_size <= ambient_id * pair_size,
-            ambient_id * self_size <= self_id * ambient_size,
-        ],
+        "links_hold": links,
     })
 
 
+@_check
 def check_chain(
     H: SubgroupRef, K: SubgroupRef, n: int, m: int, gs: Sequence[int]
-) -> list[Finding]:
+) -> list[_Batch]:
     """The four-link probability chain, each link witnessed separately.
 
-    The verdict reads the links from the witness.
+    The verdict holds when every link does.
     """
     G = H.parent
     full = groups.full_subgroup(G)
@@ -771,21 +839,20 @@ def check_chain(
     pair_size = engine.space_size(H, K, n, m)
     ambient_size = engine.space_size(H, full, n, m)
     self_size = engine.space_size(H, H, n, m)
-    cell = _cell(n, m, H=H, K=K)
-    findings = []
-    for g in gs:
-        witness = _per_run(
-            _chain_witness, whole[g], whole_size, pair[g], pair_size,
+    rows = [
+        _per_run(
+            _chain_row, whole[g], whole_size, pair[g], pair_size,
             pair_id, ambient_id, ambient_size, self_id, self_size,
         )
-        verdict = HOLDS if all(witness["links_hold"]) else VIOLATED
-        findings.append(Finding("T2_CHAIN", cell, verdict, witness, g=g))
-    return findings
+        for g in gs
+    ]
+    return [_Batch("T2_CHAIN", _cell(n, m, H=H, K=K), gs, rows)]
 
 
-def _c5_witness(
+def _c5_row(
     count: int, size: int, n: int, center_order: int, subgroup_center_order: int
-) -> _Witness:
+) -> tuple[str, int]:
+    below = count * 2**n <= (2**n - 1) * size
     fields = {
         "lhs": _ratio(count, size),
         "bound": _ratio(2**n - 1, 2**n),
@@ -793,13 +860,15 @@ def _c5_witness(
         "subgroup_center_order": subgroup_center_order,
     }
     if subgroup_center_order == 1:
-        fields["variant_subgroup_center_holds"] = count * 2**n <= (2**n - 1) * size
-    return _Witness(fields)
+        fields["variant_subgroup_center_holds"] = below
+    verdict = VACUOUS if center_order != 1 else HOLDS if below else VIOLATED
+    return verdict, _witness(fields)
 
 
+@_check
 def check_c5(
     H: SubgroupRef, K: SubgroupRef, n: int, gs: Sequence[int]
-) -> list[Finding]:
+) -> list[_Batch]:
     """(2^n - 1)/2^n bound at m = 1 under a trivial ambient center.
 
     Tested as stated (hypothesis on Z(G), taken as C_G(G)); the witness
@@ -810,32 +879,25 @@ def check_c5(
     z_h_order = _mutual_centralizer(H, H).order
     counts = engine.final_counts(H, K, n, 1)
     size = engine.space_size(H, K, n, 1)
-    cell = _cell(n, 1, H=H, K=K)
-    findings = []
-    for g in gs:
-        witness = _per_run(_c5_witness, counts[g], size, n, center_order, z_h_order)
-        if center_order != 1:
-            verdict = VACUOUS
-        elif counts[g] * 2**n <= (2**n - 1) * size:
-            verdict = HOLDS
-        else:
-            verdict = VIOLATED
-        findings.append(Finding("C5", cell, verdict, witness, g=g))
-    return findings
+    rows = [
+        _per_run(_c5_row, counts[g], size, n, center_order, z_h_order) for g in gs
+    ]
+    return [_Batch("C5", _cell(n, 1, H=H, K=K), gs, rows)]
 
 
-def _t3i_witness(
+def _t3i_row(
     lhs: int, size: int, upper_num: int, upper_den: int, p: int
-) -> _Witness:
-    return _Witness(
+) -> tuple[str, int]:
+    verdict = HOLDS if lhs * upper_den <= upper_num * size else VIOLATED
+    return verdict, _witness(
         {"lhs": _ratio(lhs, size), "bound": _ratio(upper_num, upper_den), "prime": p}
     )
 
 
-def _t3ii_witness(
+def _t3ii_row(
     lhs: int, size: int, lower_num: int, p: int, y: int, c: int
-) -> _Witness:
-    return _Witness({
+) -> tuple[str, int]:
+    return HOLDS if lhs >= lower_num else VIOLATED, _witness({
         "lhs": _ratio(lhs, size),
         "bound": _ratio(lower_num, size),
         "prime": p,
@@ -844,10 +906,11 @@ def _t3ii_witness(
     })
 
 
+@_check
 def check_t3(
     H: SubgroupRef, K: SubgroupRef, n: int, m: int, gs: Sequence[int]
-) -> list[Finding]:
-    """Both smallest-prime bounds; two findings per g, T3i then T3ii.
+) -> list[_Batch]:
+    """Both smallest-prime bounds; two batches over one cell, T3i then T3ii.
 
     The T3ii bound has the space size |H|^n |K|^m as its denominator, so
     it is compared with the count directly.
@@ -855,12 +918,9 @@ def check_t3(
     G = H.parent
     cell = _cell(n, m, H=H, K=K)
     if G.order == 1:
-        reason = "no prime divides the trivial group order"
-        return [
-            Finding(tag, cell, PRECONDITION_FAILED, {"reason": reason}, g=g)
-            for g in gs
-            for tag in ("T3i", "T3ii")
-        ]
+        reason = {"reason": "no prime divides the trivial group order"}
+        rows = [(PRECONDITION_FAILED, _witness(reason))] * len(gs)
+        return [_Batch("T3i", cell, gs, rows), _Batch("T3ii", cell, gs, rows)]
     p = groups.smallest_prime_divisor(G)
     counts = engine.final_counts(H, K, n, m)
     size = engine.space_size(H, K, n, m)
@@ -868,19 +928,13 @@ def check_t3(
     y = engine.y_set_size(H, K, n)
     c = _mutual_centralizer(H, K).order
     lower_num = (1 - p) * y + p * H.order**n - (K.order + p) * c**n
-    findings = []
-    for g in gs:
-        lhs = counts[g]
-        witness = _per_run(_t3i_witness, lhs, size, upper_num, upper_den, p)
-        verdict = HOLDS if lhs * upper_den <= upper_num * size else VIOLATED
-        findings.append(Finding("T3i", cell, verdict, witness, g=g))
-        witness = _per_run(_t3ii_witness, lhs, size, lower_num, p, y, c)
-        verdict = HOLDS if lhs >= lower_num else VIOLATED
-        findings.append(Finding("T3ii", cell, verdict, witness, g=g))
-    return findings
+    upper = [_per_run(_t3i_row, counts[g], size, upper_num, upper_den, p) for g in gs]
+    lower = [_per_run(_t3ii_row, counts[g], size, lower_num, p, y, c) for g in gs]
+    return [_Batch("T3i", cell, gs, upper), _Batch("T3ii", cell, gs, lower)]
 
 
-def check_c6(H: SubgroupRef, K: SubgroupRef, n: int, m: int) -> Finding:
+@_check
+def check_c6(H: SubgroupRef, K: SubgroupRef, n: int, m: int) -> list[_Batch]:
     """Index restriction on instances attaining the T3i bound.
 
     The comparison is done before extracting the n-th root, as exact
@@ -890,12 +944,8 @@ def check_c6(H: SubgroupRef, K: SubgroupRef, n: int, m: int) -> Finding:
     G = H.parent
     inst = _cell(n, m, H=H, K=K)
     if G.order == 1:
-        return Finding(
-            "C6",
-            inst,
-            PRECONDITION_FAILED,
-            {"reason": "no prime divides the trivial group order"},
-        )
+        reason = {"reason": "no prime divides the trivial group order"}
+        return [_one("C6", inst, PRECONDITION_FAILED, reason)]
     p = groups.smallest_prime_divisor(G)
     upper_num, upper_den = 2 * p**n + p - 2, p ** (m + n)
     upper = _ratio(upper_num, upper_den)
@@ -903,26 +953,24 @@ def check_c6(H: SubgroupRef, K: SubgroupRef, n: int, m: int) -> Finding:
     counts = engine.final_counts(H, K, n, m)
     equality_gs = [g for g, c in enumerate(counts) if c * upper_den == target]
     if not equality_gs:
-        return Finding("C6", inst, VACUOUS, {"bound": upper, "equality_elements": []})
+        witness = {"bound": upper, "equality_elements": []}
+        return [_one("C6", inst, VACUOUS, witness)]
     index = H.order // _mutual_centralizer(H, K).order
     rhs_num = 2 * (p ** (n + 1) - p**3 + p) - p**2
     rhs_den = 2 * (2 * p**2 + p - 2)
     holds = index**n * rhs_den <= rhs_num
-    return Finding(
-        "C6",
-        inst,
-        HOLDS if holds else VIOLATED,
-        {
-            "bound": upper,
-            "equality_elements": equality_gs[:8],
-            "index": index,
-            "index_power": index**n,
-            "rhs_power": _ratio(rhs_num, rhs_den),
-        },
-    )
+    witness = {
+        "bound": upper,
+        "equality_elements": equality_gs[:8],
+        "index": index,
+        "index_power": index**n,
+        "rhs_power": _ratio(rhs_num, rhs_den),
+    }
+    return [_one("C6", inst, HOLDS if holds else VIOLATED, witness)]
 
 
-def check_frob_bound(H: SubgroupRef, table: chartab.CharacterTable) -> Finding:
+@_check
+def check_frob_bound(H: SubgroupRef, table: chartab.CharacterTable) -> list[_Batch]:
     """p_g(H, G) <= |G:H| d(G) for every g, plus the vanishing criterion.
 
     The bound verdict is exact; the witness records which g attain
@@ -942,7 +990,7 @@ def check_frob_bound(H: SubgroupRef, table: chartab.CharacterTable) -> Finding:
     all_vanish = all(
         chartab.vanishes_outside(table, i, H) for i in range(table.n_classes)
     )
-    inst = _inst(G, H=_mem(H))
+    inst = {"group": G.name, "H": _mem(H)}
     witness = {
         "bound": _ratio(bound_num, bound_den),
         "index": index,
@@ -951,12 +999,14 @@ def check_frob_bound(H: SubgroupRef, table: chartab.CharacterTable) -> Finding:
         "all_characters_vanish_outside": all_vanish,
         "equality_iff_vanishing_consistent": bool(equality_gs) == all_vanish,
     }
-    return Finding("FROB_BOUND", inst, HOLDS if not violating else VIOLATED, witness)
+    verdict = HOLDS if not violating else VIOLATED
+    return [_one("FROB_BOUND", inst, verdict, witness)]
 
 
+@_check
 def check_zeta_character(
     H: SubgroupRef, n: int, m: int, table: chartab.CharacterTable
-) -> Finding:
+) -> list[_Batch]:
     """Whether the per-g solution count decomposes as a character.
 
     The counts must first be constant on conjugacy classes; when they are
@@ -965,11 +1015,12 @@ def check_zeta_character(
     """
     G = table.group
     counts = engine.final_counts(H, groups.full_subgroup(G), n, m)
-    inst = _inst(G, H=_mem(H), n=n, m=m)
+    inst = {"group": G.name, "H": _mem(H), "n": n, "m": m}
     try:
         cf = chartab.class_function_from_counts(table, counts)
     except NotClassConstant as exc:
-        return Finding("ZETA_CHAR", inst, PRECONDITION_FAILED, {"reason": str(exc)})
+        reason = {"reason": str(exc)}
+        return [_one("ZETA_CHAR", inst, PRECONDITION_FAILED, reason)]
     ok, report = chartab.is_character(cf, table)
     witness = {
         "multiplicities": report["rounded"],
@@ -977,12 +1028,13 @@ def check_zeta_character(
         "max_reconstruction_deviation": report["max_reconstruction_deviation"],
         "nonnegative": report["nonnegative"],
     }
-    return Finding("ZETA_CHAR", inst, HOLDS if ok else VIOLATED, witness)
+    return [_one("ZETA_CHAR", inst, HOLDS if ok else VIOLATED, witness)]
 
 
+@_check
 def check_remark_r1(
     H: SubgroupRef, K: SubgroupRef, n: int, m: int
-) -> list[Finding]:
+) -> list[_Batch]:
     """Support and triviality characterizations of the probability.
 
     The value set is recomputed by plain set reachability (commutator
@@ -993,30 +1045,23 @@ def check_remark_r1(
     support = {g for g, c in enumerate(counts) if c}
     reach = set(_reachable_values(H, K, n, m).tolist())
     inst = _cell(n, m, H=H, K=K)
-    f_support = Finding(
-        "R1a",
-        inst,
-        HOLDS if support == reach else VIOLATED,
-        {
-            "support_size": len(support),
-            "reachable_size": len(reach),
-            "support_minus_reachable": sorted(support - reach)[:8],
-            "reachable_minus_support": sorted(reach - support)[:8],
-        },
-    )
+    support_witness = {
+        "support_size": len(support),
+        "reachable_size": len(reach),
+        "support_minus_reachable": sorted(support - reach)[:8],
+        "reachable_minus_support": sorted(reach - support)[:8],
+    }
     size = engine.space_size(H, K, n, m)
     value_subgroup = engine.nested_commutator_subgroup(H, K, n, m)
     ok = (counts[0] == size) == value_subgroup.is_trivial
-    f_trivial = Finding(
-        "R1b",
-        inst,
-        HOLDS if ok else VIOLATED,
-        {
-            "prob_identity": _ratio(counts[0], size),
-            "value_subgroup_order": value_subgroup.order,
-        },
-    )
-    return [f_support, f_trivial]
+    trivial_witness = {
+        "prob_identity": _ratio(counts[0], size),
+        "value_subgroup_order": value_subgroup.order,
+    }
+    return [
+        _one("R1a", inst, HOLDS if support == reach else VIOLATED, support_witness),
+        _one("R1b", inst, HOLDS if ok else VIOLATED, trivial_witness),
+    ]
 
 
 @lru_cache(maxsize=64)
@@ -1060,7 +1105,8 @@ def _reach_step(reach: np.ndarray, pool: SubgroupRef) -> np.ndarray:
     return reach
 
 
-def check_eq3(table: chartab.CharacterTable) -> Finding:
+@_check
+def check_eq3(table: chartab.CharacterTable) -> list[_Batch]:
     """Degree-weighted character sum against the exact probability, all g."""
     G = table.group
     full = groups.full_subgroup(G)
@@ -1071,19 +1117,17 @@ def check_eq3(table: chartab.CharacterTable) -> Finding:
         dev = abs(chartab.prob_char_pg(G, table, g) - counts[g] / size)
         if dev > worst:
             worst, worst_g = dev, g
-    return Finding(
-        "EQ3",
-        {"group": G.name},
-        HOLDS if worst < chartab.FORMULA_TOL else VIOLATED,
-        {
-            "max_deviation": worst,
-            "worst_element": worst_g,
-            "tolerance": chartab.FORMULA_TOL,
-        },
-    )
+    verdict = HOLDS if worst < chartab.FORMULA_TOL else VIOLATED
+    witness = {
+        "max_deviation": worst,
+        "worst_element": worst_g,
+        "tolerance": chartab.FORMULA_TOL,
+    }
+    return [_one("EQ3", {"group": G.name}, verdict, witness)]
 
 
-def check_eq4(table: chartab.CharacterTable) -> Finding:
+@_check
+def check_eq4(table: chartab.CharacterTable) -> list[_Batch]:
     """Irreducible count vs class count, and d(G) = k(G)/|G| exactly."""
     G = table.group
     full = groups.full_subgroup(G)
@@ -1092,25 +1136,22 @@ def check_eq4(table: chartab.CharacterTable) -> Finding:
     commuting = engine.final_counts(full, full, 1, 1)[0]
     size = engine.space_size(full, full, 1, 1)
     ok = table.n_classes == k and commuting * G.order == k * size
-    return Finding(
-        "EQ4",
-        {"group": G.name},
-        HOLDS if ok else VIOLATED,
-        {
-            "irreducible_count": table.n_classes,
-            "class_count": k,
-            "commuting_probability": _ratio(commuting, size),
-            "class_ratio": _ratio(k, G.order),
-        },
-    )
+    witness = {
+        "irreducible_count": table.n_classes,
+        "class_count": k,
+        "commuting_probability": _ratio(commuting, size),
+        "class_ratio": _ratio(k, G.order),
+    }
+    return [_one("EQ4", {"group": G.name}, HOLDS if ok else VIOLATED, witness)]
 
 
-def check_eq7(H: SubgroupRef, table: chartab.CharacterTable) -> Finding:
+@_check
+def check_eq7(H: SubgroupRef, table: chartab.CharacterTable) -> list[_Batch]:
     """Restriction-weighted character formula against exact counts, all g."""
     G = table.group
-    inst = _inst(G, H=_mem(H))
+    inst = {"group": G.name, "H": _mem(H)}
     if not groups.is_normal(G, H):
-        return Finding("EQ7", inst, PRECONDITION_FAILED, {"reason": "H is not normal"})
+        return [_one("EQ7", inst, PRECONDITION_FAILED, {"reason": "H is not normal"})]
     full = groups.full_subgroup(G)
     denom = engine.space_size(H, full, 1, 1)
     counts = engine.final_counts(H, full, 1, 1)
@@ -1120,19 +1161,17 @@ def check_eq7(H: SubgroupRef, table: chartab.CharacterTable) -> Finding:
         dev = abs(chartab.prob_char_relative(G, table, H, g) - exact)
         if dev > worst:
             worst, worst_g = dev, g
-    return Finding(
-        "EQ7",
-        inst,
-        HOLDS if worst < chartab.FORMULA_TOL else VIOLATED,
-        {
-            "max_deviation": worst,
-            "worst_element": worst_g,
-            "tolerance": chartab.FORMULA_TOL,
-        },
-    )
+    verdict = HOLDS if worst < chartab.FORMULA_TOL else VIOLATED
+    witness = {
+        "max_deviation": worst,
+        "worst_element": worst_g,
+        "tolerance": chartab.FORMULA_TOL,
+    }
+    return [_one("EQ7", inst, verdict, witness)]
 
 
-def check_psi(table: chartab.CharacterTable) -> Finding:
+@_check
+def check_psi(table: chartab.CharacterTable) -> list[_Batch]:
     """Pair-count decomposition: multiplicities must be |G|/degree."""
     G = table.group
     cf, mults = chartab.pair_count_class_function(table)
@@ -1140,16 +1179,12 @@ def check_psi(table: chartab.CharacterTable) -> Finding:
     deviation = float(np.abs(mults - expected).max())
     ok_char, report = chartab.is_character(cf, table)
     ok = deviation < chartab.ROUNDING_TOL and ok_char
-    return Finding(
-        "PSI",
-        {"group": G.name},
-        HOLDS if ok else VIOLATED,
-        {
-            "max_multiplicity_deviation": deviation,
-            "is_character": ok_char,
-            "multiplicities": report["rounded"],
-        },
-    )
+    witness = {
+        "max_multiplicity_deviation": deviation,
+        "is_character": ok_char,
+        "multiplicities": report["rounded"],
+    }
+    return [_one("PSI", {"group": G.name}, HOLDS if ok else VIOLATED, witness)]
 
 
 def named_group_specs(max_order: int = 24) -> tuple[str, ...]:
@@ -1259,28 +1294,27 @@ def config_from_json(payload: dict) -> AuditConfig:
 class AuditReport:
     """Aggregated findings with per-claim verdict counts.
 
-    ``write`` is the route that writes the report, one finding at a time;
-    ``dumps`` joins the same pieces into one string.  Both give the text of
-    ``jsontext.dumps(self.to_json(include_runtime))``.
+    ``findings`` reads as a sequence of ``Finding``; the writers read its
+    batches.  ``write`` is the route that writes the report, one finding
+    at a time; ``dumps`` joins the same pieces into one string.  Both give
+    the text of ``jsontext.dumps(self.to_json(include_runtime))``.
     """
 
     config: AuditConfig
     summary: dict
-    findings: list[Finding]
+    findings: Findings
 
     def hard_violations(self) -> list[Finding]:
-        return [
-            f
-            for f in self.findings
-            if f.claim in HARD_CLAIMS and f.verdict == VIOLATED
-        ]
+        # The hard claims are per-cell claims, whose rows come batch by batch.
+        hard = [b for b in self.findings.batches if b.claim in HARD_CLAIMS]
+        rows = [row for batch in hard for row in batch.rows(batch)]
+        return [self.findings._finding(*r) for r in rows if r[2] == _CODE[VIOLATED]]
 
     def _head(self) -> dict:
-        present = sorted({f.claim for f in self.findings})
         return {
             "config_echo": self.config.to_json(),
             "seed": self.config.seed,
-            "legend": {c: CLAIM_INFO[c] for c in present},
+            "legend": {c: CLAIM_INFO[c] for c in sorted(self.summary)},
             "summary": self.summary,
         }
 
@@ -1304,6 +1338,19 @@ class AuditReport:
         """The text ``write`` writes, as one string."""
         return "".join(self._pieces(include_runtime))
 
+    def rows(self, include_runtime: bool = False) -> Iterator[list]:
+        """One CSV row per finding: claim, verdict, and the texts of
+        ``json.dumps(instance, sort_keys=True)`` and of the witness
+        likewise, then the rounded runtime if asked for."""
+        cut, witness_text = self.findings._writers(indented=False)
+
+        def prepare(batch: _Batch) -> tuple:
+            runtime = [round(batch.runtime_ms, 3)] if include_runtime else []
+            return batch.claim, *cut(batch), runtime
+
+        for (claim, head, tail, runtime), g, code, w in self.findings.rows(prepare):
+            yield [claim, VERDICTS[code], f"{head}{g}{tail}", witness_text(w), *runtime]
+
     def _pieces(self, include_runtime: bool) -> Iterator[str]:
         # The top-level keys in sorted order, with the findings list
         # between "config_echo" and "legend", one piece per finding.
@@ -1326,71 +1373,58 @@ class AuditReport:
         yield "\n}"
 
 
-def _finding_texts(
-    findings: list[Finding], include_runtime: bool
-) -> Iterator[str]:
+def _finding_texts(findings: Findings, include_runtime: bool) -> Iterator[str]:
     """The text of each finding at depth 2 of the report.
 
     A finding is written from its fixed key layout, in sorted key order:
     ``claim``, ``instance``, [``runtime_ms``], ``verdict``, ``witness``,
-    with its instance (through ``_cell_writer``) and witness at depth 3.
-    An instance's member lists are shared between findings (see
-    ``_member_list``), so each is encoded once per call.  The witness is
-    written from the finding's key and value tuples (``_items_writer``),
-    once per distinct values tuple (``_witness_writer``); each finding is
-    then one f-string of the kept texts.
+    with its instance and witness at depth 3.  All but g, the verdict and
+    the witness is the same for every row of a batch and is joined once
+    per batch; each row is then one f-string.
     """
     quote = jsontext.SCALARS[str]
-    quoted = {text: quote(text) for text in (*CLAIMS, *VERDICTS)}
-    nl = "\n    "
-    instance_text = _cell_writer(_indented_writer(), "indented")
-    witness_text = _witness_writer(
-        _items_writer(nl, ",", "\n   }", lambda v: jsontext.encode(v, nl))
-    )
-    for f in findings:
+    verdicts = [quote(v) for v in VERDICTS]
+    claims = {c: f'{{\n   "claim": {quote(c)},\n   "instance": ' for c in CLAIMS}
+    cut, witness_text = findings._writers(indented=True)
+
+    def prepare(batch: _Batch) -> tuple[str, str, str]:
+        head, tail = cut(batch)
         runtime = (
-            ',\n   "runtime_ms": ' + jsontext.encode(round(f.runtime_ms, 3), "")
+            ',\n   "runtime_ms": ' + jsontext.encode(round(batch.runtime_ms, 3), "")
             if include_runtime
             else ""
         )
-        claim = quoted.get(f.claim) or quote(f.claim)
-        verdict = quoted.get(f.verdict) or quote(f.verdict)
+        lead = f'{claims[batch.claim]}{head}'
+        return lead, f'{tail}{runtime},\n   "verdict": '
+
+    for (lead, mid), g, code, w in findings.rows(prepare):
         yield (
-            f'{{\n   "claim": {claim},\n   "instance": {instance_text(f)}'
-            f'{runtime},\n   "verdict": {verdict},\n   "witness": {witness_text(f)}'
-            "\n  }"
+            f'{lead}{g}{mid}{verdicts[code]},\n   "witness": '
+            f"{witness_text(w)}\n  }}"
         )
 
 
-# Witness texts a writer keeps at most; past it, it starts a new table.
-_WITNESS_TEXTS_MAX = 1 << 16
-
-
 def _witness_writer(
-    items: Callable[[tuple[str, ...], tuple], str],
-) -> Callable[[Finding], str]:
-    """``items`` of a finding's witness tuples, run once per values tuple.
+    table: list[tuple], items: Callable[[tuple], str]
+) -> Callable[[int], str]:
+    """``items`` of the witness of an id in ``table``, made once per id."""
+    texts: list[Optional[str]] = [None] * len(table)
 
-    The equal witnesses of a run share one values tuple, so the text of
-    each distinct witness is made once.  A values tuple is made with its
-    key tuple and shared only with that key tuple (see ``_shared``), so
-    its id alone keys the text; the tuple is kept next to the text, so
-    that no id is reused while its text is kept.
-    """
-    texts: dict[int, tuple[tuple, str]] = {}
-
-    def text(f: Finding) -> str:
-        values = f.witness_values
-        hit = texts.get(id(values))
-        if hit is not None:
-            return hit[1]
-        out = items(f.witness_keys, values)
-        if len(texts) >= _WITNESS_TEXTS_MAX:
-            texts.clear()
-        texts[id(values)] = (values, out)
+    def text(w: int) -> str:
+        out = texts[w]
+        if out is None:
+            out = texts[w] = items(table[w])
         return out
 
     return text
+
+
+def _instance_cut(write: Callable[[dict], str]) -> Callable[[_Batch], tuple[str, str]]:
+    """The head and tail of ``write`` of a batch's instances around g, made
+    once per cell; a per-cell batch's head is its cell's whole text."""
+    whole = _by_identity(write)
+    cut = _by_identity(lambda cell: _template(write, cell))
+    return lambda b: (whole(b.cell), "") if b.gs is None else cut(b.cell)
 
 
 def _compact_writer() -> Callable[[dict], str]:
@@ -1401,45 +1435,11 @@ def _compact_writer() -> Callable[[dict], str]:
 
 
 def _indented_writer() -> Callable[[dict], str]:
-    """A writer of instance dicts at depth 3 of the report.
-
-    Its text of ``d`` is ``jsontext.encode(d, "\\n   ")``.
-    """
+    """A writer of ``jsontext.encode(d, "\\n   ")``, depth 3 of the report."""
     nl = "\n    "
     return _dict_writer(
         nl, ",", "\n   }", _by_identity(lambda v: jsontext.encode(v, nl))
     )
-
-
-def _cell_writer(
-    write: Callable[[dict], str], style: str
-) -> Callable[[Finding], str]:
-    """``write`` of a finding's instance, from its cell's kept text where it has one.
-
-    The text of a ``_Cell`` is made once by ``write`` and kept in its
-    ``<style>_text`` slot.  A finding over a ``_Cell`` and g is written as
-    the head and the tail ``_template`` cuts from ``write`` once per cell
-    (``_Cell.cut``), with the digits of g in between.  Any other instance
-    goes through ``write``.
-    """
-    own = style + "_text"
-
-    def text(f: Finding) -> str:
-        cell = f.cell
-        if type(cell) is not _Cell:
-            return write(f.instance)
-        g = f.g
-        if g is None:
-            whole = getattr(cell, own)
-            if whole is None:
-                whole = write(cell)
-                setattr(cell, own, whole)
-            return whole
-        head, tail = cell.cut(write, style)
-        # One f-string makes one string; g is an int, written as repr.
-        return f"{head}{g}{tail}"
-
-    return text
 
 
 def _template(text: Callable[[dict], str], base: dict) -> tuple[str, str]:
@@ -1455,32 +1455,34 @@ def _template(text: Callable[[dict], str], base: dict) -> tuple[str, str]:
 
 def _items_writer(
     indent: str, item_sep: str, close: str, container: Callable[[object], str]
-) -> Callable[[tuple[str, ...], tuple], str]:
-    """A writer of the JSON text of the dict ``dict(zip(keys, values))``.
+) -> Callable[[tuple], str]:
+    """A writer of the JSON text of a witness entry ``(keys, *values)``.
 
-    The dict's keys are ``str``, and its items are written in sorted key
-    order.  Each item is ``indent``, the key, ``": "`` and the value, the
-    items are joined by ``item_sep`` and followed by ``close``.  Scalar
-    values go through ``jsontext.SCALARS``, which writes them as the
-    compact and the indented standard-library forms both do; any other
-    value through ``container``.  The sorted key order is worked out once
-    per distinct key tuple, and each value is then read by its position.
+    The text is that of ``dict(zip(keys, values))``, whose keys are
+    ``str``, with its items in sorted key order.  Each item is ``indent``,
+    the key, ``": "`` and the value, the items are joined by ``item_sep``
+    and followed by ``close``.  Scalar values go through
+    ``jsontext.SCALARS``, which writes them as the compact and the indented
+    standard-library forms both do; any other value through ``container``.
+    The sorted key order is worked out once per distinct key tuple, and
+    each value is then read by its position.
     """
     scalars = jsontext.SCALARS
     quote = scalars[str]
     layouts: dict[tuple[str, ...], list[tuple[int, str]]] = {}
 
-    def text(keys: tuple[str, ...], values: tuple) -> str:
+    def text(entry: tuple) -> str:
+        keys = entry[0]
         if not keys:
             return "{}"
         layout = layouts.get(keys)
         if layout is None:
             layout = layouts[keys] = [
-                (keys.index(k), indent + quote(k) + ": ") for k in sorted(keys)
+                (keys.index(k) + 1, indent + quote(k) + ": ") for k in sorted(keys)
             ]
         parts = []
         for i, prefix in layout:
-            v = values[i]
+            v = entry[i]
             w = scalars.get(type(v))
             parts.append(prefix + (w(v) if w is not None else container(v)))
         return "{" + item_sep.join(parts) + close
@@ -1488,12 +1490,22 @@ def _items_writer(
     return text
 
 
+# The text of a witness entry as ``json.dumps(witness, sort_keys=True)``
+# writes it, and at depth 3 of the report.
+_compact_witness = _items_writer(
+    "", ", ", "}", json.JSONEncoder(sort_keys=True).encode
+)
+_indented_witness = _items_writer(
+    "\n    ", ",", "\n   }", lambda v: jsontext.encode(v, "\n    ")
+)
+
+
 def _dict_writer(
     indent: str, item_sep: str, close: str, container: Callable[[object], str]
 ) -> Callable[[dict], str]:
     """``_items_writer`` for dicts with ``str`` keys."""
     items = _items_writer(indent, item_sep, close, container)
-    return lambda d: items(tuple(d), tuple(d.values()))
+    return lambda d: items((tuple(d), *d.values()))
 
 
 def _by_identity(encode: Callable[[object], str]) -> Callable[[object], str]:
@@ -1535,12 +1547,13 @@ def _g_values(
 ) -> tuple[int, ...]:
     """Elements to test: the support, the identity, one non-support id.
 
-    Kept per (H, K, n, m): P4 and P5 ask for the same (H, G, n, m) once
-    for each K above H and each normal N.
+    In the order of their decimal texts, the order of the report's rows
+    (see ``_sorted_batches``).  Kept per (H, K, n, m): P4 and P5 ask for
+    the same (H, G, n, m) once for each K above H and each normal N.
     """
     G = H.parent
     if g_policy == "all":
-        return tuple(range(G.order))
+        return tuple(sorted(range(G.order), key=str))
     counts = engine.final_counts(H, K, n, m)
     chosen = {g for g, c in enumerate(counts) if c}
     chosen.add(0)
@@ -1548,7 +1561,7 @@ def _g_values(
         if not counts[g]:
             chosen.add(g)
             break
-    return tuple(sorted(chosen))
+    return tuple(sorted(chosen, key=str))
 
 
 def _first_proper(G: GroupTable) -> Optional[SubgroupRef]:
@@ -1589,55 +1602,26 @@ _TABLE_CHECKS = {
     "check_frob_bound", "check_zeta_character", "check_eq7", *_GROUP_CHECKS
 }
 
-def instance_json_writer() -> Callable[[Finding], str]:
-    """A writer of ``json.dumps(f.instance, sort_keys=True)`` for findings f."""
-    return _cell_writer(_compact_writer(), "compact")
+def _sorted_batches(by_claim: dict[str, list[_Batch]]) -> tuple[list[_Batch], bytes]:
+    """The batches and their joins, as rows sort: by claim, then by
+    ``json.dumps(instance, sort_keys=True)``, stable.
 
-
-def witness_json_writer() -> Callable[[Finding], str]:
-    """A writer of ``json.dumps(finding.witness, sort_keys=True)`` for findings.
-
-    It writes from the finding's key and value tuples, without the dict,
-    and each distinct witness once (see ``_witness_writer``).
+    That text is a cell's head, g and tail (``_instance_cut``).  A head
+    ends at the one ``"g": `` of its text, or is a whole object, so no
+    head is a proper prefix of another: a claim's batches sort by (head,
+    tail), and those of one head join, their rows merged by g's text (a
+    tail starts with a comma, which sorts before every digit).
     """
-    return _witness_writer(
-        _items_writer("", ", ", "}", json.JSONEncoder(sort_keys=True).encode)
-    )
-
-
-def _sort_findings(findings: list[Finding]) -> None:
-    """Sort by claim, then by the text of ``json.dumps(instance, sort_keys=True)``.
-
-    The findings go into one list per claim, each sorted one claim at a
-    time by its instance texts cut in two: a finding over a ``_Cell`` and
-    g by the cell's head, kept once per cell, and ``f"{g}{tail}"``; any
-    other by its text cut after its first ``"g": ``, or whole.  A cell's
-    head ends at the one ``"g": `` of its text too, and a whole text is a
-    whole object, so no head is a proper prefix of another, and the pairs
-    sort as the whole texts do.
-    """
-    write = _compact_writer()
-    instance_text = _cell_writer(write, "compact")
-
-    def key(f: Finding) -> tuple[str, str]:
-        cell, g = f.cell, f.g
-        if g is not None and type(cell) is _Cell:
-            head, tail = cell.cut(write, "compact")
-            return head, f"{g}{tail}"
-        head, sep, tail = instance_text(f).partition('"g": ')
-        return head + sep, tail
-
-    by_claim: dict[str, list[Finding]] = {}
-    for f in findings:
-        bucket = by_claim.get(f.claim)
-        if bucket is None:
-            bucket = by_claim[f.claim] = []
-        bucket.append(f)
-    findings.clear()
+    cut = _instance_cut(_compact_writer())
+    batches, joins = [], bytearray()
     for claim in sorted(by_claim):
-        bucket = by_claim.pop(claim)
-        bucket.sort(key=key)
-        findings.extend(bucket)
+        last = None
+        keyed = zip(map(cut, by_claim[claim]), by_claim[claim])
+        for (head, _), batch in sorted(keyed, key=operator.itemgetter(0)):
+            joins.append(head == last)
+            batches.append(batch)
+            last = head
+    return batches, bytes(joins)
 
 
 @contextmanager
@@ -1653,35 +1637,44 @@ def _collector_paused() -> Iterator[None]:
 
 
 @contextmanager
-def _run_tables() -> Iterator[None]:
-    """Share work through new ``_RunTables``; drop them on exit."""
-    token = _RUN.set(_RunTables())
+def _run_tables() -> Iterator[_RunTables]:
+    """Share work through new ``_RunTables``; stop sharing on exit."""
+    tables = _RunTables()
+    token = _RUN.set(tables)
     try:
-        yield
+        yield tables
     finally:
         _RUN.reset(token)
+
+
+def _forget_walk() -> None:
+    """Empty every cache keyed by a group or its subgroups, as a walk ends:
+    what then stays of the group is the member lists and name in its cells."""
+    _RUN.get().cells.clear()
+    engine.clear_caches()
+    for cache in (
+        chartab._relative_coeffs, _reachable_values, _x_block_values, _g_values,
+        _mutual_centralizer, _center,
+    ):
+        cache.cache_clear()
 
 
 def run_battery(config: AuditConfig) -> AuditReport:
     """Execute every selected check on every instance the config describes.
 
-    Each instance shape of a group is walked once, calling every selected
-    check of that shape (see the module docstring).  The checks on one
-    (H, K, n, m) cell report one shared cell through the run's memo (see
-    ``_cell``).  Instance generation is fully deterministic (ordering comes
-    from the config and from element ids), so a fixed config yields a
-    byte-identical serialized report; per-finding timings are measured but
-    excluded from serialization unless explicitly requested.
+    Each group is walked by one call (``_walk_group``, then ``_walk_pair``
+    per product pair), and what it cached of the group is dropped when it
+    returns (``_forget_walk``).  The batches of selected claims are kept
+    per claim and sorted at the end; the summary counts their verdict
+    codes.  A fixed config yields a byte-identical serialized report;
+    per-finding timings are measured but written only when asked for.
     """
     config.validate()
     selected = set(config.claims)
     active = {
         name for name, tags in _CHECK_CLAIMS.items() if selected.intersection(tags)
     }
-    per_g = [name for name in _G_CHECKS if name in active]
-    policy = config.g_policy
-    cells = [(n, m) for n in config.n_values for m in config.m_values]
-    findings: list[Finding] = []
+    by_claim: dict[str, list[_Batch]] = {}
 
     def run(name: str, *args) -> None:
         if name not in active:
@@ -1690,94 +1683,101 @@ def run_battery(config: AuditConfig) -> AuditReport:
         # (as perfbench's tracer does) sees every call.
         check = globals()[name]
         start = time.perf_counter()
-        produced = check(*args)
-        elapsed = (time.perf_counter() - start) * 1000.0
-        batch = produced if isinstance(produced, list) else [produced]
-        share = elapsed / len(batch)
-        for f in batch:
-            f.runtime_ms = share
-            if f.claim in selected:
-                findings.append(f)
+        found = check(*args)
+        share = (time.perf_counter() - start) * 1000.0 / len(found)
+        for batch in found.batches:
+            if batch.claim in selected:
+                batch.runtime_ms = share
+                by_claim.setdefault(batch.claim, []).append(batch)
 
-    # Findings accumulate for the whole walk and form no reference cycles,
-    # so full cyclic collections during it only re-traverse them: about a
-    # tenth of the default battery's time.  The few cycles the walk does
-    # leave are standard-library closures (``ast.literal_eval``,
-    # ``inspect``), a few hundred objects on the default battery, freed by
-    # the first collection after the pause.
-    # The run's tables are dropped before the sort, which holds one head
-    # per cell and a short key per finding of a claim.
+    # Batches accumulate for the whole walk and form no reference cycles,
+    # so full cyclic collections during it would only re-traverse them.
+    # The few cycles the walk does leave are standard-library closures
+    # (``ast.literal_eval``, ``inspect``), a few hundred objects on the
+    # default battery, freed by the first collection after the pause.
     with _collector_paused():
-        with _run_tables():
-            for spec in config.groups:
-                G = groupspec.parse_group_spec(spec, max_order=config.max_order)
-                pool = _subgroup_pool(G, config)
-                full = groups.full_subgroup(G)
-                for H in pool:
-                    for K in pool:
-                        for n, m in cells:
-                            for name in _CELL_CHECKS:
-                                run(name, H, K, n, m)
-                            if per_g:
-                                gs = _g_values(H, K, n, m, policy)
-                                for name in per_g:
-                                    run(name, H, K, n, m, gs)
-                        nested = set(H.members) <= set(K.members)
-                        if "check_monotonicity" in active and nested:
-                            for n, m in cells:
-                                gs = _g_values(H, full, n, m, policy)
-                                run("check_monotonicity", H, K, n, m, gs)
-                        if "check_c5" in active:
-                            for n in config.n_values:
-                                gs = _g_values(H, K, n, 1, policy)
-                                run("check_c5", H, K, n, gs)
-                if "check_quotient" in active:
-                    for N in pool:
-                        if not groups.is_normal(G, N):
-                            continue
-                        quotient = groups.quotient_group(G, N)
-                        for H in pool:
-                            if set(H.members) <= set(N.members):
-                                for n, m in cells:
-                                    gs = _g_values(H, full, n, m, policy)
-                                    run("check_quotient", H, N, n, m, gs, quotient)
-                if active & _TABLE_CHECKS:
-                    table = chartab.character_table(G, seed=config.seed)
-                    for H in pool:
-                        run("check_frob_bound", H, table)
-                        for n, m in cells:
-                            run("check_zeta_character", H, n, m, table)
-                        if groups.is_normal(G, H):
-                            run("check_eq7", H, table)
-                    for name in _GROUP_CHECKS:
-                        run(name, table)
-
+        with _run_tables() as tables:
+            walks = [(_walk_group, spec) for spec in config.groups]
             if "check_multiplicativity" in active:
-                for left_spec, right_spec in config.product_pairs:
-                    E, F = (
-                        groupspec.parse_group_spec(spec, max_order=config.max_order)
-                        for spec in (left_spec, right_spec)
-                    )
-                    product = groups.direct_product(E, F, max_order=config.max_order)
-                    full_e, full_f = groups.full_subgroup(E), groups.full_subgroup(F)
-                    combos = [(full_e, full_e, full_f, full_f)]
-                    prop_e, prop_f = _first_proper(E), _first_proper(F)
-                    if prop_e is not None or prop_f is not None:
-                        combos.append(
-                            (prop_e or full_e, full_e, full_f, prop_f or full_f)
-                        )
-                    for A, B, C, D in combos:
-                        block_x = _product_subgroup(product, A, C)
-                        block_y = _product_subgroup(product, B, D)
-                        for n, m in cells:
-                            gs = _g_values(block_x, block_y, n, m, policy)
-                            run(
-                                "check_multiplicativity",
-                                E, F, A, B, C, D, n, m, gs, product,
-                            )
-        _sort_findings(findings)
+                walks += [(_walk_pair, pair) for pair in config.product_pairs]
+            for walk, what in walks:
+                try:
+                    walk(what, config, active, run)
+                finally:
+                    _forget_walk()
+        batches, joins = _sorted_batches(by_claim)
     summary: dict[str, dict[str, int]] = {}
-    for f in findings:
-        per_claim = summary.setdefault(f.claim, {})
-        per_claim[f.verdict] = per_claim.get(f.verdict, 0) + 1
-    return AuditReport(config=config, summary=summary, findings=findings)
+    for claim in sorted(by_claim):
+        codes = b"".join(batch.codes for batch in by_claim[claim])
+        summary[claim] = {v: codes.count(c) for v, c in _CODE.items() if c in codes}
+    return AuditReport(config, summary, Findings(batches, tables.witnesses, joins))
+
+
+def _walk_group(
+    spec: str, config: AuditConfig, active: set[str], run: Callable
+) -> None:
+    """Every selected check of a group's instance shapes, each shape walked once."""
+    G = groupspec.parse_group_spec(spec, max_order=config.max_order)
+    pool = _subgroup_pool(G, config)
+    full = groups.full_subgroup(G)
+    per_g = [name for name in _G_CHECKS if name in active]
+    policy = config.g_policy
+    cells = [(n, m) for n in config.n_values for m in config.m_values]
+    for H in pool:
+        for K in pool:
+            for n, m in cells:
+                for name in _CELL_CHECKS:
+                    run(name, H, K, n, m)
+                if per_g:
+                    gs = _g_values(H, K, n, m, policy)
+                    for name in per_g:
+                        run(name, H, K, n, m, gs)
+            nested = set(H.members) <= set(K.members)
+            if "check_monotonicity" in active and nested:
+                for n, m in cells:
+                    gs = _g_values(H, full, n, m, policy)
+                    run("check_monotonicity", H, K, n, m, gs)
+            if "check_c5" in active:
+                for n in config.n_values:
+                    gs = _g_values(H, K, n, 1, policy)
+                    run("check_c5", H, K, n, gs)
+    if "check_quotient" in active:
+        for N in pool:
+            if not groups.is_normal(G, N):
+                continue
+            quotient = groups.quotient_group(G, N)
+            for H in pool:
+                if set(H.members) <= set(N.members):
+                    for n, m in cells:
+                        gs = _g_values(H, full, n, m, policy)
+                        run("check_quotient", H, N, n, m, gs, quotient)
+    if active & _TABLE_CHECKS:
+        table = chartab.character_table(G, seed=config.seed)
+        for H in pool:
+            run("check_frob_bound", H, table)
+            for n, m in cells:
+                run("check_zeta_character", H, n, m, table)
+            if groups.is_normal(G, H):
+                run("check_eq7", H, table)
+        for name in _GROUP_CHECKS:
+            run(name, table)
+
+
+def _walk_pair(
+    pair: tuple[str, str], config: AuditConfig, active: set[str], run: Callable
+) -> None:
+    """P1 on the product of one pair of groups, for every blocks and (n, m)."""
+    E, F = (groupspec.parse_group_spec(s, max_order=config.max_order) for s in pair)
+    product = groups.direct_product(E, F, max_order=config.max_order)
+    full_e, full_f = groups.full_subgroup(E), groups.full_subgroup(F)
+    combos = [(full_e, full_e, full_f, full_f)]
+    prop_e, prop_f = _first_proper(E), _first_proper(F)
+    if prop_e is not None or prop_f is not None:
+        combos.append((prop_e or full_e, full_e, full_f, prop_f or full_f))
+    for A, B, C, D in combos:
+        block_x = _product_subgroup(product, A, C)
+        block_y = _product_subgroup(product, B, D)
+        for n in config.n_values:
+            for m in config.m_values:
+                gs = _g_values(block_x, block_y, n, m, config.g_policy)
+                run("check_multiplicativity", E, F, A, B, C, D, n, m, gs, product)

@@ -678,7 +678,8 @@ def _write_audit(
 ) -> None:
     """The report in ``args.output`` form plus a newline.
 
-    JSON and CSV are written one finding at a time.
+    JSON and CSV are written one finding at a time, from the report's
+    batches.
     """
     from . import audit
 
@@ -689,13 +690,7 @@ def _write_audit(
             ["claim", "verdict", "instance", "witness"]
             + (["runtime_ms"] if args.timings else [])
         )
-        instance_text = audit.instance_json_writer()
-        witness_text = audit.witness_json_writer()
-        for f in report.findings:
-            writer.writerow(
-                [f.claim, f.verdict, instance_text(f), witness_text(f)]
-                + ([round(f.runtime_ms, 3)] if args.timings else [])
-            )
+        writer.writerows(report.rows(args.timings))
     elif args.output == "table":
         lines = [f"{'claim':<12} holds violated vacuous precondition_failed"]
         for claim in sorted(report.summary):

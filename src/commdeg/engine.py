@@ -256,14 +256,13 @@ def conjugacy_info(K: SubgroupRef) -> groups.ConjugacyInfo:
 
 
 def clear_caches() -> None:
-    comm_distribution.cache_clear()
-    _orbit_pairs.cache_clear()
-    _class_route_pays.cache_clear()
-    _class_algebra.cache_clear()
-    final_counts.cache_clear()
-    _conjugator_step.cache_clear()
-    conjugacy_info.cache_clear()
-    _support_closure.cache_clear()
+    """Empty every cache of this module.
+
+    The caches are those of the functions as defined here, so a function
+    replaced on the module (as a test or a tracer may do) is no obstacle.
+    """
+    for cached in _CACHES:
+        cached.cache_clear()
 
 
 def _expand(
@@ -391,3 +390,15 @@ def y_set_size(H: SubgroupRef, K: SubgroupRef, n: int) -> int:
     """Tuples in H^n whose folded value has trivial centralizer in K."""
     cent = conjugacy_info(K).centralizer_order
     return sum(c for w, c in enumerate(comm_distribution(H, n)) if c and cent[w] == 1)
+
+
+_CACHES = (
+    comm_distribution,
+    _orbit_pairs,
+    _class_route_pays,
+    _class_algebra,
+    final_counts,
+    _conjugator_step,
+    conjugacy_info,
+    _support_closure,
+)

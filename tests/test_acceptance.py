@@ -215,7 +215,7 @@ def test_criterion_9_fault_detection(monkeypatch, s3, report):
     # warm exact side, then corrupt the histogram feeding the class formula
     engine.final_counts(full, full, 2, 1)
     monkeypatch.setattr(engine, "comm_distribution", corrupted)
-    flagged = audit.check_class_formula(full, full, 2, 1)
+    [flagged] = audit.check_class_formula(full, full, 2, 1)
     monkeypatch.undo()
     engine.clear_caches()
 

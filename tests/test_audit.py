@@ -1,3 +1,4 @@
+import argparse
 import dataclasses
 import gc
 import hashlib
@@ -5,6 +6,7 @@ import io
 import json
 import random
 import tracemalloc
+import weakref
 from fractions import Fraction
 
 import numpy as np
@@ -12,7 +14,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from commdeg import audit, chartab, engine, groups, groupspec, jsontext
+from commdeg import audit, chartab, cli, engine, groups, groupspec, jsontext
 from commdeg.errors import ConfigInvalid
 
 
@@ -27,7 +29,7 @@ def members(G, *ids):
 
 def test_class_formula_hard_case_holds(s3):
     full = groups.full_subgroup(s3)
-    f = audit.check_class_formula(full, full, 2, 1)
+    [f] = audit.check_class_formula(full, full, 2, 1)
     assert f.claim == "P3_m1"
     assert f.verdict == audit.HOLDS
     assert f.witness["paper_predicate_mismatches"] == 0
@@ -35,7 +37,7 @@ def test_class_formula_hard_case_holds(s3):
 
 def test_class_formula_weight_three_witness(s3):
     full = groups.full_subgroup(s3)
-    f = audit.check_class_formula(full, full, 1, 2)
+    [f] = audit.check_class_formula(full, full, 1, 2)
     assert f.claim == "P3_mgt1"
     assert f.verdict == audit.VIOLATED
     assert f.witness["g"] == 0
@@ -94,14 +96,14 @@ def test_chain_link_three_fails_for_a3_pair(s3, a3_in_s3):
 
 
 def test_c4_closed_form_holds(s3):
-    f = audit.check_c4(members(s3, 2), members(s3, 4), 1, 1)
+    [f] = audit.check_c4(members(s3, 2), members(s3, 4), 1, 1)
     assert f.verdict == audit.HOLDS
     assert f.witness["lhs"] == "3/4"
 
 
 def test_c4_vacuous_when_centralizers_are_big(s3):
     full = groups.full_subgroup(s3)
-    f = audit.check_c4(full, full, 1, 1)
+    [f] = audit.check_c4(full, full, 1, 1)
     assert f.verdict == audit.VACUOUS
 
 
@@ -137,7 +139,7 @@ def test_t3_bounds():
 def test_c6_equality_case_fails_on_c2():
     c2 = groups.named_group("C", 2)
     full = groups.full_subgroup(c2)
-    f = audit.check_c6(full, full, 1, 1)
+    [f] = audit.check_c6(full, full, 1, 1)
     assert f.verdict == audit.VIOLATED
     assert f.witness["equality_elements"] == [0]
     assert f.witness["index_power"] == 1
@@ -146,7 +148,7 @@ def test_c6_equality_case_fails_on_c2():
 
 def test_c6_vacuous_without_equality(s3):
     full = groups.full_subgroup(s3)
-    f = audit.check_c6(full, full, 1, 1)
+    [f] = audit.check_c6(full, full, 1, 1)
     assert f.verdict == audit.VACUOUS
 
 
@@ -205,36 +207,36 @@ def test_multiplicativity_exact(s3, q8):
 
 
 def test_frob_bound(s3, s3_table, a3_in_s3):
-    f = audit.check_frob_bound(groups.full_subgroup(s3), s3_table)
+    [f] = audit.check_frob_bound(groups.full_subgroup(s3), s3_table)
     assert f.verdict == audit.HOLDS
     assert f.witness["equality_elements"] == [0]
     assert f.witness["all_characters_vanish_outside"] is True
-    f = audit.check_frob_bound(a3_in_s3, s3_table)
+    [f] = audit.check_frob_bound(a3_in_s3, s3_table)
     assert f.verdict == audit.HOLDS
     assert f.witness["equality_iff_vanishing_consistent"] is True
 
 
 def test_zeta_character_check(s3, s3_table):
-    f = audit.check_zeta_character(members(s3, 2), 1, 1, s3_table)
+    [f] = audit.check_zeta_character(members(s3, 2), 1, 1, s3_table)
     assert f.verdict == audit.HOLDS
     assert f.witness["multiplicities"] == [2, 2, 2]
     a4 = groups.named_group("A", 4)
     t4 = chartab.character_table(a4, seed=0)
-    f = audit.check_zeta_character(members(a4, 4), 1, 1, t4)
+    [f] = audit.check_zeta_character(members(a4, 4), 1, 1, t4)
     assert f.verdict == audit.PRECONDITION_FAILED
 
 
 def test_character_identity_checks(s3, q8, s3_table):
-    assert audit.check_eq3(s3_table).verdict == audit.HOLDS
-    assert audit.check_eq4(s3_table).verdict == audit.HOLDS
-    assert audit.check_psi(s3_table).verdict == audit.HOLDS
+    assert audit.check_eq3(s3_table)[0].verdict == audit.HOLDS
+    assert audit.check_eq4(s3_table)[0].verdict == audit.HOLDS
+    assert audit.check_psi(s3_table)[0].verdict == audit.HOLDS
     tq = chartab.character_table(q8, seed=0)
-    assert audit.check_eq3(tq).verdict == audit.HOLDS
-    assert audit.check_eq7(groups.center(q8), tq).verdict == audit.HOLDS
+    assert audit.check_eq3(tq)[0].verdict == audit.HOLDS
+    assert audit.check_eq7(groups.center(q8), tq)[0].verdict == audit.HOLDS
 
 
 def test_eq7_requires_normal(s3, s3_table):
-    f = audit.check_eq7(members(s3, 2), s3_table)
+    [f] = audit.check_eq7(members(s3, 2), s3_table)
     assert f.verdict == audit.PRECONDITION_FAILED
 
 
@@ -475,11 +477,11 @@ def test_report_write_peak_memory(s3_d4_report):
 
 
 def test_battery_peak_bytes_per_finding():
-    # A finding keeps its witness as a shared key tuple and a value tuple,
-    # its runtime as one float per check call, and its fraction texts
-    # shared, and the sort holds one claim's keys at a time: about 380
-    # traced bytes a finding at the peak of a warm run, against about 735
-    # with a dict per witness and a sort key per finding held at once.
+    # Findings are batches, one per claim and cell, whose verdict codes and
+    # witness ids are columns shared within a run, with each distinct
+    # witness held once: about 250 traced bytes a finding at the peak of a
+    # warm run, against about 290 with a slotted record per finding and
+    # about 735 with a dict per witness and a sort key per finding.
     config = audit.AuditConfig(groups=("S3", "D4"))
     audit.run_battery(config)
     gc.collect()
@@ -493,33 +495,40 @@ def test_battery_peak_bytes_per_finding():
 
 
 def test_finding_witness_is_the_dict_the_check_built(monkeypatch, s3, a3_in_s3):
-    built = []
+    built = {}
+    real = audit._witness
 
-    class Recording(audit.Finding):
-        __slots__ = ()
+    def recording(fields):
+        w = real(fields)
+        built.setdefault(w, dict(fields))
+        return w
 
-        def __init__(self, claim, instance, verdict, witness, runtime_ms=0.0, **kw):
-            super().__init__(claim, instance, verdict, witness, runtime_ms, **kw)
-            built.append((self, dict(witness)))
-
-    monkeypatch.setattr(audit, "Finding", Recording)
+    monkeypatch.setattr(audit, "_witness", recording)
     full = groups.full_subgroup(s3)
-    audit.check_t3(a3_in_s3, full, 2, 1, [0, 1, 4])
-    audit.check_chain(a3_in_s3, full, 1, 2, [0, 1])
-    audit.check_class_formula(a3_in_s3, full, 2, 2)
-    assert len(built) == 9
-    for f, witness in built:
-        assert list(f.witness.items()) == list(witness.items())
-        assert f.to_json() == {
-            "claim": f.claim,
-            "instance": f.instance,
-            "verdict": f.verdict,
-            "witness": witness,
-        }
-        assert f.to_json(include_runtime=True)["runtime_ms"] == 0.0
+    # One table for the three calls, as in a run.
+    with audit._run_tables() as tables:
+        calls = [
+            audit.check_t3(a3_in_s3, full, 2, 1, [0, 1, 4]),
+            audit.check_chain(a3_in_s3, full, 1, 2, [0, 1]),
+            audit.check_class_formula(a3_in_s3, full, 2, 2),
+        ]
+    rows = [row for found in calls for row in found.rows()]
+    assert sum(map(len, calls)) == len(rows) == 9
+    for found in calls:
+        for f, (batch, _, _, w) in zip(found, found.rows()):
+            witness = built[w]
+            assert f.claim == batch.claim
+            assert list(f.witness.items()) == list(witness.items())
+            assert f.to_json() == {
+                "claim": f.claim,
+                "instance": f.instance,
+                "verdict": f.verdict,
+                "witness": witness,
+            }
+            assert f.to_json(include_runtime=True)["runtime_ms"] == 0.0
     # Witnesses of one layout share their key tuple.
-    t3i = [f for f, _ in built if f.claim == "T3i"]
-    assert t3i[0].witness_keys is t3i[1].witness_keys is t3i[2].witness_keys
+    t3i = {w for batch, _, _, w in calls[0].rows() if batch.claim == "T3i"}
+    assert len({id(tables.witnesses[w][0]) for w in t3i}) == 1
 
 
 def test_finding_witness_is_a_fresh_dict():
@@ -535,8 +544,8 @@ def test_finding_witness_is_a_fresh_dict():
 
 
 def test_findings_over_one_subgroup_share_its_member_list(s3, a3_in_s3):
-    c4 = audit.check_c4(a3_in_s3, groups.full_subgroup(s3), 1, 1)
-    c6 = audit.check_c6(a3_in_s3, a3_in_s3, 2, 1)
+    [c4] = audit.check_c4(a3_in_s3, groups.full_subgroup(s3), 1, 1)
+    [c6] = audit.check_c6(a3_in_s3, a3_in_s3, 2, 1)
     assert c4.instance is not c6.instance
     assert c4.instance["H"] is c6.instance["H"] is c6.instance["K"]
     assert c4.instance["H"] == list(a3_in_s3.members)
@@ -577,72 +586,91 @@ def test_cell_template_is_the_encoder_text(name, blocks, n, m):
             assert head + str(g) + tail == writer(inst) == reference(inst)
 
 
+def _row_texts(findings):
+    return [(f.claim, json.dumps(f.instance, sort_keys=True)) for f in findings]
+
+
 def test_sort_orders_findings_as_their_instance_texts():
-    # Member lists whose texts share prefixes, g whose digits do, and every
-    # way a finding can name its instance: a cell, a cell and g, a plain
-    # dict and g, and a plain dict with its own "g" key.
+    # Member lists whose texts share prefixes, g whose digits do, cells
+    # equal in all but the keys after g, per-cell and per-g batches, and
+    # equal cells made twice, as a group named twice makes them.
     lists = ([0, 1], [0, 1, 2], [0, 10])
-    findings = []
-    for name in _TEMPLATE_NAMES:
-        findings.append(audit.Finding("T3i", {"group": name}, audit.HOLDS, {}))
-        for x, y, blocks, n in [
-            (x, y, blocks, n)
-            for x in lists
-            for y in lists
-            for blocks in (("H", "K"), ("H", "N"))
-            for n in (1, 12)
-        ]:
-            base = {"group": name, blocks[0]: x, blocks[1]: y, "n": n, "m": 2}
-            cell = audit._Cell(base)
-            for claim in ("C4", "T3i"):
-                findings.append(audit.Finding(claim, cell, audit.HOLDS, {}))
-                for g in (0, 9, 10, 99, 100, 12345):
-                    findings += [
-                        audit.Finding(claim, cell, audit.HOLDS, {}, g=g),
-                        audit.Finding(claim, dict(base), audit.HOLDS, {}, g=g),
-                        audit.Finding(claim, {**base, "g": g}, audit.HOLDS, {}),
-                    ]
-    random.Random(0).shuffle(findings)
-    expected = sorted(
-        findings, key=lambda f: (f.claim, json.dumps(f.instance, sort_keys=True))
-    )
-    audit._sort_findings(findings)
-    assert [id(f) for f in findings] == [id(f) for f in expected]
+    gs = sorted((0, 9, 10, 99, 100, 12345), key=str)
+    by_claim: dict = {}
+    with audit._run_tables():
+        w = audit._witness({})
+        for name in _TEMPLATE_NAMES:
+            for x, y, blocks, n, m in [
+                (x, y, blocks, n, m)
+                for x in lists
+                for y in lists
+                for blocks in (("H", "K"), ("H", "N"))
+                for n in (1, 12)
+                for m in (1, 2)
+            ]:
+                for _ in range(2):
+                    cell = {"group": name, blocks[0]: x, blocks[1]: y, "n": n, "m": m}
+                    for claim, cell_gs in (("C4", None), ("T3i", gs)):
+                        rows = [(audit.HOLDS, w)] * (1 if cell_gs is None else len(gs))
+                        batch = audit._Batch(claim, cell, cell_gs, rows)
+                        by_claim.setdefault(claim, []).append(batch)
+    for batches in by_claim.values():
+        random.Random(0).shuffle(batches)
+    given = audit.Findings([b for c in by_claim for b in by_claim[c]], [((),)])
+    expected = sorted(given, key=lambda f: _row_texts([f]))
+    batches, joins = audit._sorted_batches(by_claim)
+    assert any(joins)
+    found = audit.Findings(batches, [((),)], joins)
+    assert _row_texts(found) == _row_texts(expected)
+    # Rows with equal texts keep the order their batches came in.
+    assert [(id(f.cell), f.g) for f in found] == [(id(f.cell), f.g) for f in expected]
 
 
 def test_sort_holds_one_head_per_cell():
-    # One text per finding would hold 1,000 copies of the two lists.
+    # A thousand batches of one cell, each with one g, sort by that cell's
+    # one head and merge by the text of g; a text per row would hold 1,000
+    # copies of the two lists.
     members = list(range(2000))
-    cell = audit._Cell({"group": "C2000", "H": members, "K": members, "n": 1, "m": 1})
-    findings = [audit.Finding("C5", cell, audit.VACUOUS, {}, g=g) for g in range(1000)]
-    random.Random(0).shuffle(findings)
+    cell = {"group": "C2000", "H": members, "K": members, "n": 1, "m": 1}
+    with audit._run_tables():
+        rows = [(audit.VACUOUS, 0)]
+        batches = [audit._Batch("C5", cell, (g,), rows) for g in range(1000)]
+    random.Random(0).shuffle(batches)
     tracemalloc.start()
     try:
-        audit._sort_findings(findings)
+        ordered, joins = audit._sorted_batches({"C5": batches})
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert [f.g for f in findings] == sorted(range(1000), key=lambda g: f"{g},")
+    assert joins == b"\x00" + b"\x01" * 999
+    found = audit.Findings(ordered, [((),)], joins)
+    assert [f.g for f in found] == sorted(range(1000), key=lambda g: f"{g},")
     assert peak < 2 * 2**20
+
+
+def test_g_values_come_in_the_order_of_their_text():
+    G = groups.named_group("C", 24)
+    full = groups.full_subgroup(G)
+    for policy in ("support", "all"):
+        gs = audit._g_values(full, full, 1, 1, policy)
+        assert list(gs) == sorted(gs, key=str) and len(set(gs)) == len(gs)
+    assert len(audit._g_values(full, full, 1, 1, "all")) == 24
 
 
 def test_battery_templates_are_the_encoder_text():
     config = audit.AuditConfig(groups=("S3", "D4", "Q8", "C6"), product_pairs=())
     report = audit.run_battery(config)
-    report.write(_Discard())
-    per_g = [
-        f
-        for f in report.findings
-        if f.g is not None and type(f.cell) is audit._Cell
-    ]
+    compact = audit._instance_cut(audit._compact_writer())
+    indented = audit._instance_cut(audit._indented_writer())
+    per_g = [row for row in report.findings.rows() if row[0].gs is not None]
     assert len(per_g) > len(report.findings) / 2
-    for f in per_g:
-        inst, g = f.instance, str(f.g)
-        assert "g" not in f.cell and inst == {**f.cell, "g": f.g}
-        head, tail = f.cell.compact
-        assert head + g + tail == json.dumps(inst, sort_keys=True)
-        head, tail = f.cell.indented
-        assert head + g + tail == jsontext.encode(inst, "\n   ")
+    for batch, g, _, _ in per_g:
+        assert "g" not in batch.cell
+        inst = {**batch.cell, "g": g}
+        head, tail = compact(batch)
+        assert head + str(g) + tail == json.dumps(inst, sort_keys=True)
+        head, tail = indented(batch)
+        assert head + str(g) + tail == jsontext.encode(inst, "\n   ")
 
 
 def test_checks_of_one_cell_share_its_instances():
@@ -669,14 +697,16 @@ def test_lone_check_builds_its_own_plain_equal_instances(s3, a3_in_s3):
     gs = [0, 1, 4]
     findings = audit.check_t3(a3_in_s3, full, 2, 1, gs)
     H, K = list(a3_in_s3.members), list(full.members)
+    # One batch per claim, T3i then T3ii, each in the order of gs.
     plain = [
         {"group": s3.name, "H": H, "K": K, "n": 2, "m": 1, "g": g}
-        for g in gs
         for _ in ("T3i", "T3ii")
+        for g in gs
     ]
     assert [f.instance for f in findings] == plain
     assert [json.dumps(f.instance) for f in findings] == [json.dumps(d) for d in plain]
-    assert [f.g for f in findings] == [g for g in gs for _ in ("T3i", "T3ii")]
+    assert [f.g for f in findings] == [g for _ in ("T3i", "T3ii") for g in gs]
+    assert [f.claim for f in findings] == ["T3i"] * 3 + ["T3ii"] * 3
     # Outside a run each call makes its own cell.
     again = audit.check_t3(a3_in_s3, full, 2, 1, gs)
     assert again[0].cell is not findings[0].cell
@@ -705,7 +735,7 @@ def test_findings_are_reproducible_single_instances():
         G = groups.named_group("S", 3)
         H = groups.SubgroupRef(G, f.instance["H"])
         K = groups.SubgroupRef(G, f.instance["K"])
-        again = audit.check_class_formula(H, K, f.instance["n"], f.instance["m"])
+        [again] = audit.check_class_formula(H, K, f.instance["n"], f.instance["m"])
         assert again.verdict == audit.VIOLATED
         assert again.witness["g"] == f.witness["g"]
 
@@ -727,7 +757,7 @@ def test_seeded_fault_breaks_hard_guarantee(monkeypatch, s3):
     monkeypatch.setattr(
         engine, "comm_distribution", _corrupting(engine.comm_distribution.__wrapped__)
     )
-    finding = audit.check_class_formula(full, full, 2, 1)
+    [finding] = audit.check_class_formula(full, full, 2, 1)
     monkeypatch.undo()
     engine.clear_caches()
     assert finding.claim == "P3_m1"
@@ -767,7 +797,7 @@ def test_seeded_centralizer_fault_breaks_class_formula(monkeypatch, s3):
     engine.clear_caches()
     monkeypatch.setattr(groups, "conjugacy", corrupted)
     full = groups.full_subgroup(s3)
-    finding = audit.check_class_formula(full, full, 1, 1)
+    [finding] = audit.check_class_formula(full, full, 1, 1)
     monkeypatch.undo()
     engine.clear_caches()
     assert finding.claim == "P3_m1"
@@ -805,21 +835,38 @@ def test_chained_reach_matches_the_per_cell_walk():
 
 
 def test_equal_witnesses_share_one_values_tuple(s3_d4_report):
+    # One table entry, so one id and one text, per distinct witness.
     findings = s3_d4_report.findings
-    by_value: dict = {}
-    for f in findings:
-        key = (f.witness_keys, json.dumps(f.witness, sort_keys=True))
-        by_value.setdefault(key, set()).add(id(f.witness_values))
-    assert all(len(ids) == 1 for ids in by_value.values())
-    assert len(by_value) < len(findings) / 10
+    by_text: dict = {}
+    for f, (_, _, _, w) in zip(findings, findings.rows()):
+        by_text.setdefault(json.dumps(f.witness, sort_keys=True), set()).add(w)
+    assert all(len(ids) == 1 for ids in by_text.values())
+    assert len(by_text) == len(findings.witnesses) < len(findings) / 10
+
+
+def test_witness_texts_are_made_once_per_id(s3_d4_report, monkeypatch):
+    made = []
+    real = audit._indented_witness
+
+    def counting(entry):
+        made.append(id(entry))
+        return real(entry)
+
+    monkeypatch.setattr(audit, "_indented_witness", counting)
+    findings = audit.run_battery(s3_d4_report.config).findings
+    for _ in range(2):
+        audit.AuditReport(s3_d4_report.config, {}, findings).write(_Discard())
+    assert sorted(made) == sorted(id(e) for e in findings.witnesses)
 
 
 def test_witness_reads_are_fresh_and_private(s3_d4_report):
-    chains = [f for f in s3_d4_report.findings if f.claim == "T2_CHAIN"]
+    findings = s3_d4_report.findings
+    chains = [
+        (f, w) for f, (_, _, _, w) in zip(findings, findings.rows())
+        if f.claim == "T2_CHAIN"
+    ]
     f, other = next(
-        (a, b)
-        for a, b in zip(chains, chains[1:])
-        if a.witness_values is b.witness_values
+        (a, b) for (a, w), (b, v) in zip(chains, chains[1:]) if w == v
     )
     before = json.dumps(other.witness)
     read = f.witness
@@ -827,6 +874,7 @@ def test_witness_reads_are_fresh_and_private(s3_d4_report):
     read["links_hold"].append("changed")
     read["pair"] = "changed"
     assert json.dumps(f.witness) == json.dumps(other.witness) == before
+    assert json.dumps(findings[findings.index(f)].witness) == before
 
 
 def test_witness_tables_are_per_run(s3_d4_report):
@@ -834,22 +882,26 @@ def test_witness_tables_are_per_run(s3_d4_report):
     second = audit.run_battery(s3_d4_report.config)
     assert audit._RUN.get() is None
     assert _finding_json(second.findings) == _finding_json(s3_d4_report.findings)
-    held = {id(f.witness_values) for f in s3_d4_report.findings}
-    assert not held & {id(f.witness_values) for f in second.findings}
+    first, again = s3_d4_report.findings.witnesses, second.findings.witnesses
+    assert first == again and first is not again
+    assert not {id(e) for e in first} & {id(e) for e in again}
+    # The report keeps the table alone: the run's memo and text index go.
+    held = gc.get_referents(second.findings)
+    assert not any(isinstance(x, audit._RunTables) for x in held)
 
 
 def test_witnesses_equal_only_as_numbers_stay_apart():
     # True == 1 == 1.0 and 0.0 == -0.0, but each is written apart.
     values = (True, 1, 1.0, 0.0, -0.0, 1)
-    with audit._run_tables():
-        findings = [
-            audit.Finding("C4", {"group": "S3"}, audit.HOLDS, {"x": v, "y": [v]})
-            for v in values
-        ]
+    with audit._run_tables() as tables:
+        ids = [audit._witness({"x": v, "y": [v]}) for v in values]
+        cell = {"group": "S3"}
+        batches = [audit._Batch("C4", cell, None, [(audit.HOLDS, w)]) for w in ids]
+        findings = audit.Findings(batches, tables.witnesses)
     texts = [json.dumps(f.witness) for f in findings]
     assert texts == [json.dumps({"x": v, "y": [v]}) for v in values]
-    assert findings[1].witness_values is findings[5].witness_values
-    assert len({id(f.witness_values) for f in findings}) == 5
+    assert ids[1] == ids[5]
+    assert len(set(ids)) == len(tables.witnesses) == 5
 
 
 # Each per-g check, the claims it reports and the blocks of its instances.
@@ -872,22 +924,23 @@ def test_run_witnesses_equal_those_of_lone_calls():
         for claim in claims
     }
     calls: dict = {}
-    cells_of_values: dict = {}
-    for f in report.findings:
+    cells_of_ids: dict = {}
+    findings = report.findings
+    for f, (batch, _, _, w) in zip(findings, findings.rows()):
         if f.claim not in check_of:
             continue
         name, blocks = check_of[f.claim]
         inst = f.cell
-        assert type(inst) is audit._Cell and "g" not in inst
+        assert batch.gs is not None and "g" not in inst
         cell = (inst["group"], *(tuple(inst[b]) for b in blocks), inst["n"], inst["m"])
         witness = json.dumps(f.witness, sort_keys=True)
         calls.setdefault((name, cell), {})[f.claim, f.g] = witness
-        cells_of_values.setdefault(id(f.witness_values), set()).add(cell)
+        cells_of_ids.setdefault(w, set()).add(cell)
     assert {claim for (name, _), found in calls.items() for claim, _ in found} == set(
         check_of
     )
     # The run's memo was warmed by other cells: some witnesses serve several.
-    assert any(len(cells) > 1 for cells in cells_of_values.values())
+    assert any(len(cells) > 1 for cells in cells_of_ids.values())
     for (name, (spec, x, y, n, m)), expected in calls.items():
         G = groupspec.parse_group_spec(spec)
         H, K = groups.SubgroupRef(G, x), groups.SubgroupRef(G, y)
@@ -909,4 +962,64 @@ def test_run_instances_are_shared_by_what_they_are_made_of():
     assert len(by_text) > 100
     assert all(len(ids) == 1 for ids in by_text.values())
     p4 = [f for f in report.findings if f.claim == "P4"]
-    assert p4 and all(type(f.cell) is audit._Cell and f.g is not None for f in p4)
+    assert p4 and all("g" not in f.cell and f.g is not None for f in p4)
+
+
+def test_each_group_is_freed_when_its_walk_ends(monkeypatch):
+    parsed, products, alive_at_parse = [], [], []
+    real_parse, real_product = groupspec.parse_group_spec, groups.direct_product
+
+    def parse(spec, **kwargs):
+        alive_at_parse.append([i for i, ref in enumerate(parsed) if ref() is not None])
+        G = real_parse(spec, **kwargs)
+        parsed.append(weakref.ref(G))
+        return G
+
+    def product(*args, **kwargs):
+        P = real_product(*args, **kwargs)
+        products.append(weakref.ref(P))
+        return P
+
+    monkeypatch.setattr(groupspec, "parse_group_spec", parse)
+    monkeypatch.setattr(groups, "direct_product", product)
+    report = audit.run_battery(audit.AuditConfig(groups=("C4", "S3", "D4")))
+    # Three groups, then the default three product pairs of two groups each:
+    # every earlier walk's tables are gone when a walk parses its first
+    # group, and a pair's first group is in use when its second is parsed.
+    assert len(parsed) == 9 and len(products) == 3
+    assert alive_at_parse == [[], [], [], [], [3], [], [5], [], [7]]
+    assert "P1" in report.summary
+    assert [ref() for ref in parsed + products] == [None] * 12
+
+
+@pytest.fixture(scope="module")
+def mixed_config():
+    # Per-g claims, per-cell claims and one product pair.
+    return audit.AuditConfig(
+        groups=("S3", "C4"),
+        claims=("P2a", "P2b", "T3i", "C5", "P4", "C4", "R1a", "P3_m1", "EQ4", "P1"),
+        product_pairs=(("C2", "S3"),),
+    )
+
+
+def test_batch_route_builds_no_finding(monkeypatch, mixed_config):
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("a Finding was built")
+
+    monkeypatch.setattr(audit.Finding, "__init__", refuse)
+    report = audit.run_battery(mixed_config)
+    report.write(_Discard())
+    for output in ("csv", "table"):
+        args = argparse.Namespace(output=output, timings=True)
+        cli._write_audit(_Discard(), report, args)
+    counted = sum(n for counts in report.summary.values() for n in counts.values())
+    assert len(report.findings) == counted
+    monkeypatch.undo()
+    for include_runtime in (False, True):
+        written = json.loads(report.dumps(include_runtime))["findings"]
+        assert len(written) == len(report.findings)
+        assert [f.to_json(include_runtime) for f in report.findings] == written
+    findings = report.findings
+    assert findings[0] == next(iter(findings)) and findings[-1] == list(findings)[-1]
+    assert findings[3:7] == list(findings)[3:7]
+
