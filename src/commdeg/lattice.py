@@ -1,9 +1,13 @@
-"""Exhaustive subgroup enumeration for small groups.
+"""Exhaustive subgroup enumeration for small groups, one conjugacy class at a time.
 
-Subgroups are found as joins of cyclic subgroups: the cyclic ones are
-collected first, then pairwise joins are added until nothing new appears.
-This is exponential in the worst case and is only intended for the orders
-the audit battery walks (a couple dozen elements).
+``_class`` gives every conjugate of a subgroup from one gather of
+``t^-1 h t`` over every t and member h.  ``all_subgroups`` enters a
+subgroup's whole class the first time it meets the subgroup, and joins
+one member per class with each cyclic subgroup.  That reaches every
+subgroup: ``<U^t, C> = <U, C^(t^-1)>^t`` and C runs over every cyclic
+subgroup.  The walk makes a closure per (class, cyclic subgroup) pair, so
+it is only meant for small orders: A6's 501 subgroups take seconds, S6's
+1,455 over a minute.
 """
 
 from __future__ import annotations
@@ -19,6 +23,20 @@ __all__ = ["all_subgroups", "subgroup_conjugacy_representatives"]
 DEFAULT_ENUM_CAP = 24
 
 
+def _class(G: GroupTable, members: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """The sorted member tuple of every conjugate of a subgroup, least first.
+
+    The trivial group and G are their own class and skip the gather.
+    """
+    if len(members) in (1, G.order):
+        return [members]
+    ts = np.arange(G.order)[:, None]
+    conj = G.mul[G.mul[G.inv[ts], members], ts]
+    conj.sort(axis=1)
+    # np.unique sorts the rows, so the least member tuple comes first.
+    return [tuple(row) for row in np.unique(conj, axis=0).tolist()]
+
+
 def all_subgroups(G: GroupTable, cap: int = DEFAULT_ENUM_CAP) -> list[SubgroupRef]:
     """Every subgroup of G, sorted by (order, member tuple)."""
     if G.order > cap:
@@ -30,20 +48,18 @@ def all_subgroups(G: GroupTable, cap: int = DEFAULT_ENUM_CAP) -> list[SubgroupRe
 
     def add(members: tuple[int, ...]) -> None:
         if members not in seen:
-            seen[members] = SubgroupRef(G, members, _checked=True)
+            for conj in _class(G, members):
+                seen[conj] = SubgroupRef(G, conj, _checked=True)
             frontier.append(members)
 
-    add((0,))
-    for x in range(1, G.order):
+    for x in range(G.order):
         add(groups.subgroup_closure(G, [x]).members)
-    cyclic = list(seen.keys())
+    cyclic = [set(c) for c in seen]
     while frontier:
-        current = frontier.pop()
+        current = set(frontier.pop())
         for base in cyclic:
-            if set(base) <= set(current):
-                continue
-            joined = groups.subgroup_closure(G, set(base) | set(current))
-            add(joined.members)
+            if not base <= current:
+                add(groups.subgroup_closure(G, base | current).members)
     return sorted(seen.values(), key=lambda h: (h.order, h.members))
 
 
@@ -54,28 +70,15 @@ def subgroup_conjugacy_representatives(
 
     The representative is the class member with the lexicographically
     least member tuple; output order follows the input order of first
-    appearance of each class.  The class of a subgroup is one gather of
-    ``t^-1 h t`` over every t and member h, its rows sorted and made
-    unique; the trivial group and G are their own class.
+    appearance of each class.
     """
     by_members = {h.members: h for h in subs}
     assigned: set[tuple[int, ...]] = set()
     reps = []
-    ts = np.arange(G.order)[:, None]
     for h in subs:
-        if h.members in assigned:
-            continue
-        if h.order in (1, G.order):
-            orbit = [h.members]
-        else:
-            conj = G.mul[G.mul[G.inv[ts], h.members], ts]
-            conj.sort(axis=1)
-            orbit = [tuple(row) for row in np.unique(conj, axis=0).tolist()]
-        # np.unique sorts the rows, so the least member tuple comes first.
-        rep_members = orbit[0]
-        assigned.update(orbit)
-        if rep_members in by_members:
-            reps.append(by_members[rep_members])
-        else:
-            reps.append(SubgroupRef(G, rep_members, _checked=True))
+        if h.members not in assigned:
+            orbit = _class(G, h.members)
+            assigned.update(orbit)
+            rep = orbit[0]
+            reps.append(by_members.get(rep) or SubgroupRef(G, rep, _checked=True))
     return reps

@@ -652,12 +652,52 @@ def test_representatives_match_the_element_walk(spec):
     reps = lattice.subgroup_conjugacy_representatives(G, subs)
     expected = _reference_representatives(G, subs)
     assert [r.members for r in reps] == [r.members for r in expected]
-    if spec == "S5":
-        assert (len(subs), len(reps)) == (156, 19)
+
+
+def _reference_subgroups(G):
+    """Every cyclic subgroup joined with every subgroup found: the reference for the class walk."""
+    seen = set()
+    frontier = []
+
+    def add(members):
+        if members not in seen:
+            seen.add(members)
+            frontier.append(members)
+
+    add((0,))
+    for x in range(1, G.order):
+        add(groups.subgroup_closure(G, [x]).members)
+    cyclic = list(seen)
+    while frontier:
+        current = frontier.pop()
+        for base in cyclic:
+            if not set(base) <= set(current):
+                add(groups.subgroup_closure(G, set(base) | set(current)).members)
+    return sorted(seen, key=lambda members: (len(members), members))
+
+
+@pytest.mark.parametrize("spec", [*audit.named_group_specs(24), "A5", "S5"])
+def test_all_subgroups_match_the_join_loop(spec):
+    G = groupspec.parse_group_spec(spec)
+    got = lattice.all_subgroups(G, cap=G.order)
+    assert [h.members for h in got] == _reference_subgroups(G)
+
+
+@pytest.mark.parametrize(
+    "spec, counts", [("S4", (30, 11)), ("A5", (59, 9)), ("S5", (156, 19)), ("A6", (501, 22))]
+)
+def test_lattice_and_class_counts(spec, counts):
+    G = groupspec.parse_group_spec(spec)
+    subs = lattice.all_subgroups(G, cap=G.order)
+    reps = lattice.subgroup_conjugacy_representatives(G, subs)
+    assert (len(subs), len(reps)) == counts
 
 
 @pytest.mark.parametrize("spec", ["S7", "S7xC2"])
 def test_landmark_pool_representatives_conjugate_no_element(monkeypatch, spec):
+    # Neither an element walk nor a gather over every conjugate of G
+    # itself: the latter would hold |G|^2 two-byte ids (203 MB on S7xC2),
+    # where the pool needs at most the order-2 gather.
     G = groupspec.parse_group_spec(spec)
     pool = audit._subgroup_pool(G, audit.AuditConfig(groups=(spec,), pair_policy="all"))
 
@@ -665,10 +705,16 @@ def test_landmark_pool_representatives_conjugate_no_element(monkeypatch, spec):
         raise AssertionError("conjugated one element")
 
     monkeypatch.setattr(groups.GroupTable, "conjugate", refuse)
-    reps = lattice.subgroup_conjugacy_representatives(G, pool)
+    tracemalloc.start()
+    try:
+        reps = lattice.subgroup_conjugacy_representatives(G, pool)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
     assert [r.order for r in pool] == ([1, 5040] if spec == "S7" else [1, 2, 10080])
     assert len(reps) == len(pool)
     assert all(r is h for r, h in zip(reps, pool))
+    assert peak < 8 * 2**20
 
 
 def _reference_centralizer(H, K):
