@@ -15,12 +15,11 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
 import os
 import sys
 from fractions import Fraction
-from typing import TYPE_CHECKING, Iterator, Optional, Sequence, TextIO
+from typing import TYPE_CHECKING, Iterable, Iterator, Optional, Sequence, TextIO
 
 from . import families, jsontext, symmetric
 from .errors import (
@@ -225,23 +224,22 @@ def _complex_rows(table: chartab.CharacterTable) -> Iterator[list[str]]:
         yield cells
 
 
-def _emit_csv(header: Sequence[str], rows: Sequence[Sequence]) -> str:
-    """The CSV text of ``header`` and ``rows``, without the last newline.
+def _write_csv(fp: TextIO, header: Sequence[str], rows: Iterable[Sequence]) -> None:
+    """Write ``header`` and then each of ``rows`` to ``fp`` as CSV, each
+    row as it is made, every line ending in a newline.
 
     A row of ints and of strings that hold no comma, quote or line break
     is the csv module's text of it, its fields joined by commas; it is
     joined directly, since the csv module reads every character of a
     long label one at a time.  Any other row goes through the csv module.
     """
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
+    writer = csv.writer(fp, lineterminator="\n")
     writer.writerow(header)
     for row in rows:
         if row and all(type(v) is int or (type(v) is str and _plain(v)) for v in row):
-            buf.write(",".join(map(str, row)) + "\n")
+            fp.write(",".join(map(str, row)) + "\n")
         else:
             writer.writerow(row)
-    return buf.getvalue().rstrip("\n")
 
 
 def _plain(text: str) -> bool:
@@ -259,16 +257,12 @@ def _cmd_info(args: argparse.Namespace) -> int:
     center_order = int((info.centralizer_order == G.order).sum())
     is_abelian = len(info.classes) == G.order
     orders = G.element_orders().tolist()
-    elements = [
-        {
-            "id": i,
-            "label": G.label(i),
-            "order": orders[i],
-            "class": int(info.class_of[i]),
-        }
-        for i in range(G.order)
-    ]
+    classes = info.class_of.tolist()
     if args.output == "json":
+        elements = [
+            {"id": i, "label": G.label(i), "order": orders[i], "class": classes[i]}
+            for i in range(G.order)
+        ]
         print(
             jsontext.dumps(
                 {
@@ -282,18 +276,19 @@ def _cmd_info(args: argparse.Namespace) -> int:
             )
         )
     elif args.output == "csv":
-        rows = [[e["id"], e["label"], e["order"], e["class"]] for e in elements]
-        print(_emit_csv(("id", "label", "order", "class"), rows))
+        rows = ((i, G.label(i), orders[i], classes[i]) for i in range(G.order))
+        _write_csv(sys.stdout, ("id", "label", "order", "class"), rows)
     else:
         print(f"group {G.name}: order {G.order}")
         print(
             f"abelian {is_abelian}, classes {len(info.classes)},"
             f" center order {center_order}"
         )
-        width = max(len(e["label"]) for e in elements)
+        labels = [G.label(i) for i in range(G.order)]
+        width = max(map(len, labels))
         print(f"{'id':>4} {'label':<{width}} {'order':>5} class")
-        for e in elements:
-            print(f"{e['id']:>4} {e['label']:<{width}} {e['order']:>5} {e['class']:>5}")
+        for i, label in enumerate(labels):
+            print(f"{i:>4} {label:<{width}} {orders[i]:>5} {classes[i]:>5}")
     return EXIT_OK
 
 
@@ -457,7 +452,7 @@ def _print_prob(
             [method, value.numerator, value.denominator, float(value)]
             for method, value in results
         ]
-        print(_emit_csv(("method", "num", "den", "float"), rows))
+        _write_csv(sys.stdout, ("method", "num", "den", "float"), rows)
     else:
         print(
             f"group {group}, |H|={len(H)}, |K|={len(K)},"
@@ -490,7 +485,7 @@ def _cmd_prob_char(
         payload = _prob_json(args, G.name, H.members, K.members, g, method, value_json)
         print(jsontext.dumps(payload))
     elif args.output == "csv":
-        print(_emit_csv(("method", "float"), [[method, value]]))
+        _write_csv(sys.stdout, ("method", "float"), [[method, value]])
     else:
         print(
             f"group {G.name}, |H|={H.order}, |K|={K.order}, n=1, m=1,"
@@ -520,16 +515,14 @@ def _render_profile(
         }
         print(jsontext.dumps(payload))
     elif args.output == "csv":
-        rows = [
-            [g, G.label(g), p.numerator, p.denominator]
-            for g, p in profile.items()
-        ]
-        print(_emit_csv(("g", "label", "num", "den"), rows))
+        rows = ((g, G.label(g), p.numerator, p.denominator) for g, p in profile.items())
+        _write_csv(sys.stdout, ("g", "label", "num", "den"), rows)
     else:
         print(f"group {G.name}, |H|={H.order}, |K|={K.order}, n={args.n}, m={args.m}")
-        width = max(len(G.label(g)) for g in profile)
-        for g, p in profile.items():
-            print(f"{g:>4} {G.label(g):<{width}} {_frac(p)}")
+        labels = [G.label(g) for g in profile]
+        width = max(map(len, labels))
+        for (g, p), label in zip(profile.items(), labels):
+            print(f"{g:>4} {label:<{width}} {_frac(p)}")
     return EXIT_OK
 
 
@@ -556,8 +549,8 @@ def _cmd_zeta(args: argparse.Namespace) -> int:
         }
         print(jsontext.dumps(payload))
     elif args.output == "csv":
-        rows = [[g, G.label(g), c] for g, c in selected.items()]
-        print(_emit_csv(("g", "label", "count"), rows))
+        rows = ((g, G.label(g), c) for g, c in selected.items())
+        _write_csv(sys.stdout, ("g", "label", "count"), rows)
     else:
         print(f"group {G.name}, |H|={H.order}, n={args.n}, m={args.m}")
         for g, c in selected.items():
@@ -582,7 +575,7 @@ def _cmd_dist(args: argparse.Namespace) -> int:
         }
         print(jsontext.dumps(payload))
     elif args.output == "csv":
-        print(_emit_csv(("element_id", "count"), list(enumerate(counts))))
+        _write_csv(sys.stdout, ("element_id", "count"), enumerate(counts))
     else:
         print(f"group {G.name}, |H|={H.order}, n={args.n}, total {total}")
         for g, c in enumerate(counts):
@@ -601,11 +594,11 @@ def _cmd_chartab(args: argparse.Namespace) -> int:
         sys.stdout.write("\n")
     elif args.output == "csv":
         header = ["degree"] + [f"c{j}" for j in range(table.n_classes)]
-        rows = [
+        rows = (
             [degree, *cells]
             for degree, cells in zip(table.degrees, _complex_rows(table))
-        ]
-        print(_emit_csv(header, rows))
+        )
+        _write_csv(sys.stdout, header, rows)
     else:
         print(f"group {G.name}: {table.n_classes} classes")
         reps = [G.label(r) for r in table.class_reps]

@@ -77,12 +77,12 @@ __all__ = [
 
 
 class _LazyLabels(Sequence[str]):
-    """Element labels, each written by ``label_of(id)`` on first use."""
+    """Element labels, each written by ``label_of(id)`` when it is read
+    and not kept."""
 
     def __init__(self, n: int, label_of: Callable[[int], str]) -> None:
         self._n = n
         self._label_of = label_of
-        self._done: dict[int, str] = {}
 
     def __len__(self) -> int:
         return self._n
@@ -91,10 +91,7 @@ class _LazyLabels(Sequence[str]):
         a = operator.index(a)
         if not 0 <= a < self._n:
             raise IndexError("element id out of range")
-        text = self._done.get(a)
-        if text is None:
-            text = self._done[a] = self._label_of(a)
-        return text
+        return self._label_of(a)
 
 
 def _label_of(G: "GroupTable") -> Callable[[int], str]:

@@ -509,6 +509,16 @@ def test_family_order_over_table_limit_exits_4_before_closure():
     assert proc.stdout == ""
 
 
+def test_info_csv_of_c5040_is_streamed_under_memory_cap():
+    # The 122 MB CSV must be written a row at a time: its whole text,
+    # held at once beside the table, does not fit under this cap.
+    proc = _run_capped(400 << 20, "info", "-G", "C5040", "-o", "csv")
+    assert proc.returncode == 0, proc.stderr
+    assert hashlib.sha256(proc.stdout.encode()).hexdigest() == (
+        "9e2e6e68243f5bbff095b74df66350745bf0d3e732a5edb5f3426f82dff89db7"
+    )
+
+
 def test_group_at_order_cap_builds_under_memory_cap():
     # S7xC2 has order 10080, the default cap: a 203 MB table of int16 ids,
     # which must be built and validated without a second full-size copy.
@@ -612,7 +622,7 @@ def s3_d4_report():
 
 
 def _csv_text_in_one_piece(report, timings):
-    # Every row first, then the whole text through cli._emit_csv.
+    # Every row first, then the whole text through the csv module.
     rows = [
         [
             f.claim,
@@ -626,7 +636,9 @@ def _csv_text_in_one_piece(report, timings):
     header = ["claim", "verdict", "instance", "witness"] + (
         ["runtime_ms"] if timings else []
     )
-    return cli._emit_csv(header, rows) + "\n"
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows([header, *rows])
+    return buf.getvalue()
 
 
 def test_audit_csv_rows_are_the_one_piece_text(s3_d4_report):
@@ -995,7 +1007,7 @@ def test_help_exits_zero(capsys):
     capsys.readouterr()
 
 
-def test_emit_csv_is_the_csv_module_text():
+def test_write_csv_is_the_csv_module_text():
     header = ("id", "label", "order", "class")
     rows = [
         [0, "()", 1, 0],
@@ -1008,6 +1020,22 @@ def test_emit_csv_is_the_csv_module_text():
         [True, 1.5, None, -3],
         ["x y", "(1 2 3)", 7, 2**70],
     ]
-    buf = io.StringIO()
-    csv.writer(buf, lineterminator="\n").writerows([header, *rows])
-    assert cli._emit_csv(header, rows) == buf.getvalue().rstrip("\n")
+    expected = io.StringIO()
+    csv.writer(expected, lineterminator="\n").writerows([header, *rows])
+    written = io.StringIO()
+    cli._write_csv(written, header, rows)
+    assert written.getvalue() == expected.getvalue()
+
+
+def test_write_csv_holds_one_row_at_a_time():
+    # 1,000 rows of a 100 kB plain label: a whole-text buffer would hold
+    # 100 MB, a writer that writes each row as it is made a few rows.
+    label = "(1 2)" * 20_000
+    rows = ((i, label, 1, 0) for i in range(1000))
+    tracemalloc.start()
+    try:
+        cli._write_csv(_Discard(), ("id", "label", "order", "class"), rows)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 * len(label)

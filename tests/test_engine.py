@@ -393,15 +393,15 @@ def test_prob_json_round_trip(capsys, s3):
     assert payload["H"] == list(full.members)
 
 
-def test_distribution_csv(s3):
+def test_distribution_csv(capsys):
     # The CSV that `dist -o csv` prints for a distribution.
-    counts = engine.comm_distribution(groups.full_subgroup(s3), 2)
-    text = cli._emit_csv(("element_id", "count"), list(enumerate(counts)))
+    assert cli.main(["dist", "-G", "S3", "-n", "2", "-o", "csv"]) == 0
+    text = capsys.readouterr().out
     lines = text.splitlines()
     assert lines[0] == "element_id,count"
     assert lines[1] == "0,18"
     assert len(lines) == 7
-    assert not text.endswith("\n")
+    assert text.endswith("\n") and not text.endswith("\n\n")
 
 
 @given(st.data())
