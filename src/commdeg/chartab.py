@@ -37,7 +37,7 @@ from typing import Optional, Sequence, TextIO
 
 import numpy as np
 
-from . import engine, groups, jsontext
+from . import engine, groups
 from .errors import (
     DegenerateEigenbasis,
     ForeignSubgroup,
@@ -311,7 +311,7 @@ def character_table(G: GroupTable, seed: int = 0) -> CharacterTable:
             continue
         omegas = np.empty((k, k), dtype=np.complex128)
         pivots = np.argmax(np.abs(eigvecs), axis=0)
-        for pivot in np.unique(pivots):
+        for pivot in groups._distinct_ids(pivots, k):
             piv = _pivot_slice(G, reps_arr, cls, members[pivot], pivot_buf)
             for p in np.flatnonzero(pivots == pivot):
                 v = eigvecs[:, p]
@@ -514,6 +514,8 @@ def table_to_json(table: CharacterTable, fp: TextIO) -> None:
     ``float.__repr__`` and spliced into a per-row template.  A verified
     table is finite, so no value needs ``NaN`` or ``Infinity``.
     """
+    from . import jsontext  # here, so that only `-o json` loads json
+
     k = table.n_classes
     classes = [
         {"size": s, "rep": r} for s, r in zip(table.class_sizes, table.class_reps)

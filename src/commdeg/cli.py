@@ -14,14 +14,12 @@ the command uses one BLAS thread unless its caller chose a count; see
 from __future__ import annotations
 
 import argparse
-import csv
-import json
 import os
 import sys
 from fractions import Fraction
 from typing import TYPE_CHECKING, Iterable, Iterator, Optional, Sequence, TextIO
 
-from . import families, jsontext, symmetric
+from . import families, symmetric
 from .errors import (
     CommdegError,
     ConfigInvalid,
@@ -33,9 +31,9 @@ from .errors import (
 from .families import BRUTE_CAP_DEFAULT, DEFAULT_MAX_ORDER
 
 if TYPE_CHECKING:
-    # Every module that imports numpy is imported where it is used, so
-    # that a command pays only for what it needs: `prob -G S<N>` on the
-    # character route imports none of them.
+    # Every module that imports numpy, and csv, json and jsontext, is
+    # imported where it is used, so that a command pays only for what it
+    # needs: `prob -G S<N>` on the character route imports none of them.
     from . import audit, chartab
     from .groups import GroupTable, SubgroupRef
 
@@ -233,6 +231,8 @@ def _write_csv(fp: TextIO, header: Sequence[str], rows: Iterable[Sequence]) -> N
     joined directly, since the csv module reads every character of a
     long label one at a time.  Any other row goes through the csv module.
     """
+    import csv
+
     writer = csv.writer(fp, lineterminator="\n")
     writer.writerow(header)
     for row in rows:
@@ -240,6 +240,13 @@ def _write_csv(fp: TextIO, header: Sequence[str], rows: Iterable[Sequence]) -> N
             fp.write(",".join(map(str, row)) + "\n")
         else:
             writer.writerow(row)
+
+
+def _print_json(payload: dict) -> None:
+    """Print ``payload`` as the JSON text of every `-o json` output."""
+    from . import jsontext
+
+    print(jsontext.dumps(payload))
 
 
 def _plain(text: str) -> bool:
@@ -259,21 +266,29 @@ def _cmd_info(args: argparse.Namespace) -> int:
     orders = G.element_orders().tolist()
     classes = info.class_of.tolist()
     if args.output == "json":
-        elements = [
-            {"id": i, "label": G.label(i), "order": orders[i], "class": classes[i]}
-            for i in range(G.order)
-        ]
-        print(
-            jsontext.dumps(
-                {
-                    "group": G.name,
-                    "order": G.order,
-                    "is_abelian": is_abelian,
-                    "class_count": len(info.classes),
-                    "center_order": center_order,
-                    "elements": elements,
-                }
-            )
+        from . import jsontext
+
+        # The text of jsontext.dumps of the whole object, its keys in
+        # sorted order, with each element written at depth 2 as it is made.
+        out = sys.stdout
+        out.write(
+            f'{{\n "center_order": {center_order},'
+            f'\n "class_count": {len(info.classes)},\n "elements": ['
+        )
+        sep = "\n  "
+        for i in range(G.order):
+            element = {
+                "id": i,
+                "label": G.label(i),
+                "order": orders[i],
+                "class": classes[i],
+            }
+            out.write(sep + jsontext.encode(element, "\n  "))
+            sep = ",\n  "
+        out.write(
+            f'\n ],\n "group": {jsontext.encode(G.name, "")},'
+            f'\n "is_abelian": {jsontext.encode(is_abelian, "")},'
+            f'\n "order": {G.order}\n}}\n'
         )
     elif args.output == "csv":
         rows = ((i, G.label(i), orders[i], classes[i]) for i in range(G.order))
@@ -446,7 +461,7 @@ def _print_prob(
         payload = payloads[0]
         if payloads[1:]:
             payload["cross_checks"] = payloads[1:]
-        print(jsontext.dumps(payload))
+        _print_json(payload)
     elif args.output == "csv":
         rows = [
             [method, value.numerator, value.denominator, float(value)]
@@ -483,7 +498,7 @@ def _cmd_prob_char(
     if args.output == "json":
         value_json = {"float": value}
         payload = _prob_json(args, G.name, H.members, K.members, g, method, value_json)
-        print(jsontext.dumps(payload))
+        _print_json(payload)
     elif args.output == "csv":
         _write_csv(sys.stdout, ("method", "float"), [[method, value]])
     else:
@@ -513,7 +528,7 @@ def _render_profile(
             "method": "distribution",
             "values": {str(g): _exact_json(p) for g, p in profile.items()},
         }
-        print(jsontext.dumps(payload))
+        _print_json(payload)
     elif args.output == "csv":
         rows = ((g, G.label(g), p.numerator, p.denominator) for g, p in profile.items())
         _write_csv(sys.stdout, ("g", "label", "num", "den"), rows)
@@ -547,7 +562,7 @@ def _cmd_zeta(args: argparse.Namespace) -> int:
             "m": args.m,
             "counts": {str(g): c for g, c in selected.items()},
         }
-        print(jsontext.dumps(payload))
+        _print_json(payload)
     elif args.output == "csv":
         rows = ((g, G.label(g), c) for g, c in selected.items())
         _write_csv(sys.stdout, ("g", "label", "count"), rows)
@@ -573,7 +588,7 @@ def _cmd_dist(args: argparse.Namespace) -> int:
             "total": total,
             "counts": list(counts),
         }
-        print(jsontext.dumps(payload))
+        _print_json(payload)
     elif args.output == "csv":
         _write_csv(sys.stdout, ("element_id", "count"), enumerate(counts))
     else:
@@ -635,6 +650,8 @@ def _audit_config(args: argparse.Namespace) -> audit.AuditConfig:
         if given:
             flags = ", ".join("--" + f.replace("_", "-") for f in given)
             raise UsageError(f"--config is exclusive with {flags}")
+        import json
+
         try:
             with open(args.config, "r", encoding="utf-8") as fh:
                 payload = json.load(fh)
@@ -677,6 +694,8 @@ def _write_audit(
     from . import audit
 
     if args.output == "csv":
+        import csv
+
         # Each row ends in a newline, the last one included.
         writer = csv.writer(fp, lineterminator="\n")
         writer.writerow(

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
@@ -67,19 +66,25 @@ def _as_perm(images: Sequence[int], degree: int) -> tuple[int, ...]:
     return perm
 
 
-@dataclass(frozen=True)
-class PermList:
-    """Permutation generators on ``{0..degree-1}``, each as its image tuple."""
-
+class _PermFields(NamedTuple):
     degree: int
     perms: tuple[tuple[int, ...], ...]
 
-    def __post_init__(self) -> None:
-        if self.degree < 1:
+
+class PermList(_PermFields):
+    """Permutation generators on ``{0..degree-1}``, each as its image tuple.
+
+    An immutable value, compared and hashed by its fields; a named tuple
+    rather than a dataclass, so that a command that only names a group
+    does not import ``dataclasses`` (and with it ``inspect``).
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, degree: int, perms: Iterable[Sequence[int]]) -> PermList:
+        if degree < 1:
             raise InvalidPermutation("degree must be >= 1")
-        object.__setattr__(
-            self, "perms", tuple(_as_perm(p, self.degree) for p in self.perms)
-        )
+        return super().__new__(cls, degree, tuple(_as_perm(p, degree) for p in perms))
 
 
 @lru_cache(maxsize=8)

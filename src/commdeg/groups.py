@@ -99,6 +99,18 @@ def _label_of(G: "GroupTable") -> Callable[[int], str]:
     return str if G.labels is None else G.labels.__getitem__
 
 
+def _distinct_ids(ids: np.ndarray, n: int) -> np.ndarray:
+    """The sorted distinct values of ``ids``, each in ``0..n-1``.
+
+    A mask of n flags rather than ``np.unique``, whose first call without
+    ``return_*`` arguments imports ``numpy.ma`` (numpy 2.x), a large part
+    of a short command's start-up.
+    """
+    seen = np.zeros(n, dtype=bool)
+    seen[ids] = True
+    return np.flatnonzero(seen)
+
+
 def _as_ids(a, n: int, message: str) -> np.ndarray:
     """``a`` as a contiguous int16 array, once its ids are checked to fit.
 
@@ -573,7 +585,7 @@ def conjugacy(G: GroupTable, K: SubgroupRef) -> ConjugacyInfo:
     for x in range(n):
         if class_of[x] >= 0:
             continue
-        orbit = np.unique(G.mul[G.mul[kinv, x], karr])
+        orbit = _distinct_ids(G.mul[G.mul[kinv, x], karr], n)
         idx = len(classes)
         class_of[orbit] = idx
         classes.append(tuple(int(v) for v in orbit))
@@ -611,9 +623,8 @@ def quotient_group(
         raise NotNormal(f"subgroup of order {N.order} is not normal in {G.name}")
     narr = np.asarray(N.members, dtype=np.int32)
     cosmin = G.mul[:, narr].min(axis=1)
-    reps = np.unique(cosmin)
-    rank = {int(r): i for i, r in enumerate(reps)}
-    proj = np.asarray([rank[int(v)] for v in cosmin], dtype=_ID_DTYPE)
+    reps = _distinct_ids(cosmin, G.order)
+    proj = np.searchsorted(reps, cosmin).astype(_ID_DTYPE)
     mulq = proj[G.mul[np.ix_(reps, reps)]]
     label = _label_of(G)
     labels = _LazyLabels(len(reps), lambda q: f"{label(int(reps[q]))}N")

@@ -15,13 +15,16 @@ functions without a Python call (``encode_basestring_ascii`` for strings,
 ``int.__repr__`` for ints), and a list of plain ``int`` -- the subgroup
 member lists that fill an audit report -- takes a single ``join``.
 
-``dumps`` writes every ``-o json`` output but ``chartab``'s.  The audit
-report goes through ``audit.AuditReport.write``, which streams the document
-one finding at a time: it writes the values inside each finding with
-``encode`` and the ``SCALARS`` writers, at the depth a finding sits in the
-report, so its text is the one ``dumps`` gives for the whole document.
+``dumps`` writes every ``-o json`` output but ``chartab``'s and ``info``'s.
+The audit report goes through ``audit.AuditReport.write``, which streams
+the document one finding at a time: it writes the values inside each
+finding with ``encode`` and the ``SCALARS`` writers, at the depth a
+finding sits in the report, so its text is the one ``dumps`` gives for
+the whole document.
 ``chartab.table_to_json`` writes a character table the same way, one
-irreducible at a time, with its class list through ``encode``.
+irreducible at a time, with its class list through ``encode``, and
+``commdeg info -o json`` writes each element object with ``encode`` as it
+is made.
 
 Accepted values: ``dict`` with ``str`` keys, ``list``, ``tuple``, ``str``,
 ``int``, ``float``, ``bool`` and ``None``, subclasses included, as in the

@@ -33,8 +33,8 @@ def _class(G: GroupTable, members: tuple[int, ...]) -> list[tuple[int, ...]]:
     ts = np.arange(G.order)[:, None]
     conj = G.mul[G.mul[G.inv[ts], members], ts]
     conj.sort(axis=1)
-    # np.unique sorts the rows, so the least member tuple comes first.
-    return [tuple(row) for row in np.unique(conj, axis=0).tolist()]
+    # Sorted, so the least member tuple comes first.
+    return sorted(set(map(tuple, conj.tolist())))
 
 
 def all_subgroups(G: GroupTable, cap: int = DEFAULT_ENUM_CAP) -> list[SubgroupRef]:

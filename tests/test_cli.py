@@ -519,6 +519,15 @@ def test_info_csv_of_c5040_is_streamed_under_memory_cap():
     )
 
 
+def test_info_json_of_c5040_is_streamed_under_memory_cap():
+    # The 122 MB JSON must be written an element at a time, as the CSV is.
+    proc = _run_capped(400 << 20, "info", "-G", "C5040", "-o", "json")
+    assert proc.returncode == 0, proc.stderr
+    assert hashlib.sha256(proc.stdout.encode()).hexdigest() == (
+        "7206c05b47fe997d6842299cfd42c3a018f1bb555169130d39f447dc7f2beff1"
+    )
+
+
 def test_group_at_order_cap_builds_under_memory_cap():
     # S7xC2 has order 10080, the default cap: a 203 MB table of int16 ids,
     # which must be built and validated without a second full-size copy.
@@ -829,28 +838,33 @@ def test_prob_symmetric_refusals_are_the_table_routes(capsys, argv, code, messag
         assert run(capsys, *args, *extra) == (code, "", message), extra
 
 
-# Runs `cli.main` on each argv of a JSON list in one child, numpy blocked
-# when asked, and prints each (exit code, stdout, stderr), then whether
-# numpy was imported.
+# Modules whose loading the child below reports.
+_WATCHED = ("numpy", "numpy.ma", "dataclasses", "inspect", "csv", "json")
+
+# Runs `cli.main` on each argv of a list (its repr) in one child, numpy
+# blocked when asked, and prints each (exit code, stdout, stderr), then
+# which of the watched modules were loaded.  json, one of them, is
+# imported only to print the result.
 _CHILD_MAIN = """
-import contextlib, io, json, sys
+import ast, contextlib, io, sys
 if sys.argv[1] == "block":
     sys.modules["numpy"] = None
 from commdeg import cli
 results = []
-for argv in json.loads(sys.argv[2]):
+for argv in ast.literal_eval(sys.argv[2]):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = cli.main(argv)
     results.append([code, out.getvalue(), err.getvalue()])
-imported = sys.modules.get("numpy") is not None
-print(json.dumps({"results": results, "numpy_imported": imported}))
+loaded = [m for m in ast.literal_eval(sys.argv[3]) if sys.modules.get(m) is not None]
+import json
+print(json.dumps({"results": results, "loaded": loaded}))
 """
 
 
 def _child_main(mode, argvs):
     proc = subprocess.run(
-        [sys.executable, "-c", _CHILD_MAIN, mode, json.dumps(argvs)],
+        [sys.executable, "-c", _CHILD_MAIN, mode, repr(argvs), repr(_WATCHED)],
         capture_output=True,
         text=True,
         env=_child_env(),
@@ -869,7 +883,7 @@ def test_prob_symmetric_runs_with_numpy_blocked(capsys):
     argvs.append(["prob", "-G", "S3", "-n", "6", "-m", "5", "-g", "2"])
     refusal = ["prob", "-G", "S8", "-n", "2", "-m", "2", "-g", "0"]
     blocked = _child_main("block", [*argvs, refusal, ["--help"]])
-    assert not blocked["numpy_imported"]
+    assert "numpy" not in blocked["loaded"]
     *answers, refused, helped = blocked["results"]
     for argv, answer in zip(argvs, answers):
         # the table route, in this process, with numpy
@@ -881,10 +895,27 @@ def test_prob_symmetric_runs_with_numpy_blocked(capsys):
 
 
 def test_prob_symmetric_imports_no_numpy():
+    # nor the modules of the other routes: dataclasses (with inspect),
+    # csv and json
     argv = ["prob", "-G", "S7", "-n", "2", "-m", "2", "-g", "0"]
     child = _child_main("plain", [argv])
     assert child["results"][0][:2] == [0, _S7_PINNED["table"]]
-    assert not child["numpy_imported"]
+    assert child["loaded"] == []
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["chartab", "-G", "C200", "-o", "json"],
+        ["info", "-G", "S4"],
+        ["audit", "--groups", "S4", "-o", "table"],
+        ["prob", "-G", "S4", "-g", "all", "-o", "csv"],
+    ],
+)
+def test_numpy_routes_do_not_load_numpy_ma(argv):
+    child = _child_main("plain", [argv])
+    assert child["results"][0][0] == 0
+    assert "numpy" in child["loaded"] and "numpy.ma" not in child["loaded"]
 
 
 # In one child: imports commdeg, then commdeg.cli, then runs `chartab -G S3`

@@ -1,3 +1,4 @@
+import functools
 import gc
 import hashlib
 import math
@@ -13,6 +14,7 @@ from commdeg import audit, families, groups, groupspec, lattice
 from commdeg.errors import (
     ClosureTooLarge,
     ForeignSubgroup,
+    InvalidPermutation,
     NotNormal,
     ResourceLimit,
     TrivialGroup,
@@ -840,3 +842,114 @@ def test_full_subgroup_is_kept_without_a_cycle():
     finally:
         if enabled:
             gc.enable()
+
+
+def test_permlist_is_a_normalised_immutable_value():
+    gens = families.PermList(3, [[1, 2, 0], range(3)])
+    assert gens.degree == 3 and gens.perms == ((1, 2, 0), (0, 1, 2))
+    same = families.PermList(3, (x for x in [(1, 2, 0), (0, 1, 2)]))
+    assert gens == same and hash(gens) == hash(same)
+    assert gens != families.PermList(3, [(1, 2, 0)])
+    assert gens != families.PermList(4, [(1, 2, 0, 3), (0, 1, 2, 3)])
+    assert len({gens, same}) == 1
+    assert repr(gens) == "PermList(degree=3, perms=((1, 2, 0), (0, 1, 2)))"
+    assert families.PermList(2, []).perms == ()
+    for name in ("degree", "perms", "other"):
+        with pytest.raises(AttributeError):
+            setattr(gens, name, 1)
+
+
+@pytest.mark.parametrize(
+    "degree, perms",
+    [(0, []), (-1, []), (0, [()]), (3, [(0, 1)]), (3, [(0, 1, 1)]), (3, [(0, 1, 3)])],
+)
+def test_permlist_refuses_what_is_no_permutation(degree, perms):
+    with pytest.raises(InvalidPermutation):
+        families.PermList(degree, perms)
+
+
+# (n, ids): a list of ids in 0..n-1, possibly empty, with repeats.
+_ID_LISTS = st.integers(1, 40).flatmap(
+    lambda n: st.tuples(st.just(n), st.lists(st.integers(0, n - 1), max_size=60))
+)
+
+
+@settings(max_examples=50, deadline=None)
+@given(_ID_LISTS)
+def test_distinct_ids_are_np_unique(case):
+    n, ids = case
+    a = np.asarray(ids, dtype=groups._ID_DTYPE)
+    assert groups._distinct_ids(a, n).tolist() == np.unique(a).tolist()
+
+
+# Groups whose conjugacy, quotients and subgroup classes are checked
+# against the np.unique code they replaced.
+_UNIQUE_SPECS = [*audit.named_group_specs(24), "S5", "C60"]
+
+
+@functools.lru_cache(maxsize=None)
+def _lattice(spec):
+    G = groupspec.parse_group_spec(spec)
+    return G, lattice.all_subgroups(G, cap=G.order)
+
+
+def _reference_conjugacy(G, K):
+    """K-orbits on G, each its np.unique: the reference for groups.conjugacy."""
+    karr = np.asarray(K.members, dtype=np.int32)
+    kinv = G.inv[karr]
+    class_of = np.full(G.order, -1, dtype=np.int32)
+    classes = []
+    for x in range(G.order):
+        if class_of[x] < 0:
+            orbit = np.unique(G.mul[G.mul[kinv, x], karr])
+            class_of[orbit] = len(classes)
+            classes.append(tuple(int(v) for v in orbit))
+    return tuple(classes), class_of
+
+
+@pytest.mark.parametrize("spec", _UNIQUE_SPECS)
+def test_conjugacy_matches_np_unique(spec):
+    G, subs = _lattice(spec)
+    pool = [*lattice.subgroup_conjugacy_representatives(G, subs), groups.full_subgroup(G)]
+    for K in pool:
+        info = groups.conjugacy(G, K)
+        classes, class_of = _reference_conjugacy(G, K)
+        assert info.classes == classes
+        assert info.class_of.tolist() == class_of.tolist()
+        sizes = np.array([len(c) for c in classes])
+        assert info.centralizer_order.tolist() == (K.order // sizes[class_of]).tolist()
+
+
+def _reference_quotient(G, N):
+    """G/N's table, projection and coset representatives through np.unique
+    and a rank dict: the reference for groups.quotient_group."""
+    cosmin = G.mul[:, np.asarray(N.members, dtype=np.int32)].min(axis=1)
+    reps = np.unique(cosmin)
+    rank = {int(r): i for i, r in enumerate(reps)}
+    proj = np.asarray([rank[int(v)] for v in cosmin], dtype=groups._ID_DTYPE)
+    return proj[G.mul[np.ix_(reps, reps)]], proj, reps.tolist()
+
+
+@pytest.mark.parametrize("spec", _UNIQUE_SPECS)
+def test_quotient_group_matches_np_unique(spec):
+    G, subs = _lattice(spec)
+    normal = [N for N in subs if groups.is_normal(G, N)]
+    assert normal[0].order == 1 and normal[-1].order == G.order
+    for N in normal:
+        Q, proj = groups.quotient_group(G, N)
+        mul, ref_proj, reps = _reference_quotient(G, N)
+        assert np.array_equal(Q.mul, mul)
+        assert proj.dtype == groups._ID_DTYPE
+        assert np.array_equal(proj, ref_proj)
+        assert list(Q.labels) == [f"{G.label(r)}N" for r in reps]
+
+
+@pytest.mark.parametrize("spec", _UNIQUE_SPECS)
+def test_subgroup_class_matches_np_unique(spec):
+    G, subs = _lattice(spec)
+    ts = np.arange(G.order)[:, None]
+    for H in subs:
+        conj = G.mul[G.mul[G.inv[ts], H.members], ts]
+        conj.sort(axis=1)
+        expected = [tuple(row) for row in np.unique(conj, axis=0).tolist()]
+        assert lattice._class(G, H.members) == expected
