@@ -35,14 +35,18 @@ each block as its member list; a row's instance is the cell, or
 ``{**cell, "g": g}``.  Every check returns ``Findings``, which makes each
 ``Finding`` only when it is read; the report writers read the batches.
 
-Each group's walk is one call (``_walk_group``, ``_walk_pair``), and the
-caches keyed by its subgroups are emptied when it ends (``_forget_walk``),
-so what stays of a group is the member lists and name in its cells, and
-an audit peaks at its largest group's working set plus its findings, not
-at the sum over its groups:
-``audit --groups S7,S7xC2 --claims EQ4,C5,T3i -o table`` peaks at about
-291 MB RSS, against 279 MB for S7xC2 alone (342 MB before the caches
-were emptied per walk).
+Each group's walk is one call (``_walk_group``, ``_walk_pair``) with
+tables of its own, and the caches keyed by its subgroups are emptied when
+it ends (``_forget_walk``), so what stays of a group is the member lists
+and name in its cells.  The walks run side by side in W worker processes,
+W the number of CPUs the process may run on (at most one per walk), and
+the parent takes their batches in config order, so the report is the
+same at every W; with W = 1 the walks run in the parent.  The memory
+rule is per process: a worker holds one walk's working set at a time,
+the parent the findings, and up to W walks run at once on the machine.
+``audit --groups S7,S7xC2 --claims EQ4,C5,T3i -o table`` peaks at 273 MB
+RSS in the worker that walks S7xC2, 88 MB in the one that walks S7 and
+35 MB in the parent; walked in one process, it peaks at 289 MB.
 """
 
 from __future__ import annotations
@@ -53,6 +57,7 @@ import itertools
 import json
 import math
 import operator
+import os
 import time
 from collections.abc import Mapping, Sequence
 from contextlib import contextmanager
@@ -159,7 +164,8 @@ _WITNESS_KEYS: dict[tuple[str, ...], tuple[str, ...]] = {}
 
 
 class _RunTables:
-    """What one ``run_battery`` call, or one check called alone, shares.
+    """What the walks of a battery in one process, the merge of a
+    battery's walks, or one check called alone share.
 
     ``memo`` maps a function and its arguments to what ``_per_run`` made
     of them.  ``witnesses`` is the witness table: entry i, the witness of
@@ -179,7 +185,7 @@ class _RunTables:
         self.cells: dict[tuple, dict] = {}
 
 
-# The tables of the run_battery call or lone check in progress; None outside one.
+# The tables of the walk, merge or lone check in progress; None outside one.
 _RUN: ContextVar[Optional[_RunTables]] = ContextVar("_RUN", default=None)
 
 
@@ -201,14 +207,18 @@ def _per_run(make: Callable, *args):
 
 def _witness(fields: dict) -> int:
     """The id of ``fields`` in the witness table, entered if it is new."""
-    tables = _RUN.get()
-    keys = tuple(fields)
-    entry = (_WITNESS_KEYS.setdefault(keys, keys), *fields.values())
+    return _entered(_RUN.get(), (tuple(fields), *fields.values()))
+
+
+def _entered(tables: _RunTables, entry: tuple) -> int:
+    """The id of the witness entry ``(keys, *values)`` in ``tables``,
+    entered, with its key tuple shared, if it is new."""
     text = repr(entry)
     w = tables.ids.get(text)
     if w is None:
+        keys = entry[0]
         w = tables.ids[text] = len(tables.witnesses)
-        tables.witnesses.append(entry)
+        tables.witnesses.append((_WITNESS_KEYS.setdefault(keys, keys), *entry[1:]))
     return w
 
 
@@ -222,27 +232,31 @@ class _Batch:
     ``gs`` holds the g of each row, or is ``None`` for a per-cell claim,
     whose batch has one row whose instance is the cell itself.  ``codes``
     holds each row's verdict as its index in ``VERDICTS``, one string per
-    run for each pattern; ``witnesses`` each row's witness id;
-    ``runtime_ms`` is each row's share of its check call's time.  A batch
-    is made from ``rows``, one ``(verdict, witness id)`` pair per row.
+    run for each pattern; ``witnesses`` each row's witness id, likewise;
+    ``runtime_ms`` is each row's share of its check call's time.
+    ``_batch`` makes a batch from its rows.
     """
 
     __slots__ = ("claim", "cell", "gs", "codes", "witnesses", "runtime_ms")
 
     def __init__(
-        self, claim: str, cell: dict, gs: Optional[Sequence[int]], rows: list
+        self,
+        claim: str,
+        cell: dict,
+        gs: Optional[tuple[int, ...]],
+        codes: bytes,
+        witnesses: tuple[int, ...],
+        runtime_ms: float = 0.0,
     ) -> None:
         self.claim = claim
         self.cell = cell
-        self.gs = None if gs is None else tuple(gs)
+        self.gs = gs
         # The run's memo also keeps one of each column: no memo key, which
         # starts with a function, equals a column.
         memo = _RUN.get().memo
-        codes = bytes([_CODE[v] for v, _ in rows])
-        witnesses = tuple([w for _, w in rows])
         self.codes = memo.setdefault(codes, codes)
         self.witnesses = memo.setdefault(witnesses, witnesses)
-        self.runtime_ms = 0.0
+        self.runtime_ms = runtime_ms
 
     def __len__(self) -> int:
         return len(self.codes)
@@ -253,9 +267,20 @@ class _Batch:
         return zip(itertools.repeat(tag), gs, self.codes, self.witnesses)
 
 
+def _batch(claim: str, cell: dict, gs: Optional[Sequence[int]], rows: list) -> _Batch:
+    """The batch of ``rows``, one ``(verdict, witness id)`` pair per row."""
+    return _Batch(
+        claim,
+        cell,
+        None if gs is None else tuple(gs),
+        bytes([_CODE[v] for v, _ in rows]),
+        tuple([w for _, w in rows]),
+    )
+
+
 def _one(claim: str, cell: dict, verdict: str, witness: dict) -> _Batch:
     """The batch of one per-cell finding."""
-    return _Batch(claim, cell, None, [(verdict, _witness(witness))])
+    return _batch(claim, cell, None, [(verdict, _witness(witness))])
 
 
 @dataclass(slots=True, init=False)
@@ -603,7 +628,7 @@ def check_symmetry(
         )
         rows_b.append(_per_run(_p2b_row, h_normal, k_normal, *numbers))
     cell = _cell(n, m, H=H, K=K)
-    return [_Batch("P2a", cell, gs, rows_a), _Batch("P2b", cell, gs, rows_b)]
+    return [_batch("P2a", cell, gs, rows_a), _batch("P2b", cell, gs, rows_b)]
 
 
 @_check
@@ -719,7 +744,7 @@ def check_monotonicity(
     cell = _cell(n, m, H=H, K=K)
     if not set(H.members) <= set(K.members):
         reason = _witness({"reason": "H is not contained in K"})
-        return [_Batch("P4", cell, gs, [(PRECONDITION_FAILED, reason)] * len(gs))]
+        return [_batch("P4", cell, gs, [(PRECONDITION_FAILED, reason)] * len(gs))]
     full = groups.full_subgroup(G)
     smaller = engine.final_counts(H, full, n, m)
     larger = engine.final_counts(K, full, n, m)
@@ -737,7 +762,7 @@ def check_monotonicity(
             _p4_row, smaller[g], smaller_size, larger[g], larger_size,
             same if equal else None,
         ))
-    return [_Batch("P4", cell, gs, rows)]
+    return [_batch("P4", cell, gs, rows)]
 
 
 def _p5_row(
@@ -777,7 +802,7 @@ def check_quotient(
         reason = "H is not contained in N"
     if reason is not None:
         rows = [(PRECONDITION_FAILED, _witness({"reason": reason}))] * len(gs)
-        return [_Batch("P5", cell, gs, rows)]
+        return [_batch("P5", cell, gs, rows)]
     Q, proj = quotient if quotient is not None else groups.quotient_group(G, N)
     full = groups.full_subgroup(G)
     # The image of a subgroup under the projection is a subgroup.
@@ -797,7 +822,7 @@ def check_quotient(
         )
         for g in gs
     ]
-    return [_Batch("P5", cell, gs, rows)]
+    return [_batch("P5", cell, gs, rows)]
 
 
 def _chain_row(
@@ -846,7 +871,7 @@ def check_chain(
         )
         for g in gs
     ]
-    return [_Batch("T2_CHAIN", _cell(n, m, H=H, K=K), gs, rows)]
+    return [_batch("T2_CHAIN", _cell(n, m, H=H, K=K), gs, rows)]
 
 
 def _c5_row(
@@ -882,7 +907,7 @@ def check_c5(
     rows = [
         _per_run(_c5_row, counts[g], size, n, center_order, z_h_order) for g in gs
     ]
-    return [_Batch("C5", _cell(n, 1, H=H, K=K), gs, rows)]
+    return [_batch("C5", _cell(n, 1, H=H, K=K), gs, rows)]
 
 
 def _t3i_row(
@@ -920,7 +945,7 @@ def check_t3(
     if G.order == 1:
         reason = {"reason": "no prime divides the trivial group order"}
         rows = [(PRECONDITION_FAILED, _witness(reason))] * len(gs)
-        return [_Batch("T3i", cell, gs, rows), _Batch("T3ii", cell, gs, rows)]
+        return [_batch("T3i", cell, gs, rows), _batch("T3ii", cell, gs, rows)]
     p = groups.smallest_prime_divisor(G)
     counts = engine.final_counts(H, K, n, m)
     size = engine.space_size(H, K, n, m)
@@ -930,7 +955,7 @@ def check_t3(
     lower_num = (1 - p) * y + p * H.order**n - (K.order + p) * c**n
     upper = [_per_run(_t3i_row, counts[g], size, upper_num, upper_den, p) for g in gs]
     lower = [_per_run(_t3ii_row, counts[g], size, lower_num, p, y, c) for g in gs]
-    return [_Batch("T3i", cell, gs, upper), _Batch("T3ii", cell, gs, lower)]
+    return [_batch("T3i", cell, gs, upper), _batch("T3ii", cell, gs, lower)]
 
 
 @_check
@@ -1664,17 +1689,183 @@ def run_battery(config: AuditConfig) -> AuditReport:
 
     Each group is walked by one call (``_walk_group``, then ``_walk_pair``
     per product pair), and what it cached of the group is dropped when it
-    returns (``_forget_walk``).  The batches of selected claims are kept
-    per claim and sorted at the end; the summary counts their verdict
-    codes.  A fixed config yields a byte-identical serialized report;
-    per-finding timings are measured but written only when asked for.
+    returns (``_forget_walk``).  The walks run in ``_workers`` processes
+    side by side (``_walk_all``); their batches are taken in config order,
+    kept per claim and sorted at the end, and the summary counts their
+    verdict codes.  A fixed config yields a byte-identical serialized
+    report at any worker count; per-finding timings are measured but
+    written only when asked for.
     """
     config.validate()
-    selected = set(config.claims)
-    active = {
-        name for name, tags in _CHECK_CLAIMS.items() if selected.intersection(tags)
-    }
+    walks = [(_walk_group, spec) for spec in config.groups]
+    if "check_multiplicativity" in _active_checks(config):
+        walks += [(_walk_pair, pair) for pair in config.product_pairs]
     by_claim: dict[str, list[_Batch]] = {}
+    # The witness ids of each walking process, as ids of the run's table.
+    run_ids: dict[object, list[int]] = {}
+
+    def merge(source: object, found: list[tuple], witnesses: list[tuple]) -> None:
+        ids = run_ids.setdefault(source, [])
+        ids += [_entered(tables, entry) for entry in witnesses]
+        for claim, cell, gs, codes, local, runtime_ms in found:
+            local = tuple([ids[w] for w in local])
+            batch = _Batch(claim, cell, gs, codes, local, runtime_ms)
+            by_claim.setdefault(claim, []).append(batch)
+
+    # Batches accumulate for the whole run and form no reference cycles,
+    # so full cyclic collections during it would only re-traverse them.
+    with _collector_paused():
+        with _run_tables() as tables:
+            _walk_all(walks, config, merge)
+            batches, joins = _sorted_batches(by_claim)
+    summary: dict[str, dict[str, int]] = {}
+    for claim in sorted(by_claim):
+        codes = b"".join(batch.codes for batch in by_claim[claim])
+        summary[claim] = {v: codes.count(c) for v, c in _CODE.items() if c in codes}
+    return AuditReport(config, summary, Findings(batches, tables.witnesses, joins))
+
+
+def _active_checks(config: AuditConfig) -> set[str]:
+    """The checks that report a claim the config selects."""
+    selected = set(config.claims)
+    return {name for name, tags in _CHECK_CLAIMS.items() if selected.intersection(tags)}
+
+
+def _workers(n_walks: int) -> int:
+    """How many processes walk a battery of ``n_walks`` walks: one per CPU
+    this process may run on, and no more than there are walks; one off
+    Linux, where neither the CPU set nor ``prctl`` can be read or set."""
+    cpus = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else [0]
+    return max(1, min(len(cpus), n_walks))
+
+
+def _walk_all(walks: list[tuple], config: AuditConfig, merge: Callable) -> None:
+    """``merge(source, *_walk(walk, what, config))`` for each ``(walk,
+    what)``, in order, ``source`` naming the process that walked it.
+
+    With one worker the walks run here, under the run's tables.
+    Otherwise the workers are forked first, and each is sent the index of
+    the next walk whenever it is free; ``merge`` takes the results in
+    config order.  When a walk fails, once every walk before it is
+    merged, the workers are killed, so that, as in one process, no walk
+    after it goes on, and its error is raised once they are reaped.  The
+    parent starts no thread: a ``concurrent.futures`` process pool starts
+    two, whose stacks and malloc arenas add about 200 MB to the parent's
+    address space, and its shutdown waits for the walks in progress.
+    """
+    workers = _workers(len(walks))
+    if workers == 1:
+        for walk, what in walks:
+            merge(None, *_walk(walk, what, config))
+        return
+    import signal
+    from multiprocessing.connection import Pipe, wait
+
+    parent = os.getpid()
+    pids: dict = {}  # the parent's end of each worker's pipe -> its pid
+    busy: dict = {}  # the end of each busy worker -> the index of its walk
+    done: dict[int, tuple] = {}  # walk index -> (pid, True, result) or (pid, False, error)
+    todo = iter(range(len(walks)))
+
+    def dispatch(end) -> None:
+        i = next(todo, None)
+        if i is not None:
+            busy[end] = i
+            end.send(i)
+
+    try:
+        for _ in range(workers):
+            ours, theirs = Pipe()
+            pid = os.fork()
+            if pid == 0:
+                try:
+                    for end in (ours, *pids):
+                        end.close()
+                    _worker_start(parent)
+                    _serve(theirs, walks, config)
+                finally:
+                    os._exit(0)
+            theirs.close()
+            pids[ours] = pid
+            dispatch(ours)
+        for i in range(len(walks)):
+            while i not in done:
+                for end in wait(list(busy)):
+                    j = busy.pop(end)
+                    try:
+                        done[j] = (pids[end], *end.recv())
+                    except EOFError:
+                        raise ChildProcessError(
+                            f"the worker process walking {walks[j][1]!r} ended"
+                        ) from None
+                    dispatch(end)
+            pid, ok, value = done.pop(i)
+            if not ok:
+                raise value
+            merge(pid, *value)
+    except BaseException:
+        for pid in pids.values():
+            os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        for end, pid in pids.items():
+            end.close()
+            os.waitpid(pid, 0)
+
+
+def _serve(tasks, walks: list[tuple], config: AuditConfig) -> None:
+    """A worker's loop: walk each index ``tasks`` sends, under tables of
+    the worker's own, and send back ``(True, result)`` or ``(False,
+    error)``, until the parent closes it."""
+    with _run_tables():
+        while True:
+            try:
+                i = tasks.recv()
+            except EOFError:
+                return
+            try:
+                reply = (True, _walk(*walks[i], config))
+            except Exception as exc:  # raised in the parent, in its walk's turn
+                reply = (False, exc)
+            tasks.send(reply)
+
+
+def _worker_start(parent: int) -> None:
+    """Bind a walk worker to ``parent``, the process that forked it.
+
+    The kernel kills the worker when the parent dies, however it dies
+    (Linux ``prctl(PR_SET_PDEATHSIG)``); a parent that died before that
+    call has left the worker to another parent, and it exits.  Ctrl-C
+    reaches the whole process group, and is the parent's to handle.
+    """
+    import ctypes
+    import signal
+
+    PR_SET_PDEATHSIG = 1
+    prctl = ctypes.CDLL(None).prctl
+    prctl.argtypes, prctl.restype = (ctypes.c_int, ctypes.c_ulong), ctypes.c_int
+    # Should the call fail, the worker still ends when it next reads its
+    # pipe, which the parent's death closes.
+    prctl(PR_SET_PDEATHSIG, signal.SIGKILL)
+    if os.getppid() != parent:
+        os._exit(1)
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+
+
+def _walk(walk: Callable, what: object, config: AuditConfig) -> tuple[list, list]:
+    """One walk, ``walk(what, config, active, run)``, under the process's
+    tables, which keep what it made for the walks after it.
+
+    Returns the batches of the selected claims, each as the plain tuple
+    ``(claim, cell, gs, codes, witness ids, runtime_ms)``, and the
+    witness entries the walk added to the table: with those of the
+    process's walks before it, the table that the ids index.
+    """
+    tables = _RUN.get()
+    known = len(tables.witnesses)
+    selected = set(config.claims)
+    active = _active_checks(config)
+    kept: list[tuple] = []
 
     def run(name: str, *args) -> None:
         if name not in active:
@@ -1685,32 +1876,19 @@ def run_battery(config: AuditConfig) -> AuditReport:
         start = time.perf_counter()
         found = check(*args)
         share = (time.perf_counter() - start) * 1000.0 / len(found)
-        for batch in found.batches:
-            if batch.claim in selected:
-                batch.runtime_ms = share
-                by_claim.setdefault(batch.claim, []).append(batch)
+        for b in found.batches:
+            if b.claim in selected:
+                kept.append((b.claim, b.cell, b.gs, b.codes, b.witnesses, share))
 
-    # Batches accumulate for the whole walk and form no reference cycles,
-    # so full cyclic collections during it would only re-traverse them.
-    # The few cycles the walk does leave are standard-library closures
+    # The few cycles a walk leaves are standard-library closures
     # (``ast.literal_eval``, ``inspect``), a few hundred objects on the
     # default battery, freed by the first collection after the pause.
     with _collector_paused():
-        with _run_tables() as tables:
-            walks = [(_walk_group, spec) for spec in config.groups]
-            if "check_multiplicativity" in active:
-                walks += [(_walk_pair, pair) for pair in config.product_pairs]
-            for walk, what in walks:
-                try:
-                    walk(what, config, active, run)
-                finally:
-                    _forget_walk()
-        batches, joins = _sorted_batches(by_claim)
-    summary: dict[str, dict[str, int]] = {}
-    for claim in sorted(by_claim):
-        codes = b"".join(batch.codes for batch in by_claim[claim])
-        summary[claim] = {v: codes.count(c) for v, c in _CODE.items() if c in codes}
-    return AuditReport(config, summary, Findings(batches, tables.witnesses, joins))
+        try:
+            walk(what, config, active, run)
+        finally:
+            _forget_walk()
+    return kept, tables.witnesses[known:]
 
 
 def _walk_group(

@@ -1,10 +1,15 @@
 import argparse
+import csv
 import dataclasses
 import gc
 import hashlib
 import io
 import json
+import os
+import pickle
 import random
+import re
+import time
 import tracemalloc
 import weakref
 from fractions import Fraction
@@ -15,7 +20,20 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from commdeg import audit, chartab, cli, engine, groups, groupspec, jsontext
-from commdeg.errors import ConfigInvalid
+from commdeg.errors import ClosureTooLarge, CommdegError, ConfigInvalid
+
+
+@pytest.fixture
+def in_process(monkeypatch):
+    """Walk each battery in this process, where the test can watch it."""
+    monkeypatch.setattr(audit, "_workers", lambda n_walks: 1)
+
+
+@pytest.fixture(params=[1, 2])
+def workers(request, monkeypatch):
+    """Walk each battery in this process (1) or in two worker processes (2)."""
+    monkeypatch.setattr(audit, "_workers", lambda n_walks: min(request.param, n_walks))
+    return request.param
 
 
 @pytest.fixture(scope="module")
@@ -401,7 +419,7 @@ def test_single_claim_runs_match_the_full_run():
         assert single.summary == {claim: full.summary[claim]}
 
 
-def test_battery_calls_checks_through_the_module(monkeypatch):
+def test_battery_calls_checks_through_the_module(monkeypatch, in_process):
     calls = {"check_c4": 0, "check_eq3": 0}
 
     def counting(name):
@@ -428,15 +446,22 @@ def test_battery_calls_checks_through_the_module(monkeypatch):
 SMALL_REPORT_SHA256 = "709e64796968024a09d25e21f4930dff2c49407c0d3322be7d874b1cdb6cd7bc"
 
 
-def test_small_battery_report_bytes_are_pinned():
+def _small_config():
     floats = {"EQ3", "EQ7", "PSI", "ZETA_CHAR"}
-    config = audit.AuditConfig(
+    return audit.AuditConfig(
         groups=("S3", "D4", "Q8", "C6"),
         claims=tuple(c for c in audit.CLAIMS if c not in floats),
     )
-    report = audit.run_battery(config)
-    assert len(report.findings) == 9978
-    assert hashlib.sha256(report.dumps().encode()).hexdigest() == SMALL_REPORT_SHA256
+
+
+def test_small_battery_report_bytes_are_pinned(monkeypatch):
+    # Walked in this process, and in two worker processes.
+    for workers in (1, 2):
+        monkeypatch.setattr(audit, "_workers", lambda n_walks: workers)
+        report = audit.run_battery(_small_config())
+        assert len(report.findings) == 9978
+        digest = hashlib.sha256(report.dumps().encode()).hexdigest()
+        assert digest == SMALL_REPORT_SHA256, workers
 
 
 @pytest.fixture(scope="module")
@@ -479,10 +504,10 @@ def test_report_write_peak_memory(s3_d4_report):
     assert peak < size / 10
 
 
-def test_battery_peak_bytes_per_finding():
+def test_battery_peak_bytes_per_finding(in_process):
     # Findings are batches, one per claim and cell, whose verdict codes and
     # witness ids are columns shared within a run, with each distinct
-    # witness held once: about 250 traced bytes a finding at the peak of a
+    # witness held once: about 280 traced bytes a finding at the peak of a
     # warm run, against about 290 with a slotted record per finding and
     # about 735 with a dict per witness and a sort key per finding.
     config = audit.AuditConfig(groups=("S3", "D4"))
@@ -615,7 +640,7 @@ def test_sort_orders_findings_as_their_instance_texts():
                     cell = {"group": name, blocks[0]: x, blocks[1]: y, "n": n, "m": m}
                     for claim, cell_gs in (("C4", None), ("T3i", gs)):
                         rows = [(audit.HOLDS, w)] * (1 if cell_gs is None else len(gs))
-                        batch = audit._Batch(claim, cell, cell_gs, rows)
+                        batch = audit._batch(claim, cell, cell_gs, rows)
                         by_claim.setdefault(claim, []).append(batch)
     for batches in by_claim.values():
         random.Random(0).shuffle(batches)
@@ -637,7 +662,7 @@ def test_sort_holds_one_head_per_cell():
     cell = {"group": "C2000", "H": members, "K": members, "n": 1, "m": 1}
     with audit._run_tables():
         rows = [(audit.VACUOUS, 0)]
-        batches = [audit._Batch("C5", cell, (g,), rows) for g in range(1000)]
+        batches = [audit._batch("C5", cell, (g,), rows) for g in range(1000)]
     random.Random(0).shuffle(batches)
     tracemalloc.start()
     try:
@@ -899,7 +924,7 @@ def test_witnesses_equal_only_as_numbers_stay_apart():
     with audit._run_tables() as tables:
         ids = [audit._witness({"x": v, "y": [v]}) for v in values]
         cell = {"group": "S3"}
-        batches = [audit._Batch("C4", cell, None, [(audit.HOLDS, w)]) for w in ids]
+        batches = [audit._batch("C4", cell, None, [(audit.HOLDS, w)]) for w in ids]
         findings = audit.Findings(batches, tables.witnesses)
     texts = [json.dumps(f.witness) for f in findings]
     assert texts == [json.dumps({"x": v, "y": [v]}) for v in values]
@@ -968,7 +993,7 @@ def test_run_instances_are_shared_by_what_they_are_made_of():
     assert p4 and all("g" not in f.cell and f.g is not None for f in p4)
 
 
-def test_each_group_is_freed_when_its_walk_ends(monkeypatch):
+def test_each_group_is_freed_when_its_walk_ends(monkeypatch, in_process):
     parsed, products, alive_at_parse = [], [], []
     real_parse, real_product = groupspec.parse_group_spec, groups.direct_product
 
@@ -1026,3 +1051,111 @@ def test_batch_route_builds_no_finding(monkeypatch, mixed_config):
     assert findings[0] == next(iter(findings)) and findings[-1] == list(findings)[-1]
     assert findings[3:7] == list(findings)[3:7]
 
+
+
+# sha256 of the default report in each form `audit --battery default`
+# writes: `--out FILE`, `-o csv` and `-o table`.
+DEFAULT_REPORT_SHA256 = {
+    "json": "e047be459d65a5c646c7d04f1153e00c1c4ef4b1e8c94e1fd3f3456b8ce6c7c0",
+    "csv": "2ec16d339846c3f98e3178df14d9aa82019e0ac4df683cd670de431641a15756",
+    "table": "c1d21ffb47c752cb68c7514da63bf1535916690dd3a97997fb23796ec584a371",
+}
+
+
+def _written(report, output, timings=False):
+    sink = io.StringIO()
+    cli._write_audit(sink, report, argparse.Namespace(output=output, timings=timings))
+    return sink.getvalue()
+
+
+def test_default_report_bytes_at_every_worker_count(workers):
+    report = audit.run_battery(audit.default_config())
+    for output, digest in DEFAULT_REPORT_SHA256.items():
+        text = _written(report, output)
+        assert hashlib.sha256(text.encode()).hexdigest() == digest, output
+
+
+# sha256 of that report's text with timings, each runtime written as 0.
+SMALL_TIMINGS_LAYOUT_SHA256 = (
+    "c1f12957af31a4b0dfaee74e988d126c82f0a88978749b49bf3b6f332bebb2b9"
+)
+_RUNTIME = re.compile(r'"runtime_ms": ([^,\n]+)')
+
+
+def test_timings_layout_at_every_worker_count(workers):
+    report = audit.run_battery(_small_config())
+    text = report.dumps(include_runtime=True)
+    runtimes = [float(t) for t in _RUNTIME.findall(text)]
+    assert len(runtimes) == len(report.findings) == 9978
+    assert all(0 <= t < 60_000 for t in runtimes)
+    masked = _RUNTIME.sub('"runtime_ms": 0', text)
+    assert hashlib.sha256(masked.encode()).hexdigest() == SMALL_TIMINGS_LAYOUT_SHA256
+    # The CSV form: the rows without timings, each with its runtime last.
+    rows = list(csv.reader(io.StringIO(_written(report, "csv", timings=True))))
+    assert rows[0][-1] == "runtime_ms"
+    assert [r[:-1] for r in rows] == list(csv.reader(io.StringIO(_written(report, "csv"))))
+    assert [float(r[-1]) for r in rows[1:]] == runtimes
+
+
+def _subclasses(kind):
+    for sub in kind.__subclasses__():
+        yield sub
+        yield from _subclasses(sub)
+
+
+def test_every_error_survives_a_pickle_round_trip():
+    # A walk worker's error reaches the parent pickled.
+    kinds = [CommdegError, *_subclasses(CommdegError)]
+    assert len(kinds) == 16
+    message = "order 40320 exceeds the cap 10080"
+    for kind in kinds:
+        error = pickle.loads(pickle.dumps(kind(message)))
+        assert type(error) is kind
+        assert (error.code, str(error)) == (kind.code, message)
+
+
+def test_a_failed_walk_leaves_no_worker(workers):
+    # S8 is past the order cap; its walk fails after C2's.
+    with pytest.raises(ClosureTooLarge, match="order 40320 exceeds the cap 10080"):
+        audit.run_battery(audit.AuditConfig(groups=("C2", "S8")))
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_no_walk_goes_on_past_a_failed_one(monkeypatch, workers):
+    # C3's walk would sleep for minutes: it is stopped, not waited for.
+    real = groupspec.parse_group_spec
+
+    def parse(spec, **kwargs):
+        if spec == "C3":
+            time.sleep(300)
+        return real(spec, **kwargs)
+
+    monkeypatch.setattr(groupspec, "parse_group_spec", parse)
+    start = time.monotonic()
+    with pytest.raises(ClosureTooLarge):
+        audit.run_battery(audit.AuditConfig(groups=("S8", "C3"), product_pairs=()))
+    assert time.monotonic() - start < 60
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_workers_are_the_usable_cpus_and_no_more_than_the_walks():
+    cpus = len(os.sched_getaffinity(0))
+    assert [audit._workers(n) for n in (0, 1, 10_000)] == [1, 1, cpus]
+
+
+def test_a_worker_that_dies_ends_the_battery(monkeypatch):
+    monkeypatch.setattr(audit, "_workers", lambda n_walks: 2)
+    real = groupspec.parse_group_spec
+
+    def parse(spec, **kwargs):
+        if spec == "C3":
+            os._exit(1)
+        return real(spec, **kwargs)
+
+    monkeypatch.setattr(groupspec, "parse_group_spec", parse)
+    with pytest.raises(ChildProcessError, match="walking 'C3' ended"):
+        audit.run_battery(audit.AuditConfig(groups=("C2", "C3"), product_pairs=()))
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)

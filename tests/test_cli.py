@@ -8,6 +8,7 @@ import os
 import resource
 import subprocess
 import sys
+import time
 import tracemalloc
 from fractions import Fraction
 from pathlib import Path
@@ -1070,3 +1071,64 @@ def test_write_csv_holds_one_row_at_a_time():
     finally:
         tracemalloc.stop()
     assert peak < 5 * len(label)
+
+
+def test_cli_and_audit_import_no_process_pool():
+    # The battery's worker pool is imported when a battery runs.
+    code = (
+        "import sys, commdeg.cli, commdeg.audit; "
+        "print([m for m in ('multiprocessing', 'concurrent.futures.process')"
+        " if m in sys.modules])"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True, text=True, env=_child_env(), timeout=60,
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
+
+
+def _is_running(pid):
+    """Whether ``pid`` names a process that has not exited."""
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            # The state follows the parenthesized command name.
+            state = fh.read().rpartition(")")[2].split()[0]
+    except (FileNotFoundError, ProcessLookupError):
+        return False
+    return state not in ("Z", "X")
+
+
+@pytest.mark.skipif(
+    len(os.sched_getaffinity(0)) < 2, reason="on one CPU the battery walks in-process"
+)
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--battery", "default"],
+        # Two walks of over ten seconds each, killed in their first second.
+        ["--groups", "A6,A6", "--enum-cap", "360"],
+    ],
+)
+def test_audit_workers_end_with_a_killed_command(tmp_path, argv):
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "commdeg.cli", "audit", *argv,
+         "--out", str(tmp_path / "report.json")],
+        stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL, env=_child_env(),
+    )
+    listing = f"/proc/{proc.pid}/task/{proc.pid}/children"
+    workers = []
+    try:
+        deadline = time.monotonic() + 30
+        while not workers and proc.poll() is None and time.monotonic() < deadline:
+            time.sleep(0.01)
+            try:
+                with open(listing) as fh:
+                    workers = [int(pid) for pid in fh.read().split()]
+            except FileNotFoundError:  # the command has ended
+                break
+    finally:
+        proc.kill()
+        proc.wait(timeout=30)
+    assert workers
+    time.sleep(1)
+    assert [pid for pid in workers if _is_running(pid)] == []
