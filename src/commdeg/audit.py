@@ -54,7 +54,6 @@ from __future__ import annotations
 import functools
 import gc
 import itertools
-import json
 import math
 import operator
 import os
@@ -1212,7 +1211,7 @@ def check_psi(table: chartab.CharacterTable) -> list[_Batch]:
     return [_one("PSI", {"group": G.name}, HOLDS if ok else VIOLATED, witness)]
 
 
-def named_group_specs(max_order: int = 24) -> tuple[str, ...]:
+def named_group_specs(max_order: int = lattice.DEFAULT_ENUM_CAP) -> tuple[str, ...]:
     """Specs of every named-family member within the order bound."""
     return groups.named_group_names(max_order)
 
@@ -1235,7 +1234,7 @@ class AuditConfig:
     )
     seed: int = 0
     max_order: int = DEFAULT_MAX_ORDER
-    subgroup_enum_cap: int = 24
+    subgroup_enum_cap: int = lattice.DEFAULT_ENUM_CAP
 
     def validate(self) -> None:
         unknown = [c for c in self.claims if c not in CLAIMS]
@@ -1274,7 +1273,7 @@ class AuditConfig:
 
 
 def default_config() -> AuditConfig:
-    return AuditConfig(groups=named_group_specs(24))
+    return AuditConfig(groups=named_group_specs(lattice.DEFAULT_ENUM_CAP))
 
 
 def config_from_json(payload: dict) -> AuditConfig:
@@ -1377,25 +1376,9 @@ class AuditReport:
             yield [claim, VERDICTS[code], f"{head}{g}{tail}", witness_text(w), *runtime]
 
     def _pieces(self, include_runtime: bool) -> Iterator[str]:
-        # The top-level keys in sorted order, with the findings list
-        # between "config_echo" and "legend", one piece per finding.
-        head = self._head()
-        yield (
-            '{\n "config_echo": '
-            + jsontext.encode(head["config_echo"], "\n ")
-            + ',\n "findings": '
-        )
-        if not self.findings:
-            yield "[]"
-        else:
-            sep = "[\n  "
-            for text in _finding_texts(self.findings, include_runtime):
-                yield sep + text
-                sep = ",\n  "
-            yield "\n ]"
-        for key in ("legend", "seed", "summary"):
-            yield f',\n "{key}": ' + jsontext.encode(head[key], "\n ")
-        yield "\n}"
+        # One piece for the head, one per finding and one for the tail.
+        texts = _finding_texts(self.findings, include_runtime)
+        return jsontext.document(self._head(), "findings", texts)
 
 
 def _finding_texts(findings: Findings, include_runtime: bool) -> Iterator[str]:
@@ -1454,17 +1437,15 @@ def _instance_cut(write: Callable[[dict], str]) -> Callable[[_Batch], tuple[str,
 
 def _compact_writer() -> Callable[[dict], str]:
     """A writer of ``json.dumps(d, sort_keys=True)`` for instance dicts."""
-    return _dict_writer(
-        "", ", ", "}", _by_identity(json.JSONEncoder(sort_keys=True).encode)
-    )
+    items = jsontext.items_writer(None, _by_identity(jsontext.compact))
+    return lambda d: items((tuple(d), *d.values()))
 
 
 def _indented_writer() -> Callable[[dict], str]:
     """A writer of ``jsontext.encode(d, "\\n   ")``, depth 3 of the report."""
-    nl = "\n    "
-    return _dict_writer(
-        nl, ",", "\n   }", _by_identity(lambda v: jsontext.encode(v, nl))
-    )
+    member_list = _by_identity(lambda v: jsontext.encode(v, "\n    "))
+    items = jsontext.items_writer("\n   ", member_list)
+    return lambda d: items((tuple(d), *d.values()))
 
 
 def _template(text: Callable[[dict], str], base: dict) -> tuple[str, str]:
@@ -1478,59 +1459,10 @@ def _template(text: Callable[[dict], str], base: dict) -> tuple[str, str]:
     return head + '"g": ', tail
 
 
-def _items_writer(
-    indent: str, item_sep: str, close: str, container: Callable[[object], str]
-) -> Callable[[tuple], str]:
-    """A writer of the JSON text of a witness entry ``(keys, *values)``.
-
-    The text is that of ``dict(zip(keys, values))``, whose keys are
-    ``str``, with its items in sorted key order.  Each item is ``indent``,
-    the key, ``": "`` and the value, the items are joined by ``item_sep``
-    and followed by ``close``.  Scalar values go through
-    ``jsontext.SCALARS``, which writes them as the compact and the indented
-    standard-library forms both do; any other value through ``container``.
-    The sorted key order is worked out once per distinct key tuple, and
-    each value is then read by its position.
-    """
-    scalars = jsontext.SCALARS
-    quote = scalars[str]
-    layouts: dict[tuple[str, ...], list[tuple[int, str]]] = {}
-
-    def text(entry: tuple) -> str:
-        keys = entry[0]
-        if not keys:
-            return "{}"
-        layout = layouts.get(keys)
-        if layout is None:
-            layout = layouts[keys] = [
-                (keys.index(k) + 1, indent + quote(k) + ": ") for k in sorted(keys)
-            ]
-        parts = []
-        for i, prefix in layout:
-            v = entry[i]
-            w = scalars.get(type(v))
-            parts.append(prefix + (w(v) if w is not None else container(v)))
-        return "{" + item_sep.join(parts) + close
-
-    return text
-
-
 # The text of a witness entry as ``json.dumps(witness, sort_keys=True)``
 # writes it, and at depth 3 of the report.
-_compact_witness = _items_writer(
-    "", ", ", "}", json.JSONEncoder(sort_keys=True).encode
-)
-_indented_witness = _items_writer(
-    "\n    ", ",", "\n   }", lambda v: jsontext.encode(v, "\n    ")
-)
-
-
-def _dict_writer(
-    indent: str, item_sep: str, close: str, container: Callable[[object], str]
-) -> Callable[[dict], str]:
-    """``_items_writer`` for dicts with ``str`` keys."""
-    items = _items_writer(indent, item_sep, close, container)
-    return lambda d: items((tuple(d), *d.values()))
+_compact_witness = jsontext.items_writer(None)
+_indented_witness = jsontext.items_writer("\n   ")
 
 
 def _by_identity(encode: Callable[[object], str]) -> Callable[[object], str]:
@@ -1714,6 +1646,11 @@ def run_battery(config: AuditConfig) -> AuditReport:
 
     # Batches accumulate for the whole run and form no reference cycles,
     # so full cyclic collections during it would only re-traverse them.
+    # Every walk runs paused: here, or in a worker forked here, which
+    # inherits the paused collector.  The few cycles a walk leaves are
+    # standard-library closures (``ast.literal_eval``, ``inspect``), a few
+    # hundred objects on the default battery, freed by the first
+    # collection after the pause.
     with _collector_paused():
         with _run_tables() as tables:
             _walk_all(walks, config, merge)
@@ -1880,14 +1817,10 @@ def _walk(walk: Callable, what: object, config: AuditConfig) -> tuple[list, list
             if b.claim in selected:
                 kept.append((b.claim, b.cell, b.gs, b.codes, b.witnesses, share))
 
-    # The few cycles a walk leaves are standard-library closures
-    # (``ast.literal_eval``, ``inspect``), a few hundred objects on the
-    # default battery, freed by the first collection after the pause.
-    with _collector_paused():
-        try:
-            walk(what, config, active, run)
-        finally:
-            _forget_walk()
+    try:
+        walk(what, config, active, run)
+    finally:
+        _forget_walk()
     return kept, tables.witnesses[known:]
 
 

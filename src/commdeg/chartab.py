@@ -527,9 +527,6 @@ def table_to_json(table: CharacterTable, fp: TextIO) -> None:
     )
     which = which.reshape(k, 2 * k)
     row = _ROW_HEAD + ",\n    ".join([_ROW_PAIR] * k) + _ROW_TAIL
-    classes_text = jsontext.encode(classes, "\n ")
-    sep = '{\n "classes": ' + classes_text + ',\n "irreducibles": [\n  '
-    for i, degree in enumerate(table.degrees):
-        fp.write(sep + row % (degree, *texts[which[i]]))
-        sep = ",\n  "
-    fp.write('\n ],\n "order": ' + jsontext.encode(table.group.order, "") + "\n}")
+    rows = (row % (d, *texts[which[i]]) for i, d in enumerate(table.degrees))
+    fields = {"classes": classes, "order": table.group.order}
+    fp.writelines(jsontext.document(fields, "irreducibles", rows))

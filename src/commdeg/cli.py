@@ -268,28 +268,23 @@ def _cmd_info(args: argparse.Namespace) -> int:
     if args.output == "json":
         from . import jsontext
 
-        # The text of jsontext.dumps of the whole object, its keys in
-        # sorted order, with each element written at depth 2 as it is made.
-        out = sys.stdout
-        out.write(
-            f'{{\n "center_order": {center_order},'
-            f'\n "class_count": {len(info.classes)},\n "elements": ['
+        # Each element is written at depth 2 as it is made.
+        elements = (
+            jsontext.encode(
+                {"id": i, "label": G.label(i), "order": orders[i], "class": classes[i]},
+                "\n  ",
+            )
+            for i in range(G.order)
         )
-        sep = "\n  "
-        for i in range(G.order):
-            element = {
-                "id": i,
-                "label": G.label(i),
-                "order": orders[i],
-                "class": classes[i],
-            }
-            out.write(sep + jsontext.encode(element, "\n  "))
-            sep = ",\n  "
-        out.write(
-            f'\n ],\n "group": {jsontext.encode(G.name, "")},'
-            f'\n "is_abelian": {jsontext.encode(is_abelian, "")},'
-            f'\n "order": {G.order}\n}}\n'
-        )
+        fields = {
+            "center_order": center_order,
+            "class_count": len(info.classes),
+            "group": G.name,
+            "is_abelian": is_abelian,
+            "order": G.order,
+        }
+        sys.stdout.writelines(jsontext.document(fields, "elements", elements))
+        print()
     elif args.output == "csv":
         rows = ((i, G.label(i), orders[i], classes[i]) for i in range(G.order))
         _write_csv(sys.stdout, ("id", "label", "order", "class"), rows)

@@ -1,9 +1,12 @@
-"""The one JSON writer behind every indented output: reports and ``-o json``.
+"""The one JSON writer: every JSON output, report and CSV JSON cell.
 
 ``dumps(obj)`` returns exactly the text of
 ``json.dumps(obj, sort_keys=True, indent=1)``: ASCII only, keys sorted, one
 space of indent per level, and ``NaN``/``Infinity``/``-Infinity`` for
-non-finite floats.
+non-finite floats.  ``compact`` is ``json.dumps(obj, sort_keys=True)``,
+the form of the audit CSV's instance and witness cells and of the text
+the report's findings are sorted by.  This module is the only one that
+knows either layout.
 
 The standard library writes indented JSON with its pure-Python encoder (its
 C encoder runs only when ``indent is None``), yields one small chunk per
@@ -14,17 +17,15 @@ per token.  Scalars are written by C
 functions without a Python call (``encode_basestring_ascii`` for strings,
 ``int.__repr__`` for ints), and a list of plain ``int`` -- the subgroup
 member lists that fill an audit report -- takes a single ``join``.
+An object's items are written by ``items_writer``, in either form, from
+a layout of its sorted keys made once per distinct key tuple.
 
-``dumps`` writes every ``-o json`` output but ``chartab``'s and ``info``'s.
-The audit report goes through ``audit.AuditReport.write``, which streams
-the document one finding at a time: it writes the values inside each
-finding with ``encode`` and the ``SCALARS`` writers, at the depth a
-finding sits in the report, so its text is the one ``dumps`` gives for
-the whole document.
-``chartab.table_to_json`` writes a character table the same way, one
-irreducible at a time, with its class list through ``encode``, and
-``commdeg info -o json`` writes each element object with ``encode`` as it
-is made.
+``document`` is the one writer of a document's envelope: the pieces of
+``dumps`` of an object one of whose values is a long list, given as its
+items' texts one at a time.  The audit report (``audit.AuditReport``,
+one finding at a time), ``chartab.table_to_json`` (one irreducible at a
+time) and ``commdeg info -o json`` (one element at a time) go through it,
+and every other ``-o json`` output through ``dumps``.
 
 Accepted values: ``dict`` with ``str`` keys, ``list``, ``tuple``, ``str``,
 ``int``, ``float``, ``bool`` and ``None``, subclasses included, as in the
@@ -34,9 +35,12 @@ standard library.  Anything else, a non-``str`` dict key included, raises
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Iterator
+from json.encoder import JSONEncoder
 from json.encoder import encode_basestring_ascii as _quote
+from typing import Callable, Optional
 
-__all__ = ["dumps", "encode", "SCALARS"]
+__all__ = ["dumps", "encode", "compact", "document", "items_writer", "SCALARS"]
 
 _INF = float("inf")
 _ONLY_INT = {int}
@@ -63,9 +67,82 @@ SCALARS = {
 }
 
 
+# The text of ``json.dumps(obj, sort_keys=True)``.
+compact = JSONEncoder(sort_keys=True).encode
+
+
 def dumps(obj: object) -> str:
     """Serialize ``obj`` exactly as ``json.dumps(obj, sort_keys=True, indent=1)``."""
     return encode(obj, "\n")
+
+
+def document(fields: dict, key: str, item_texts: Iterable[str]) -> Iterator[str]:
+    """The pieces of ``dumps({**fields, key: items})``, one per item.
+
+    ``item_texts`` are the texts of the items at depth 2, as
+    ``encode(item, "\\n  ")`` writes them; they are read one at a time.
+    The list is written ``[]`` when there is none.
+    """
+    quoted = "\n " + _quote(key) + ": "
+    # In the text with an empty list, the list's item is the one line that
+    # opens with one space and its key: a string holds no raw newline,
+    # and a deeper line opens with more spaces.
+    head, _, tail = encode({**fields, key: []}, "\n").partition(quoted + "[]")
+    yield head + quoted
+    sep = "[\n  "
+    for text in item_texts:
+        yield sep + text
+        sep = ",\n  "
+    yield ("[]" if sep == "[\n  " else "\n ]") + tail
+
+
+def items_writer(
+    nl: Optional[str], container: Optional[Callable[[object], str]] = None
+) -> Callable[[tuple], str]:
+    """A writer of the text of ``dict(zip(keys, values))`` from an entry
+    ``(keys, *values)`` whose keys are ``str``.
+
+    With ``nl`` None the text is ``compact``'s; otherwise it is
+    ``encode``'s at ``nl``.  Scalar values go through ``SCALARS``, which
+    both forms write alike; any other value through ``container``, by
+    default ``compact`` or ``encode`` at the items' depth.  The sorted
+    key order is worked out once per distinct key tuple, and each value
+    is then read by its position.
+    """
+    if nl is None:
+        indent, item_sep, close = "", ", ", "}"
+        container = container or compact
+    else:
+        indent = nl + " "
+        item_sep, close = ",", nl + "}"
+        container = container or (lambda v: encode(v, indent))
+    layouts: dict[tuple, list[tuple[int, str]]] = {}
+
+    def text(entry: tuple) -> str:
+        keys = entry[0]
+        if not keys:
+            return "{}"
+        layout = layouts.get(keys)
+        if layout is None:
+            for key in keys:
+                if not isinstance(key, str):
+                    raise TypeError(f"keys must be str, not {type(key).__name__}")
+            order = sorted(range(len(keys)), key=keys.__getitem__)
+            layout = layouts[keys] = [
+                (i + 1, indent + _quote(keys[i]) + ": ") for i in order
+            ]
+        parts = []
+        for i, prefix in layout:
+            v = entry[i]
+            w = SCALARS.get(type(v))
+            parts.append(prefix + (w(v) if w is not None else container(v)))
+        return "{" + item_sep.join(parts) + close
+
+    return text
+
+
+# ``items_writer`` of each ``nl`` that ``encode`` has written a dict at.
+_ITEMS: dict[str, Callable[[tuple], str]] = {}
 
 
 def encode(o: object, nl: str) -> str:
@@ -78,10 +155,10 @@ def encode(o: object, nl: str) -> str:
     scalar = SCALARS.get(type(o))
     if scalar is not None:
         return scalar(o)
-    inner = nl + " "
     if isinstance(o, (list, tuple)):
         if not o:
             return "[]"
+        inner = nl + " "
         if set(map(type, o)) == _ONLY_INT:
             body = ("," + inner).join(map(int.__repr__, o))
         else:
@@ -93,20 +170,10 @@ def encode(o: object, nl: str) -> str:
             )
         return "[" + inner + body + nl + "]"
     if isinstance(o, dict):
-        if not o:
-            return "{}"
-        for key in o:
-            if not isinstance(key, str):
-                raise TypeError(f"keys must be str, not {type(key).__name__}")
-        body = ("," + inner).join(
-            [
-                _quote(k)
-                + ": "
-                + (w(v) if (w := SCALARS.get(type(v))) else encode(v, inner))
-                for k, v in sorted(o.items())
-            ]
-        )
-        return "{" + inner + body + nl + "}"
+        items = _ITEMS.get(nl)
+        if items is None:
+            items = _ITEMS[nl] = items_writer(nl)
+        return items((tuple(o), *o.values()))
     if isinstance(o, str):
         return _quote(o)
     if isinstance(o, int):

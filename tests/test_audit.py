@@ -402,6 +402,25 @@ def test_battery_restores_the_collector_state():
         gc.enable()
 
 
+def test_every_walk_runs_with_the_collector_paused(workers, monkeypatch):
+    # At one worker the walks run under run_battery's pause; a worker is
+    # forked under it and keeps it.  The checks run in whichever process
+    # walks, so the replaced check asks there.
+    real = audit.check_eq4
+
+    def paused_only(*args):
+        if gc.isenabled():
+            raise AssertionError("a check ran with the collector enabled")
+        return real(*args)
+
+    monkeypatch.setattr(audit, "check_eq4", paused_only)
+    assert gc.isenabled()
+    config = audit.AuditConfig(groups=("C2", "S3"), claims=("EQ4",))
+    report = audit.run_battery(config)
+    assert {f.claim for f in report.findings} == {"EQ4"}
+    assert gc.isenabled()
+
+
 def _finding_json(findings):
     return json.dumps([f.to_json() for f in findings], sort_keys=True)
 

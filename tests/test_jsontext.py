@@ -1,8 +1,9 @@
-"""``jsontext.dumps`` writes the bytes of the standard library's indented dump.
+"""``jsontext`` writes the bytes of the standard library's sorted-key dumps.
 
-The standard library stays the oracle: every comparison below is against
+The standard library stays the oracle: the comparisons below are against
 ``json.dumps(x, sort_keys=True, indent=1)``, which shares no code with the
-writer beyond the C string escaper.
+writer beyond the C string escaper, and against the compact
+``json.dumps(x, sort_keys=True)``.
 """
 
 import ast
@@ -88,5 +89,104 @@ def test_no_other_indented_json_writer_in_src():
                 and node.func.value.id == "json"
                 and any(kw.arg == "indent" for kw in node.keywords)
             ):
+                offenders.append(f"{path.name}:{node.lineno}")
+    assert offenders == []
+
+
+def _entry(d):
+    return (tuple(d), *d.values())
+
+
+def _dicts(x):
+    """Every dict in the tree ``x``, outermost first."""
+    if isinstance(x, dict):
+        yield x
+        x = list(x.values())
+    if isinstance(x, (list, tuple)):
+        for v in x:
+            yield from _dicts(v)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_TREES)
+@example({})
+@example({"é": "\ud800", '"': "\\", "\x00": "\x1f", "b": [1, True], "a": ()})
+@example({"z": np.float64(0.1), "y": [np.float64(-0.0), math.nan], "x": {"w": {}}})
+def test_items_writer_matches_both_stdlib_forms(x):
+    for d in _dicts(x):
+        assert jsontext.items_writer(None)(_entry(d)) == json.dumps(d, sort_keys=True)
+        for nl in ("\n", "\n ", "\n   ", "\n     "):
+            assert jsontext.items_writer(nl)(_entry(d)) == jsontext.encode(d, nl)
+
+
+def test_items_writer_keeps_each_key_order_apart():
+    # Equal key sets in two orders are two layouts, each read by position.
+    write = jsontext.items_writer(None)
+    for keys in (("b", "a"), ("a", "b"), ("b", "a")):
+        for value in (1, [2], "x"):
+            d = {k: f"{k}{value}" for k in keys}
+            assert write(_entry(d)) == json.dumps(d, sort_keys=True)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.dictionaries(_KEYS, _TREES, max_size=5),
+    _KEYS,
+    st.lists(_TREES, max_size=4),
+)
+# No items; the list's key sorting first, in the middle (next to a deeper
+# key of the same name) and last; its item's text inside a string; and
+# keys that need escapes.
+@example({}, "list", [])
+@example({"b": 1, "c": [2, {"d": None}]}, "a", [1])
+@example({"a": {"m": []}, "z": "m"}, "m", [{"m": []}, [True, "m"], 2.5])
+@example({"a": 1.5, "b": ["x"]}, "z", [])
+@example({"a": 'x\n "m": []', "n": 1}, "m", [1])
+@example({"a\"\\é": 1, "\x00": "\ud800"}, 'k"\\∂\n', [[]])
+def test_document_is_the_dump_of_the_whole_object(fields, key, items):
+    texts = (jsontext.encode(i, "\n  ") for i in items)
+    pieces = list(jsontext.document(fields, key, texts))
+    expected = json.dumps({**fields, key: items}, sort_keys=True, indent=1)
+    assert "".join(pieces) == expected
+    assert len(pieces) == len(items) + 2
+
+
+@pytest.mark.parametrize(
+    "write",
+    [
+        lambda d: jsontext.items_writer(None)(_entry(d)),
+        lambda d: jsontext.items_writer("\n ")(_entry(d)),
+        lambda d: "".join(jsontext.document(d, "list", [])),
+    ],
+)
+@pytest.mark.parametrize("bad", [{1: "a"}, {"a": 1, 2: "b"}, {None: 1}])
+def test_object_writers_reject_non_str_keys(write, bad):
+    with pytest.raises(TypeError):
+        write(bad)
+
+
+def test_document_rejects_a_non_str_list_key():
+    with pytest.raises(TypeError):
+        "".join(jsontext.document({"a": 1}, 2, []))
+
+
+def test_only_jsontext_sorts_keys_for_output():
+    offenders = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "jsontext.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            named = (
+                isinstance(node, ast.Call)
+                and any(kw.arg == "sort_keys" for kw in node.keywords)
+            ) or (
+                isinstance(node, (ast.Name, ast.Attribute, ast.alias))
+                and "JSONEncoder" in (
+                    getattr(node, "id", None),
+                    getattr(node, "attr", None),
+                    getattr(node, "name", None),
+                )
+            )
+            if named:
                 offenders.append(f"{path.name}:{node.lineno}")
     assert offenders == []
