@@ -34,6 +34,9 @@ is what ``_cell(n, m, **blocks)`` gives, ``{group, **blocks, n, m}`` with
 each block as its member list; a row's instance is the cell, or
 ``{**cell, "g": g}``.  Every check returns ``Findings``, which makes each
 ``Finding`` only when it is read; the report writers read the batches.
+Their texts come from one ``_Style`` per form, kept with the findings:
+compact, made by ``run_battery``'s sort and reused by the CSV rows, and
+depth 3 of the JSON report.
 
 Each group's walk is one call (``_walk_group``, ``_walk_pair``) with
 tables of its own, and the caches keyed by its subgroups are emptied when
@@ -355,7 +358,7 @@ class Findings(Sequence):
         self.joins = joins
         self._len: Optional[int] = None
         self._index: Optional[list[tuple]] = None
-        self._made: dict[bool, tuple] = {}
+        self._styles: dict[bool, _Style] = {}
 
     def __len__(self) -> int:
         if self._len is None:
@@ -390,19 +393,14 @@ class Findings(Sequence):
         if run:
             yield from _merged(run, prepare)
 
-    def _writers(self, indented: bool) -> tuple[Callable, Callable]:
-        """The instance cut and the witness writer of one style (depth 3 of
-        the report, or compact), kept with their texts for later writes."""
-        made = self._made.get(indented)
-        if made is None:
-            write, items = (
-                (_indented_writer(), _indented_witness)
-                if indented
-                else (_compact_writer(), _compact_witness)
-            )
-            made = (_instance_cut(write), _witness_writer(self.witnesses, items))
-            self._made[indented] = made
-        return made
+    def _style(self, indented: bool) -> _Style:
+        """The texts of one form (depth 3 of the report, or compact), kept
+        with the findings for later writes."""
+        style = self._styles.get(indented)
+        if style is None:
+            nl = "\n   " if indented else None
+            style = self._styles[indented] = _Style(self.witnesses, nl)
+        return style
 
     def _finding(self, b: _Batch, g, code: int, w: int) -> Finding:
         keys, *values = self.witnesses[w]
@@ -1366,14 +1364,14 @@ class AuditReport:
         """One CSV row per finding: claim, verdict, and the texts of
         ``json.dumps(instance, sort_keys=True)`` and of the witness
         likewise, then the rounded runtime if asked for."""
-        cut, witness_text = self.findings._writers(indented=False)
+        style = self.findings._style(indented=False)
 
         def prepare(batch: _Batch) -> tuple:
             runtime = [round(batch.runtime_ms, 3)] if include_runtime else []
-            return batch.claim, *cut(batch), runtime
+            return batch.claim, *style.instance(batch), runtime
 
         for (claim, head, tail, runtime), g, code, w in self.findings.rows(prepare):
-            yield [claim, VERDICTS[code], f"{head}{g}{tail}", witness_text(w), *runtime]
+            yield [claim, VERDICTS[code], f"{head}{g}{tail}", style.witness(w), *runtime]
 
     def _pieces(self, include_runtime: bool) -> Iterator[str]:
         # One piece for the head, one per finding and one for the tail.
@@ -1393,10 +1391,10 @@ def _finding_texts(findings: Findings, include_runtime: bool) -> Iterator[str]:
     quote = jsontext.SCALARS[str]
     verdicts = [quote(v) for v in VERDICTS]
     claims = {c: f'{{\n   "claim": {quote(c)},\n   "instance": ' for c in CLAIMS}
-    cut, witness_text = findings._writers(indented=True)
+    style = findings._style(indented=True)
 
     def prepare(batch: _Batch) -> tuple[str, str, str]:
-        head, tail = cut(batch)
+        head, tail = style.instance(batch)
         runtime = (
             ',\n   "runtime_ms": ' + jsontext.encode(round(batch.runtime_ms, 3), "")
             if include_runtime
@@ -1408,75 +1406,62 @@ def _finding_texts(findings: Findings, include_runtime: bool) -> Iterator[str]:
     for (lead, mid), g, code, w in findings.rows(prepare):
         yield (
             f'{lead}{g}{mid}{verdicts[code]},\n   "witness": '
-            f"{witness_text(w)}\n  }}"
+            f"{style.witness(w)}\n  }}"
         )
 
 
-def _witness_writer(
-    table: list[tuple], items: Callable[[tuple], str]
-) -> Callable[[int], str]:
-    """``items`` of the witness of an id in ``table``, made once per id."""
-    texts: list[Optional[str]] = [None] * len(table)
-
-    def text(w: int) -> str:
-        out = texts[w]
-        if out is None:
-            out = texts[w] = items(table[w])
-        return out
-
-    return text
-
-
-def _instance_cut(write: Callable[[dict], str]) -> Callable[[_Batch], tuple[str, str]]:
-    """The head and tail of ``write`` of a batch's instances around g, made
-    once per cell; a per-cell batch's head is its cell's whole text."""
-    whole = _by_identity(write)
-    cut = _by_identity(lambda cell: _template(write, cell))
-    return lambda b: (whole(b.cell), "") if b.gs is None else cut(b.cell)
-
-
-def _compact_writer() -> Callable[[dict], str]:
-    """A writer of ``json.dumps(d, sort_keys=True)`` for instance dicts."""
-    items = jsontext.items_writer(None, _by_identity(jsontext.compact))
-    return lambda d: items((tuple(d), *d.values()))
-
-
-def _indented_writer() -> Callable[[dict], str]:
-    """A writer of ``jsontext.encode(d, "\\n   ")``, depth 3 of the report."""
-    member_list = _by_identity(lambda v: jsontext.encode(v, "\n    "))
-    items = jsontext.items_writer("\n   ", member_list)
-    return lambda d: items((tuple(d), *d.values()))
-
-
-def _template(text: Callable[[dict], str], base: dict) -> tuple[str, str]:
-    """The head and the tail of ``text({**base, "g": g})`` around g's digits.
-
-    Cut from ``text`` of the instance with g = 0, in which ``"g": 0``
-    occurs once: ``"g"`` is the one key of that name, and a quote inside
-    a string value is written escaped.
+class _Style:
+    """The texts of one form of a report's instances and witnesses:
+    compact (``nl`` None), as ``json.dumps(sort_keys=True)`` writes them,
+    or depth 3 of the report (``nl`` ``"\\n   "``).  Each cell's whole
+    text, each cell's head and tail around g, each member list's text and
+    each witness id's text is made once and kept as long as the object,
+    which refers to no method of its own, so that it goes with the last
+    reference to it rather than at a cyclic collection.
     """
-    head, _, tail = text({**base, "g": 0}).partition('"g": 0')
-    return head + '"g": ', tail
+
+    def __init__(self, witnesses: list[tuple], nl: Optional[str]) -> None:
+        encode = (lambda v: jsontext.encode(v, nl + " ")) if nl else jsontext.compact
+        self._items = jsontext.items_writer(nl, functools.partial(_once, {}, encode))
+        self._witness_items = jsontext.items_writer(nl)
+        self._witnesses = witnesses
+        self._witness_texts: list[Optional[str]] = [None] * len(witnesses)
+        self._wholes: dict[int, tuple] = {}
+        self._cuts: dict[int, tuple] = {}
+
+    def instance(self, batch: _Batch) -> tuple[str, str]:
+        """The head and tail of a batch's instances around g; a per-cell
+        batch's head is its cell's whole text, and its tail is empty."""
+        if batch.gs is None:
+            return _once(self._wholes, self._text, batch.cell), ""
+        return _once(self._cuts, self._head_tail, batch.cell)
+
+    def witness(self, w: int) -> str:
+        """The text of the witness of id ``w``."""
+        text = self._witness_texts[w]
+        if text is None:
+            text = self._witness_texts[w] = self._witness_items(self._witnesses[w])
+        return text
+
+    def _text(self, d: dict) -> str:
+        return self._items((tuple(d), *d.values()))
+
+    def _head_tail(self, cell: dict) -> tuple[str, str]:
+        """The text of ``{**cell, "g": g}`` before and after g's digits, cut
+        from that of g = 0: ``"g": 0`` occurs once in it, as ``"g"`` is the
+        one key of that name and a quote inside a string is escaped."""
+        head, _, tail = self._text({**cell, "g": 0}).partition('"g": 0')
+        return head + '"g": ', tail
 
 
-# The text of a witness entry as ``json.dumps(witness, sort_keys=True)``
-# writes it, and at depth 3 of the report.
-_compact_witness = jsontext.items_writer(None)
-_indented_witness = jsontext.items_writer("\n   ")
-
-
-def _by_identity(encode: Callable[[object], str]) -> Callable[[object], str]:
-    """``encode``, run once per object; for objects nothing mutates."""
-    # id -> (object, text); holding the object keeps its id from being reused.
-    seen: dict[int, tuple[object, str]] = {}
-
-    def text(v: object) -> str:
-        hit = seen.get(id(v))
-        if hit is None:
-            hit = seen[id(v)] = (v, encode(v))
-        return hit[1]
-
-    return text
+def _once(made: dict, make: Callable[[object], object], v: object) -> object:
+    """``make(v)``, made once per object ``v`` and kept in ``made``; for
+    objects nothing mutates."""
+    # id -> (object, value); holding the object keeps its id from being reused.
+    hit = made.get(id(v))
+    if hit is None:
+        hit = made[id(v)] = (v, make(v))
+    return hit[1]
 
 
 def _subgroup_pool(G: GroupTable, config: AuditConfig) -> list[SubgroupRef]:
@@ -1559,17 +1544,20 @@ _TABLE_CHECKS = {
     "check_frob_bound", "check_zeta_character", "check_eq7", *_GROUP_CHECKS
 }
 
-def _sorted_batches(by_claim: dict[str, list[_Batch]]) -> tuple[list[_Batch], bytes]:
+def _sorted_batches(
+    by_claim: dict[str, list[_Batch]], style: _Style
+) -> tuple[list[_Batch], bytes]:
     """The batches and their joins, as rows sort: by claim, then by
     ``json.dumps(instance, sort_keys=True)``, stable.
 
-    That text is a cell's head, g and tail (``_instance_cut``).  A head
-    ends at the one ``"g": `` of its text, or is a whole object, so no
-    head is a proper prefix of another: a claim's batches sort by (head,
-    tail), and those of one head join, their rows merged by g's text (a
-    tail starts with a comma, which sorts before every digit).
+    That text is a cell's head, g and tail, as the compact ``style`` makes
+    them, once per cell.  A head ends at the one ``"g": `` of its text, or
+    is a whole object, so no head is a proper prefix of another: a claim's
+    batches sort by (head, tail), and those of one head join, their rows
+    merged by g's text (a tail starts with a comma, which sorts before
+    every digit).
     """
-    cut = _instance_cut(_compact_writer())
+    cut = style.instance
     batches, joins = [], bytearray()
     for claim in sorted(by_claim):
         last = None
@@ -1654,12 +1642,15 @@ def run_battery(config: AuditConfig) -> AuditReport:
     with _collector_paused():
         with _run_tables() as tables:
             _walk_all(walks, config, merge)
-            batches, joins = _sorted_batches(by_claim)
+            compact = _Style(tables.witnesses, None)
+            batches, joins = _sorted_batches(by_claim, compact)
     summary: dict[str, dict[str, int]] = {}
     for claim in sorted(by_claim):
         codes = b"".join(batch.codes for batch in by_claim[claim])
         summary[claim] = {v: codes.count(c) for v, c in _CODE.items() if c in codes}
-    return AuditReport(config, summary, Findings(batches, tables.witnesses, joins))
+    findings = Findings(batches, tables.witnesses, joins)
+    findings._styles[False] = compact
+    return AuditReport(config, summary, findings)
 
 
 def _active_checks(config: AuditConfig) -> set[str]:
@@ -1670,10 +1661,11 @@ def _active_checks(config: AuditConfig) -> set[str]:
 
 def _workers(n_walks: int) -> int:
     """How many processes walk a battery of ``n_walks`` walks: one per CPU
-    this process may run on, and no more than there are walks; one off
-    Linux, where neither the CPU set nor ``prctl`` can be read or set."""
-    cpus = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else [0]
-    return max(1, min(len(cpus), n_walks))
+    this process may run on (``engine._usable_cpus``), and no more than
+    there are walks; one off Linux, where ``prctl`` cannot be set."""
+    if not hasattr(os, "sched_getaffinity"):
+        return 1
+    return max(1, min(engine._usable_cpus(), n_walks))
 
 
 def _walk_all(walks: list[tuple], config: AuditConfig, merge: Callable) -> None:

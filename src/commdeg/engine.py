@@ -298,7 +298,7 @@ def brute_counts(
     This is the oracle path: it materializes the folded commutator value
     of each individual tuple (in chunks) and bin-counts them, so it shares
     nothing with the histogram recurrence beyond the group table itself.
-    ``threads`` is clamped to the machine's CPU count.
+    ``threads`` is clamped to the CPUs this process may run on.
     """
     if not pools:
         raise EmptyTuple("need at least one tuple slot")
@@ -310,7 +310,7 @@ def brute_counts(
     arrs = [np.asarray(p, dtype=np.int32) for p in pools]
     workers = 1
     if threads > 1:
-        workers = min(threads, os.cpu_count() or 1, arrs[0].size)
+        workers = min(threads, _usable_cpus(), arrs[0].size)
     if workers > 1:
         slices = np.array_split(arrs[0], workers)
         accs = [np.zeros(G.order, dtype=np.int64) for _ in slices]
@@ -325,6 +325,13 @@ def brute_counts(
         out = np.zeros(G.order, dtype=np.int64)
         _expand(G, arrs[0], arrs[1:], out)
     return [int(v) for v in out]
+
+
+def _usable_cpus() -> int:
+    """How many CPUs this process may run on (its ``taskset`` on Linux)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def _prob(

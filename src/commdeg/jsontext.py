@@ -5,8 +5,11 @@
 space of indent per level, and ``NaN``/``Infinity``/``-Infinity`` for
 non-finite floats.  ``compact`` is ``json.dumps(obj, sort_keys=True)``,
 the form of the audit CSV's instance and witness cells and of the text
-the report's findings are sorted by.  This module is the only one that
-knows either layout.
+the report's findings are sorted by.  Two places still splice depth-2
+fragments of the indented form by hand around texts made here:
+``audit._finding_texts`` (a finding's keys around its instance and
+witness) and ``chartab``'s ``_ROW_HEAD``/``_ROW_PAIR``/``_ROW_TAIL`` (one
+irreducible of a character table).
 
 The standard library writes indented JSON with its pure-Python encoder (its
 C encoder runs only when ``indent is None``), yields one small chunk per
@@ -18,7 +21,9 @@ functions without a Python call (``encode_basestring_ascii`` for strings,
 ``int.__repr__`` for ints), and a list of plain ``int`` -- the subgroup
 member lists that fill an audit report -- takes a single ``join``.
 An object's items are written by ``items_writer``, in either form, from
-a layout of its sorted keys made once per distinct key tuple.
+a layout of its sorted keys made once per distinct key tuple.  A layout
+lives as long as its writer: ``encode`` keeps none between calls, and the
+audit report keeps its writers for as long as its findings.
 
 ``document`` is the one writer of a document's envelope: the pieces of
 ``dumps`` of an object one of whose values is a long list, given as its
@@ -141,10 +146,6 @@ def items_writer(
     return text
 
 
-# ``items_writer`` of each ``nl`` that ``encode`` has written a dict at.
-_ITEMS: dict[str, Callable[[tuple], str]] = {}
-
-
 def encode(o: object, nl: str) -> str:
     """The text of ``o`` as a value nested in a document ``dumps`` writes.
 
@@ -170,10 +171,7 @@ def encode(o: object, nl: str) -> str:
             )
         return "[" + inner + body + nl + "]"
     if isinstance(o, dict):
-        items = _ITEMS.get(nl)
-        if items is None:
-            items = _ITEMS[nl] = items_writer(nl)
-        return items((tuple(o), *o.values()))
+        return items_writer(nl)((tuple(o), *o.values()))
     if isinstance(o, str):
         return _quote(o)
     if isinstance(o, int):

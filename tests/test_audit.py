@@ -623,14 +623,14 @@ def test_cell_template_is_the_encoder_text(name, blocks, n, m):
     base = {"group": name, blocks[0]: [0, 1, 2], blocks[1]: [0, 5, 11]}
     base.update(n=n, m=m)
     styles = [
-        (audit._compact_writer(), lambda d: json.dumps(d, sort_keys=True)),
-        (audit._indented_writer(), lambda d: jsontext.encode(d, "\n   ")),
+        (audit._Style([], None), lambda d: json.dumps(d, sort_keys=True)),
+        (audit._Style([], "\n   "), lambda d: jsontext.encode(d, "\n   ")),
     ]
-    for writer, reference in styles:
-        head, tail = audit._template(writer, base)
+    for style, reference in styles:
+        head, tail = style._head_tail(base)
         for g in (0, 9, 10, 99, 100, 12345):
             inst = {**base, "g": g}
-            assert head + str(g) + tail == writer(inst) == reference(inst)
+            assert head + str(g) + tail == style._text(inst) == reference(inst)
 
 
 def _row_texts(findings):
@@ -665,7 +665,7 @@ def test_sort_orders_findings_as_their_instance_texts():
         random.Random(0).shuffle(batches)
     given = audit.Findings([b for c in by_claim for b in by_claim[c]], [((),)])
     expected = sorted(given, key=lambda f: _row_texts([f]))
-    batches, joins = audit._sorted_batches(by_claim)
+    batches, joins = audit._sorted_batches(by_claim, audit._Style([], None))
     assert any(joins)
     found = audit.Findings(batches, [((),)], joins)
     assert _row_texts(found) == _row_texts(expected)
@@ -685,7 +685,7 @@ def test_sort_holds_one_head_per_cell():
     random.Random(0).shuffle(batches)
     tracemalloc.start()
     try:
-        ordered, joins = audit._sorted_batches({"C5": batches})
+        ordered, joins = audit._sorted_batches({"C5": batches}, audit._Style([], None))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -707,16 +707,16 @@ def test_g_values_come_in_the_order_of_their_text():
 def test_battery_templates_are_the_encoder_text():
     config = audit.AuditConfig(groups=("S3", "D4", "Q8", "C6"), product_pairs=())
     report = audit.run_battery(config)
-    compact = audit._instance_cut(audit._compact_writer())
-    indented = audit._instance_cut(audit._indented_writer())
+    compact = report.findings._style(indented=False)
+    indented = report.findings._style(indented=True)
     per_g = [row for row in report.findings.rows() if row[0].gs is not None]
     assert len(per_g) > len(report.findings) / 2
     for batch, g, _, _ in per_g:
         assert "g" not in batch.cell
         inst = {**batch.cell, "g": g}
-        head, tail = compact(batch)
+        head, tail = compact.instance(batch)
         assert head + str(g) + tail == json.dumps(inst, sort_keys=True)
-        head, tail = indented(batch)
+        head, tail = indented.instance(batch)
         assert head + str(g) + tail == jsontext.encode(inst, "\n   ")
 
 
@@ -891,19 +891,58 @@ def test_equal_witnesses_share_one_values_tuple(s3_d4_report):
     assert len(by_text) == len(findings.witnesses) < len(findings) / 10
 
 
-def test_witness_texts_are_made_once_per_id(s3_d4_report, monkeypatch):
+def test_witness_texts_are_made_once_per_id(s3_d4_report):
     made = []
-    real = audit._indented_witness
+    findings = audit.run_battery(s3_d4_report.config).findings
+    style = findings._style(indented=True)
+    real = style._witness_items
 
     def counting(entry):
         made.append(id(entry))
         return real(entry)
 
-    monkeypatch.setattr(audit, "_indented_witness", counting)
-    findings = audit.run_battery(s3_d4_report.config).findings
+    style._witness_items = counting
     for _ in range(2):
         audit.AuditReport(s3_d4_report.config, {}, findings).write(_Discard())
     assert sorted(made) == sorted(id(e) for e in findings.witnesses)
+
+
+def test_a_report_makes_each_cell_text_once(monkeypatch, workers):
+    # The sort and the CSV rows read one compact text of each cell object,
+    # whole for a per-cell batch or cut at g for a per-g one.
+    made = []
+    real = audit._Style._text
+
+    def counting(self, d):
+        text = real(self, d)
+        made.append(text)
+        return text
+
+    monkeypatch.setattr(audit._Style, "_text", counting)
+    report = audit.run_battery(audit.AuditConfig(groups=("S3", "D4")))
+    sorted_texts = len(made)
+    rows = list(report.rows())
+    assert len(made) == sorted_texts
+    cells = {(id(b.cell), b.gs is None) for b in report.findings.batches}
+    assert len(made) == len(cells)
+    assert len(rows) == len(report.findings) > len(made)
+
+
+def test_report_texts_go_with_their_findings():
+    # Both forms' texts are freed with the last reference to the report,
+    # not at a later cyclic collection.
+    report = audit.run_battery(audit.AuditConfig(groups=("S3",)))
+    report.write(_Discard())
+    list(report.rows())
+    styles = [weakref.ref(report.findings._style(form)) for form in (False, True)]
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        del report
+        assert [style() for style in styles] == [None, None]
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def test_witness_reads_are_fresh_and_private(s3_d4_report):

@@ -373,10 +373,31 @@ def test_brute_threads_clamped_to_cpu_count(monkeypatch, s3):
     monkeypatch.setattr(engine, "ThreadPoolExecutor", InlineExecutor)
     pools = [range(6)] * 3
     counts = engine.brute_counts(s3, pools, threads=10**6)
-    cpus = os.cpu_count() or 1
+    cpus = engine._usable_cpus()
     assert all(w <= cpus for w in requested)
     assert bool(requested) == (cpus > 1)
     assert counts == engine.brute_counts(s3, pools)
+
+
+def test_brute_threads_follow_the_cpu_affinity(monkeypatch, capsys, s3):
+    # Bound to one CPU (`taskset -c 0`) on a machine of many, a brute run
+    # asked for two threads starts no pool.
+    monkeypatch.setattr(engine.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    monkeypatch.setattr(engine.os, "cpu_count", lambda: 64)
+
+    def refuse(max_workers):
+        raise AssertionError(f"a pool of {max_workers} threads on one CPU")
+
+    pools = [range(6)] * 3
+    expected = engine.brute_counts(s3, pools)
+    argv = ["prob", "-G", "S3", "-n", "2", "-g", "0", "--method", "brute"]
+    assert cli.main(argv) == 0
+    printed = capsys.readouterr().out
+    monkeypatch.setattr(engine, "ThreadPoolExecutor", refuse)
+    assert engine.brute_counts(s3, pools, threads=2) == expected
+    assert cli.main([*argv, "--threads", "2"]) == 0
+    assert capsys.readouterr().out == printed
+    assert audit._workers(10) == 1
 
 
 def test_prob_json_round_trip(capsys, s3):

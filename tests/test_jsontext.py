@@ -7,8 +7,10 @@ writer beyond the C string escaper, and against the compact
 """
 
 import ast
+import gc
 import json
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -163,6 +165,23 @@ def test_document_is_the_dump_of_the_whole_object(fields, key, items):
 def test_object_writers_reject_non_str_keys(write, bad):
     with pytest.raises(TypeError):
         write(bad)
+
+
+def test_dumps_keeps_no_layout_between_calls():
+    # A layout lives as long as its writer: the sorted key orders of 200
+    # documents of distinct 500-key objects are gone once they are written.
+    objects = [{f"k{i}.{j}": j for j in range(500)} for i in range(200)]
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        for obj in objects:
+            jsontext.dumps(obj)
+        gc.collect()
+        after, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert after - before < 2**20
 
 
 def test_document_rejects_a_non_str_list_key():
