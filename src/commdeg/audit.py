@@ -30,8 +30,8 @@ the cached count vectors.
 Findings are held as batches (``_Batch``), one per claim and cell: the
 cell, a g column (none for a per-cell claim), verdict codes and witness
 ids into the run's table, which holds each distinct witness once.  A cell
-is what ``_cell(n, m, **blocks)`` gives, ``{group, **blocks, n, m}`` with
-each block as its member list; a row's instance is the cell, or
+is what ``_cell`` gives, ``{group, **blocks, n, m}`` with each block as
+its member list, or with no n and m; a row's instance is the cell, or
 ``{**cell, "g": g}``.  Every check returns ``Findings``, which makes each
 ``Finding`` only when it is read; the report writers read the batches.
 Their texts come from one ``_Style`` per form, kept with the findings:
@@ -462,18 +462,17 @@ def _member_list(members: tuple[int, ...]) -> list[int]:
     return list(members)
 
 
-def _cell(n: int, m: int, **blocks: SubgroupRef) -> dict:
-    """The cell ``{group, **blocks, n, m}``, each block as its member list.
-
-    There is one cell per blocks and exponents in a walk (``_RunTables``).
-    """
+def _cell(*nm: int, group: Optional[GroupTable] = None, **blocks: SubgroupRef) -> dict:
+    """The cell ``{group, **blocks, n, m}``, each block as its member list,
+    for exponents ``nm`` = (n, m) or none, ``group`` given when there is no
+    block; one object per blocks and exponents in a walk (``_RunTables``)."""
     cells = _RUN.get().cells
-    key = (n, m, *blocks.items())
+    key = (nm, group, *blocks.items())
     cell = cells.get(key)
     if cell is None:
-        group = next(iter(blocks.values())).parent.name
+        parent = group or next(iter(blocks.values())).parent
         members = {name: _mem(S) for name, S in blocks.items()}
-        cell = cells[key] = {"group": group, **members, "n": n, "m": m}
+        cell = cells[key] = {"group": parent.name, **members, **dict(zip("nm", nm))}
     return cell
 
 
@@ -1012,7 +1011,7 @@ def check_frob_bound(H: SubgroupRef, table: chartab.CharacterTable) -> list[_Bat
     all_vanish = all(
         chartab.vanishes_outside(table, i, H) for i in range(table.n_classes)
     )
-    inst = {"group": G.name, "H": _mem(H)}
+    inst = _cell(H=H)
     witness = {
         "bound": _ratio(bound_num, bound_den),
         "index": index,
@@ -1037,7 +1036,7 @@ def check_zeta_character(
     """
     G = table.group
     counts = engine.final_counts(H, groups.full_subgroup(G), n, m)
-    inst = {"group": G.name, "H": _mem(H), "n": n, "m": m}
+    inst = _cell(n, m, H=H)
     try:
         cf = chartab.class_function_from_counts(table, counts)
     except NotClassConstant as exc:
@@ -1145,7 +1144,7 @@ def check_eq3(table: chartab.CharacterTable) -> list[_Batch]:
         "worst_element": worst_g,
         "tolerance": chartab.FORMULA_TOL,
     }
-    return [_one("EQ3", {"group": G.name}, verdict, witness)]
+    return [_one("EQ3", _cell(group=G), verdict, witness)]
 
 
 @_check
@@ -1164,14 +1163,14 @@ def check_eq4(table: chartab.CharacterTable) -> list[_Batch]:
         "commuting_probability": _ratio(commuting, size),
         "class_ratio": _ratio(k, G.order),
     }
-    return [_one("EQ4", {"group": G.name}, HOLDS if ok else VIOLATED, witness)]
+    return [_one("EQ4", _cell(group=G), HOLDS if ok else VIOLATED, witness)]
 
 
 @_check
 def check_eq7(H: SubgroupRef, table: chartab.CharacterTable) -> list[_Batch]:
     """Restriction-weighted character formula against exact counts, all g."""
     G = table.group
-    inst = {"group": G.name, "H": _mem(H)}
+    inst = _cell(H=H)
     if not groups.is_normal(G, H):
         return [_one("EQ7", inst, PRECONDITION_FAILED, {"reason": "H is not normal"})]
     full = groups.full_subgroup(G)
@@ -1206,7 +1205,7 @@ def check_psi(table: chartab.CharacterTable) -> list[_Batch]:
         "is_character": ok_char,
         "multiplicities": report["rounded"],
     }
-    return [_one("PSI", {"group": G.name}, HOLDS if ok else VIOLATED, witness)]
+    return [_one("PSI", _cell(group=G), HOLDS if ok else VIOLATED, witness)]
 
 
 def named_group_specs(max_order: int = lattice.DEFAULT_ENUM_CAP) -> tuple[str, ...]:
@@ -1382,32 +1381,28 @@ class AuditReport:
 def _finding_texts(findings: Findings, include_runtime: bool) -> Iterator[str]:
     """The text of each finding at depth 2 of the report.
 
-    A finding is written from its fixed key layout, in sorted key order:
-    ``claim``, ``instance``, [``runtime_ms``], ``verdict``, ``witness``,
-    with its instance and witness at depth 3.  All but g, the verdict and
+    A finding fills its claim's ``jsontext.template``, made once per
+    report, whose holes are its instance, [``runtime_ms``,] verdict and
+    witness, the first and last at depth 3.  All but g, the verdict and
     the witness is the same for every row of a batch and is joined once
     per batch; each row is then one f-string.
     """
-    quote = jsontext.SCALARS[str]
-    verdicts = [quote(v) for v in VERDICTS]
-    claims = {c: f'{{\n   "claim": {quote(c)},\n   "instance": ' for c in CLAIMS}
+    finding = dict.fromkeys(["instance", "verdict", "witness"], jsontext.HOLE)
+    if include_runtime:
+        finding["runtime_ms"] = jsontext.HOLE
+    templates = {c: jsontext.template({**finding, "claim": c}, "\n  ") for c in CLAIMS}
+    verdicts = [jsontext.SCALARS[str](v) for v in VERDICTS]
     style = findings._style(indented=True)
 
-    def prepare(batch: _Batch) -> tuple[str, str, str]:
+    def prepare(batch: _Batch) -> tuple[str, ...]:
         head, tail = style.instance(batch)
-        runtime = (
-            ',\n   "runtime_ms": ' + jsontext.encode(round(batch.runtime_ms, 3), "")
-            if include_runtime
-            else ""
-        )
-        lead = f'{claims[batch.claim]}{head}'
-        return lead, f'{tail}{runtime},\n   "verdict": '
+        lead, *mids, to_witness, close = templates[batch.claim]
+        if include_runtime:
+            tail += mids[0] + jsontext.encode(round(batch.runtime_ms, 3), "")
+        return lead + head, tail + mids[-1], to_witness, close
 
-    for (lead, mid), g, code, w in findings.rows(prepare):
-        yield (
-            f'{lead}{g}{mid}{verdicts[code]},\n   "witness": '
-            f"{style.witness(w)}\n  }}"
-        )
+    for (lead, mid, to_witness, close), g, code, w in findings.rows(prepare):
+        yield f"{lead}{g}{mid}{verdicts[code]}{to_witness}{style.witness(w)}{close}"
 
 
 class _Style:
@@ -1447,11 +1442,8 @@ class _Style:
         return self._items((tuple(d), *d.values()))
 
     def _head_tail(self, cell: dict) -> tuple[str, str]:
-        """The text of ``{**cell, "g": g}`` before and after g's digits, cut
-        from that of g = 0: ``"g": 0`` occurs once in it, as ``"g"`` is the
-        one key of that name and a quote inside a string is escaped."""
-        head, _, tail = self._text({**cell, "g": 0}).partition('"g": 0')
-        return head + '"g": ', tail
+        """The ``jsontext.template`` of ``{**cell, "g": g}`` cut at g."""
+        return tuple(jsontext.template({**cell, "g": jsontext.HOLE}, write=self._text))
 
 
 def _once(made: dict, make: Callable[[object], object], v: object) -> object:

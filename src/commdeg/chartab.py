@@ -496,13 +496,6 @@ def vanishes_outside(table: CharacterTable, index: int, H: SubgroupRef) -> bool:
     return bool(np.abs(vals).max() < FORMULA_TOL)
 
 
-# The text of one irreducible as an item of the "irreducibles" list that
-# ``jsontext.dumps`` writes at depth 2: each value a [re, im] pair at depth 4.
-_ROW_HEAD = '{\n   "degree": %d,\n   "values": [\n    '
-_ROW_PAIR = "[\n     %s,\n     %s\n    ]"
-_ROW_TAIL = "\n   ]\n  }"
-
-
 def table_to_json(table: CharacterTable, fp: TextIO) -> None:
     """Write the table as JSON to ``fp``, one irreducible at a time.
 
@@ -511,8 +504,10 @@ def table_to_json(table: CharacterTable, fp: TextIO) -> None:
     (``{"degree", "values"}`` per row, each value a ``[re, im]`` pair of
     floats), with no trailing newline.  Each distinct float, told apart
     by its bits so that -0.0 keeps its own text, is written once with
-    ``float.__repr__`` and spliced into a per-row template.  A verified
-    table is finite, so no value needs ``NaN`` or ``Infinity``.
+    ``float.__repr__``.  Each irreducible is written by ``%`` from one
+    ``jsontext.template`` per table, an item of ``irreducibles`` with a
+    hole for its degree and each value.  A verified table is finite, so
+    no value needs ``NaN`` or ``Infinity``.
     """
     from . import jsontext  # here, so that only `-o json` loads json
 
@@ -526,7 +521,8 @@ def table_to_json(table: CharacterTable, fp: TextIO) -> None:
         list(map(float.__repr__, distinct.view(np.float64).tolist())), dtype=object
     )
     which = which.reshape(k, 2 * k)
-    row = _ROW_HEAD + ",\n    ".join([_ROW_PAIR] * k) + _ROW_TAIL
+    irreducible = {"degree": jsontext.HOLE, "values": [[jsontext.HOLE] * 2] * k}
+    row = "%s".join(jsontext.template(irreducible, "\n  "))
     rows = (row % (d, *texts[which[i]]) for i, d in enumerate(table.degrees))
     fields = {"classes": classes, "order": table.group.order}
     fp.writelines(jsontext.document(fields, "irreducibles", rows))

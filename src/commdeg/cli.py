@@ -236,7 +236,7 @@ def _write_csv(fp: TextIO, header: Sequence[str], rows: Iterable[Sequence]) -> N
     writer = csv.writer(fp, lineterminator="\n")
     writer.writerow(header)
     for row in rows:
-        if row and all(type(v) is int or (type(v) is str and _plain(v)) for v in row):
+        if row and all(map(_plain, row)):
             fp.write(",".join(map(str, row)) + "\n")
         else:
             writer.writerow(row)
@@ -249,9 +249,11 @@ def _print_json(payload: dict) -> None:
     print(jsontext.dumps(payload))
 
 
-def _plain(text: str) -> bool:
-    """Whether the csv module writes ``text`` as it is: no quote it needs."""
-    return text != "" and not any(c in text for c in ',"\r\n')
+def _plain(v: object) -> bool:
+    """Whether the csv module writes ``v`` as ``str(v)``: an unquoted int or str."""
+    if type(v) is not str:
+        return type(v) is int
+    return v != "" and not ("," in v or '"' in v or "\r" in v or "\n" in v)
 
 
 def _cmd_info(args: argparse.Namespace) -> int:
@@ -689,15 +691,10 @@ def _write_audit(
     from . import audit
 
     if args.output == "csv":
-        import csv
-
-        # Each row ends in a newline, the last one included.
-        writer = csv.writer(fp, lineterminator="\n")
-        writer.writerow(
-            ["claim", "verdict", "instance", "witness"]
-            + (["runtime_ms"] if args.timings else [])
-        )
-        writer.writerows(report.rows(args.timings))
+        header = ["claim", "verdict", "instance", "witness"]
+        if args.timings:
+            header.append("runtime_ms")
+        _write_csv(fp, header, report.rows(args.timings))
     elif args.output == "table":
         lines = [f"{'claim':<12} holds violated vacuous precondition_failed"]
         for claim in sorted(report.summary):

@@ -5,11 +5,7 @@
 space of indent per level, and ``NaN``/``Infinity``/``-Infinity`` for
 non-finite floats.  ``compact`` is ``json.dumps(obj, sort_keys=True)``,
 the form of the audit CSV's instance and witness cells and of the text
-the report's findings are sorted by.  Two places still splice depth-2
-fragments of the indented form by hand around texts made here:
-``audit._finding_texts`` (a finding's keys around its instance and
-witness) and ``chartab``'s ``_ROW_HEAD``/``_ROW_PAIR``/``_ROW_TAIL`` (one
-irreducible of a character table).
+the report's findings are sorted by.
 
 The standard library writes indented JSON with its pure-Python encoder (its
 C encoder runs only when ``indent is None``), yields one small chunk per
@@ -25,17 +21,19 @@ a layout of its sorted keys made once per distinct key tuple.  A layout
 lives as long as its writer: ``encode`` keeps none between calls, and the
 audit report keeps its writers for as long as its findings.
 
-``document`` is the one writer of a document's envelope: the pieces of
-``dumps`` of an object one of whose values is a long list, given as its
-items' texts one at a time.  The audit report (``audit.AuditReport``,
-one finding at a time), ``chartab.table_to_json`` (one irreducible at a
-time) and ``commdeg info -o json`` (one element at a time) go through it,
-and every other ``-o json`` output through ``dumps``.
+``template`` gives the text of an object cut at each ``HOLE`` in it, in
+text order, for a caller that fills the holes with texts of its own.  A
+hole is written as a raw NUL, which no other text here holds (a string's
+control characters are escaped), so this is the one cut, and this module
+alone decides the layout (indent, separators, key order).  ``document``
+writes a document's envelope around a list given one item at a time:
+the audit report's findings, a character table's irreducibles and
+``info -o json``'s elements.  Every other output goes through ``dumps``.
 
 Accepted values: ``dict`` with ``str`` keys, ``list``, ``tuple``, ``str``,
 ``int``, ``float``, ``bool`` and ``None``, subclasses included, as in the
-standard library.  Anything else, a non-``str`` dict key included, raises
-``TypeError``.
+standard library, and ``HOLE``.  Anything else, a non-``str`` dict key
+included, raises ``TypeError``.
 """
 
 from __future__ import annotations
@@ -45,7 +43,10 @@ from json.encoder import JSONEncoder
 from json.encoder import encode_basestring_ascii as _quote
 from typing import Callable, Optional
 
-__all__ = ["dumps", "encode", "compact", "document", "items_writer", "SCALARS"]
+__all__ = [
+    "dumps", "encode", "compact", "document", "template", "items_writer",
+    "SCALARS", "HOLE",
+]
 
 _INF = float("inf")
 _ONLY_INT = {int}
@@ -61,6 +62,13 @@ def _float(x: float) -> str:
     return float.__repr__(x)
 
 
+class _Hole:
+    """The type of ``HOLE``, the value whose text ``template`` cuts at."""
+
+
+HOLE = _Hole()
+_CUT = "\x00"
+
 # Writers for values of exactly these types; subclasses take the
 # isinstance route at the end of ``encode``.
 SCALARS = {
@@ -69,6 +77,7 @@ SCALARS = {
     float: _float,
     bool: {True: "true", False: "false"}.__getitem__,
     type(None): {None: "null"}.__getitem__,
+    _Hole: lambda _: _CUT,
 }
 
 
@@ -81,19 +90,24 @@ def dumps(obj: object) -> str:
     return encode(obj, "\n")
 
 
+def template(
+    obj: object, nl: str = "\n", write: Optional[Callable[[object], str]] = None
+) -> list[str]:
+    """The pieces of ``encode(obj, nl)``, or of ``write(obj)`` from a writer
+    whose values go through ``SCALARS``, cut at each ``HOLE`` in text order."""
+    return (encode(obj, nl) if write is None else write(obj)).split(_CUT)
+
+
 def document(fields: dict, key: str, item_texts: Iterable[str]) -> Iterator[str]:
     """The pieces of ``dumps({**fields, key: items})``, one per item.
 
     ``item_texts`` are the texts of the items at depth 2, as
-    ``encode(item, "\\n  ")`` writes them; they are read one at a time.
+    ``encode(item, "\\n  ")`` writes them; they are read one at a time,
+    between the pieces of the ``template`` with a hole for the list.
     The list is written ``[]`` when there is none.
     """
-    quoted = "\n " + _quote(key) + ": "
-    # In the text with an empty list, the list's item is the one line that
-    # opens with one space and its key: a string holds no raw newline,
-    # and a deeper line opens with more spaces.
-    head, _, tail = encode({**fields, key: []}, "\n").partition(quoted + "[]")
-    yield head + quoted
+    head, tail = template({**fields, key: HOLE})
+    yield head
     sep = "[\n  "
     for text in item_texts:
         yield sep + text

@@ -909,7 +909,9 @@ def test_witness_texts_are_made_once_per_id(s3_d4_report):
 
 def test_a_report_makes_each_cell_text_once(monkeypatch, workers):
     # The sort and the CSV rows read one compact text of each cell object,
-    # whole for a per-cell batch or cut at g for a per-g one.
+    # whole for a per-cell batch or cut at g for a per-g one, and a cell
+    # made of the same blocks and exponents is one object, so no text is
+    # made twice.
     made = []
     real = audit._Style._text
 
@@ -925,6 +927,7 @@ def test_a_report_makes_each_cell_text_once(monkeypatch, workers):
     assert len(made) == sorted_texts
     cells = {(id(b.cell), b.gs is None) for b in report.findings.batches}
     assert len(made) == len(cells)
+    assert len(made) == len(set(made)) == 878
     assert len(rows) == len(report.findings) > len(made)
 
 

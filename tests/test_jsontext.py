@@ -8,8 +8,10 @@ writer beyond the C string escaper, and against the compact
 
 import ast
 import gc
+import itertools
 import json
 import math
+import re
 import tracemalloc
 from pathlib import Path
 
@@ -21,6 +23,15 @@ from hypothesis import strategies as st
 from commdeg import jsontext
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "commdeg"
+
+
+def _modules():
+    """The package's source files, for the guards that read them; with
+    none found, every guard would pass."""
+    paths = sorted(SRC.glob("*.py"))
+    assert SRC / "jsontext.py" in paths
+    return paths
+
 
 _ODD_STRINGS = st.sampled_from(
     ["", '"', "\\", '\\"', "\x00", "\x1f\x7f", "\n\t\r\b\f", "é", " ",
@@ -81,7 +92,7 @@ def test_rejects_what_it_does_not_write(bad):
 
 def test_no_other_indented_json_writer_in_src():
     offenders = []
-    for path in sorted(SRC.glob("*.py")):
+    for path in _modules():
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
             if (
                 isinstance(node, ast.Call)
@@ -191,7 +202,7 @@ def test_document_rejects_a_non_str_list_key():
 
 def test_only_jsontext_sorts_keys_for_output():
     offenders = []
-    for path in sorted(SRC.glob("*.py")):
+    for path in _modules():
         if path.name == "jsontext.py":
             continue
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
@@ -207,5 +218,61 @@ def test_only_jsontext_sorts_keys_for_output():
                 )
             )
             if named:
+                offenders.append(f"{path.name}:{node.lineno}")
+    assert offenders == []
+
+
+def _punch(x, data, count):
+    """``(holed, filled)``: the tree ``x`` with ``HOLE`` at the value
+    positions ``data`` draws, and ``x`` with each hole's number in text
+    order instead, which is sorted key order."""
+    if data.draw(st.booleans()):
+        return jsontext.HOLE, next(count)
+    if isinstance(x, dict):
+        pairs = [(k, *_punch(x[k], data, count)) for k in sorted(x)]
+        return {k: h for k, h, _ in pairs}, {k: f for k, _, f in pairs}
+    if isinstance(x, (list, tuple)):
+        pairs = [_punch(v, data, count) for v in x]
+        return [h for h, _ in pairs], [f for _, f in pairs]
+    return x, x
+
+
+@settings(max_examples=300, deadline=None)
+@given(_TREES, st.data())
+def test_template_pieces_are_the_text_around_each_hole(x, data):
+    # The strings and keys of the trees hold raw NULs, which must not cut.
+    holed, filled = _punch(x, data, itertools.count())
+    for nl in ("\n", "\n ", "\n   ", "\n     "):
+        first, *rest = jsontext.template(holed, nl)
+        numbered = first + "".join(f"{i}{piece}" for i, piece in enumerate(rest))
+        assert numbered == jsontext.encode(filled, nl)
+
+
+# A key separator, a newline next to a bracket or after a comma, or the
+# marker's text.
+_LAYOUT = re.compile(r'": |[\[{,]\n|\n *[\]}]|\x00')
+
+
+def test_only_jsontext_writes_layout_fragments():
+    offenders = []
+    for path in _modules():
+        if path.name == "jsontext.py":
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        docstrings = {
+            id(node.body[0].value)
+            for node in ast.walk(tree)
+            if isinstance(
+                node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
+            )
+            and ast.get_docstring(node, clean=False) is not None
+        }
+        for node in ast.walk(tree):
+            if (
+                isinstance(node, ast.Constant)
+                and isinstance(node.value, str)
+                and id(node) not in docstrings
+                and _LAYOUT.search(node.value)
+            ):
                 offenders.append(f"{path.name}:{node.lineno}")
     assert offenders == []
